@@ -5,4 +5,6 @@ quaternion discriminant-6 family.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as kernel_backend  # noqa: F401
+# Provenance label for benchmark reports: the numpy kernels are the only
+# implementation.
+kernel_backend = "pure"

@@ -17,7 +17,6 @@ from math import isqrt
 
 import numpy as np
 
-from . import _kernels
 from .field_core import (CongruenceError, FieldError, MultCharacter,
                          PrimeFieldCtx, build_ctx, is_prime,
                          power_residue_char)
@@ -70,12 +69,27 @@ def _jacobi_dlog_pairs(ctx: PrimeFieldCtx):
     return ctx.dlog[t], ctx.dlog[(1 - t) % p]
 
 
+def _bracket_table(n: int, e_a: int, e_b: int, d1: np.ndarray, d2: np.ndarray,
+                   zeta: np.ndarray, dlog_m1: int) -> np.ndarray:
+    """bracket(A*chi_e, B*chi_e) for e = 0..n-1.
+
+    bracket(X, Y) = -Y(-1) * J(X, Ybar); the Jacobi sum runs over the t with
+    t, 1-t both nonzero, whose dlogs are the paired arrays d1, d2.
+    """
+    e = np.arange(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.complex128)
+    for t in range(d1.shape[0]):
+        out += zeta[((e_a + e) * d1[t] + (-(e_b + e)) * d2[t]) % n]
+    sign = -zeta[((e_b + e) * dlog_m1) % n]
+    return sign * out
+
+
 @lru_cache(maxsize=65536)
 def _slot_table(ctx: PrimeFieldCtx, ea: int, eb: int) -> np.ndarray:
     """bracket(A*chi_e, B*chi_e) over all e, for the slot (a-exp, b-exp)."""
     d1, d2 = _jacobi_dlog_pairs(ctx)
-    out = _kernels.bracket_table(ctx.n, ea % ctx.n, eb % ctx.n, d1, d2,
-                                 ctx.zeta, int(ctx.dlog[ctx.p - 1]))
+    out = _bracket_table(ctx.n, ea % ctx.n, eb % ctx.n, d1, d2,
+                         ctx.zeta, int(ctx.dlog[ctx.p - 1]))
     out.setflags(write=False)
     return out
 
@@ -98,6 +112,15 @@ def bracket(A: MultCharacter, B: MultCharacter) -> AlgebraicValue:
     sign = -B.value_at_minus1()
     snapped = None if j.snapped is None else sign * j.snapped
     return AlgebraicValue(sign * j.z, snapped)
+
+
+def _chi_sweep(w: np.ndarray, dlogs: np.ndarray, n: int, zeta: np.ndarray) -> np.ndarray:
+    """values[j] = sum_e w[e] * zeta[(e * dlogs[j]) % n]."""
+    e = np.arange(n, dtype=np.int64)
+    out = np.empty(dlogs.shape[0], dtype=np.complex128)
+    for j in range(dlogs.shape[0]):
+        out[j] = np.dot(w, zeta[(e * dlogs[j]) % n])
+    return out
 
 
 class BracketTable:
@@ -146,7 +169,7 @@ class BracketTable:
         lams = np.asarray(lams, dtype=np.int64) % ctx.p
         if np.any(lams == 0):
             raise ValueError("sweep arguments must be nonzero (use raw_value for 0)")
-        vals = _kernels.chi_sweep(self.slot_product, ctx.dlog[lams], ctx.n, ctx.zeta)
+        vals = _chi_sweep(self.slot_product, ctx.dlog[lams], ctx.n, ctx.zeta)
         return self.prefactor * vals / ctx.n
 
 

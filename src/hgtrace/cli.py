@@ -1,9 +1,9 @@
 """Command-line surface: reproducible, machine-readable batch commands.
 
 Exit codes: 0 ok, 1 computation failure (snap/calibration/verification), 2
-usage error. Identical config and seed produce byte-identical output
-regardless of parallelism degree; JSON is emitted with sorted keys and CSV
-rows in ascending parameter order.
+usage error, including a prime that is composite or above the p cap. Identical
+config and seed produce byte-identical output; JSON is emitted with sorted keys
+and CSV rows in ascending parameter order.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def _parse_primes(prime, prime_range):
     if prime is not None and prime_range:
         raise click.UsageError("give either --prime or --prime-range")
     if prime is not None:
+        if not is_prime(prime):
+            raise click.UsageError(f"{prime} is not prime")
         return [prime]
     if prime_range:
         try:
@@ -60,6 +62,14 @@ def _parse_primes(prime, prime_range):
             raise click.UsageError("--prime-range expects LO:HI")
         return [p for p in range(lo, hi + 1) if is_prime(p)]
     raise click.UsageError("a prime or prime range is required")
+
+
+def _field_ctx(p: int):
+    """cached_ctx(p), with a bad prime reported as a usage error."""
+    try:
+        return cached_ctx(p)
+    except FieldError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _parse_fraction_list(text: str):
@@ -82,8 +92,7 @@ def main():
 @click.option("--prime", type=int, default=None)
 @click.option("--prime-range", default=None, help="LO:HI inclusive")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--parallelism", type=int, default=1)
-def trace(group, weight, prime, prime_range, fmt, parallelism):
+def trace(group, weight, prime, prime_range, fmt):
     """Hecke trace reports -Tr(T_p | S_weight) for a table row."""
     row = _parse_group(group)
     primes = _parse_primes(prime, prime_range)
@@ -91,7 +100,7 @@ def trace(group, weight, prime, prime_range, fmt, parallelism):
         raise click.UsageError("--weight must be even and >= 4")
     k = weight - 2
     config = {"command": "trace", "group": row.name, "weight": weight,
-              "primes": primes, "parallelism": parallelism,
+              "primes": primes, "parallelism": 1,
               "schema_version": SCHEMA_VERSION}
     reports = []
     for p in primes:
@@ -99,8 +108,9 @@ def trace(group, weight, prime, prime_range, fmt, parallelism):
             click.echo(f"skipping p = {p}: needs p > 5 with p = 1 mod "
                        f"{level(row.hd)}", err=True)
             continue
+        ctx = _field_ctx(p)
         try:
-            rep = hecke_trace(row, cached_ctx(p), k, parallelism=parallelism)
+            rep = hecke_trace(row, ctx, k)
         except (SnapError, CalibrationError) as exc:
             click.echo(f"computation failure at p = {p}: {exc}", err=True)
             sys.exit(1)
@@ -275,6 +285,8 @@ def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
 @click.option("--seed", type=int, default=0)
 def verify(suite, prime, max_prime, seed):
     """Run an invariant suite; deterministic given the seed."""
+    if prime is not None:
+        _field_ctx(prime)
     suites = [suite] if suite != "all" else ["clausen", "weil", "fm", "legendre",
                                              "genlegendre", "qm", "analytic"]
     results = []
@@ -483,7 +495,7 @@ def calibrate_bg_lambda(prime):
     Reports the best linear match lambda = c * j; no outcome is asserted.
     """
     p = prime
-    ctx = cached_ctx(p)
+    ctx = _field_ctx(p)
     row = row_by_signature((2, 4, 6))
     if (p - 1) % 12:
         raise click.UsageError("prime must be 1 mod 12")

@@ -17,7 +17,6 @@ from math import gcd
 
 import numpy as np
 
-from . import _kernels
 from .field_core import (FieldError, PrimeFieldCtx, QuadExtCtx, build_quad_ext,
                          tonelli_sqrt)
 
@@ -134,9 +133,23 @@ def count_legendre(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
     return CurveCount("legendre", p, cnt, p + 1 - cnt)
 
 
+def _legendre_affine_sweep(p: int, qr: np.ndarray) -> np.ndarray:
+    """Projective point counts of y^2 = x(x-1)(x-lam) for every lam in F_p.
+
+    qr[v] must be the Legendre symbol of v (qr[0] = 0). Entries at lam = 0, 1
+    are returned but meaningless (singular fibers).
+    """
+    counts = np.full(p, 1, dtype=np.int64)  # point at infinity
+    lams = np.arange(p, dtype=np.int64)
+    for x in range(p):
+        f = x * (x - 1) % p * ((x - lams) % p) % p
+        counts += 1 + qr[f]
+    return counts
+
+
 def legendre_trace_sweep(ctx: PrimeFieldCtx) -> np.ndarray:
     """Traces a_E(lam) for all lam (entries at 0, 1 are meaningless)."""
-    counts = _kernels.legendre_affine_sweep(ctx.p, _qr_table(ctx))
+    counts = _legendre_affine_sweep(ctx.p, _qr_table(ctx))
     return ctx.p + 1 - counts
 
 
@@ -261,11 +274,33 @@ def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
     return CurveCount(tag, p, cnt, p + 1 - cnt)
 
 
+def _superelliptic_sweep(p: int, N: int, a: int, b: int, c: int,
+                         dlog: np.ndarray) -> np.ndarray:
+    """Affine counts over x with f(x) != 0 of y^N = x^a (x-1)^b (x-lam)^c, all lam.
+
+    Zero fibers (x in {0, 1, lam}) are excluded here; the caller adds the
+    normalization places.
+    """
+    e = np.gcd(N, p - 1)
+    counts = np.zeros(p, dtype=np.int64)
+    lams = np.arange(p, dtype=np.int64)
+    for x in range(p):
+        if x == 0 or x == 1:
+            continue
+        base = a * int(dlog[x]) + b * int(dlog[(x - 1) % p])
+        xl = (x - lams) % p
+        ok = xl != 0
+        tot = np.zeros(p, dtype=np.int64)
+        tot[ok] = (base + c * dlog[xl[ok]]) % e == 0
+        counts += np.where(ok, tot * e, 0)
+    return counts
+
+
 def gen_legendre_sweep(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int) -> np.ndarray:
-    """Smooth counts for all lam at once (kernel-backed affine part)."""
+    """Smooth counts for all lam at once (vectorized affine part)."""
     p = ctx.p
-    counts = _kernels.superelliptic_sweep(p, N, a, b, c, ctx.dlog).copy()
-    # the kernel excludes x in {0, 1} entirely and x = lam fibers; add places
+    counts = _superelliptic_sweep(p, N, a, b, c, ctx.dlog)
+    # the affine sweep excludes x in {0, 1} entirely and x = lam fibers; add places
     for lam in range(p):
         roots = _glc_roots(p, lam, a, b, c)
         for x0, m in roots:
@@ -522,9 +557,48 @@ def _poly_mod_ext(ext, a, b):
     return a
 
 
+def _genus2_count_fp(coeffs: np.ndarray, p: int, qr: np.ndarray) -> int:
+    """Points of y^2 = f(x) over F_p, deg f = 6, plus smooth-model infinity."""
+    x = np.arange(p, dtype=np.int64)
+    v = np.zeros(p, dtype=np.int64)
+    for co in coeffs:
+        v = (v * x + int(co)) % p
+    cnt = int(np.sum(1 + qr[v]))
+    lead = int(coeffs[0]) % p
+    if lead != 0:
+        cnt += 1 + int(qr[lead])
+    else:
+        cnt += 1  # degree dropped to 5: one place at infinity
+    return cnt
+
+
+def _genus2_count_fp2(co_re: np.ndarray, co_im: np.ndarray, p: int, nu: int,
+                      qr: np.ndarray) -> int:
+    """Points of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)).
+
+    Squareness in F_{p^2} is tested via the norm: z is a square iff
+    N(z) = re^2 - nu*im^2 is a square in F_p (or z = 0).
+    """
+    re = np.arange(p, dtype=np.int64).repeat(p)
+    im = np.tile(np.arange(p, dtype=np.int64), p)
+    vr = np.zeros(p * p, dtype=np.int64)
+    vi = np.zeros(p * p, dtype=np.int64)
+    for cr, ci in zip(co_re, co_im):
+        vr, vi = (vr * re + nu * vi * im + int(cr)) % p, (vr * im + vi * re + int(ci)) % p
+    norm = (vr * vr - nu * vi * vi) % p
+    cnt = int(np.sum(np.where((vr == 0) & (vi == 0), 1, 1 + qr[norm])))
+    lr, li = int(co_re[0]) % p, int(co_im[0]) % p
+    if lr == 0 and li == 0:
+        cnt += 1
+    else:
+        lead_norm = (lr * lr - nu * li * li) % p
+        cnt += 1 + int(qr[lead_norm])
+    return cnt
+
+
 def count_genus2_fp(ctx: PrimeFieldCtx, coeffs) -> int:
     co = np.array([c[0] % ctx.p for c in coeffs], dtype=np.int64)
-    return int(_kernels.genus2_count_fp(co, ctx.p, _qr_table(ctx)))
+    return _genus2_count_fp(co, ctx.p, _qr_table(ctx))
 
 
 def count_genus2_fp2(ctx: PrimeFieldCtx, coeffs, ext: QuadExtCtx | None = None) -> int:
@@ -532,7 +606,7 @@ def count_genus2_fp2(ctx: PrimeFieldCtx, coeffs, ext: QuadExtCtx | None = None) 
         ext = build_quad_ext(ctx)
     co_re = np.array([c[0] % ctx.p for c in coeffs], dtype=np.int64)
     co_im = np.array([c[1] % ctx.p for c in coeffs], dtype=np.int64)
-    return int(_kernels.genus2_count_fp2(co_re, co_im, ctx.p, ext.nu, _qr_table(ctx)))
+    return _genus2_count_fp2(co_re, co_im, ctx.p, ext.nu, _qr_table(ctx))
 
 
 @dataclass(frozen=True)

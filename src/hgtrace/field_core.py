@@ -15,8 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
-
 DEFAULT_P_BOUND = 100_000
 
 
@@ -117,9 +115,15 @@ class PrimeFieldCtx:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(x, self.p - 2, self.p)
 
-    def __reduce__(self):
-        # keep multiprocessing pickles small; rebuild tables on the worker
-        return (build_ctx, (self.p, max(self.p, DEFAULT_P_BOUND), self.g))
+
+def _dlog_table(p: int, g: int) -> np.ndarray:
+    """Discrete logs base g: dlog[g^k mod p] = k, dlog[0] = -1."""
+    dlog = np.full(p, -1, dtype=np.int64)
+    x = 1
+    for k in range(p - 1):
+        dlog[x] = k
+        x = x * g % p
+    return dlog
 
 
 def build_ctx(p: int, bound: int = DEFAULT_P_BOUND, generator: int | None = None) -> PrimeFieldCtx:
@@ -136,7 +140,7 @@ def build_ctx(p: int, bound: int = DEFAULT_P_BOUND, generator: int | None = None
     if p > bound:
         raise FieldError(f"p = {p} exceeds the configured bound {bound}")
     g = least_primitive_root(p) if generator is None else generator
-    dlog = _kernels.dlog_table(p, g)
+    dlog = _dlog_table(p, g)
     if generator is not None and np.count_nonzero(dlog >= 0) != p - 1:
         raise FieldError(f"{generator} is not a primitive root mod {p}")
     n = p - 1

@@ -10,14 +10,13 @@ yields a flagged partial report with an optional oracle residual.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .character_sums import (AlgebraicValue, CalibrationError, HpCalibration,
                              datum_table, elliptic_square_value, snap_tolerance)
-from .field_core import CongruenceError, PrimeFieldCtx, build_ctx, cached_ctx
+from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
 from .hgm_data import OO, TriangleGroupRow, level, row_by_signature
 from .curve_lab import legendre_trace_sweep
 from .modform_oracle import (FixtureError, level1_hecke_trace,
@@ -278,22 +277,8 @@ class TraceReport:
         }
 
 
-def _chunk_ranges(items, degree):
-    n = max(1, degree)
-    size = (len(items) + n - 1) // n
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _sweep_chunk(args):
-    sig, p, lams = args
-    row = row_by_signature(sig)
-    ctx = cached_ctx(p)
-    table = datum_table(row.hd, ctx)
-    return [(lam, a_gamma(row, lam, ctx, table=table)) for lam in lams]
-
-
 def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int,
-                parallelism: int = 1, with_oracle: bool = True) -> TraceReport:
+                with_oracle: bool = True) -> TraceReport:
     """Assemble the weight-k trace report at p for the given table row.
 
     total = sum over generic lambda of F_(k/2)(a_Gamma, p), plus 1 per cusp,
@@ -313,14 +298,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int,
     fm = build_Fm(k // 2)
     specials = row.finite_specials_mod_p(p)
     generic = sorted(l for l in range(p) if l not in specials)
-
-    if parallelism > 1:
-        chunks = _chunk_ranges(generic, parallelism)
-        with multiprocessing.Pool(parallelism) as pool:
-            parts = pool.map(_sweep_chunk, [(row.signature, p, ch) for ch in chunks])
-        a_vals = dict(pair for part in parts for pair in part)
-    else:
-        a_vals = a_gamma_sweep(row, ctx)
+    a_vals = a_gamma_sweep(row, ctx)
 
     terms = []
     generic_sum = 0

@@ -13,17 +13,18 @@ import json
 import random
 import time
 
-import numpy as np
 import pytest
 
 from hgtrace.character_sums import (HpCalibration, al_square_decompose,
-                                    clausen_sweep, elliptic_square_value)
-from hgtrace.curve_lab import (GenLegendre, baba_granath_qm_scan, count_points,
-                               count_via_characters, legendre_trace_sweep)
+                                    clausen_sweep, datum_table,
+                                    elliptic_square_value)
+from hgtrace.curve_lab import (GenLegendre, Legendre, baba_granath_qm_scan,
+                               count_points, count_via_characters,
+                               legendre_trace_sweep)
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
-from hgtrace.trace_engine import (a_gamma_sweep, build_Fm,
+from hgtrace.trace_engine import (a_gamma, a_gamma_sweep, build_Fm,
                                   calibrate_legendre_relation, fm_identity_holds,
                                   hecke_trace, legendre_cover_map)
 from hgtrace.analytic_hgm import (clausen_complex_check, euler_period_check,
@@ -223,30 +224,31 @@ def test_criterion_09_analytic_suite():
 
 
 def test_criterion_10_determinism():
-    """Byte-identical output across primitive roots, serial vs parallel, backends."""
+    """Byte-identical output across primitive roots; sweep == scalar route."""
     row = row_by_signature((2, 4, 6))
     outs = []
     for idx in range(3):
         ctx = build_ctx(13, generator=nth_primitive_root(13, idx))
         outs.append(json.dumps(hecke_trace(row, ctx, 6).to_json(), sort_keys=True))
     roots_ok = outs[0] == outs[1] == outs[2]
-    ser = json.dumps(hecke_trace(row, cached_ctx(13), 6, parallelism=1).to_json(),
-                     sort_keys=True)
-    par = json.dumps(hecke_trace(row, cached_ctx(13), 6, parallelism=3).to_json(),
-                     sort_keys=True)
-    par_ok = ser == par
 
-    # compiled and pure kernels agree exactly on integer outputs
-    from hgtrace import _kernels
-    from hgtrace._kernels import _pure
-    ctx = cached_ctx(13)
-    qr = np.full(13, -1, dtype=np.int64)
-    qr[0] = 0
-    qr[(np.arange(1, 13) ** 2) % 13] = 1
-    backend_ok = bool(np.array_equal(_kernels.legendre_affine_sweep(13, qr),
-                                     _pure.legendre_affine_sweep(13, qr)))
-    ok = roots_ok and par_ok and backend_ok
-    _line(10, "determinism: 3 primitive roots, serial vs parallel, backends", ok)
+    # the vectorized sweeps agree with the per-lambda definitions everywhere
+    a_bad, leg_bad = [], []
+    for p in [q for q in range(7, 62) if is_prime(q)]:
+        ctx = cached_ctx(p)
+        for row in triangle_table():
+            if (p - 1) % level(row.hd):
+                continue
+            table = datum_table(row.hd, ctx)
+            sweep = a_gamma_sweep(row, ctx)
+            a_bad += [(row.name, p, lam) for lam, a in sweep.items()
+                      if a_gamma(row, lam, ctx, table=table) != a]
+        traces = legendre_trace_sweep(ctx)
+        leg_bad += [(p, lam) for lam in range(2, p)
+                    if int(traces[lam]) != count_points(Legendre(lam), ctx).trace]
+    ok = roots_ok and not a_bad and not leg_bad
+    _line(10, "determinism: 3 primitive roots; sweep == scalar route, p <= 61", ok,
+          f"roots={roots_ok} a_gamma={a_bad[:3]} legendre={leg_bad[:3]}")
     assert ok
 
 

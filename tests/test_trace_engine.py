@@ -206,13 +206,6 @@ def test_hecke_trace_rejects_bad_weight(ctx13):
         hecke_trace(row_by_signature((2, 4, 6)), ctx13, 5)
 
 
-def test_hecke_trace_serial_vs_parallel(ctx13):
-    row = row_by_signature((2, 4, 6))
-    r1 = hecke_trace(row, ctx13, 6, parallelism=1)
-    r2 = hecke_trace(row, ctx13, 6, parallelism=2)
-    assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
-
-
 def test_hecke_trace_generator_independent():
     row = row_by_signature((2, 4, 6))
     outs = []
