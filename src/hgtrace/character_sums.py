@@ -271,15 +271,42 @@ DEFAULT_CALIBRATION_PRIMES = {1: (7, 11, 13), 2: (7, 11, 13), 3: (7, 13, 19),
                               4: (13, 17, 29), 6: (7, 13, 19), 12: (13, 37, 61)}
 
 
+def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
+    """A row's lambda chart over an int64 array of lambdas in [0, p):
+    (args, chis, p_factor).
+
+    The local trace at lam is chi * p_factor * (period sum at arg), scaled by
+    the row's (sign, w). The "cusp_row" chart reads arg = 1/lam with
+    chi = phi(1 - arg) and p_factor = 1; the "row_246" chart reads arg = -3/lam
+    with chi = phi(-3(1 + 3/lam)) and p_factor = p. chi is 0 exactly at the
+    special lambdas, where no trace is defined: lam = 0 and the zero of chi.
+    Inverses and Legendre symbols come from the dlog table (antilog gather and
+    dlog parity).
+    """
+    p, n = ctx.p, ctx.n
+    antilog = np.empty(n, dtype=np.int64)
+    antilog[ctx.dlog[1:]] = np.arange(1, p, dtype=np.int64)
+    inv = antilog[-ctx.dlog[lams] % n]  # meaningless at lam = 0, masked below
+    if a_rule == "cusp_row":
+        args, chi_args, p_factor = inv, (1 - inv) % p, 1
+    elif a_rule == "row_246":
+        args, chi_args, p_factor = -3 * inv % p, -3 * (1 + 3 * inv) % p, p
+    else:
+        raise ValueError(f"unknown a_rule {a_rule!r}")
+    chis = np.where((lams == 0) | (chi_args == 0), 0, 1 - 2 * (ctx.dlog[chi_args] % 2))
+    return args, chis, p_factor
+
+
 def calibrate_hp_weight(hd: HGDatum, primes=None, a_rule: str = "auto") -> HpCalibration:
     """Find the unique (sign, w) making the local traces exact integers in the
     Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, across sample primes.
 
-    The trace tested is a(lam) = phi(1 - 1/lam) * H(1/lam) for data with all
-    beta entries integral, and a(lam) = phi(-3(1+3/lam)) * p * H(-3/lam) for
-    the nontrivial-beta datum of the compact row. A plain perfect-square
-    criterion would reject the correct normalization at the Atkin-Lehner
-    twisted points, so the d | 6 decomposition is the calibration invariant.
+    The traces tested are those of the lambda chart (_lambda_chart): "cusp_row"
+    for data with all beta entries integral, "row_246" for the nontrivial-beta
+    datum of the compact row. One chart sweep per prime serves all six
+    candidates. A plain perfect-square criterion would reject the correct
+    normalization at the Atkin-Lehner twisted points, so the d | 6
+    decomposition is the calibration invariant.
     Raises CalibrationError if no pair or several pairs survive.
     """
     M = level(hd)
@@ -294,11 +321,20 @@ def calibrate_hp_weight(hd: HGDatum, primes=None, a_rule: str = "auto") -> HpCal
     if a_rule == "auto":
         a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
 
-    survivors = []
-    for sign in (1, -1):
-        for w in (0, 1, 2):
-            if _calibration_passes(hd, primes, sign, w, a_rule):
-                survivors.append((sign, w))
+    survivors = [(sign, w) for sign in (1, -1) for w in (0, 1, 2)]
+    for p in primes:
+        ctx = build_ctx(p)
+        try:
+            table = datum_table(hd, ctx)
+        except CongruenceError:
+            survivors = []
+            break
+        args, chis, p_factor = _lambda_chart(a_rule, ctx, np.arange(1, p))
+        generic = chis != 0
+        swept = table.sweep(args[generic]) * chis[generic]
+        tol = snap_tolerance(p, hd.n)
+        survivors = [(sign, w) for sign, w in survivors
+                     if _exact_local_traces(swept * (sign * p_factor / p ** w), p, tol)]
     if not survivors:
         raise CalibrationError(f"no (sign, weight) normalizes {hd} over primes {primes}")
     if len(survivors) > 1:
@@ -307,42 +343,12 @@ def calibrate_hp_weight(hd: HGDatum, primes=None, a_rule: str = "auto") -> HpCal
     return HpCalibration(sign=sign, weight=w, primes=primes)
 
 
-def _calibration_passes(hd: HGDatum, primes, sign: int, w: int, a_rule: str) -> bool:
-    for p in primes:
-        ctx = build_ctx(p)
-        try:
-            table = datum_table(hd, ctx)
-        except CongruenceError:
-            return False
-        tol = snap_tolerance(p, hd.n)
-        for lam in range(1, p):
-            a = _trace_candidate(table, ctx, lam, sign, w, a_rule)
-            if a is None:
-                continue  # special lambda for this rule
-            r = round(a.real)
-            if abs(a.imag) > tol or abs(a.real - r) > tol:
-                return False
-            if al_square_decompose(int(r), p) is None:
-                return False
-    return True
-
-
-def _trace_candidate(table: BracketTable, ctx: PrimeFieldCtx, lam: int,
-                     sign: int, w: int, a_rule: str):
-    p = ctx.p
-    if a_rule == "cusp_row":
-        if lam % p in (0, 1):
-            return None
-        arg = ctx.inv(lam)
-        chi = ctx.legendre(1 - arg)
-        return chi * sign * table.raw_value(arg) / p ** w
-    if a_rule == "row_246":
-        if lam % p in (0, (-3) % p):
-            return None
-        arg = (-3 * ctx.inv(lam)) % p
-        chi = ctx.legendre(-3 * (1 + 3 * ctx.inv(lam)))
-        return chi * sign * p * table.raw_value(arg) / p ** w
-    raise ValueError(f"unknown a_rule {a_rule!r}")
+def _exact_local_traces(vals: np.ndarray, p: int, tol: float) -> bool:
+    """Every value snaps to an integer a with a + p = d*t^2, d | 6."""
+    r = np.round(vals.real)
+    if np.any(np.abs(vals.imag) > tol) or np.any(np.abs(vals.real - r) > tol):
+        return False
+    return all(al_square_decompose(int(a), p) is not None for a in r)
 
 
 def elliptic_square_value(hd: HGDatum, ctx: PrimeFieldCtx,

@@ -24,12 +24,13 @@ from .character_sums import (CalibrationError, HpCalibration, SnapError,
                              hp_sum)
 from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
                         Legendre, PicardSub, UniversalJ, baba_granath_qm_scan,
-                        count_points, count_via_characters, frobenius_quartic_data)
+                        count_points, count_via_characters, frobenius_quartic_data,
+                        legendre_trace_sweep)
 from .field_core import FieldError, cached_ctx, is_prime
 from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, fetch_fixture, load_fixture
 from .trace_engine import (a_gamma_sweep, calibrate_legendre_relation,
-                           fm_identity_holds, hecke_trace, legendre_cover_map)
+                           fm_identity_holds, hecke_trace, legendre_relation)
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +74,10 @@ def _field_ctx(p: int):
 
 
 def _parse_fraction_list(text: str):
-    return tuple(Fraction(s.strip()) for s in text.split(","))
+    try:
+        return tuple(Fraction(s.strip()) for s in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError(f"bad rational list {text!r}")
 
 
 @click.group()
@@ -167,8 +171,8 @@ def sum_np(alpha, beta, prime, lam):
 def sum_hp(group, prime, t):
     """Calibrated H_p of a table row's datum at t."""
     row = _parse_group(group)
+    ctx = _field_ctx(prime)
     try:
-        ctx = cached_ctx(prime)
         calib = HpCalibration(sign=row.hp_sign, weight=row.hp_weight, primes=())
         val = hp_sum(row.hd, ctx, t, calibration=calib)
     except (FieldError, ValueError) as exc:
@@ -223,6 +227,7 @@ def _lambda_selection(text: str, p: int) -> list[int]:
 def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
     """Brute-force point counts; CSV: family, params, p, q, n_points, trace, flags."""
     cls, names = _FAMILIES[family]
+    ctx = _field_ctx(prime)
     base = {}
     lam_values = [None]
     for name in names:
@@ -243,14 +248,17 @@ def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
         elif name == "N":
             if n_ is None or exps is None:
                 raise click.UsageError("--n and --exps required for genlegendre")
-            base["N"] = n_
-            a, b, c = (int(x) for x in exps.split(","))
-            base.update(a=a, b=b, c=c)
+            if n_ < 2:
+                raise click.UsageError("--n must be >= 2")
+            try:
+                a, b, c = (int(x) for x in exps.split(","))
+            except ValueError:
+                raise click.UsageError(f"--exps expects three integers a,b,c, got {exps!r}")
+            base.update(N=n_, a=a, b=b, c=c)
         elif name == "branch":
             base["branch"] = branch
     rows = []
     try:
-        ctx = cached_ctx(prime)
         fieldctx = ctx
         if fp2:
             from .field_core import build_quad_ext
@@ -334,23 +342,18 @@ def _run_suite(name, prime, max_prime, seed):
         return not bad, f"{len(bad)} violations" + (f", first {bad[:3]}" if bad else "")
     if name == "legendre":
         calib = calibrate_legendre_relation()
-        cover = legendre_cover_map(calib.map_label)
         row = row_by_signature((2, OO, OO))
-        from .curve_lab import legendre_trace_sweep
         for p in [q for q in range(7, max_prime + 1) if is_prime(q)]:
             ctx = cached_ctx(p)
-            a_row = a_gamma_sweep(row, ctx)
-            a_e = legendre_trace_sweep(ctx)
-            specials = row.finite_specials_mod_p(p)
-            for lamp in range(2, p):
-                target = cover(lamp, p, ctx.inv)
-                if target in specials:
-                    continue
-                if a_row[target] != int(a_e[lamp]) ** 2 - p:
-                    return False, f"mismatch p={p} lam'={lamp}"
+            bad, _held = legendre_relation(calib.map_label, ctx, a_gamma_sweep(row, ctx),
+                                           legendre_trace_sweep(ctx))
+            if bad is not None:
+                return False, f"mismatch p={p} lam'={bad}"
         return True, f"map {calib.map_label}, all odd p <= {max_prime}"
     if name == "genlegendre":
         primes = [prime] if prime else [7, 13, 19]
+        if prime and (prime - 1) % 6:
+            raise click.UsageError(f"genlegendre needs p = 1 mod 6, got {prime}")
         for p in primes:
             ctx = cached_ctx(p)
             for lam in range(2, p):

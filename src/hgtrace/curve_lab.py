@@ -23,6 +23,13 @@ from .field_core import (FieldError, PrimeFieldCtx, QuadExtCtx, build_quad_ext,
 
 @dataclass(frozen=True)
 class CurveCount:
+    """A point count over F_q, with trace = q + 1 - n_points for most families.
+
+    For Baba-Granath genus-2 curves over F_p, trace holds the half-trace t with
+    p + 1 - #C(F_p) = 2t (the trace of one factor of the split quaternionic
+    shape), or None when p + 1 - #C(F_p) is odd.
+    """
+
     tag: str
     q: int
     n_points: int
@@ -121,16 +128,22 @@ def places_at_branch(ctx, u0, m: int, N: int, ext: QuadExtCtx | None = None) -> 
 
 
 def count_legendre(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
+    return _count_legendre_twist(ctx, lam, 1, "legendre",
+                                 "bad reduction: lambda(1-lambda) = 0")
+
+
+def _count_legendre_twist(ctx: PrimeFieldCtx, lam: int, d: int, tag: str,
+                          bad_flag: str) -> CurveCount:
+    """Literal point count of y^2 = d x(x-1)(x-lam), one point at infinity."""
     p = ctx.p
     lam %= p
-    if lam in (0, 1):
-        return CurveCount("legendre", p, 0, None, good=False,
-                          flags=("bad reduction: lambda(1-lambda) = 0",))
+    if lam in (0, 1) or d % p == 0:
+        return CurveCount(tag, p, 0, None, good=False, flags=(bad_flag,))
     cnt = 1  # infinity
     for x in range(p):
-        f = x * (x - 1) % p * ((x - lam) % p) % p
+        f = d * (x * (x - 1) % p * ((x - lam) % p))  # ctx.legendre reduces mod p
         cnt += 1 + ctx.legendre(f)
-    return CurveCount("legendre", p, cnt, p + 1 - cnt)
+    return CurveCount(tag, p, cnt, p + 1 - cnt)
 
 
 def _legendre_affine_sweep(p: int, qr: np.ndarray) -> np.ndarray:
@@ -239,8 +252,20 @@ def jacobi_quartic_isomorphism_check(ctx: PrimeFieldCtx, sigma: int) -> bool:
 # Superelliptic y^N = x^a (x-1)^b (x-lam)^c
 
 
-def _glc_roots(p: int, lam: int, a: int, b: int, c: int):
-    return ((0, a), (1, b), (lam % p, c))
+def _boundary_places(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
+                     lam: int) -> int:
+    """Places of the smooth model of y^N = x^a (x-1)^b (x-lam)^c above
+    x in {0, 1, lam, oo}, for lam not in {0, 1}."""
+    p = ctx.p
+    roots = ((0, a), (1, b), (lam, c))
+    cnt = 0
+    for x0, m in roots:
+        u0 = 1
+        for x1, m1 in roots:
+            if x1 != x0:
+                u0 = u0 * pow((x0 - x1) % p, m1, p) % p
+        cnt += places_at_branch(ctx, u0, m, N)
+    return cnt + places_at_branch(ctx, 1, a + b + c, N)  # monic at infinity
 
 
 def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
@@ -263,55 +288,8 @@ def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
              + c * int(ctx.dlog[(x - lam) % p])) % e
         if d == 0:
             cnt += e
-    roots = _glc_roots(p, lam, a, b, c)
-    for x0, m in roots:
-        u0 = 1
-        for x1, m1 in roots:
-            if x1 != x0:
-                u0 = u0 * pow((x0 - x1) % p, m1, p) % p
-        cnt += places_at_branch(ctx, u0, m, N)
-    cnt += places_at_branch(ctx, 1, a + b + c, N)  # monic at infinity
+    cnt += _boundary_places(ctx, N, a, b, c, lam)
     return CurveCount(tag, p, cnt, p + 1 - cnt)
-
-
-def _superelliptic_sweep(p: int, N: int, a: int, b: int, c: int,
-                         dlog: np.ndarray) -> np.ndarray:
-    """Affine counts over x with f(x) != 0 of y^N = x^a (x-1)^b (x-lam)^c, all lam.
-
-    Zero fibers (x in {0, 1, lam}) are excluded here; the caller adds the
-    normalization places.
-    """
-    e = np.gcd(N, p - 1)
-    counts = np.zeros(p, dtype=np.int64)
-    lams = np.arange(p, dtype=np.int64)
-    for x in range(p):
-        if x == 0 or x == 1:
-            continue
-        base = a * int(dlog[x]) + b * int(dlog[(x - 1) % p])
-        xl = (x - lams) % p
-        ok = xl != 0
-        tot = np.zeros(p, dtype=np.int64)
-        tot[ok] = (base + c * dlog[xl[ok]]) % e == 0
-        counts += np.where(ok, tot * e, 0)
-    return counts
-
-
-def gen_legendre_sweep(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int) -> np.ndarray:
-    """Smooth counts for all lam at once (vectorized affine part)."""
-    p = ctx.p
-    counts = _superelliptic_sweep(p, N, a, b, c, ctx.dlog)
-    # the affine sweep excludes x in {0, 1} entirely and x = lam fibers; add places
-    for lam in range(p):
-        roots = _glc_roots(p, lam, a, b, c)
-        for x0, m in roots:
-            u0 = 1
-            for x1, m1 in roots:
-                if x1 != x0:
-                    u0 = u0 * pow((x0 - x1) % p, m1, p) % p
-            if u0 != 0:
-                counts[lam] += places_at_branch(ctx, u0, m, N)
-        counts[lam] += places_at_branch(ctx, 1, a + b + c, N)
-    return counts
 
 
 def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
@@ -343,16 +321,7 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
             acc += ctx.zeta[(k * eN * int(ctx.dlog[f])) % (p - 1)]
         sums[k] = acc
     total = sum(sums.values())
-    boundary = 0
-    roots = _glc_roots(p, lam, a, b, c)
-    for x0, m in roots:
-        u0 = 1
-        for x1, m1 in roots:
-            if x1 != x0:
-                u0 = u0 * pow((x0 - x1) % p, m1, p) % p
-        boundary += places_at_branch(ctx, u0, m, N)
-    boundary += places_at_branch(ctx, 1, a + b + c, N)
-    n_points = round(total.real) + boundary
+    n_points = round(total.real) + _boundary_places(ctx, N, a, b, c, lam)
     new_part = sum(sums[k] for k in range(1, N) if gcd(k, N) == 1)
     return (CurveCount(f"genlegendre-chars({N};{a},{b},{c})", p, n_points,
                        p + 1 - n_points),
@@ -715,16 +684,7 @@ def igusa_clebsch_identity(j: Fraction) -> bool:
 
 def count_legendre_twist(ctx: PrimeFieldCtx, lam: int, d: int) -> CurveCount:
     """Quadratic twist by d of the Legendre curve: y^2 = d x(x-1)(x-lam)."""
-    p = ctx.p
-    lam %= p
-    if lam in (0, 1) or d % p == 0:
-        return CurveCount("legendre-twist", p, 0, None, good=False,
-                          flags=("bad parameter",))
-    cnt = 1
-    for x in range(p):
-        f = d * x % p * ((x - 1) % p) % p * ((x - lam) % p) % p
-        cnt += 1 + ctx.legendre(f)
-    return CurveCount("legendre-twist", p, cnt, p + 1 - cnt)
+    return _count_legendre_twist(ctx, lam, d, "legendre-twist", "bad parameter")
 
 
 def count_points(spec, fieldctx) -> CurveCount:

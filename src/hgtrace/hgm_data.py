@@ -137,6 +137,11 @@ class TriangleGroupRow:
     cusp. hp_sign/hp_weight are the calibrated normalization of the finite-field
     hypergeometric sum for this datum, and al_divisors lists the d for which
     a + p = d*t^2 can occur (the Atkin-Lehner divisor pattern of the group).
+
+    a_rule selects the lambda chart that reads the local trace off H_p:
+    "cusp_row" gives a(lam) = phi(1 - 1/lam) * H_p(1/lam), and "row_246" gives
+    a(lam) = phi(-3(1 + 3/lam)) * p * H_p(-3/lam). Both charts live in
+    character_sums._lambda_chart.
     """
 
     signature: tuple

@@ -64,9 +64,6 @@ class QExpansion:
 
     __rmul__ = __mul__
 
-    def scale_by(self, c) -> "QExpansion":
-        return QExpansion(self.weight, tuple(a * c for a in self.coeffs), self.N)
-
 
 def eta_product(d_powers: dict[int, int], N: int) -> QExpansion:
     """prod_d (q^(d/24))^(r_d) * prod_n (1 - q^(dn))^(r_d) as a q-series.

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .character_sums import (AlgebraicValue, CalibrationError, HpCalibration,
-                             datum_table, elliptic_square_value, snap_tolerance)
+                             _lambda_chart, datum_table, elliptic_square_value,
+                             snap_tolerance)
 from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
-from .hgm_data import OO, TriangleGroupRow, level, row_by_signature
+from .hgm_data import OO, TriangleGroupRow, row_by_signature
 from .curve_lab import legendre_trace_sweep
 from .modform_oracle import (FixtureError, level1_hecke_trace,
                              load_fixture_by_label)
@@ -86,49 +87,37 @@ def fm_identity_holds(m: int, u: int, v: int) -> bool:
 def a_gamma(row: TriangleGroupRow, lam: int, ctx: PrimeFieldCtx,
             table=None) -> int:
     """The exact local trace a_Gamma(lam, p) for a generic lam of the row."""
-    p = ctx.p
-    lam %= p
-    if (p - 1) % level(row.hd):
-        raise CongruenceError(f"p = {p} is not 1 mod {level(row.hd)}")
-    if lam in row.finite_specials_mod_p(p):
+    lam %= ctx.p
+    vals = _a_gamma_values(row, ctx, np.array([lam]), table)
+    if lam not in vals:
         raise ValueError(f"lambda = {lam} is a special point of row {row.name}")
-    if table is None:
-        table = datum_table(row.hd, ctx)
-    if row.a_rule == "cusp_row":
-        arg = ctx.inv(lam)
-        val = ctx.legendre(1 - arg) * row.hp_sign * table.raw_value(arg) \
-            / p ** row.hp_weight
-    else:
-        arg = (-3 * ctx.inv(lam)) % p
-        val = ctx.legendre(-3 * (1 + 3 * ctx.inv(lam))) * row.hp_sign * p \
-            * table.raw_value(arg) / p ** row.hp_weight
-    return AlgebraicValue.from_complex(val, snap_tolerance(p, row.hd.n)) \
-        .expect_int(f"a_Gamma({lam}, {p})")
+    return vals[lam]
 
 
 def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx) -> dict[int, int]:
     """a_Gamma for every generic lam in F_p, via one vectorized sweep."""
+    return _a_gamma_values(row, ctx, np.arange(ctx.p))
+
+
+def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
+                    table=None) -> dict[int, int]:
+    """a_Gamma at the generic lambdas of an int64 array of lambdas in [0, p),
+    in their order; special lambdas are left out.
+
+    Building the table raises CongruenceError unless p = 1 mod the level.
+    """
     p = ctx.p
-    if (p - 1) % level(row.hd):
-        raise CongruenceError(f"p = {p} is not 1 mod {level(row.hd)}")
-    table = datum_table(row.hd, ctx)
-    specials = row.finite_specials_mod_p(p)
-    lams = np.array([l for l in range(p) if l not in specials], dtype=np.int64)
-    if row.a_rule == "cusp_row":
-        args = np.array([ctx.inv(int(l)) for l in lams], dtype=np.int64)
-        chis = np.array([ctx.legendre(1 - int(a)) for a in args], dtype=np.int64)
-        scale = row.hp_sign / ctx.p ** row.hp_weight
-    else:
-        args = np.array([(-3 * ctx.inv(int(l))) % p for l in lams], dtype=np.int64)
-        chis = np.array([ctx.legendre(-3 * (1 + 3 * ctx.inv(int(l)))) for l in lams],
-                        dtype=np.int64)
-        scale = row.hp_sign * ctx.p / ctx.p ** row.hp_weight
-    vals = table.sweep(args) * chis * scale
+    if table is None:
+        table = datum_table(row.hd, ctx)
+    args, chis, p_factor = _lambda_chart(row.a_rule, ctx, lams)
+    generic = chis != 0
+    vals = table.sweep(args[generic]) * chis[generic] \
+        * (row.hp_sign * p_factor / p ** row.hp_weight)
     tol = snap_tolerance(p, row.hd.n)
     out = {}
-    for lam, v in zip(lams, vals):
-        out[int(lam)] = AlgebraicValue.from_complex(complex(v), tol) \
-            .expect_int(f"a_Gamma({int(lam)}, {p})")
+    for lam, v in zip(lams[generic].tolist(), vals):
+        out[lam] = AlgebraicValue.from_complex(complex(v), tol) \
+            .expect_int(f"a_Gamma({lam}, {p})")
     return out
 
 
@@ -153,27 +142,50 @@ class LegendreCalibration:
     aliases: tuple[str, ...] = ()
 
 
-_COVER_MAPS = {}
+def _scaled_cover_maps(c: int) -> dict:
+    return {
+        f"{c}*lam/(lam-1)^2": lambda l, p, inv: c * l % p * inv((l - 1) ** 2 % p) % p,
+        f"{c}*lam^2/(lam-1)": lambda l, p, inv: c * l * l % p * inv((l - 1) % p) % p,
+        f"{c}*lam*(1-lam)": lambda l, p, inv: c * l % p * ((1 - l) % p) % p,
+    }
 
 
-def _register_cover_maps():
-    if _COVER_MAPS:
-        return
-    def mobius(name, f):
-        _COVER_MAPS[name] = f
-    mobius("lam", lambda l, p, inv: l % p)
-    mobius("1/lam", lambda l, p, inv: inv(l))
-    mobius("1-lam", lambda l, p, inv: (1 - l) % p)
-    mobius("1/(1-lam)", lambda l, p, inv: inv((1 - l) % p))
-    mobius("lam/(lam-1)", lambda l, p, inv: l * inv((l - 1) % p) % p)
-    mobius("(lam-1)/lam", lambda l, p, inv: (l - 1) % p * inv(l) % p)
-    for c in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16):
-        _COVER_MAPS[f"{c}*lam/(lam-1)^2"] = (
-            lambda l, p, inv, c=c: c * l % p * inv((l - 1) ** 2 % p) % p)
-        _COVER_MAPS[f"{c}*lam^2/(lam-1)"] = (
-            lambda l, p, inv, c=c: c * l * l % p * inv((l - 1) % p) % p)
-        _COVER_MAPS[f"{c}*lam*(1-lam)"] = (
-            lambda l, p, inv, c=c: c * l % p * ((1 - l) % p) % p)
+# Candidate maps R(lam', p, inv): the six Mobius maps, then degree-two pushes
+# with small integer scalings.
+_COVER_MAPS = {
+    "lam": lambda l, p, inv: l % p,
+    "1/lam": lambda l, p, inv: inv(l),
+    "1-lam": lambda l, p, inv: (1 - l) % p,
+    "1/(1-lam)": lambda l, p, inv: inv((1 - l) % p),
+    "lam/(lam-1)": lambda l, p, inv: l * inv((l - 1) % p) % p,
+    "(lam-1)/lam": lambda l, p, inv: (l - 1) % p * inv(l) % p,
+    **{label: f for c in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16)
+       for label, f in _scaled_cover_maps(c).items()},
+}
+
+
+def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: dict, a_e):
+    """Test a_Gamma(R(lam'), p) = a_E(lam')^2 - p at every Legendre-generic lam'.
+
+    R is the cover map named label, a_row the (2,oo,oo) row's a_gamma_sweep
+    and a_e the legendre_trace_sweep, both at p. A lam' where R is undefined or
+    lands on a special lambda of the row is skipped. Returns (bad, held): the
+    first lam' where the relation fails (None if there is none) and the
+    (R(lam'), a_Gamma) pairs at which it held before that.
+    """
+    p, f = ctx.p, _COVER_MAPS[label]
+    held = []
+    for lamp in range(2, p):
+        try:
+            target = f(lamp, p, ctx.inv)
+        except ZeroDivisionError:
+            continue
+        if target not in a_row:
+            continue
+        if a_row[target] != int(a_e[lamp]) ** 2 - p:
+            return lamp, held
+        held.append((target, a_row[target]))
+    return None, held
 
 
 def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
@@ -187,7 +199,6 @@ def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
     labels may survive; they are verified to induce the same correspondence
     and the lexicographically first is returned, the rest as aliases.
     """
-    _register_cover_maps()
     row = row_by_signature((2, OO, OO))
     survivors = set(_COVER_MAPS)
     correspondences = {name: set() for name in survivors}
@@ -195,25 +206,11 @@ def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
         ctx = build_ctx(p)
         a_row = a_gamma_sweep(row, ctx)
         a_e = legendre_trace_sweep(ctx)
-        specials = row.finite_specials_mod_p(p)
         for name in list(survivors):
-            f = _COVER_MAPS[name]
-            ok = True
-            matched = 0
-            for lamp in range(2, p):
-                try:
-                    target = f(lamp, p, ctx.inv)
-                except ZeroDivisionError:
-                    continue
-                if target in specials:
-                    continue
-                if a_row[target] != int(a_e[lamp]) ** 2 - p:
-                    ok = False
-                    break
-                matched += 1
-                correspondences[name].add((p, target, a_row[target]))
-            if not ok or matched == 0:
+            bad, held = legendre_relation(name, ctx, a_row, a_e)
+            if bad is not None or not held:
                 survivors.discard(name)
+            correspondences[name].update((p, target, a) for target, a in held)
     if not survivors:
         raise CalibrationError("no consistent legendre identification found")
     names = sorted(survivors)
@@ -225,7 +222,6 @@ def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
 
 
 def legendre_cover_map(label: str):
-    _register_cover_maps()
     return _COVER_MAPS[label]
 
 
@@ -291,19 +287,15 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int,
     p = ctx.p
     if k % 2 or k < 2:
         raise ValueError("k must be even and >= 2")
-    if (p - 1) % level(row.hd):
-        raise CongruenceError(f"p = {p} is not 1 mod {level(row.hd)}")
     if p <= 5:
         raise CongruenceError("good reduction requires p > 5")
     fm = build_Fm(k // 2)
-    specials = row.finite_specials_mod_p(p)
-    generic = sorted(l for l in range(p) if l not in specials)
     a_vals = a_gamma_sweep(row, ctx)
 
     terms = []
     generic_sum = 0
-    for lam in generic:
-        v = fm.evaluate(a_vals[lam], p)
+    for lam, a in a_vals.items():
+        v = fm.evaluate(a, p)
         terms.append(TraceTerm(lam, "generic", v))
         generic_sum += v
 

@@ -17,14 +17,14 @@ import pytest
 
 from hgtrace.character_sums import (HpCalibration, al_square_decompose,
                                     clausen_sweep, datum_table,
-                                    elliptic_square_value)
+                                    elliptic_square_value, hp_sum)
 from hgtrace.curve_lab import (GenLegendre, Legendre, baba_granath_qm_scan,
                                count_points, count_via_characters,
                                legendre_trace_sweep)
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
-from hgtrace.trace_engine import (a_gamma, a_gamma_sweep, build_Fm,
+from hgtrace.trace_engine import (a_gamma_sweep, build_Fm,
                                   calibrate_legendre_relation, fm_identity_holds,
                                   hecke_trace, legendre_cover_map)
 from hgtrace.analytic_hgm import (clausen_complex_check, euler_period_check,
@@ -223,8 +223,22 @@ def test_criterion_09_analytic_suite():
     assert ok
 
 
+def _literal_a_gamma(row, lam, ctx, table):
+    """The row's lambda chart written out with hp_sum and scalar field ops:
+    phi(1 - 1/lam) * H_p(1/lam) on the cusp rows and
+    phi(-3(1 + 3/lam)) * p * H_p(-3/lam) on (2,4,6)."""
+    calib = HpCalibration(row.hp_sign, row.hp_weight, ())
+    inv = ctx.inv(lam)
+    if row.signature == (2, 4, 6):
+        arg, chi, factor = -3 * inv % ctx.p, ctx.legendre(-3 * (1 + 3 * inv)), ctx.p
+    else:
+        arg, chi, factor = inv, ctx.legendre(1 - inv), 1
+    h = hp_sum(row.hd, ctx, arg, calibration=calib, table=table).snapped
+    return None if h is None else chi * factor * h
+
+
 def test_criterion_10_determinism():
-    """Byte-identical output across primitive roots; sweep == scalar route."""
+    """Byte-identical output across primitive roots; sweeps == literal definitions."""
     row = row_by_signature((2, 4, 6))
     outs = []
     for idx in range(3):
@@ -232,8 +246,9 @@ def test_criterion_10_determinism():
         outs.append(json.dumps(hecke_trace(row, ctx, 6).to_json(), sort_keys=True))
     roots_ok = outs[0] == outs[1] == outs[2]
 
-    # the vectorized sweeps agree with the per-lambda definitions everywhere
-    a_bad, leg_bad = [], []
+    # the vectorized sweeps agree with the per-lambda definitions everywhere,
+    # and the chart leaves out exactly the row's finite special lambdas
+    a_bad, special_bad, leg_bad = [], [], []
     for p in [q for q in range(7, 62) if is_prime(q)]:
         ctx = cached_ctx(p)
         for row in triangle_table():
@@ -241,14 +256,17 @@ def test_criterion_10_determinism():
                 continue
             table = datum_table(row.hd, ctx)
             sweep = a_gamma_sweep(row, ctx)
+            if set(range(p)) - set(sweep) != row.finite_specials_mod_p(p):
+                special_bad.append((row.name, p))
             a_bad += [(row.name, p, lam) for lam, a in sweep.items()
-                      if a_gamma(row, lam, ctx, table=table) != a]
+                      if _literal_a_gamma(row, lam, ctx, table) != a]
         traces = legendre_trace_sweep(ctx)
         leg_bad += [(p, lam) for lam in range(2, p)
                     if int(traces[lam]) != count_points(Legendre(lam), ctx).trace]
-    ok = roots_ok and not a_bad and not leg_bad
-    _line(10, "determinism: 3 primitive roots; sweep == scalar route, p <= 61", ok,
-          f"roots={roots_ok} a_gamma={a_bad[:3]} legendre={leg_bad[:3]}")
+    ok = roots_ok and not a_bad and not special_bad and not leg_bad
+    _line(10, "determinism: 3 primitive roots; sweeps == literal definitions, "
+          "p <= 61", ok, f"roots={roots_ok} a_gamma={a_bad[:3]} "
+          f"specials={special_bad[:3]} legendre={leg_bad[:3]}")
     assert ok
 
 

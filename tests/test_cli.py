@@ -68,10 +68,35 @@ def test_trace_deterministic_config_echo(runner):
     ["verify", "clausen", "--prime", "100057"],
     ["calibrate", "bg-lambda", "--prime", "25"],
     ["calibrate", "bg-lambda", "--prime", "100057"],
+    ["count", "legendre", "--prime", "25", "--lambda", "2"],
+    ["count", "legendre", "--prime", "100057", "--lambda", "2"],
+    ["sum", "hp", "--group", "2,4,6", "--prime", "25", "--t", "5"],
+    ["sum", "hp", "--group", "2,4,6", "--prime", "100057", "--t", "5"],
+    ["verify", "genlegendre", "--prime", "11"],
 ], ids=["trace-composite", "trace-composite-inadmissible", "trace-over-cap",
         "verify-composite", "verify-over-cap", "bg-lambda-composite",
-        "bg-lambda-over-cap"])
+        "bg-lambda-over-cap", "count-composite", "count-over-cap",
+        "sum-hp-composite", "sum-hp-over-cap", "verify-genlegendre-not-1-mod-6"])
 def test_bad_prime_is_usage_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.output.strip().splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "genlegendre", "--prime", "13", "--n", "6", "--exps", "4,3",
+     "--lambda", "2"],
+    ["count", "genlegendre", "--prime", "13", "--n", "6", "--exps", "4,x,1",
+     "--lambda", "2"],
+    ["count", "genlegendre", "--prime", "13", "--n", "0", "--exps", "4,3,1",
+     "--lambda", "2"],
+    ["count", "genlegendre", "--prime", "13", "--n", "1", "--exps", "4,3,1",
+     "--lambda", "2"],
+    ["sum", "np", "--alpha", "1/0,1/2", "--beta", "1,1", "--prime", "13",
+     "--lambda", "3"],
+], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
+        "alpha-zero-denominator"])
+def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert res.output.strip().splitlines()[-1].startswith("Error: ")
