@@ -1,7 +1,8 @@
 """Command-line surface: reproducible, machine-readable batch commands.
 
 Exit codes: 0 ok, 1 computation failure (snap/calibration/verification), 2
-usage error, including a prime that is composite or above the p cap. Identical
+usage error, including a prime that is composite, above the p cap, or one the
+command cannot take (p <= 5, or outside the row's congruence class). Identical
 config and seed produce byte-identical output; JSON is emitted with sorted keys
 and CSV rows in ascending parameter order.
 """
@@ -28,7 +29,7 @@ from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
                         legendre_trace_sweep)
 from .field_core import FieldError, cached_ctx, is_prime
 from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
-from .modform_oracle import FixtureError, fetch_fixture, load_fixture
+from .modform_oracle import FixtureError, load_fixture
 from .trace_engine import (a_gamma_sweep, calibrate_legendre_relation,
                            fm_identity_holds, hecke_trace, legendre_relation)
 
@@ -175,7 +176,9 @@ def sum_hp(group, prime, t):
     try:
         calib = HpCalibration(sign=row.hp_sign, weight=row.hp_weight, primes=())
         val = hp_sum(row.hd, ctx, t, calibration=calib)
-    except (FieldError, ValueError) as exc:
+    except FieldError as exc:
+        raise click.UsageError(str(exc))
+    except ValueError as exc:
         click.echo(f"computation failure: {exc}", err=True)
         sys.exit(1)
     _emit_json({"config": {"command": "sum hp", "group": row.name, "prime": prime,
@@ -269,7 +272,10 @@ def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
                 kwargs["lam"] = lv
             cc = count_points(cls(**kwargs), fieldctx)
             rows.append((kwargs, cc))
-    except (FieldError, TypeError) as exc:
+    except FieldError as exc:
+        # p <= 5 for a family that needs p > 5, or --fp2 with no F_{p^2} counter
+        raise click.UsageError(str(exc))
+    except TypeError as exc:
         click.echo(f"computation failure: {exc}", err=True)
         sys.exit(1)
     out = io.StringIO()
@@ -368,7 +374,11 @@ def _run_suite(name, prime, max_prime, seed):
         for p in primes:
             ctx = cached_ctx(p)
             for j in range(1, p):
-                for branch, res in baba_granath_qm_scan(ctx, j):
+                try:
+                    scan = baba_granath_qm_scan(ctx, j)
+                except FieldError as exc:  # the genus-2 model needs p > 5
+                    raise click.UsageError(str(exc))
+                for branch, res in scan:
                     if res.passed:
                         found += 1
         return found > 0, f"{found} passing (j, branch) pairs over {primes}"
@@ -419,20 +429,6 @@ def analytic():
 @main.group()
 def fixture():
     """Newform coefficient fixtures."""
-
-
-@fixture.command("fetch")
-@click.argument("label")
-@click.option("--out", "out_path", default=None)
-def fixture_fetch(label, out_path):
-    """Fetch a fixture from the public database (opt-in network)."""
-    out_path = out_path or f"{label}.json"
-    try:
-        fx = fetch_fixture(label, out_path)
-    except FixtureError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
-    click.echo(f"wrote {out_path} ({len(fx.ap)} coefficients)")
 
 
 @fixture.command("validate")

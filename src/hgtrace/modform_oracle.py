@@ -2,11 +2,10 @@
 
 Exact integer q-expansion arithmetic: eta products, Eisenstein series, the
 discriminant cusp form, Hecke traces on level-1 cusp forms, and newform
-coefficient fixtures. The two shipped fixtures were derived offline with the
-machinery in this module (see level6_weight8_ap and cm_level24_weight5_ap) and
-validated against Hecke multiplicativity, Atkin-Lehner eigenvalue structure,
-and the Ramanujan bound; fetch_fixture can refresh them from the public
-database when network access is available.
+coefficient fixtures. The two shipped fixtures were derived with the machinery
+in this module (see level6_weight8_ap and cm_level24_weight5_ap) and are
+validated against the Ramanujan bound on load; the test suite re-derives every
+shipped coefficient, so a fixture is refreshed or extended by the same route.
 """
 
 from __future__ import annotations
@@ -51,18 +50,37 @@ class QExpansion:
     def __mul__(self, other):
         if isinstance(other, QExpansion):
             N = min(self.N, other.N)
-            out = [0] * (N + 1)
-            for i, a in enumerate(self.coeffs[:N + 1]):
-                if a == 0:
-                    continue
-                for j in range(N + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return QExpansion(self.weight + other.weight, tuple(out), N)
+            return QExpansion(self.weight + other.weight,
+                              tuple(_mul_trunc(self.coeffs, other.coeffs, N)), N)
         return QExpansion(self.weight, tuple(a * other for a in self.coeffs), self.N)
 
     __rmul__ = __mul__
+
+
+def _mul_trunc(a, b, N: int) -> list:
+    """Coefficients 0..N of the product of the integer series a and b.
+
+    Zero coefficients of a are skipped, so pass the sparser factor first.
+    """
+    out = [0] * (N + 1)
+    for i, x in enumerate(a[:N + 1]):
+        if x:
+            for j, y in enumerate(b[:N + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _euler_series(d: int, N: int) -> list:
+    """prod_n (1 - q^(dn)) to q^N by Euler's pentagonal number theorem:
+    the sum over k in Z of (-1)^k q^(d k(3k-1)/2)."""
+    co = [0] * (N + 1)
+    k = 0
+    while d * k * (3 * k - 1) // 2 <= N:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if d * e <= N:
+                co[d * e] = (-1) ** k
+        k += 1
+    return co
 
 
 def eta_product(d_powers: dict[int, int], N: int) -> QExpansion:
@@ -80,37 +98,12 @@ def eta_product(d_powers: dict[int, int], N: int) -> QExpansion:
     if shift % 24 or wt2 % 2:
         raise QExpansionError("eta product is not integer-weight/integral-shift")
     shift //= 24
-    co = [0] * (N + 1)
-    co[0] = 1
+    co = [1] + [0] * N
     for d, r in d_powers.items():
-        co = _mul_eta_factor(co, d, r, N)
-    out = [0] * (N + 1)
-    for i, a in enumerate(co):
-        if i + shift <= N:
-            out[i + shift] = a
-    return QExpansion(wt2 // 2, tuple(out), N)
-
-
-def _mul_eta_factor(co, d, r, N):
-    """Multiply by prod_n (1 - q^(dn))^r using Euler expansion per factor."""
-    from math import comb
-    for m in range(1, N // d + 1):
-        base = [0] * (N + 1)
-        base[0] = 1
-        for jj in range(1, r + 1):
-            if d * m * jj > N:
-                break
-            base[d * m * jj] = (-1) ** jj * comb(r, jj)
-        out = [0] * (N + 1)
-        for i, a in enumerate(co):
-            if a == 0:
-                continue
-            for j in range(N + 1 - i):
-                b = base[j]
-                if b:
-                    out[i + j] += a * b
-        co = out
-    return co
+        euler = _euler_series(d, N)
+        for _ in range(r):
+            co = _mul_trunc(euler, co, N)
+    return QExpansion(wt2 // 2, tuple(([0] * shift + co)[:N + 1]), N)
 
 
 def _sigma(k: int, m: int) -> int:
@@ -175,25 +168,33 @@ def dim_level1_cusp(k: int) -> int:
 def level1_hecke_trace(k: int, p: int, N: int | None = None) -> int:
     """Tr(T_p) on the level-one cusp forms of weight k, exactly.
 
-    Uses the monomial basis above and the coefficient action
-    a_{T_p f}(m) = a_f(pm) + p^(k-1) a_f(m/p). Needs N >= p*dim + p.
+    Uses the monomial basis above; needs N >= p*dim.
     """
     basis_dim = dim_level1_cusp(k)
     if basis_dim == 0:
         return 0
     if N is None:
         N = p * basis_dim + p
-    if N < p * basis_dim + 1:
-        raise QExpansionError(f"truncation {N} too small for T_{p} on dim {basis_dim}")
-    basis = _level1_basis(k, N)
+    return _basis_hecke_trace(_level1_basis(k, N), p, k)
+
+
+def _basis_hecke_trace(basis: list[QExpansion], p: int, k: int) -> int:
+    """Tr(T_p) on the T_p-stable span of the weight-k series in basis.
+
+    The first len(basis) coefficients a_f(1..d) must determine a form in the
+    span. T_p acts on coefficients by a_{T_p f}(m) = a_f(pm) + p^(k-1) a_f(m/p),
+    so every series must reach q^(p*d).
+    """
     d = len(basis)
-    A = [[Fraction(basis[j][i]) for j in range(d)] for i in range(1, d + 1)]
+    N = min(f.N for f in basis)
+    if N < p * d:
+        raise QExpansionError(f"truncation {N} too small for T_{p} on dim {d}")
+    A = [[Fraction(f[m]) for f in basis] for m in range(1, d + 1)]
     tr = Fraction(0)
-    for j in range(d):
-        tp = [basis[j][p * m] + (p ** (k - 1) * basis[j][m // p] if m % p == 0 else 0)
+    for j, f in enumerate(basis):
+        tp = [Fraction(f[p * m] + (p ** (k - 1) * f[m // p] if m % p == 0 else 0))
               for m in range(1, d + 1)]
-        x = _solve_fraction(A, [Fraction(v) for v in tp])
-        tr += x[j]
+        tr += _solve_fraction(A, tp)[j]
     assert tr.denominator == 1
     return int(tr)
 
@@ -235,23 +236,13 @@ def level6_weight8_ap(p: int) -> int:
     """
     if p in (2, 3):
         raise QExpansionError("p must be coprime to the level")
-    N = 6 * p + 6
-    basis = _level6_weight8_basis(N)
-    d = len(basis)
-    A = [[Fraction(basis[j][i]) for j in range(d)] for i in range(1, d + 1)]
-    tr = Fraction(0)
-    for j in range(d):
-        tp = [basis[j][p * m] + (p ** 7 * basis[j][m // p] if m % p == 0 else 0)
-              for m in range(1, d + 1)]
-        x = _solve_fraction(A, [Fraction(v) for v in tp])
-        tr += x[j]
-    assert tr.denominator == 1
+    tr = _basis_hecke_trace(_level6_weight8_basis(6 * p + 6), p, 8)
     f2 = eta_product({1: 8, 2: 8}, p + 1)
     e23 = QExpansion(2, tuple(
         1 if m == 0 else 12 * (_sigma(1, m) - (3 * _sigma(1, m // 3) if m % 3 == 0 else 0))
         for m in range(p + 2)), p + 1)
     f3 = eta_product({1: 6, 3: 6}, p + 1) * e23
-    return int(tr) - 2 * f2[p] - 2 * f3[p]
+    return tr - 2 * f2[p] - 2 * f3[p]
 
 
 def cm_level24_weight5_ap(p: int):
@@ -344,39 +335,3 @@ def fixture_path(label: str) -> Path:
 
 def load_fixture_by_label(label: str) -> NewformFixture:
     return load_fixture(fixture_path(label))
-
-
-LMFDB_API = "https://www.lmfdb.org/api/mf_newforms/?label={label}&_format=json"
-
-
-def fetch_fixture(label: str, out_path: str | Path, timeout: float = 30.0) -> NewformFixture:
-    """Fetch coefficients for a newform label from the public database.
-
-    Network access is opt-in; acceptance tests never call this. The fetched
-    coefficients are written as a fixture file and re-validated by
-    load_fixture.
-    """
-    try:
-        import requests
-    except ImportError as exc:
-        raise FixtureError("fetch requires the 'requests' extra") from exc
-    parts = label.split(".")
-    if len(parts) != 4:
-        raise FixtureError(f"malformed newform label {label!r}")
-    try:
-        resp = requests.get(LMFDB_API.format(label=label), timeout=timeout)
-        resp.raise_for_status()
-        payload = resp.json()
-    except Exception as exc:
-        raise FixtureError(f"offline or fetch failed for {label!r}: {exc}") from exc
-    rows = payload.get("data", [])
-    if not rows:
-        raise FixtureError(f"label {label!r} not found in the database")
-    row = rows[0]
-    from .field_core import is_prime
-    traces = row.get("traces") or []
-    ap = {m + 1: traces[m] for m in range(len(traces)) if is_prime(m + 1)}
-    data = {"label": label, "level": int(parts[0]), "weight": int(parts[1]), "ap": ap}
-    out_path = Path(out_path)
-    out_path.write_text(json.dumps(data, indent=2, sort_keys=True), encoding="utf-8")
-    return load_fixture(out_path)

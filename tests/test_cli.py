@@ -73,10 +73,14 @@ def test_trace_deterministic_config_echo(runner):
     ["sum", "hp", "--group", "2,4,6", "--prime", "25", "--t", "5"],
     ["sum", "hp", "--group", "2,4,6", "--prime", "100057", "--t", "5"],
     ["verify", "genlegendre", "--prime", "11"],
+    ["sum", "hp", "--group", "2,4,6", "--prime", "7", "--t", "5"],
+    ["verify", "qm", "--prime", "5"],
+    ["count", "baba-granath", "--prime", "5", "--j", "1"],
 ], ids=["trace-composite", "trace-composite-inadmissible", "trace-over-cap",
         "verify-composite", "verify-over-cap", "bg-lambda-composite",
         "bg-lambda-over-cap", "count-composite", "count-over-cap",
-        "sum-hp-composite", "sum-hp-over-cap", "verify-genlegendre-not-1-mod-6"])
+        "sum-hp-composite", "sum-hp-over-cap", "verify-genlegendre-not-1-mod-6",
+        "sum-hp-not-1-mod-level", "verify-qm-p5", "count-baba-granath-p5"])
 def test_bad_prime_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -94,8 +98,9 @@ def test_bad_prime_is_usage_error(runner, args):
      "--lambda", "2"],
     ["sum", "np", "--alpha", "1/0,1/2", "--beta", "1,1", "--prime", "13",
      "--lambda", "3"],
+    ["count", "hesse", "--prime", "7", "--mu", "2", "--fp2"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
-        "alpha-zero-denominator"])
+        "alpha-zero-denominator", "fp2-without-counter"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
