@@ -4,12 +4,18 @@ finite-field hypergeometric function H_p, and the finite-field Clausen check.
 Values are carried as double-precision complex numbers and snapped to exact
 integers (or rationals with a p-power denominator) when a quantity is known to
 be rational; the snap tolerance scales with the Weil magnitude of the
-intermediates. Per-slot bracket tables are cached so that full lambda sweeps
-cost O(p) per point after an O(p^2) setup shared across data.
+intermediates. Summed directly, a slot's brackets over all twists and a
+datum's period sums over all lambda each cost O(p^2); both are discrete
+Fourier transforms over the character group Z/(p-1) instead. The brackets are
+one inverse DFT of a histogram over t, and the period sums at every nonzero
+lambda are one inverse DFT of the datum's slot product. A datum costs
+O(p log p), after which each lambda is a gather; slot tables are cached under
+a byte bound.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,29 +75,59 @@ def _jacobi_dlog_pairs(ctx: PrimeFieldCtx):
     return ctx.dlog[t], ctx.dlog[(1 - t) % p]
 
 
-def _bracket_table(n: int, e_a: int, e_b: int, d1: np.ndarray, d2: np.ndarray,
-                   zeta: np.ndarray, dlog_m1: int) -> np.ndarray:
-    """bracket(A*chi_e, B*chi_e) for e = 0..n-1.
+def _bracket_table(ctx: PrimeFieldCtx, e_a: int, e_b: int) -> np.ndarray:
+    """bracket(A*chi^e, B*chi^e) for e = 0..n-1, as one inverse DFT.
 
-    bracket(X, Y) = -Y(-1) * J(X, Ybar); the Jacobi sum runs over the t with
-    t, 1-t both nonzero, whose dlogs are the paired arrays d1, d2.
+    bracket(X, Y) = -Y(-1) * J(X, Ybar), and J(A*chi^e, Bbar*chibar^e) is the
+    sum over t of zeta^(e_a d1 - e_b d2) * zeta^(e (d1 - d2)), with d1, d2 the
+    paired dlogs of t and 1-t. Binning t at (d1 - d2) mod n turns the sum over
+    t into the length-n DFT of that histogram. chi(-1) is the exponent parity,
+    since dlog(-1) = n/2.
     """
-    e = np.arange(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.complex128)
-    for t in range(d1.shape[0]):
-        out += zeta[((e_a + e) * d1[t] + (-(e_b + e)) * d2[t]) % n]
-    sign = -zeta[((e_b + e) * dlog_m1) % n]
-    return sign * out
-
-
-@lru_cache(maxsize=65536)
-def _slot_table(ctx: PrimeFieldCtx, ea: int, eb: int) -> np.ndarray:
-    """bracket(A*chi_e, B*chi_e) over all e, for the slot (a-exp, b-exp)."""
+    n = ctx.n
     d1, d2 = _jacobi_dlog_pairs(ctx)
-    out = _bracket_table(ctx.n, ea % ctx.n, eb % ctx.n, d1, d2,
-                         ctx.zeta, int(ctx.dlog[ctx.p - 1]))
+    bins = (d1 - d2) % n
+    w = ctx.zeta[(e_a * d1 - e_b * d2) % n]
+    hist = (np.bincount(bins, weights=w.real, minlength=n)
+            + 1j * np.bincount(bins, weights=w.imag, minlength=n))
+    sign = np.where((e_b + np.arange(n)) % 2, 1.0, -1.0)
+    out = sign * (n * np.fft.ifft(hist))
     out.setflags(write=False)
     return out
+
+
+# The slot-table cache holds length-(p-1) complex arrays (16 bytes a point) and
+# evicts least recently used tables while their bytes exceed this bound.
+SLOT_CACHE_MAX_BYTES = 256 * 2 ** 20
+
+
+class _SlotCache:
+    """LRU of slot tables keyed by (p, g, ea, eb), bounded by summed nbytes."""
+
+    def __init__(self):
+        self.tables = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key, build):
+        out = self.tables.get(key)
+        if out is not None:
+            self.tables.move_to_end(key)
+            return out
+        out = build()
+        self.tables[key] = out
+        self.nbytes += out.nbytes
+        while self.nbytes > SLOT_CACHE_MAX_BYTES:
+            self.nbytes -= self.tables.popitem(last=False)[1].nbytes
+        return out
+
+
+_SLOT_CACHE = _SlotCache()
+
+
+def _slot_table(ctx: PrimeFieldCtx, ea: int, eb: int) -> np.ndarray:
+    """bracket(A*chi_e, B*chi_e) over all e, for the slot (a-exp, b-exp)."""
+    ea, eb = ea % ctx.n, eb % ctx.n
+    return _SLOT_CACHE.get((ctx.p, ctx.g, ea, eb), lambda: _bracket_table(ctx, ea, eb))
 
 
 def jacobi_sum(A: MultCharacter, B: MultCharacter) -> AlgebraicValue:
@@ -114,17 +150,9 @@ def bracket(A: MultCharacter, B: MultCharacter) -> AlgebraicValue:
     return AlgebraicValue(sign * j.z, snapped)
 
 
-def _chi_sweep(w: np.ndarray, dlogs: np.ndarray, n: int, zeta: np.ndarray) -> np.ndarray:
-    """values[j] = sum_e w[e] * zeta[(e * dlogs[j]) % n]."""
-    e = np.arange(n, dtype=np.int64)
-    out = np.empty(dlogs.shape[0], dtype=np.complex128)
-    for j in range(dlogs.shape[0]):
-        out[j] = np.dot(w, zeta[(e * dlogs[j]) % n])
-    return out
-
-
 class BracketTable:
-    """Per-datum product of slot tables; lambda evaluation is an O(p) dot.
+    """Per-datum product of slot tables and the period sum at every nonzero
+    lambda, read off one inverse DFT of that product at dlog lambda.
 
     Slots beyond the first must list the trivial character in the b position of
     slot one (the period-sum convention B_1 = trivial).
@@ -139,46 +167,41 @@ class BracketTable:
         self.a_exps = [e % ctx.n for e in a_exps]
         self.b_exps = [e % ctx.n for e in b_exps]
         n = ctx.n
-        prod = np.ones(n, dtype=np.complex128)
-        for ea, eb in zip(self.a_exps, self.b_exps):
-            prod = prod * _slot_table(ctx, ea, eb)
-        self.slot_product = prod
+        slots = [_slot_table(ctx, ea, eb) for ea, eb in zip(self.a_exps, self.b_exps)]
         # prefactor prod_{i>=2}(-A_iB_i(-1)); chi(-1) is the exponent parity
         pref = 1
         for ea, eb in zip(self.a_exps[1:], self.b_exps[1:]):
             pref *= -(1 if ((ea + eb) * (n // 2)) % n == 0 else -1)
         self.prefactor = pref
-        db = 1 + 0j
-        for ea, eb in zip(self.a_exps[1:], self.b_exps[1:]):
-            db *= bracket(ctx.char(ea), ctx.char(eb)).z
-        self.delta_product = db
+        # the lambda = 0 branch: prod_{i>=2} bracket(A_i, B_i), each slot at e = 0
+        self.delta_product = complex(np.prod([slot[0] for slot in slots[1:]]))
+        # values[d] = prefactor/n * sum_e (slot product)[e] * zeta^(e d), the
+        # period sum at the lambda with dlog d
+        self.values = pref * np.fft.ifft(np.prod(slots, axis=0))
 
     def raw_value(self, lam: int) -> complex:
         """The period sum at lam (delta branch included at lam = 0)."""
-        ctx = self.ctx
-        lam %= ctx.p
+        lam %= self.ctx.p
         if lam == 0:
             return self.prefactor * self.delta_product
-        val = np.dot(self.slot_product, ctx.zeta[
-            (np.arange(ctx.n, dtype=np.int64) * int(ctx.dlog[lam])) % ctx.n])
-        return self.prefactor * complex(val) / ctx.n
+        return complex(self.values[self.ctx.dlog[lam]])
 
     def sweep(self, lams) -> np.ndarray:
-        """Vectorized raw values over many nonzero lambdas."""
+        """Raw values over many nonzero lambdas, aligned with lams."""
         ctx = self.ctx
         lams = np.asarray(lams, dtype=np.int64) % ctx.p
         if np.any(lams == 0):
             raise ValueError("sweep arguments must be nonzero (use raw_value for 0)")
-        vals = _chi_sweep(self.slot_product, ctx.dlog[lams], ctx.n, ctx.zeta)
-        return self.prefactor * vals / ctx.n
+        return self.values[ctx.dlog[lams]]
 
 
 def np_sum(A: list[MultCharacter], B: list[MultCharacter], lam: int) -> AlgebraicValue:
     """The period function of the character lists at lam.
 
-    Implements the definition literally: the prefactor prod_{i>=2}(-A_iB_i(-1))
-    times [ (1/(q-1)) * sum over all chi of bracket(A_1 chi, chi) * prod_{i>=2}
-    bracket(A_i chi, B_i chi) * chi(lam), plus the delta(lam) branch ].
+    The definition: the prefactor prod_{i>=2}(-A_iB_i(-1)) times
+    [ (1/(q-1)) * sum over all chi of bracket(A_1 chi, chi) * prod_{i>=2}
+    bracket(A_i chi, B_i chi) * chi(lam), plus the delta(lam) branch ],
+    evaluated through the DFTs of BracketTable.
     """
     if len(A) != len(B):
         raise ValueError("character lists must have equal length")

@@ -129,8 +129,9 @@ def _dlog_table(p: int, g: int) -> np.ndarray:
 def build_ctx(p: int, bound: int = DEFAULT_P_BOUND, generator: int | None = None) -> PrimeFieldCtx:
     """Construct a PrimeFieldCtx with verified primitive root and dlog table.
 
-    The dlog table is O(p) and character sums over it are O(p^2), so p is
-    capped (default 10^5). Passing an explicit generator is supported for
+    The dlog table is O(p) and a datum's character sums over it are
+    O(p log p); p is capped (default 10^5) because snapping is checked, with
+    a measured headroom, only up to that size. Passing an explicit generator is supported for
     generator-independence tests; it must itself be a primitive root.
     """
     if not is_prime(p):

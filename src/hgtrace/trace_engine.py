@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .character_sums import (AlgebraicValue, CalibrationError, HpCalibration,
+from .character_sums import (CalibrationError, HpCalibration, SnapError,
                              _lambda_chart, datum_table, elliptic_square_value,
                              snap_tolerance)
 from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
@@ -114,11 +114,14 @@ def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
     vals = table.sweep(args[generic]) * chis[generic] \
         * (row.hp_sign * p_factor / p ** row.hp_weight)
     tol = snap_tolerance(p, row.hd.n)
-    out = {}
-    for lam, v in zip(lams[generic].tolist(), vals):
-        out[lam] = AlgebraicValue.from_complex(complex(v), tol) \
-            .expect_int(f"a_Gamma({lam}, {p})")
-    return out
+    snapped = np.round(vals.real)
+    ok = (np.abs(vals.imag) < tol) & (np.abs(vals.real - snapped) < tol)
+    lams = lams[generic]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SnapError(f"a_Gamma({lams[i]}, {p}) did not snap to an integer: "
+                        f"{complex(vals[i])!r}")
+    return dict(zip(lams.tolist(), snapped.astype(np.int64).tolist()))
 
 
 def frobenius_trace_Vk(row: TriangleGroupRow, lam: int, ctx: PrimeFieldCtx,
@@ -291,13 +294,11 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int,
         raise CongruenceError("good reduction requires p > 5")
     fm = build_Fm(k // 2)
     a_vals = a_gamma_sweep(row, ctx)
+    # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur
+    fm_at = {a: fm.evaluate(a, p) for a in set(a_vals.values())}
 
-    terms = []
-    generic_sum = 0
-    for lam, a in a_vals.items():
-        v = fm.evaluate(a, p)
-        terms.append(TraceTerm(lam, "generic", v))
-        generic_sum += v
+    terms = [TraceTerm(lam, "generic", fm_at[a]) for lam, a in a_vals.items()]
+    generic_sum = sum(fm_at[a] for a in a_vals.values())
 
     cusp_sum = 0
     for lam, order in row.lambda_special:

@@ -1,16 +1,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from hgtrace import character_sums
 from hgtrace.character_sums import (CalibrationError, HpCalibration,
-                                    al_square_decompose, bracket,
+                                    _slot_table, al_square_decompose, bracket,
                                     calibrate_hp_weight, clausen_check,
-                                    clausen_sweep, datum_table,
-                                    elliptic_square_value, hp_sum, jacobi_sum,
-                                    np_sum, snap_tolerance)
-from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx
-from hgtrace.hgm_data import hg_datum, row_by_signature
+                                    clausen_sweep, datum_char_exponents,
+                                    datum_table, elliptic_square_value, hp_sum,
+                                    jacobi_sum, np_sum, snap_tolerance)
+from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, is_prime
+from hgtrace.hgm_data import hg_datum, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
 
 
@@ -72,6 +74,73 @@ def test_bracket_vs_double_loop(ctx13):
         B = ctx13.char(rng.randrange(12))
         direct = -B(-1) * brute_jacobi(ctx13, A, B.inverse())
         assert bracket(A, B).z == pytest.approx(direct, abs=1e-9)
+
+
+def _admissible_rows(top=61):
+    """(row, ctx) for every row and every prime 7 <= p <= top it admits."""
+    for p in range(7, top + 1):
+        if is_prime(p):
+            for row in triangle_table():
+                if (p - 1) % level(row.hd) == 0:
+                    yield row, cached_ctx(p)
+
+
+def _direct_slot(ctx, ea, eb):
+    """The slot's brackets over all twists e, each from the O(p) Jacobi sum."""
+    return np.array([bracket(ctx.char(ea + e), ctx.char(eb + e)).z
+                     for e in range(ctx.n)])
+
+
+def test_slot_table_equals_direct_brackets():
+    """The DFT slot table is bracket(A chi^e, B chi^e) at every e: for every
+    slot at p = 7, 11, 13 and for every datum slot of every row up to p = 61."""
+    for p in (7, 11, 13):
+        ctx = cached_ctx(p)
+        for ea in range(ctx.n):
+            for eb in range(ctx.n):
+                np.testing.assert_allclose(_slot_table(ctx, ea, eb),
+                                           _direct_slot(ctx, ea, eb),
+                                           rtol=0, atol=1e-9, err_msg=f"{p} {ea} {eb}")
+    for row, ctx in _admissible_rows():
+        for ea, eb in zip(*datum_char_exponents(row.hd, ctx)):
+            np.testing.assert_allclose(_slot_table(ctx, ea, eb),
+                                       _direct_slot(ctx, ea, eb), rtol=0, atol=1e-9,
+                                       err_msg=f"{row.name} {ctx.p} {ea} {eb}")
+
+
+def test_sweep_equals_literal_period_sum():
+    """sweep(lam) = prefactor/n * sum_e slot_product[e] * chi^e(lam) at every
+    nonzero lam, for every row and prime up to 61, with the slot product
+    taken from direct brackets and chi^e from MultCharacter.__call__."""
+    for row, ctx in _admissible_rows():
+        p, n = ctx.p, ctx.n
+        a_exps, b_exps = datum_char_exponents(row.hd, ctx)
+        prefactor = 1
+        for ea, eb in zip(a_exps[1:], b_exps[1:]):
+            prefactor *= -(ctx.char(ea) * ctx.char(eb))(-1).real
+        slot_product = np.prod([_direct_slot(ctx, ea, eb)
+                                for ea, eb in zip(a_exps, b_exps)], axis=0)
+        chis = [ctx.char(e) for e in range(n)]
+        literal = [prefactor / n * sum(w * chi(lam) for w, chi in zip(slot_product, chis))
+                   for lam in range(1, p)]
+        np.testing.assert_allclose(datum_table(row.hd, ctx).sweep(range(1, p)), literal,
+                                   rtol=0, atol=1e-8, err_msg=f"{row.name} {p}")
+
+
+def test_slot_cache_is_bounded_by_bytes(monkeypatch):
+    ctx = cached_ctx(61)
+    limit = 10 * 60 * 16  # ten tables of 60 complex entries
+    monkeypatch.setattr(character_sums, "SLOT_CACHE_MAX_BYTES", limit)
+    cache = character_sums._SLOT_CACHE
+    keep = _slot_table(ctx, 1, 2)
+    for ea in range(30):
+        _slot_table(ctx, 1, 2)  # a hit refreshes the table's recency
+        _slot_table(ctx, ea, 5)
+        assert cache.nbytes <= limit
+        assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
+    assert len(cache.tables) == 10
+    assert _slot_table(ctx, 1, 2) is keep
+    assert (61, ctx.g, 0, 5) not in cache.tables
 
 
 def test_np_sum_delta_branch(ctx13):

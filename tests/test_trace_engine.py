@@ -1,14 +1,19 @@
 import json
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hgtrace.character_sums import (SnapError, _lambda_chart, datum_table,
+                                    snap_tolerance)
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
-from hgtrace.hgm_data import OO, row_by_signature
+from hgtrace.hgm_data import OO, hg_datum, row_by_signature, triangle_table
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
-from hgtrace.trace_engine import (LegendreCalibration, a_gamma, a_gamma_sweep,
-                                  build_Fm, calibrate_legendre_relation,
+from hgtrace.trace_engine import (LegendreCalibration, _a_gamma_values, a_gamma,
+                                  a_gamma_sweep, build_Fm,
+                                  calibrate_legendre_relation,
                                   fm_identity_holds, frobenius_trace_Vk,
                                   hecke_trace, legendre_cover_map)
 
@@ -107,6 +112,37 @@ def test_a_gamma_matches_sweep(ctx13):
         sweep = a_gamma_sweep(row, ctx13)
         for lam in list(sweep)[:5]:
             assert a_gamma(row, lam, ctx13) == sweep[lam]
+
+
+def test_sweep_snap_error_names_first_bad_lambda(ctx13):
+    """A sweep that does not snap raises at its first bad lambda."""
+    row = row_by_signature((2, OO, OO))
+    irrational = datum_table(hg_datum(("1/2", "1/3", "1/3"), (1, 1, 1)), ctx13)
+    with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 13\) did not snap") as exc:
+        _a_gamma_values(row, ctx13, np.arange(13), irrational)
+    bad = int(re.search(r"a_Gamma\((\d+),", str(exc.value)).group(1))
+    for lam in range(bad):
+        _a_gamma_values(row, ctx13, np.array([lam]), irrational)
+    with pytest.raises(SnapError):
+        a_gamma(row, bad, ctx13, irrational)
+
+
+def test_snap_headroom_at_the_p_cap():
+    """Every row's sweep snaps at p = 99961, the largest admissible prime under
+    the cap, with the tolerance at least 10^4 times its worst distance from an
+    integer."""
+    p = 99961
+    ctx = cached_ctx(p)
+    for row in triangle_table():
+        sweep = a_gamma_sweep(row, ctx)
+        args, chis, p_factor = _lambda_chart(row.a_rule, ctx, np.arange(p))
+        generic = chis != 0
+        vals = datum_table(row.hd, ctx).sweep(args[generic]) * chis[generic] \
+            * (row.hp_sign * p_factor / p ** row.hp_weight)
+        snapped = np.round(vals.real)
+        assert snapped.astype(np.int64).tolist() == list(sweep.values()), row.name
+        worst = max(np.abs(vals.imag).max(), np.abs(vals.real - snapped).max())
+        assert snap_tolerance(p, row.hd.n) >= 1e4 * worst, row.name
 
 
 def test_a_gamma_generator_independent():
