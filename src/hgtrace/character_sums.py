@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -67,7 +66,6 @@ def _require_same_ctx(*chars: MultCharacter) -> PrimeFieldCtx:
     return ctx
 
 
-@lru_cache(maxsize=256)
 def _jacobi_dlog_pairs(ctx: PrimeFieldCtx):
     """dlog pairs (dlog t, dlog(1-t)) over the t with t, 1-t both nonzero."""
     p = ctx.p

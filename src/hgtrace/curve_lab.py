@@ -2,11 +2,12 @@
 
 All counts are of smooth projective models. For superelliptic models
 y^N = f(x) the completion convention is explicit: above a point where the
-local equation is y^N = u0 * s^m (u0 a unit), write e = gcd(N, m); the model
-gains e rational places when u0 is an e-th power in the field and none
-otherwise. Specialized to hyperelliptic sextics this is the familiar rule
-"2 points at infinity iff the leading coefficient is a square" (1 for a
-quintic), and a simple zero of f always contributes exactly one place.
+local equation is y^N = u0 * s^m (u0 a unit), write e = gcd(N, m); the
+rational places there are the w in F_p with w^e = u0, so there are
+gcd(e, p - 1) of them when u0 is an e-th power and none otherwise.
+Specialized to hyperelliptic sextics this is the familiar rule "2 points at
+infinity iff the leading coefficient is a square" (1 for a quintic), and a
+simple zero of f always contributes exactly one place.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ class CurveCount:
     trace: int | None = None
     good: bool = True
     flags: tuple[str, ...] = ()
-
-
-def _qr_table(ctx: PrimeFieldCtx) -> np.ndarray:
-    p = ctx.p
-    qr = np.full(p, -1, dtype=np.int64)
-    qr[0] = 0
-    sq = (np.arange(1, p, dtype=np.int64) ** 2) % p
-    qr[sq] = 1
-    return qr
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +89,102 @@ class ConicX6:
 
 
 # ---------------------------------------------------------------------------
-# Completion helpers
+# y^2 = f(x) and y^N = prod (x - r)^m, each counted by one vectorized sum
 
 
-def _is_power(ctx: PrimeFieldCtx, u: int, e: int) -> bool:
-    """Whether u is an e-th power in F_p^* (u != 0)."""
-    u %= ctx.p
-    d = gcd(e, ctx.p - 1)
-    return int(ctx.dlog[u]) % d == 0
+def _legendre_symbols(ctx: PrimeFieldCtx, v: np.ndarray) -> np.ndarray:
+    """Quadratic character of each entry of v in [0, p), from the dlog parity."""
+    return np.where(v == 0, 0, 1 - 2 * (ctx.dlog[v] & 1))
 
 
-def _is_power_fp2(ext: QuadExtCtx, u: tuple[int, int], e: int) -> bool:
-    q = ext.q
-    d = gcd(e, q - 1)
-    return ext.pow(u, (q - 1) // d) == (1, 0)
+def _count_y2(ctx: PrimeFieldCtx, coeffs) -> int:
+    """Points of the smooth model of y^2 = f(x) over F_p.
+
+    coeffs runs from degree d = len(coeffs) - 1 down to 0; f is evaluated on
+    all of F_p by Horner's rule. Infinity gives one place for odd d and
+    1 + chi(lead) for even d (one place when the lead vanishes: the degree
+    dropped to d - 1).
+    """
+    p = ctx.p
+    x = np.arange(p, dtype=np.int64)
+    v = np.zeros(p, dtype=np.int64)
+    for co in coeffs:
+        v = (v * x + int(co)) % p
+    at_inf = 1 + (ctx.legendre(int(coeffs[0])) if len(coeffs) % 2 else 0)
+    return p + int(np.sum(_legendre_symbols(ctx, v))) + at_inf
 
 
-def places_at_branch(ctx, u0, m: int, N: int, ext: QuadExtCtx | None = None) -> int:
-    """Rational places above a point with local model y^N = u0 * s^m."""
-    e = gcd(N, m)
-    if e == 1:
-        return 1
-    if ext is None:
-        return e if _is_power(ctx, u0, e) else 0
-    return e if _is_power_fp2(ext, u0, e) else 0
+# x runs over F_{p^2} in blocks of whole real parts with about this many
+# elements, so that the evaluation adds about 16 MB to the process at any p.
+_FP2_BLOCK = 2 ** 18
+
+
+def _count_y2_fp2(ext: QuadExtCtx, co_re, co_im) -> int:
+    """Points of the smooth model of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)).
+
+    The coefficients re + im*sqrt(nu) are given as co_re, co_im in the order
+    of _count_y2, with the same rule at infinity. z != 0 is a square iff its
+    norm re^2 - nu*im^2 is a square in F_p, and the norm vanishes only at 0.
+    """
+    p, nu = ext.base.p, ext.nu
+    rows = max(1, _FP2_BLOCK // p)
+    chi_sum = 0
+    for r0 in range(0, p, rows):
+        re = np.arange(r0, min(r0 + rows, p), dtype=np.int64).repeat(p)
+        im = np.tile(np.arange(p, dtype=np.int64), len(re) // p)
+        vr = np.zeros_like(re)
+        vi = np.zeros_like(re)
+        for cr, ci in zip(co_re, co_im):
+            vr, vi = ((vr * re + nu * vi * im + int(cr)) % p,
+                      (vr * im + vi * re + int(ci)) % p)
+        norm = (vr * vr - nu * vi * vi) % p
+        chi_sum += int(np.sum(_legendre_symbols(ext.base, norm)))
+    lr, li = int(co_re[0]), int(co_im[0])
+    at_inf = 1 + (ext.base.legendre(lr * lr - nu * li * li) if len(co_re) % 2 else 0)
+    return p * p + chi_sum + at_inf
+
+
+def places_at_branch(ctx: PrimeFieldCtx, u0: int, m: int, N: int) -> int:
+    """Rational places above a point with local model y^N = u0 * s^m.
+
+    They are the w in F_p with w^e = u0, where e = gcd(N, m): gcd(e, p - 1)
+    of them when u0 is an e-th power, and none otherwise.
+    """
+    d = gcd(N, m, ctx.p - 1)
+    return d if int(ctx.dlog[u0 % ctx.p]) % d == 0 else 0
+
+
+def _boundary_places(ctx: PrimeFieldCtx, N: int, roots) -> int:
+    """Places of the smooth model of y^N = prod (x - r)^m above its roots and
+    infinity; roots lists distinct (r, m) pairs with r in [0, p)."""
+    p = ctx.p
+    cnt = 0
+    for x0, m in roots:
+        u0 = 1
+        for x1, m1 in roots:
+            if x1 != x0:
+                u0 = u0 * pow(x0 - x1, m1, p) % p
+        cnt += places_at_branch(ctx, u0, m, N)
+    return cnt + places_at_branch(ctx, 1, sum(m for _r, m in roots), N)  # monic at infinity
+
+
+def _superelliptic_count(ctx: PrimeFieldCtx, N: int, roots) -> int:
+    """Places of the smooth model of y^N = prod (x - r)^m over F_p.
+
+    Off the roots, the fiber over x has e = gcd(N, p - 1) points when
+    sum m * dlog(x - r) is 0 mod e and none otherwise; that sum is one vector
+    over all x. Above the roots and infinity, _boundary_places.
+    """
+    p = ctx.p
+    e = gcd(N, p - 1)
+    x = np.arange(p, dtype=np.int64)
+    off_roots = np.ones(p, dtype=bool)
+    d = np.zeros(p, dtype=np.int64)
+    for r, m in roots:
+        off_roots[r] = False
+        d += (m % e) * ctx.dlog[(x - r) % p]
+    return (e * int(np.count_nonzero(d[off_roots] % e == 0))
+            + _boundary_places(ctx, N, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -128,54 +192,33 @@ def places_at_branch(ctx, u0, m: int, N: int, ext: QuadExtCtx | None = None) -> 
 
 
 def count_legendre(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
-    return _count_legendre_twist(ctx, lam, 1, "legendre",
-                                 "bad reduction: lambda(1-lambda) = 0")
-
-
-def _count_legendre_twist(ctx: PrimeFieldCtx, lam: int, d: int, tag: str,
-                          bad_flag: str) -> CurveCount:
-    """Literal point count of y^2 = d x(x-1)(x-lam), one point at infinity."""
+    """y^2 = x(x-1)(x-lam), one point at infinity."""
     p = ctx.p
     lam %= p
-    if lam in (0, 1) or d % p == 0:
-        return CurveCount(tag, p, 0, None, good=False, flags=(bad_flag,))
-    cnt = 1  # infinity
-    for x in range(p):
-        f = d * (x * (x - 1) % p * ((x - lam) % p))  # ctx.legendre reduces mod p
-        cnt += 1 + ctx.legendre(f)
-    return CurveCount(tag, p, cnt, p + 1 - cnt)
-
-
-def _legendre_affine_sweep(p: int, qr: np.ndarray) -> np.ndarray:
-    """Projective point counts of y^2 = x(x-1)(x-lam) for every lam in F_p.
-
-    qr[v] must be the Legendre symbol of v (qr[0] = 0). Entries at lam = 0, 1
-    are returned but meaningless (singular fibers).
-    """
-    counts = np.full(p, 1, dtype=np.int64)  # point at infinity
-    lams = np.arange(p, dtype=np.int64)
-    for x in range(p):
-        f = x * (x - 1) % p * ((x - lams) % p) % p
-        counts += 1 + qr[f]
-    return counts
+    if lam in (0, 1):
+        return CurveCount("legendre", p, 0, None, good=False,
+                          flags=("bad reduction: lambda(1-lambda) = 0",))
+    cnt = _count_y2(ctx, (1, -1 - lam, lam, 0))
+    return CurveCount("legendre", p, cnt, p + 1 - cnt)
 
 
 def legendre_trace_sweep(ctx: PrimeFieldCtx) -> np.ndarray:
-    """Traces a_E(lam) for all lam (entries at 0, 1 are meaningless)."""
-    counts = _legendre_affine_sweep(ctx.p, _qr_table(ctx))
-    return ctx.p + 1 - counts
+    """Traces a_E(lam) = -sum_x chi(x(x-1)(x-lam)) for all lam (entries at
+    0, 1 are meaningless)."""
+    p = ctx.p
+    chi = _legendre_symbols(ctx, np.arange(p))
+    lams = np.arange(p, dtype=np.int64)
+    traces = np.zeros(p, dtype=np.int64)
+    for x in range(p):
+        traces -= chi[x * (x - 1) % p * ((x - lams) % p) % p]
+    return traces
 
 
 def count_legendre_fp2(ext: QuadExtCtx, lam: tuple[int, int]) -> CurveCount:
     """Legendre count over F_{p^2}, for quadratic points of the lambda-line."""
-    p = ext.base.p
+    l0, l1 = lam
     q = ext.q
-    cnt = 1
-    for a in range(p):
-        for b in range(p):
-            x = (a, b)
-            f = ext.mul(ext.mul(x, ext.add(x, (p - 1, 0))), ext.add(x, (-lam[0] % p, -lam[1] % p)))
-            cnt += 1 + ext.is_square(f)
+    cnt = _count_y2_fp2(ext, (1, -1 - l0, l0, 0), (0, -l1, l1, 0))
     return CurveCount("legendre/F_p2", q, cnt, q + 1 - cnt)
 
 
@@ -186,13 +229,9 @@ def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
     if j == 0 or j == 1728 % p:
         return CurveCount("universal-j", p, 0, None, good=False,
                           flags=("bad reduction: j in {0, 1728}",))
-    c = ctx.inv((j - 1728) % p)
-    inv4 = ctx.inv(4)
-    cnt = 1
-    for x in range(p):
-        # complete the square: (y + x/2)^2 = x^3 + x^2/4 - (36x + 1) c
-        rhs = (pow(x, 3, p) + x * x % p * inv4 - (36 * x + 1) * c) % p
-        cnt += 1 + ctx.legendre(rhs)
+    c = ctx.inv(j - 1728)
+    # complete the square: (y + x/2)^2 = x^3 + x^2/4 - (36x + 1) c
+    cnt = _count_y2(ctx, (1, ctx.inv(4), -36 * c, -c))
     return CurveCount("universal-j", p, cnt, p + 1 - cnt)
 
 
@@ -216,21 +255,17 @@ def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
 
 
 def count_jacobi_quartic(ctx: PrimeFieldCtx, sigma: int) -> CurveCount:
-    """y^2 = (1 - sigma^2 x^2)(1 - x^2/sigma^2), quartic genus-1 model."""
+    """y^2 = (1 - sigma^2 x^2)(1 - x^2/sigma^2), quartic genus-1 model.
+
+    f = x^4 - (sigma^2 + sigma^-2) x^2 + 1 is monic: two places at infinity.
+    """
     p = ctx.p
     sigma %= p
     if sigma == 0 or pow(sigma, 4, p) == 1:
         return CurveCount("jacobi-quartic", p, 0, None, good=False,
                           flags=("degenerate: sigma(sigma^4-1) = 0",))
     s2 = sigma * sigma % p
-    is2 = ctx.inv(s2)
-    cnt = 0
-    for x in range(p):
-        x2 = x * x % p
-        f = (1 - s2 * x2) % p * ((1 - is2 * x2) % p) % p
-        cnt += 1 + ctx.legendre(f)
-    # infinity: leading coefficient is s2*is2 = 1, a square: two places
-    cnt += places_at_branch(ctx, 1, 4, 2)
+    cnt = _count_y2(ctx, (1, 0, -(s2 + ctx.inv(s2)), 0, 1))
     return CurveCount("jacobi-quartic", p, cnt, p + 1 - cnt)
 
 
@@ -252,22 +287,6 @@ def jacobi_quartic_isomorphism_check(ctx: PrimeFieldCtx, sigma: int) -> bool:
 # Superelliptic y^N = x^a (x-1)^b (x-lam)^c
 
 
-def _boundary_places(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
-                     lam: int) -> int:
-    """Places of the smooth model of y^N = x^a (x-1)^b (x-lam)^c above
-    x in {0, 1, lam, oo}, for lam not in {0, 1}."""
-    p = ctx.p
-    roots = ((0, a), (1, b), (lam, c))
-    cnt = 0
-    for x0, m in roots:
-        u0 = 1
-        for x1, m1 in roots:
-            if x1 != x0:
-                u0 = u0 * pow((x0 - x1) % p, m1, p) % p
-        cnt += places_at_branch(ctx, u0, m, N)
-    return cnt + places_at_branch(ctx, 1, a + b + c, N)  # monic at infinity
-
-
 def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
                        lam: int) -> CurveCount:
     """Smooth-model count of y^N = x^a (x-1)^b (x-lam)^c over F_p."""
@@ -279,16 +298,7 @@ def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
                           flags=("bad reduction: lambda in {0, 1}",))
     if N % p == 0:
         return CurveCount(tag, p, 0, None, good=False, flags=("p divides N",))
-    e = gcd(N, p - 1)
-    cnt = 0
-    for x in range(p):
-        if x == 0 or x == 1 or x == lam:
-            continue
-        d = (a * int(ctx.dlog[x]) + b * int(ctx.dlog[(x - 1) % p])
-             + c * int(ctx.dlog[(x - lam) % p])) % e
-        if d == 0:
-            cnt += e
-    cnt += _boundary_places(ctx, N, a, b, c, lam)
+    cnt = _superelliptic_count(ctx, N, ((0, a), (1, b), (lam, c)))
     return CurveCount(tag, p, cnt, p + 1 - cnt)
 
 
@@ -321,7 +331,7 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
             acc += ctx.zeta[(k * eN * int(ctx.dlog[f])) % (p - 1)]
         sums[k] = acc
     total = sum(sums.values())
-    n_points = round(total.real) + _boundary_places(ctx, N, a, b, c, lam)
+    n_points = round(total.real) + _boundary_places(ctx, N, ((0, a), (1, b), (lam, c)))
     new_part = sum(sums[k] for k in range(1, N) if gcd(k, N) == 1)
     return (CurveCount(f"genlegendre-chars({N};{a},{b},{c})", p, n_points,
                        p + 1 - n_points),
@@ -382,19 +392,7 @@ def count_picard_sub(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
     if lam in (0, 1) or mu in (0, 1) or lam == mu:
         return CurveCount("picard-sub", p, 0, None, good=False,
                           flags=("degenerate parameter",))
-    e = gcd(3, p - 1)
-    cnt = 0
-    roots = ((0, 1), (1, 1), (lam, 1), (mu, 1))
-    for x in range(p):
-        f = x * (x - 1) % p * ((x - lam) % p) % p * ((x - mu) % p) % p
-        if f == 0:
-            continue
-        if e == 1:
-            cnt += 1
-        else:
-            cnt += e if int(ctx.dlog[f]) % e == 0 else 0
-    cnt += len(roots)  # simple zeros: gcd(3, 1) = 1, one place each
-    cnt += places_at_branch(ctx, 1, 4, 3)  # infinity: gcd(3, 4) = 1
+    cnt = _superelliptic_count(ctx, 3, ((0, 1), (1, 1), (lam, 1), (mu, 1)))
     return CurveCount("picard-sub", p, cnt, p + 1 - cnt,
                       flags=("exploratory: Jacobian splitting not asserted",))
 
@@ -450,62 +448,30 @@ def baba_granath_curve(ctx: PrimeFieldCtx, j: int, branch: int = 1):
         mul(sc(6), t3),
         mul(sc(-1), t3, ext.add(sc(4), mul(sc(3), s))),
     )
-    if not _sextic_squarefree(ctx, ext, coeffs, field_tag):
+    if not _sextic_squarefree(ext, coeffs):
         return coeffs, field_tag, tuple(flags) + ("bad reduction: sextic not squarefree",)
     return coeffs, field_tag, tuple(flags)
 
 
-def _sextic_squarefree(ctx, ext, coeffs, field_tag) -> bool:
-    """Squarefree test via gcd(f, f') in the coefficient field."""
-    if field_tag == "F_p":
-        f = [c[0] % ctx.p for c in coeffs]
-        return _poly_squarefree_fp(f, ctx.p)
-    # over F_p2: run Euclid with pair arithmetic
+def _sextic_squarefree(ext: QuadExtCtx, coeffs) -> bool:
+    """Squarefree test via gcd(f, f') by Euclid over F_p2, which holds the
+    coefficients in either case; the gcd does not depend on the field."""
     f = list(coeffs)
     df = [ext.mul((len(f) - 1 - i, 0), f[i]) for i in range(len(f) - 1)]
     g = _poly_gcd_ext(ext, f, df)
     return len(g) == 1
 
 
-def _poly_squarefree_fp(f, p) -> bool:
-    df = [(len(f) - 1 - i) * f[i] % p for i in range(len(f) - 1)]
-    return len(_poly_gcd_fp(f, df, p)) == 1
-
-
 def _trim(f):
     i = 0
-    while i < len(f) - 1 and _is_zero(f[i]):
+    while i < len(f) - 1 and f[i] == (0, 0):
         i += 1
     return f[i:]
 
 
-def _is_zero(c):
-    return c == 0 or c == (0, 0)
-
-
-def _poly_gcd_fp(a, b, p):
-    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _poly_mod_fp(a, b, p)
-    return a
-
-
-def _poly_mod_fp(a, b, p):
-    a = a[:]
-    inv_lead = pow(b[0], p - 2, p)
-    while len(a) >= len(b) and not (len(a) == 1 and a[0] == 0):
-        f = a[0] * inv_lead % p
-        for i in range(len(b)):
-            a[i] = (a[i] - f * b[i]) % p
-        a = _trim(a)
-        if a == [0]:
-            break
-    return a
-
-
 def _poly_gcd_ext(ext, a, b):
     a, b = _trim(list(a)), _trim(list(b))
-    while not (len(b) == 1 and _is_zero(b[0])):
+    while not (len(b) == 1 and b[0] == (0, 0)):
         a, b = b, _poly_mod_ext(ext, a, b)
     return a
 
@@ -515,67 +481,27 @@ def _poly_mod_ext(ext, a, b):
     a = list(a)
     lead = b[0]
     inv_lead = ext.pow(lead, p * p - 2)
-    while len(a) >= len(b) and not (len(a) == 1 and _is_zero(a[0])):
+    while len(a) >= len(b) and not (len(a) == 1 and a[0] == (0, 0)):
         f = ext.mul(a[0], inv_lead)
         for i in range(len(b)):
             t = ext.mul(f, b[i])
             a[i] = ((a[i][0] - t[0]) % p, (a[i][1] - t[1]) % p)
         a = _trim(a)
-        if len(a) == 1 and _is_zero(a[0]):
+        if len(a) == 1 and a[0] == (0, 0):
             break
     return a
 
 
-def _genus2_count_fp(coeffs: np.ndarray, p: int, qr: np.ndarray) -> int:
-    """Points of y^2 = f(x) over F_p, deg f = 6, plus smooth-model infinity."""
-    x = np.arange(p, dtype=np.int64)
-    v = np.zeros(p, dtype=np.int64)
-    for co in coeffs:
-        v = (v * x + int(co)) % p
-    cnt = int(np.sum(1 + qr[v]))
-    lead = int(coeffs[0]) % p
-    if lead != 0:
-        cnt += 1 + int(qr[lead])
-    else:
-        cnt += 1  # degree dropped to 5: one place at infinity
-    return cnt
-
-
-def _genus2_count_fp2(co_re: np.ndarray, co_im: np.ndarray, p: int, nu: int,
-                      qr: np.ndarray) -> int:
-    """Points of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)).
-
-    Squareness in F_{p^2} is tested via the norm: z is a square iff
-    N(z) = re^2 - nu*im^2 is a square in F_p (or z = 0).
-    """
-    re = np.arange(p, dtype=np.int64).repeat(p)
-    im = np.tile(np.arange(p, dtype=np.int64), p)
-    vr = np.zeros(p * p, dtype=np.int64)
-    vi = np.zeros(p * p, dtype=np.int64)
-    for cr, ci in zip(co_re, co_im):
-        vr, vi = (vr * re + nu * vi * im + int(cr)) % p, (vr * im + vi * re + int(ci)) % p
-    norm = (vr * vr - nu * vi * vi) % p
-    cnt = int(np.sum(np.where((vr == 0) & (vi == 0), 1, 1 + qr[norm])))
-    lr, li = int(co_re[0]) % p, int(co_im[0]) % p
-    if lr == 0 and li == 0:
-        cnt += 1
-    else:
-        lead_norm = (lr * lr - nu * li * li) % p
-        cnt += 1 + int(qr[lead_norm])
-    return cnt
-
-
 def count_genus2_fp(ctx: PrimeFieldCtx, coeffs) -> int:
-    co = np.array([c[0] % ctx.p for c in coeffs], dtype=np.int64)
-    return _genus2_count_fp(co, ctx.p, _qr_table(ctx))
+    """Points of y^2 = f(x) over F_p for a sextic given as F_p2 pairs in F_p."""
+    return _count_y2(ctx, [c[0] for c in coeffs])
 
 
 def count_genus2_fp2(ctx: PrimeFieldCtx, coeffs, ext: QuadExtCtx | None = None) -> int:
+    """Points of y^2 = f(x) over F_p2 for a sextic given as F_p2 pairs."""
     if ext is None:
         ext = build_quad_ext(ctx)
-    co_re = np.array([c[0] % ctx.p for c in coeffs], dtype=np.int64)
-    co_im = np.array([c[1] % ctx.p for c in coeffs], dtype=np.int64)
-    return _genus2_count_fp2(co_re, co_im, ctx.p, ext.nu, _qr_table(ctx))
+    return _count_y2_fp2(ext, [c[0] for c in coeffs], [c[1] for c in coeffs])
 
 
 @dataclass(frozen=True)
@@ -643,24 +569,11 @@ def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
 
 def conic_points(ctx: PrimeFieldCtx) -> int:
     """Exact projective count of x^2 + 3y^2 + z^2 = 0 (p > 3)."""
-    p = ctx.p
-    if p <= 3:
+    if ctx.p <= 3:
         raise FieldError("need p > 3")
-    cnt = 0
-    for y in range(p):  # (1 : y : z) chart, x = 1
-        v = (-(1 + 3 * y * y)) % p
-        if v == 0:
-            cnt += 1
-        elif ctx.legendre(v) == 1:
-            cnt += 2
-    # x = 0: (0 : 1 : z)
-    v = (-3) % p
-    if ctx.legendre(v) == 1:
-        cnt += 2
-    elif v == 0:
-        cnt += 1
-    # x = 0, y = 0 impossible
-    return cnt
+    # the chart x = 1 is z^2 = -3y^2 - 1; its places at infinity are the
+    # points (0 : 1 : z) with z^2 = -3 (x = y = 0 is impossible)
+    return _count_y2(ctx, (-3, 0, -1))
 
 
 def igusa_clebsch_identity(j: Fraction) -> bool:
@@ -679,12 +592,7 @@ def igusa_clebsch_identity(j: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Generic twist invariant
-
-
-def count_legendre_twist(ctx: PrimeFieldCtx, lam: int, d: int) -> CurveCount:
-    """Quadratic twist by d of the Legendre curve: y^2 = d x(x-1)(x-lam)."""
-    return _count_legendre_twist(ctx, lam, d, "legendre-twist", "bad parameter")
+# Dispatch
 
 
 def count_points(spec, fieldctx) -> CurveCount:

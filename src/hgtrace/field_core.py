@@ -223,11 +223,6 @@ def power_residue_char(ctx: PrimeFieldCtx, a: Fraction | int) -> MultCharacter:
     return MultCharacter(ctx, e)
 
 
-def legendre_symbol(ctx: PrimeFieldCtx, x: int) -> int:
-    """Quadratic character of x, valued in {-1, 0, +1}."""
-    return ctx.legendre(x)
-
-
 @dataclass(frozen=True)
 class QuadExtCtx:
     """F_{p^2} = F_p(sqrt(nu)) with nu a quadratic non-residue.
@@ -261,16 +256,6 @@ class QuadExtCtx:
             x = self.mul(x, x)
             e >>= 1
         return r
-
-    def norm(self, x: tuple[int, int]) -> int:
-        p = self.base.p
-        return (x[0] * x[0] - self.nu * x[1] * x[1]) % p
-
-    def is_square(self, x: tuple[int, int]) -> int:
-        """Legendre-style square indicator in F_{p^2}: x square iff N(x) square in F_p."""
-        if x == (0, 0):
-            return 0
-        return self.base.legendre(self.norm(x))
 
     def sqrt_of_base(self, v: int) -> tuple[int, int]:
         """A square root of v in F_{p^2} for v in F_p (always exists)."""

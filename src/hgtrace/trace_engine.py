@@ -124,16 +124,6 @@ def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
     return dict(zip(lams.tolist(), snapped.astype(np.int64).tolist()))
 
 
-def frobenius_trace_Vk(row: TriangleGroupRow, lam: int, ctx: PrimeFieldCtx,
-                       k: int, fm: SymPolyFm | None = None) -> int:
-    """F_(k/2)(a_Gamma(lam, p), p): the local Frobenius trace at weight k."""
-    if k % 2 or k < 2:
-        raise ValueError("k must be even and >= 2")
-    if fm is None:
-        fm = build_Fm(k // 2)
-    return fm.evaluate(a_gamma(row, lam, ctx), ctx.p)
-
-
 # ---------------------------------------------------------------------------
 # Legendre-cover identification for the (2,oo,oo) row
 
@@ -222,10 +212,6 @@ def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
             f"survivors induce different correspondences: {names}")
     return LegendreCalibration(map_label=names[0], primes=tuple(primes),
                                aliases=tuple(names[1:]))
-
-
-def legendre_cover_map(label: str):
-    return _COVER_MAPS[label]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from hgtrace.curve_lab import (GenLegendre, Legendre, baba_granath_qm_scan,
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
-from hgtrace.trace_engine import (a_gamma_sweep, build_Fm,
+from hgtrace.trace_engine import (_COVER_MAPS, a_gamma_sweep, build_Fm,
                                   calibrate_legendre_relation, fm_identity_holds,
-                                  hecke_trace, legendre_cover_map)
+                                  hecke_trace)
 from hgtrace.analytic_hgm import (clausen_complex_check, euler_period_check,
                                   ode_residual)
 
@@ -126,7 +126,7 @@ def test_criterion_04_square_invariant_generalized():
 def test_criterion_05_legendre_oracle_equivalence():
     """Calibrated identification matches brute-force Legendre counts, p <= 101."""
     calib = calibrate_legendre_relation()
-    cover = legendre_cover_map(calib.map_label)
+    cover = _COVER_MAPS[calib.map_label]
     row = row_by_signature((2, OO, OO))
     bad = []
     for p in (q for q in range(3, 102) if is_prime(q) and q > 2):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -128,6 +129,15 @@ def test_count_legendre(runner):
     lines = res.output.strip().splitlines()
     assert lines[1].split(",")[4] == "8"   # n_points
     assert lines[1].split(",")[5] == "0"   # trace
+
+
+def test_count_genlegendre_places_at_branch(runner):
+    # gcd(3, 10) = 1, so y -> y^3 is a bijection of F_11: p + 1 = 12 points
+    res = runner.invoke(main, ["count", "genlegendre", "--prime", "11", "--n", "3",
+                               "--exps", "1,1,1", "--lambda", "2"])
+    assert res.exit_code == 0, res.output
+    row = next(csv.reader(res.output.strip().splitlines()[1:]))
+    assert (row[4], row[5]) == ("12", "0")
 
 
 def test_count_requires_params(runner):

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from hgtrace import curve_lab
 from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                JacobiQuartic, Legendre, PicardSub, UniversalJ,
                                baba_granath_curve, baba_granath_qm_scan,
                                conic_points, count_genus2_fp, count_genus2_fp2,
-                               count_hesse, count_legendre, count_legendre_twist,
+                               count_gen_legendre, count_hesse, count_legendre,
+                               count_universal_j,
                                count_points, count_via_characters,
                                frobenius_quartic_data, igusa_clebsch_identity,
                                jacobi_quartic_isomorphism_check,
@@ -40,12 +42,85 @@ def test_legendre_sweep_matches_single(ctx13):
         assert int(traces[lam]) == count_legendre(ctx13, lam).trace
 
 
-def test_twist_pairing(ctx13):
-    nu = 2  # non-residue mod 13
-    for lam in range(2, 13):
-        a = count_legendre(ctx13, lam).n_points
-        b = count_legendre_twist(ctx13, lam, nu).n_points
-        assert a + b == 2 * 13 + 2
+SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_legendre_fp2_matches_frobenius(block, monkeypatch):
+    """#E(F_p2) = p^2 + 1 - (a_p^2 - 2p) with a_p from the F_p sweep; a block
+    of 64 elements makes F_p2 run in many blocks, the last one partial."""
+    if block is not None:
+        monkeypatch.setattr(curve_lab, "_FP2_BLOCK", block)
+    for p in (3,) + SMALL_PRIMES:
+        ctx = cached_ctx(p)
+        ext = build_quad_ext(ctx)
+        traces = legendre_trace_sweep(ctx)
+        for lam in range(2, p):
+            a = int(traces[lam])
+            cc = count_points(Legendre(lam), ext)
+            assert cc.q == p * p
+            assert cc.n_points == p * p + 1 - (a * a - 2 * p), (p, lam)
+
+
+def test_universal_j_literal_count():
+    """Against (x, y) enumeration of y^2 + xy = x^3 - (36x + 1)/(j - 1728)."""
+    for p in SMALL_PRIMES:
+        ctx = cached_ctx(p)
+        for j in range(1, p):
+            if j == 1728 % p:
+                continue
+            c = ctx.inv(j - 1728)
+            affine = sum(1 for x in range(p) for y in range(p)
+                         if (y * y + x * y - x ** 3 + (36 * x + 1) * c) % p == 0)
+            assert count_universal_j(ctx, j).n_points == affine + 1, (p, j)
+
+
+def test_picard_literal_count():
+    """Against (x, y) enumeration of y^3 = f(x); one place at infinity."""
+    for p in SMALL_PRIMES:
+        ctx = cached_ctx(p)
+        for lam in range(2, p):
+            cc = count_points(PicardSub(lam), ctx)
+            if not cc.good:
+                continue
+            mu = 1 - lam
+            affine = sum(1 for x in range(p) for y in range(p)
+                         if (y ** 3 - x * (x - 1) * (x - lam) * (x - mu)) % p == 0)
+            assert cc.n_points == affine + 1, (p, lam)
+
+
+def test_genus2_fp_literal_count():
+    """Random sextics with no repeated root in F_p, against (x, y) enumeration
+    plus the y with y^2 = lead at infinity."""
+    rng = random.Random(5)
+    for p in SMALL_PRIMES:
+        ctx = cached_ctx(p)
+        checked = 0
+        while checked < 6:
+            f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(6)]
+            df = [(6 - i) * c for i, c in enumerate(f[:-1])]
+            ev = lambda g, x: sum(c * x ** (len(g) - 1 - i) for i, c in enumerate(g)) % p
+            if any(ev(f, x) == 0 and ev(df, x) == 0 for x in range(p)):
+                continue
+            affine = sum(1 for x in range(p) for y in range(p)
+                         if (y * y - ev(f, x)) % p == 0)
+            at_inf = sum(1 for y in range(p) if (y * y - f[0]) % p == 0)
+            assert count_genus2_fp(ctx, [(c, 0) for c in f]) == affine + at_inf
+            checked += 1
+
+
+def test_gen_legendre_is_line_when_N_coprime_to_p_minus_1():
+    """With gcd(N, p - 1) = 1, y -> y^N is a bijection of F_p, so every model
+    y^N = x^a (x-1)^b (x-lam)^c has p + 1 places."""
+    for p in (3,) + SMALL_PRIMES + (41, 47):
+        ctx = cached_ctx(p)
+        for N in (3, 5, 7, 9):
+            if math.gcd(N, p - 1) != 1 or N % p == 0:
+                continue
+            for a, b, c in ((1, 1, 1), (1, 2, 3), (2, 2, 2), (3, 3, 3), (4, 1, 4)):
+                for lam in range(2, p):
+                    cc = count_gen_legendre(ctx, N, a, b, c, lam)
+                    assert cc.n_points == p + 1, (p, N, a, b, c, lam)
 
 
 def test_universal_j(ctx13):

@@ -11,11 +11,10 @@ from hgtrace.character_sums import (SnapError, _lambda_chart, datum_table,
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
 from hgtrace.hgm_data import OO, hg_datum, row_by_signature, triangle_table
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
-from hgtrace.trace_engine import (LegendreCalibration, _a_gamma_values, a_gamma,
-                                  a_gamma_sweep, build_Fm,
-                                  calibrate_legendre_relation,
-                                  fm_identity_holds, frobenius_trace_Vk,
-                                  hecke_trace, legendre_cover_map)
+from hgtrace.trace_engine import (_COVER_MAPS, LegendreCalibration,
+                                  _a_gamma_values, a_gamma, a_gamma_sweep,
+                                  build_Fm, calibrate_legendre_relation,
+                                  fm_identity_holds, hecke_trace)
 
 
 def test_build_F1_is_S():
@@ -161,9 +160,9 @@ def test_a_gamma_generator_independent():
 def test_frobenius_trace_Vk(ctx13):
     row = row_by_signature((2, OO, OO))
     a = a_gamma(row, 2, ctx13)
-    assert frobenius_trace_Vk(row, 2, ctx13, 2) == a
+    assert build_Fm(1).evaluate(a, 13) == a
     p = 13
-    assert frobenius_trace_Vk(row, 2, ctx13, 6) == a ** 3 - 2 * p * a * a - p * p * a + p ** 3
+    assert build_Fm(3).evaluate(a, p) == a ** 3 - 2 * p * a * a - p * p * a + p ** 3
 
 
 def test_f1_supersingular_substitution():
@@ -180,7 +179,7 @@ def test_legendre_calibration():
 def test_legendre_relation_all_primes_to_61():
     from hgtrace.curve_lab import legendre_trace_sweep
     calib = calibrate_legendre_relation()
-    cover = legendre_cover_map(calib.map_label)
+    cover = _COVER_MAPS[calib.map_label]
     row = row_by_signature((2, OO, OO))
     for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         ctx = cached_ctx(p)
@@ -197,7 +196,7 @@ def test_legendre_relation_all_primes_to_61():
 def test_legendre_negative_control(ctx13):
     """Flipping the sign of the trace rule breaks the matching at every prime."""
     from hgtrace.curve_lab import legendre_trace_sweep
-    cover = legendre_cover_map("-4*lam/(lam-1)^2")
+    cover = _COVER_MAPS["-4*lam/(lam-1)^2"]
     row = row_by_signature((2, OO, OO))
     a_row = a_gamma_sweep(row, ctx13)
     a_e = legendre_trace_sweep(ctx13)
