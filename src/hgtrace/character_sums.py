@@ -10,7 +10,8 @@ Fourier transforms over the character group Z/(p-1) instead. The brackets are
 one inverse DFT of a histogram over t, and the period sums at every nonzero
 lambda are one inverse DFT of the datum's slot product. A datum costs
 O(p log p), after which each lambda is a gather; slot tables are cached under
-a byte bound.
+a byte bound. The finite-field Clausen check is read the same way: per
+character pair (eta, K), three tables and a gather over t.
 """
 
 from __future__ import annotations
@@ -412,9 +413,9 @@ class ClausenReport:
     passed: bool | None = None
 
 
-def clausen_check(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
-                  t: int) -> ClausenReport:
-    """Verify the finite-field Clausen identity at (eta, K, t).
+def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
+                    ts) -> list[ClausenReport]:
+    """Verify the finite-field Clausen identity at (eta, K) for every t in ts.
 
     Hypotheses: none of eta, K*phi, eta*K, eta*Kbar trivial. For t not 0 or 1,
     with eta*K = S^2, the identity satisfied by the literal period sums is
@@ -427,10 +428,20 @@ def clausen_check(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
     (Both branches differ by one overall sign from the commonly printed form;
     the test suite verifies the coded identity exhaustively.) Inadmissible
     inputs are reported, not raised.
+
+    The three period sums are built once for the pair, as one BracketTable
+    each (the 3P2 and the two 2P1), so every generic t is a gather of their
+    values at dlog t; the t = 1 branch is one scalar np_sum. Reports are
+    aligned with ts.
     """
-    p, n = ctx.p, ctx.n
-    t %= p
+    p = ctx.p
+    ts = [t % p for t in ts]
     phi = ctx.quadratic_char
+
+    def report(t, applicable, reason, lhs=None, rhs=None, passed=None):
+        return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=applicable,
+                             reason=reason, lhs=lhs, rhs=rhs, passed=passed)
+
     bad = []
     if eta.is_trivial:
         bad.append("eta trivial")
@@ -441,53 +452,68 @@ def clausen_check(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
     if (eta * K.inverse()).is_trivial:
         bad.append("eta*Kbar trivial")
     if bad:
-        return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=False,
-                             reason="; ".join(bad))
-    if t == 0:
-        return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=False,
-                             reason="t = 0 is outside the identity")
+        return [report(t, False, "; ".join(bad)) for t in ts]
 
     etaK = eta * K
     tol = snap_tolerance(p, 3) * p
-    lhs3 = np_sum([phi, eta, eta.inverse()],
-                  [ctx.trivial_char, K, K.inverse()], t).z
-
-    if t == 1:
-        if not etaK.is_square():
-            return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=True,
-                                 reason="t=1, etaK non-square", lhs=lhs3, rhs=0j,
-                                 passed=abs(lhs3) < tol)
+    generic = np.array([t for t in ts if t > 1], dtype=np.int64)
+    if etaK.is_square() and generic.size:
         S = etaK.sqrt()
-        num = jacobi_sum(etaK, eta.inverse() * K).z
-        den = jacobi_sum(phi, K.inverse()).z
-        j1 = jacobi_sum(S * K.inverse(), phi * S.inverse()).z
-        j2 = jacobi_sum(phi * S * K.inverse(), S.inverse()).z
-        rhs = -num / den * (j1 * j1 + j2 * j2)
-        return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=True,
-                             reason="t=1, etaK = S^2", lhs=lhs3, rhs=rhs,
-                             passed=abs(lhs3 - rhs) < tol)
+        lhs3 = BracketTable(ctx, [phi.e, eta.e, -eta.e], [0, K.e, -K.e])
+        r1 = BracketTable(ctx, [(phi * K * S.inverse()).e, S.e], [0, K.e]).sweep(generic)
+        r2 = BracketTable(ctx, [(phi * K.inverse() * S).e, -S.e],
+                          [0, -K.e]).sweep(generic)
+        phi_1mt = 1 - 2 * (ctx.dlog[(1 - generic) % p] & 1)
+        lhs = phi_1mt * lhs3.sweep(generic)
+        rhs = p - r1 * r2
+        swept = zip(lhs.tolist(), rhs.tolist(), (np.abs(lhs - rhs) < tol).tolist())
 
+    out = []
+    for t in ts:
+        if t == 0:
+            out.append(report(t, False, "t = 0 is outside the identity"))
+        elif t == 1:
+            out.append(report(t, True, *_clausen_at_one(ctx, eta, K, tol)))
+        elif etaK.is_square():
+            out.append(report(t, True, "t generic, etaK = S^2", *next(swept)))
+        else:
+            out.append(report(t, False, "etaK is not a square in the character group"))
+    return out
+
+
+def _clausen_at_one(ctx, eta, K, tol):
+    """(reason, lhs, rhs, passed) of the t = 1 branch of clausen_reports."""
+    phi = ctx.quadratic_char
+    etaK = eta * K
+    lhs3 = np_sum([phi, eta, eta.inverse()], [ctx.trivial_char, K, K.inverse()], 1).z
     if not etaK.is_square():
-        return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=False,
-                             reason="etaK is not a square in the character group")
+        return "t=1, etaK non-square", lhs3, 0j, abs(lhs3) < tol
     S = etaK.sqrt()
-    lhs = ctx.legendre(1 - t) * lhs3
-    r1 = np_sum([phi * K * S.inverse(), S], [ctx.trivial_char, K], t).z
-    r2 = np_sum([phi * K.inverse() * S, S.inverse()],
-                [ctx.trivial_char, K.inverse()], t).z
-    rhs = p - r1 * r2
-    return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=True,
-                         reason="t generic, etaK = S^2", lhs=lhs, rhs=rhs,
-                         passed=abs(lhs - rhs) < tol)
+    num = jacobi_sum(etaK, eta.inverse() * K).z
+    den = jacobi_sum(phi, K.inverse()).z
+    j1 = jacobi_sum(S * K.inverse(), phi * S.inverse()).z
+    j2 = jacobi_sum(phi * S * K.inverse(), S.inverse()).z
+    rhs = -num / den * (j1 * j1 + j2 * j2)
+    return "t=1, etaK = S^2", lhs3, rhs, abs(lhs3 - rhs) < tol
+
+
+def clausen_check(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
+                  t: int) -> ClausenReport:
+    """The Clausen check at one (eta, K, t): clausen_reports restricted to t."""
+    return clausen_reports(ctx, eta, K, [t])[0]
 
 
 def clausen_sweep(ctx: PrimeFieldCtx):
-    """All admissible Clausen checks over F_p. Yields ClausenReports."""
+    """All admissible Clausen checks over F_p. Yields ClausenReports.
+
+    Each pair (eta, K) costs three O(p log p) tables, one gather over t and
+    the scalar t = 1 branch, so the sweep costs O(p^3 log p) over the
+    (p - 1)^2 pairs.
+    """
     n = ctx.n
+    ts = range(1, ctx.p)
     for eeta in range(n):
         for eK in range(n):
-            eta, K = ctx.char(eeta), ctx.char(eK)
-            for t in range(1, ctx.p):
-                rep = clausen_check(ctx, eta, K, t)
+            for rep in clausen_reports(ctx, ctx.char(eeta), ctx.char(eK), ts):
                 if rep.applicable:
                     yield rep

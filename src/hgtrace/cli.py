@@ -24,7 +24,7 @@ from .character_sums import (CalibrationError, HpCalibration, SnapError,
                              calibrate_hp_weight, clausen_sweep, datum_table,
                              hp_sum)
 from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
-                        Legendre, PicardSub, UniversalJ, baba_granath_qm_scan,
+                        Legendre, PicardSub, UniversalJ, baba_granath_qm_sweep,
                         count_points, count_via_characters, frobenius_quartic_data,
                         legendre_trace_sweep)
 from .field_core import FieldError, cached_ctx, is_prime
@@ -373,11 +373,11 @@ def _run_suite(name, prime, max_prime, seed):
         found = 0
         for p in primes:
             ctx = cached_ctx(p)
-            for j in range(1, p):
-                try:
-                    scan = baba_granath_qm_scan(ctx, j)
-                except FieldError as exc:  # the genus-2 model needs p > 5
-                    raise click.UsageError(str(exc))
+            try:
+                scans = baba_granath_qm_sweep(ctx, range(1, p))
+            except FieldError as exc:  # the genus-2 model needs p > 5
+                raise click.UsageError(str(exc))
+            for scan in scans:
                 for branch, res in scan:
                     if res.passed:
                         found += 1

@@ -8,6 +8,11 @@ gcd(e, p - 1) of them when u0 is an e-th power and none otherwise.
 Specialized to hyperelliptic sextics this is the familiar rule "2 points at
 infinity iff the leading coefficient is a square" (1 for a quintic), and a
 simple zero of f always contributes exactly one place.
+
+The counts are direct sums: O(p) per curve over F_p, and over F_{p^2} one
+pass over the points for a whole batch of curves, each curve a row of one
+integer matmul. For curves with coefficients in F_p that pass covers half of
+F_{p^2}, since x and its conjugate give conjugate values of f.
 """
 
 from __future__ import annotations
@@ -114,34 +119,63 @@ def _count_y2(ctx: PrimeFieldCtx, coeffs) -> int:
     return p + int(np.sum(_legendre_symbols(ctx, v))) + at_inf
 
 
-# x runs over F_{p^2} in blocks of whole real parts with about this many
-# elements, so that the evaluation adds about 16 MB to the process at any p.
-_FP2_BLOCK = 2 ** 18
+# The F_{p^2} counter evaluates a block of points at a time, with about this
+# many (row, point) pairs in a block, counting the power basis's rows with the
+# coefficient rows; a block then adds a few MB to the process at any p.
+_FP2_BLOCK = 2 ** 16
 
 
-def _count_y2_fp2(ext: QuadExtCtx, co_re, co_im) -> int:
-    """Points of the smooth model of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)).
+def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
+    """Points of the smooth models of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)),
+    one count per coefficient row.
 
-    The coefficients re + im*sqrt(nu) are given as co_re, co_im in the order
-    of _count_y2, with the same rule at infinity. z != 0 is a square iff its
-    norm re^2 - nu*im^2 is a square in F_p, and the norm vanishes only at 0.
+    The coefficients re + im*sqrt(nu) of each row are given as rows_re,
+    rows_im in the order of _count_y2, with the same rule at infinity.
+    z != 0 is a square iff its norm re^2 - nu*im^2 is a square in F_p, and the
+    norm vanishes only at 0. A block of points x = u + w*sqrt(nu) is the power
+    basis x^k = X_k + Y_k sqrt(nu), and every row is read off it by one
+    integer matmul. When every coefficient lies in F_p, f(x) and f(xbar) are
+    conjugate and have the same norm, so only w in [0, (p - 1)/2] is
+    evaluated and each w > 0 counts twice.
     """
     p, nu = ext.base.p, ext.nu
-    rows = max(1, _FP2_BLOCK // p)
-    chi_sum = 0
-    for r0 in range(0, p, rows):
-        re = np.arange(r0, min(r0 + rows, p), dtype=np.int64).repeat(p)
-        im = np.tile(np.arange(p, dtype=np.int64), len(re) // p)
-        vr = np.zeros_like(re)
-        vi = np.zeros_like(re)
-        for cr, ci in zip(co_re, co_im):
-            vr, vi = ((vr * re + nu * vi * im + int(cr)) % p,
-                      (vr * im + vi * re + int(ci)) % p)
-        norm = (vr * vr - nu * vi * vi) % p
-        chi_sum += int(np.sum(_legendre_symbols(ext.base, norm)))
-    lr, li = int(co_re[0]), int(co_im[0])
-    at_inf = 1 + (ext.base.legendre(lr * lr - nu * li * li) if len(co_re) % 2 else 0)
-    return p * p + chi_sum + at_inf
+    a_re = np.asarray(rows_re, dtype=np.int64) % p
+    a_im = np.asarray(rows_im, dtype=np.int64) % p
+    n_rows, n_coef = a_re.shape
+    real = not a_im.any()
+    n_points = p * ((p + 1) // 2 if real else p)
+    step = max(1, _FP2_BLOCK // (n_rows + 2 * n_coef))
+    chi = _legendre_symbols(ext.base, np.arange(p)).astype(np.int8)
+    chi_sum = np.zeros(n_rows, dtype=np.int64)
+    for i0 in range(0, n_points, step):
+        idx = np.arange(i0, min(i0 + step, n_points), dtype=np.int64)
+        u, w = idx % p, idx // p
+        # row k holds x^(n_coef - 1 - k), matching the coefficient order
+        X = np.empty((n_coef, len(idx)), dtype=np.int64)
+        Y = np.empty_like(X)
+        X[-1], Y[-1] = 1, 0
+        for k in range(n_coef - 2, -1, -1):
+            X[k] = (X[k + 1] * u + nu * Y[k + 1] % p * w) % p
+            Y[k] = (X[k + 1] * w + Y[k + 1] * u) % p
+        vr, vi = a_re @ X, a_re @ Y
+        if not real:
+            vr += nu * (a_im @ Y % p)
+            vi += a_im @ X
+        # the norm vr^2 - nu*vi^2, in place: these (row, point) arrays are
+        # the block's memory
+        vr %= p
+        vi %= p
+        vr *= vr
+        vi *= vi
+        vi %= p
+        vi *= nu
+        vr -= vi
+        vr %= p
+        weight = np.where(w == 0, 1, 2 if real else 1)
+        chi_sum += chi[vr] @ weight
+    lead = (a_re[:, 0] * a_re[:, 0] - nu * a_im[:, 0] * a_im[:, 0]) % p
+    at_inf = 1 + (chi[lead] if n_coef % 2 else 0)
+    return (p * p + chi_sum + at_inf).tolist()
 
 
 def places_at_branch(ctx: PrimeFieldCtx, u0: int, m: int, N: int) -> int:
@@ -216,9 +250,12 @@ def legendre_trace_sweep(ctx: PrimeFieldCtx) -> np.ndarray:
 
 def count_legendre_fp2(ext: QuadExtCtx, lam: tuple[int, int]) -> CurveCount:
     """Legendre count over F_{p^2}, for quadratic points of the lambda-line."""
-    l0, l1 = lam
-    q = ext.q
-    cnt = _count_y2_fp2(ext, (1, -1 - l0, l0, 0), (0, -l1, l1, 0))
+    p, q = ext.base.p, ext.q
+    l0, l1 = lam[0] % p, lam[1] % p
+    if l1 == 0 and l0 in (0, 1):
+        return CurveCount("legendre/F_p2", q, 0, None, good=False,
+                          flags=("bad reduction: lambda(1-lambda) = 0",))
+    cnt, = _count_y2_fp2(ext, [(1, -1 - l0, l0, 0)], [(0, -l1, l1, 0)])
     return CurveCount("legendre/F_p2", q, cnt, q + 1 - cnt)
 
 
@@ -321,14 +358,14 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
         if m % N == 0:
             raise FieldError("datum violates N not dividing a, b, c, a+b+c")
     eN = (p - 1) // N
+    dlog_f = [int(ctx.dlog[pow(x, a, p) * pow((x - 1) % p, b, p) % p
+                           * pow((x - lam) % p, c, p) % p])
+              for x in range(p) if x not in (0, 1, lam)]
     sums = {}
     for k in range(N):
         acc = 0j
-        for x in range(p):
-            if x in (0, 1, lam):
-                continue
-            f = pow(x, a, p) * pow((x - 1) % p, b, p) % p * pow((x - lam) % p, c, p) % p
-            acc += ctx.zeta[(k * eN * int(ctx.dlog[f])) % (p - 1)]
+        for d in dlog_f:
+            acc += ctx.zeta[(k * eN * d) % (p - 1)]
         sums[k] = acc
     total = sum(sums.values())
     n_points = round(total.real) + _boundary_places(ctx, N, ((0, a), (1, b), (lam, c)))
@@ -336,43 +373,6 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
     return (CurveCount(f"genlegendre-chars({N};{a},{b},{c})", p, n_points,
                        p + 1 - n_points),
             sums, new_part)
-
-
-def _mobius(n: int) -> int:
-    res, m, d = 1, n, 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            res = -res
-        d += 1
-    return -res if m > 1 else res
-
-
-def new_part_trace(ctx: PrimeFieldCtx, lam: int, N: int = 6, a: int = 4,
-                   b: int = 3, c: int = 1) -> int:
-    """Frobenius trace on the primitive-character part of the Jacobian.
-
-    Computed by Mobius inclusion-exclusion over the subcovers y^d = f(x) for
-    d | N, each counted with the same completion conventions, so that the
-    eigenspace bookkeeping cancels exactly.
-    """
-    p = ctx.p
-    tot = 0
-    for d in sorted(set(gcd(N, dd) for dd in range(1, N + 1) if N % dd == 0)):
-        mu = _mobius(N // d)
-        if mu == 0:
-            continue
-        cc = count_gen_legendre(ctx, d, a, b, c, lam) if d > 1 else None
-        if d == 1:
-            nd = p + 1  # the x-line
-        else:
-            if not cc.good:
-                raise FieldError("bad reduction in new-part computation")
-            nd = cc.n_points
-        tot += mu * (p + 1 - nd)
-    return tot
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +477,12 @@ def _poly_gcd_ext(ext, a, b):
 
 
 def _poly_mod_ext(ext, a, b):
-    p = ext.base.p
+    p, nu = ext.base.p, ext.nu
     a = list(a)
-    lead = b[0]
-    inv_lead = ext.pow(lead, p * p - 2)
+    # (l0 + l1 sqrt(nu))^-1 = (l0 - l1 sqrt(nu)) / (l0^2 - nu l1^2), one F_p inverse
+    l0, l1 = b[0]
+    n_inv = ext.base.inv(l0 * l0 - nu * l1 * l1)
+    inv_lead = (l0 * n_inv % p, -l1 * n_inv % p)
     while len(a) >= len(b) and not (len(a) == 1 and a[0] == (0, 0)):
         f = ext.mul(a[0], inv_lead)
         for i in range(len(b)):
@@ -497,11 +499,13 @@ def count_genus2_fp(ctx: PrimeFieldCtx, coeffs) -> int:
     return _count_y2(ctx, [c[0] for c in coeffs])
 
 
-def count_genus2_fp2(ctx: PrimeFieldCtx, coeffs, ext: QuadExtCtx | None = None) -> int:
-    """Points of y^2 = f(x) over F_p2 for a sextic given as F_p2 pairs."""
+def count_genus2_fp2(ctx: PrimeFieldCtx, sextics, ext: QuadExtCtx | None = None) -> list[int]:
+    """Points of y^2 = f(x) over F_p2 for each sextic given as F_p2 pairs, all
+    in one batched _count_y2_fp2 call."""
     if ext is None:
         ext = build_quad_ext(ctx)
-    return _count_y2_fp2(ext, [c[0] for c in coeffs], [c[1] for c in coeffs])
+    return _count_y2_fp2(ext, [[c[0] for c in f] for f in sextics],
+                         [[c[1] for c in f] for f in sextics])
 
 
 @dataclass(frozen=True)
@@ -529,22 +533,39 @@ def qm_consistency(n1: int, n2: int, p: int) -> QMResult:
     return QMResult(t, True, "ok")
 
 
+def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
+    """qm_consistency on both s-branches at every j in js; one list of
+    (branch, QMResult) per j, aligned with js.
+
+    The F_{p^2} counts of all the curves defined over F_p are one
+    count_genus2_fp2 call.
+    """
+    ext = build_quad_ext(ctx)
+    scans, pending = [], []
+    for j in js:
+        scan = []
+        for branch in (1, -1):
+            coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
+            if coeffs is None or any("bad reduction" in f for f in flags):
+                res = QMResult(None, False, "; ".join(flags) or "degenerate")
+            elif field_tag != "F_p":
+                res = QMResult(None, False, "curve only defined over F_p2")
+            else:
+                res = None
+                pending.append((scan, len(scan), coeffs))
+            scan.append((branch, res))
+        scans.append(scan)
+    if pending:
+        n2s = count_genus2_fp2(ctx, [coeffs for _scan, _i, coeffs in pending], ext)
+        for (scan, i, coeffs), n2 in zip(pending, n2s):
+            n1 = count_genus2_fp(ctx, coeffs)
+            scan[i] = (scan[i][0], qm_consistency(n1, n2, ctx.p))
+    return scans
+
+
 def baba_granath_qm_scan(ctx: PrimeFieldCtx, j: int):
     """Run qm_consistency on both s-branches at j; returns list of (branch, QMResult)."""
-    out = []
-    ext = build_quad_ext(ctx)
-    for branch in (1, -1):
-        coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
-        if coeffs is None or any("bad reduction" in f for f in flags):
-            out.append((branch, QMResult(None, False, "; ".join(flags) or "degenerate")))
-            continue
-        if field_tag != "F_p":
-            out.append((branch, QMResult(None, False, "curve only defined over F_p2")))
-            continue
-        n1 = count_genus2_fp(ctx, coeffs)
-        n2 = count_genus2_fp2(ctx, coeffs, ext)
-        out.append((branch, qm_consistency(n1, n2, ctx.p)))
-    return out
+    return baba_granath_qm_sweep(ctx, [j])[0]
 
 
 def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
@@ -558,7 +579,7 @@ def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
     if coeffs is None or any("bad reduction" in f for f in flags):
         raise FieldError("degenerate j")
     ext = build_quad_ext(ctx)
-    n2 = count_genus2_fp2(ctx, coeffs, ext)
+    n2, = count_genus2_fp2(ctx, [coeffs], ext)
     n1 = count_genus2_fp(ctx, coeffs) if field_tag == "F_p" else None
     return n1, n2, ctx.p ** 2 + 1 - n2
 
@@ -605,7 +626,7 @@ def count_points(spec, fieldctx) -> CurveCount:
             coeffs, _tag, flags = baba_granath_curve(ctx, spec.j, spec.branch)
             if coeffs is None:
                 return CurveCount("baba-granath", fieldctx.q, 0, None, good=False, flags=flags)
-            n2 = count_genus2_fp2(ctx, coeffs, fieldctx)
+            n2, = count_genus2_fp2(ctx, [coeffs], fieldctx)
             return CurveCount("baba-granath/F_p2", fieldctx.q, n2, None, flags=flags)
         raise FieldError(f"no F_p2 counter for {spec!r}")
     ctx: PrimeFieldCtx = fieldctx

@@ -8,7 +8,8 @@ from hgtrace import character_sums
 from hgtrace.character_sums import (CalibrationError, HpCalibration,
                                     _slot_table, al_square_decompose, bracket,
                                     calibrate_hp_weight, clausen_check,
-                                    clausen_sweep, datum_char_exponents,
+                                    clausen_reports, clausen_sweep,
+                                    datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     jacobi_sum, np_sum, snap_tolerance)
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, is_prime
@@ -275,6 +276,68 @@ def test_clausen_t1_nonsquare_zero(ctx13):
 def test_clausen_exhaustive_p11(ctx11):
     reports = list(clausen_sweep(ctx11))
     assert reports, "sweep found no admissible cases"
+    bad = [r for r in reports if not r.passed]
+    assert not bad, bad[:3]
+
+
+def literal_clausen(ctx, eta, K, t):
+    """The Clausen check at one (eta, K, t) from three np_sum calls, as
+    (applicable, reason, lhs, rhs, passed)."""
+    p, phi = ctx.p, ctx.quadratic_char
+    bad = [why for why, ch in (("eta trivial", eta), ("K*phi trivial", K * phi),
+                               ("eta*K trivial", eta * K),
+                               ("eta*Kbar trivial", eta * K.inverse()))
+           if ch.is_trivial]
+    if bad:
+        return False, "; ".join(bad), None, None, None
+    if t == 0:
+        return False, "t = 0 is outside the identity", None, None, None
+    etaK, tol = eta * K, snap_tolerance(p, 3) * p
+    lhs3 = np_sum([phi, eta, eta.inverse()], [ctx.trivial_char, K, K.inverse()], t).z
+    if t == 1:
+        if not etaK.is_square():
+            return True, "t=1, etaK non-square", lhs3, 0j, abs(lhs3) < tol
+        S = etaK.sqrt()
+        rhs = (-jacobi_sum(etaK, eta.inverse() * K).z / jacobi_sum(phi, K.inverse()).z
+               * (jacobi_sum(S * K.inverse(), phi * S.inverse()).z ** 2
+                  + jacobi_sum(phi * S * K.inverse(), S.inverse()).z ** 2))
+        return True, "t=1, etaK = S^2", lhs3, rhs, abs(lhs3 - rhs) < tol
+    if not etaK.is_square():
+        return False, "etaK is not a square in the character group", None, None, None
+    S = etaK.sqrt()
+    lhs = ctx.legendre(1 - t) * lhs3
+    r1 = np_sum([phi * K * S.inverse(), S], [ctx.trivial_char, K], t).z
+    r2 = np_sum([phi * K.inverse() * S, S.inverse()], [ctx.trivial_char, K.inverse()], t).z
+    rhs = p - r1 * r2
+    return True, "t generic, etaK = S^2", lhs, rhs, abs(lhs - rhs) < tol
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_clausen_reports_match_literal_np_sums(p):
+    """Every (eta, K, t): the per-pair gather equals three np_sum calls at t,
+    and the sweep yields exactly the applicable reports."""
+    ctx = cached_ctx(p)
+    applicable = []
+    for eeta in range(ctx.n):
+        for eK in range(ctx.n):
+            eta, K = ctx.char(eeta), ctx.char(eK)
+            reports = clausen_reports(ctx, eta, K, range(p))
+            assert [r.t for r in reports] == list(range(p))
+            for t, rep in enumerate(reports):
+                ok, reason, lhs, rhs, passed = literal_clausen(ctx, eta, K, t)
+                assert (rep.applicable, rep.reason, rep.passed) == (ok, reason, passed)
+                assert rep == clausen_check(ctx, eta, K, t)
+                if ok:
+                    assert type(rep.passed) is bool
+                    assert abs(rep.lhs - lhs) < 1e-9 and abs(rep.rhs - rhs) < 1e-9
+                    if t:
+                        applicable.append(rep)
+    assert list(clausen_sweep(ctx)) == applicable
+
+
+def test_clausen_exhaustive_p37(ctx37):
+    reports = list(clausen_sweep(ctx37))
+    assert len(reports) == 20232
     bad = [r for r in reports if not r.passed]
     assert not bad, bad[:3]
 

@@ -140,6 +140,17 @@ def test_count_genlegendre_places_at_branch(runner):
     assert (row[4], row[5]) == ("12", "0")
 
 
+def test_count_legendre_fp2_flags_singular_fibers(runner):
+    res = runner.invoke(main, ["count", "legendre", "--prime", "13",
+                               "--lambda", "0,1,2", "--fp2"])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.reader(res.output.strip().splitlines()[1:]))
+    for row in rows[:2]:
+        assert (row[3], row[4], row[5]) == ("169", "0", "")
+        assert row[6] == "bad reduction: lambda(1-lambda) = 0"
+    assert rows[2][6] == ""
+
+
 def test_count_requires_params(runner):
     res = runner.invoke(main, ["count", "legendre", "--prime", "7"])
     assert res.exit_code == 2

@@ -8,14 +8,14 @@ from hgtrace import curve_lab
 from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                JacobiQuartic, Legendre, PicardSub, UniversalJ,
                                baba_granath_curve, baba_granath_qm_scan,
+                               baba_granath_qm_sweep,
                                conic_points, count_genus2_fp, count_genus2_fp2,
                                count_gen_legendre, count_hesse, count_legendre,
                                count_universal_j,
                                count_points, count_via_characters,
                                frobenius_quartic_data, igusa_clebsch_identity,
                                jacobi_quartic_isomorphism_check,
-                               legendre_trace_sweep, new_part_trace,
-                               qm_consistency)
+                               legendre_trace_sweep, qm_consistency)
 from hgtrace.field_core import build_quad_ext, cached_ctx
 
 
@@ -60,6 +60,62 @@ def test_legendre_fp2_matches_frobenius(block, monkeypatch):
             cc = count_points(Legendre(lam), ext)
             assert cc.q == p * p
             assert cc.n_points == p * p + 1 - (a * a - 2 * p), (p, lam)
+
+
+def literal_count_y2_fp2(ext, co_re, co_im):
+    """Points of y^2 = f(x) over F_p2 by enumerating y for every x, plus the
+    places at infinity: 1 for odd degree or a vanishing sextic lead, else the
+    y with y^2 = lead."""
+    p = ext.base.p
+    elems = [(u, w) for u in range(p) for w in range(p)]
+    roots = {}
+    for y in elems:
+        z = ext.mul(y, y)
+        roots[z] = roots.get(z, 0) + 1
+    coeffs = list(zip(co_re, co_im))
+    affine = 0
+    for x in elems:
+        v = (0, 0)
+        for c in coeffs:
+            v = ext.add(ext.mul(v, x), (c[0] % p, c[1] % p))
+        affine += roots.get(v, 0)
+    lead = (co_re[0] % p, co_im[0] % p)
+    odd_degree = len(coeffs) % 2 == 0
+    at_inf = 1 if odd_degree or lead == (0, 0) else roots.get(lead, 0)
+    return affine + at_inf
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_count_y2_fp2_batched_matches_literal(block, monkeypatch):
+    """Several rows in one call, against literal enumeration over F_p2: all
+    rows in F_p (the halved evaluation) and with non-real rows (the full
+    one), sextics with a vanishing lead, and cubics; a block of 64 (row,
+    point) pairs leaves the last block partial."""
+    if block is not None:
+        monkeypatch.setattr(curve_lab, "_FP2_BLOCK", block)
+    rng = random.Random(11)
+    for p in (3, 5, 7, 11, 13):
+        ext = build_quad_ext(cached_ctx(p))
+        for degree in (6, 3):
+            rational = [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(4)]
+            rational[0][0] = 0
+            zeros = [[0] * (degree + 1) for _ in rational]
+            non_real = [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(2)]
+            non_real[1][0] = 0
+            for rows_re, rows_im in ((rational, zeros),
+                                     (rational + non_real, zeros + non_real)):
+                got = curve_lab._count_y2_fp2(ext, rows_re, rows_im)
+                want = [literal_count_y2_fp2(ext, re, im)
+                        for re, im in zip(rows_re, rows_im)]
+                assert got == want, (p, degree, rows_re, rows_im)
+
+
+def test_qm_sweep_is_per_j_scan(monkeypatch):
+    """One batched count for every j equals the scans one j at a time."""
+    monkeypatch.setattr(curve_lab, "_FP2_BLOCK", 1000)
+    ctx = cached_ctx(29)
+    js = list(range(1, 29))
+    assert baba_granath_qm_sweep(ctx, js) == [baba_granath_qm_scan(ctx, j) for j in js]
 
 
 def test_universal_j_literal_count():
@@ -183,9 +239,18 @@ def test_gen_legendre_congruence_guard(ctx11):
 
 
 def test_new_part_weil(ctx13):
-    for lam in range(2, 13):
-        t = new_part_trace(ctx13, lam)
-        assert abs(t) <= 4 * math.sqrt(13) + 1e-9
+    """The primitive-character part of y^6 = x^4 (x-1)^3 (x-lam) has trace
+    -new_part: the Mobius combination of the subcover traces over d | 6, and
+    within the Weil bound of its two dimensions."""
+    p = 13
+    for lam in range(2, p):
+        _cc, _sums, new = count_via_characters(ctx13, 6, 4, 3, 1, lam)
+        t = -round(new.real)
+        assert abs(new + t) < 1e-9
+        trace = {d: p + 1 - count_gen_legendre(ctx13, d, 4, 3, 1, lam).n_points
+                 for d in (2, 3, 6)}
+        assert t == trace[6] - trace[3] - trace[2], lam
+        assert abs(t) <= 4 * math.sqrt(p) + 1e-9
 
 
 def test_picard_full_count(ctx13):
@@ -229,7 +294,7 @@ def test_qm_consistency_negative_control(ctx13):
         if coeffs[0][0] == 0:
             continue
         n1 = count_genus2_fp(ctx13, coeffs)
-        n2 = count_genus2_fp2(ctx13, coeffs, ext)
+        n2, = count_genus2_fp2(ctx13, [coeffs], ext)
         trials += 1
         if not qm_consistency(n1, n2, 13).passed:
             fails += 1
@@ -251,7 +316,7 @@ def test_baba_granath_branches_consistent(ctx13):
             coeffs, tag, flags = baba_granath_curve(ctx13, j, branch)
             if coeffs is None or any("bad" in f for f in flags):
                 continue
-            data[branch] = count_genus2_fp2(ctx13, coeffs)
+            data[branch], = count_genus2_fp2(ctx13, [coeffs])
         if len(data) == 2:
             assert data[1] == data[-1]
 
