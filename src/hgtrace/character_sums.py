@@ -319,7 +319,7 @@ def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     return args, chis, p_factor
 
 
-def calibrate_hp_weight(hd: HGDatum, primes=None, a_rule: str = "auto") -> HpCalibration:
+def calibrate_hp_weight(hd: HGDatum, primes=None) -> HpCalibration:
     """Find the unique (sign, w) making the local traces exact integers in the
     Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, across sample primes.
 
@@ -340,8 +340,7 @@ def calibrate_hp_weight(hd: HGDatum, primes=None, a_rule: str = "auto") -> HpCal
     primes = tuple(primes)
     if len(primes) < 3:
         raise CalibrationError("need at least 3 calibration primes")
-    if a_rule == "auto":
-        a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
+    a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
 
     survivors = [(sign, w) for sign in (1, -1) for w in (0, 1, 2)]
     for p in primes:

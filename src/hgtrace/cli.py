@@ -301,6 +301,9 @@ def verify(suite, prime, max_prime, seed):
     """Run an invariant suite; deterministic given the seed."""
     if prime is not None:
         _field_ctx(prime)
+    if suite in ("weil", "legendre", "all") and max_prime < 7:
+        raise click.UsageError(f"--max-prime {max_prime} checks no prime: "
+                               f"the {suite} suite starts at 7")
     suites = [suite] if suite != "all" else ["clausen", "weil", "fm", "legendre",
                                              "genlegendre", "qm", "analytic"]
     results = []

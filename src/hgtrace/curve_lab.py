@@ -273,9 +273,12 @@ def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
 
 
 def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
-    """Projective cubic x^3 + y^3 + z^3 - 3 mu xyz = 0 (smooth iff mu^3 != 1)."""
+    """Projective cubic x^3 + y^3 + z^3 - 3 mu xyz = 0 (smooth iff p != 3 and mu^3 != 1)."""
     p = ctx.p
     mu %= p
+    if p == 3:  # the cubic is the triple line (x + y + z)^3
+        return CurveCount("hesse", p, 0, None, good=False,
+                          flags=("singular: p = 3",))
     if pow(mu, 3, p) == 1:
         return CurveCount("hesse", p, 0, None, good=False,
                           flags=("singular: mu^3 = 1",))

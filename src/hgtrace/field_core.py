@@ -40,11 +40,16 @@ def is_prime(n: int) -> bool:
 
 
 def least_primitive_root(p: int) -> int:
-    """Smallest generator of F_p^*, found by checking prime-divisor orders."""
-    if p == 2:
-        return 1
+    """Smallest generator of F_p^*."""
+    return nth_primitive_root(p, 0)
+
+
+def nth_primitive_root(p: int, index: int) -> int:
+    """The index-th smallest primitive root of p (index 0 = least).
+
+    g generates F_p^* iff g^((p-1)/q) != 1 for every prime q dividing p - 1.
+    """
     n = p - 1
-    # prime factors of p-1
     factors = []
     m = n
     d = 2
@@ -56,22 +61,9 @@ def least_primitive_root(p: int) -> int:
         d += 1
     if m > 1:
         factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, n // q, p) != 1 for q in factors):
-            return g
-    raise FieldError(f"no primitive root found for {p}")
-
-
-def nth_primitive_root(p: int, index: int) -> int:
-    """The index-th smallest primitive root of p (index 0 = least)."""
-    n = p - 1
     found = 0
-    for g in range(2, p):
-        x, order = g, 1
-        while x != 1:
-            x = x * g % p
-            order += 1
-        if order == n:
+    for g in range(1, p):  # g = 1 generates only F_2^*, where p - 1 has no prime factor
+        if all(pow(g, n // q, p) != 1 for q in factors):
             if found == index:
                 return g
             found += 1

@@ -2,10 +2,13 @@
 
 Exact integer q-expansion arithmetic: eta products, Eisenstein series, the
 discriminant cusp form, Hecke traces on level-1 cusp forms, and newform
-coefficient fixtures. The two shipped fixtures were derived with the machinery
-in this module (see level6_weight8_ap and cm_level24_weight5_ap) and are
-validated against the Ramanujan bound on load; the test suite re-derives every
-shipped coefficient, so a fixture is refreshed or extended by the same route.
+coefficient fixtures. The level-6 weight-8 newform 6.8.a.a is one fixed
+combination f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24, f4 =
+(eta(t) eta(2t) eta(3t) eta(6t))^2. The two shipped fixtures were derived with
+the machinery in this module (see level6_weight8_ap and cm_level24_weight5_ap)
+and are validated against the Ramanujan bound on load; the test suite
+re-derives every shipped coefficient, so a fixture is refreshed or extended by
+the same route.
 """
 
 from __future__ import annotations
@@ -106,17 +109,17 @@ def eta_product(d_powers: dict[int, int], N: int) -> QExpansion:
     return QExpansion(wt2 // 2, tuple(([0] * shift + co)[:N + 1]), N)
 
 
-def _sigma(k: int, m: int) -> int:
-    return sum(d ** k for d in range(1, m + 1) if m % d == 0)
-
-
 def eisenstein(k: int, N: int, d: int = 1) -> QExpansion:
-    """E_k(d tau) normalized with constant term 1, k in {2, 4, 6}."""
+    """E_k(d tau) normalized with constant term 1, k in {2, 4, 6}.
+
+    One divisor-sum sieve: each e <= N/d adds c e^(k-1) at every multiple of d e.
+    """
     c = {2: -24, 4: 240, 6: -504}[k]
-    co = [0] * (N + 1)
-    co[0] = 1
-    for m in range(1, N // d + 1):
-        co[d * m] = c * _sigma(k - 1, m)
+    co = [1] + [0] * N
+    for e in range(1, N // d + 1):
+        ce = c * e ** (k - 1)
+        for m in range(d * e, N + 1, d * e):
+            co[m] += ce
     return QExpansion(k, tuple(co), N)
 
 
@@ -218,31 +221,27 @@ def _solve_fraction(A, b):
 # Level-6 weight-8 newform and the level-24 weight-5 CM form (fixture sources)
 
 
-def _level6_weight8_basis(N: int) -> list[QExpansion]:
-    """Basis of the weight-8 level-6 cusp forms: f4 * M4(Gamma0(6)) with
-    f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2 and M4 spanned by E4(d tau), d | 6,
-    together with f4^2."""
-    f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, N)
-    return [f4 * eisenstein(4, N, d) for d in (1, 2, 3, 6)] + [f4 * f4]
-
-
 def level6_weight8_ap(p: int) -> int:
-    """a_p of the unique weight-8 level-6 newform, for p not dividing 6.
+    """a_p of the unique weight-8 level-6 newform 6.8.a.a, for p not dividing 6.
 
-    Tr(T_p) on the five-dimensional weight-8 level-6 cusp space minus twice the
-    level-2 and level-3 newform coefficients (each oldform embeds twice). The
-    level-2 form is (eta(t) eta(2t))^8; the level-3 form is
-    (eta(t) eta(3t))^6 * E_{2,3}.
+    The newform is one fixed combination in the basis f4 * E4(d tau), d | 6,
+    plus f4^2 of S_8(Gamma0(6)), where f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2:
+
+        6.8.a.a = f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24.
+
+    The coordinates (1/24, -1/6, -3/8, 3/2, 0) were solved once in exact
+    fractions from a_1..a_5 = 1, 8, 27, 64, -114. a_p is the one q^p
+    coefficient, a dot product of f4 against the Eisenstein combination.
     """
     if p in (2, 3):
         raise QExpansionError("p must be coprime to the level")
-    tr = _basis_hecke_trace(_level6_weight8_basis(6 * p + 6), p, 8)
-    f2 = eta_product({1: 8, 2: 8}, p + 1)
-    e23 = QExpansion(2, tuple(
-        1 if m == 0 else 12 * (_sigma(1, m) - (3 * _sigma(1, m // 3) if m % 3 == 0 else 0))
-        for m in range(p + 2)), p + 1)
-    f3 = eta_product({1: 6, 3: 6}, p + 1) * e23
-    return tr - 2 * f2[p] - 2 * f3[p]
+    f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, p)
+    g = eisenstein(4, p)
+    for c, d in ((-4, 2), (-9, 3), (36, 6)):
+        g = g + c * eisenstein(4, p, d)
+    ap24 = sum(f4[i] * g[p - i] for i in range(1, p + 1))
+    assert ap24 % 24 == 0
+    return ap24 // 24
 
 
 def cm_level24_weight5_ap(p: int):

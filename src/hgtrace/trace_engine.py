@@ -262,8 +262,7 @@ class TraceReport:
         }
 
 
-def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int,
-                with_oracle: bool = True) -> TraceReport:
+def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceReport:
     """Assemble the weight-k trace report at p for the given table row.
 
     total = sum over generic lambda of F_(k/2)(a_Gamma, p), plus 1 per cusp,
@@ -313,13 +312,10 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int,
                 terms.append(TraceTerm(lam, f"elliptic({order})", None))
         flags.append("elliptic terms unavailable")
 
-    oracle = residual = None
     dim_hint = 1 if (row.a_rule == "row_246" and k == 6) else None
-    if with_oracle:
-        oracle = _oracle_total(row, p, k)
-        if oracle is not None:
-            residual = (total if total is not None
-                        else generic_sum + cusp_sum) - oracle
+    oracle = _oracle_total(row, p, k)
+    residual = None if oracle is None else (
+        (total if total is not None else generic_sum + cusp_sum) - oracle)
 
     return TraceReport(
         signature=row.signature, p=p, k=k, weight=k + 2,

@@ -100,8 +100,12 @@ def test_bad_prime_is_usage_error(runner, args):
     ["sum", "np", "--alpha", "1/0,1/2", "--beta", "1,1", "--prime", "13",
      "--lambda", "3"],
     ["count", "hesse", "--prime", "7", "--mu", "2", "--fp2"],
+    ["verify", "weil", "--max-prime", "5"],
+    ["verify", "legendre", "--max-prime", "3"],
+    ["verify", "all", "--max-prime", "6"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
-        "alpha-zero-denominator", "fp2-without-counter"])
+        "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
+        "verify-legendre-vacuous", "verify-all-vacuous"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output

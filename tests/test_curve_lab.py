@@ -210,6 +210,15 @@ def test_hesse_smoothness_and_twist_invariance():
         assert c1.trace * c1.trace <= 4 * 13
 
 
+def test_hesse_characteristic_three_is_singular():
+    # x^3 + y^3 + z^3 - 3 mu xyz = (x + y + z)^3 in characteristic 3
+    ctx = cached_ctx(3)
+    for mu in range(3):
+        c = count_hesse(ctx, mu)
+        assert not c.good and c.trace is None
+        assert any(f.startswith("singular") for f in c.flags)
+
+
 def test_gen_legendre_two_routes(ctx13):
     for lam in range(2, 13):
         direct = count_points(GenLegendre(6, 4, 3, 1, lam), ctx13)

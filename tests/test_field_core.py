@@ -3,8 +3,8 @@ import pytest
 from fractions import Fraction
 
 from hgtrace.field_core import (CongruenceError, FieldError, build_ctx,
-                                build_quad_ext, nth_primitive_root, power_residue_char,
-                                tonelli_sqrt)
+                                build_quad_ext, is_prime, least_primitive_root,
+                                nth_primitive_root, power_residue_char, tonelli_sqrt)
 
 
 def test_build_ctx_p7(ctx7):
@@ -112,6 +112,25 @@ def test_nth_primitive_root(ctx13):
     assert g0 == 2 and g1 != g0
     ctx_alt = build_ctx(13, generator=g1)
     assert ctx_alt.g == g1
+
+
+def test_primitive_roots_match_power_walk():
+    for p in range(3, 200):
+        if not is_prime(p):
+            continue
+
+        def order(g):
+            x, k = g, 1
+            while x != 1:
+                x, k = x * g % p, k + 1
+            return k
+
+        walk = [g for g in range(2, p) if order(g) == p - 1][:3]
+        assert least_primitive_root(p) == walk[0], p
+        assert [nth_primitive_root(p, i) for i in range(len(walk))] == walk, p
+        if len(walk) < 3:
+            with pytest.raises(FieldError):
+                nth_primitive_root(p, len(walk))
 
 
 def test_bad_generator_rejected():

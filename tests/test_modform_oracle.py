@@ -1,12 +1,16 @@
 import json
+from math import gcd
 
 import pytest
 
+from hgtrace.field_core import cached_ctx, is_prime
+from hgtrace.hgm_data import level, row_by_signature
 from hgtrace.modform_oracle import (FixtureError, NewformFixture,
                                     cm_level24_weight5_ap, dim_level1_cusp,
                                     eisenstein, eta_power_24, eta_product,
                                     level1_hecke_trace, level6_weight8_ap,
                                     load_fixture, load_fixture_by_label)
+from hgtrace.trace_engine import hecke_trace
 
 TAU = {2: -24, 3: 252, 5: 4830, 7: -16744, 11: 534612, 13: -577738,
        17: -6905934, 19: 10661420, 23: 18643272, 29: 128406630,
@@ -88,6 +92,37 @@ def test_level6_ap_matches_fixture():
     assert min(fx.ap) == 5 and max(fx.ap) == 97
     for p, v in fx.ap.items():
         assert level6_weight8_ap(p) == v, p
+
+
+def test_level6_combination_is_normalized_eigenform():
+    # f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24, as a whole series
+    N = 200
+    f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, N)
+    g = eisenstein(4, N)
+    for c, d in ((-4, 2), (-9, 3), (36, 6)):
+        g = g + c * eisenstein(4, N, d)
+    prod = f4 * g
+    assert prod.weight == 8 and prod[0] == 0
+    assert all(c % 24 == 0 for c in prod.coeffs)
+    a = [c // 24 for c in prod.coeffs]
+    assert a[1:4] == [1, 8, 27]
+    for m in range(2, N + 1):
+        for n in range(2, N // m + 1):
+            if gcd(m, n) == 1:
+                assert a[m * n] == a[m] * a[n], (m, n)
+    for ell in (5, 7, 11, 13):
+        assert a[ell * ell] == a[ell] ** 2 - ell ** 7, ell
+    assert all(level6_weight8_ap(p) == a[p] for p in range(5, N + 1) if is_prime(p))
+
+
+def test_headline_identity_past_the_fixture():
+    # total(p) of the (2,4,6) weight-8 trace is -a_p at every admissible p < 1000
+    row = row_by_signature((2, 4, 6))
+    M = level(row.hd)
+    primes = [p for p in range(7, 1000) if is_prime(p) and (p - 1) % M == 0]
+    assert len(primes) == 36
+    for p in primes + [10009]:
+        assert hecke_trace(row, cached_ctx(p), 6).total == -level6_weight8_ap(p), p
 
 
 def test_cm_form_values_match_fixture():
