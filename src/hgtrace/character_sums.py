@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import isqrt
 
 import numpy as np
@@ -289,10 +290,6 @@ def al_square_decompose(value: int, p: int, divisors=(1, 2, 3, 6)):
     return None
 
 
-DEFAULT_CALIBRATION_PRIMES = {1: (7, 11, 13), 2: (7, 11, 13), 3: (7, 13, 19),
-                              4: (13, 17, 29), 6: (7, 13, 19), 12: (13, 37, 61)}
-
-
 def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     """A row's lambda chart over an int64 array of lambdas in [0, p):
     (args, chis, p_factor).
@@ -332,11 +329,8 @@ def calibrate_hp_weight(hd: HGDatum, primes=None) -> HpCalibration:
     Raises CalibrationError if no pair or several pairs survive.
     """
     M = level(hd)
-    if primes is None:
-        primes = DEFAULT_CALIBRATION_PRIMES.get(M)
-        if primes is None:
-            primes = tuple(p for p in range(M + 2, 400)
-                           if (p - 1) % M == 0 and is_prime(p))[:3]
+    if primes is None:  # the first three primes p > 5 with p = 1 mod M
+        primes = islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3)
     primes = tuple(primes)
     if len(primes) < 3:
         raise CalibrationError("need at least 3 calibration primes")

@@ -301,9 +301,12 @@ def verify(suite, prime, max_prime, seed):
     """Run an invariant suite; deterministic given the seed."""
     if prime is not None:
         _field_ctx(prime)
-    if suite in ("weil", "legendre", "all") and max_prime < 7:
+    if suite == "legendre" and max_prime < 7:
         raise click.UsageError(f"--max-prime {max_prime} checks no prime: "
                                f"the {suite} suite starts at 7")
+    if suite in ("weil", "all") and max_prime < 13:
+        raise click.UsageError(f"--max-prime {max_prime} skips the (2,4,6) row of verify "
+                               f"{suite}: its first admissible prime is 13")
     suites = [suite] if suite != "all" else ["clausen", "weil", "fm", "legendre",
                                              "genlegendre", "qm", "analytic"]
     results = []
@@ -340,15 +343,19 @@ def _run_suite(name, prime, max_prime, seed):
         return True, "m <= 10, 100 random pairs each"
     if name == "weil":
         bad = []
+        pairs = values = 0
         from .character_sums import al_square_decompose
         for row in triangle_table():
             M = level(row.hd)
             for p in [q for q in range(7, max_prime + 1) if is_prime(q) and (q - 1) % M == 0]:
                 avals = a_gamma_sweep(row, cached_ctx(p))
+                pairs += 1
+                values += len(avals)
                 for lam, a in avals.items():
                     if al_square_decompose(a, p, row.al_divisors) is None:
                         bad.append((row.name, p, lam, a))
-        return not bad, f"{len(bad)} violations" + (f", first {bad[:3]}" if bad else "")
+        return not bad, (f"{values} values over {pairs} (row, p) pairs, {len(bad)} violations"
+                         + (f", first {bad[:3]}" if bad else ""))
     if name == "legendre":
         calib = calibrate_legendre_relation()
         row = row_by_signature((2, OO, OO))

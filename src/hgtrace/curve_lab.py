@@ -282,15 +282,11 @@ def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
     if pow(mu, 3, p) == 1:
         return CurveCount("hesse", p, 0, None, good=False,
                           flags=("singular: mu^3 = 1",))
-    cnt = 0
-    for x in range(p):
-        for y in range(p):
-            if (pow(x, 3, p) + pow(y, 3, p) + 1 - 3 * mu * x % p * y) % p == 0:
-                cnt += 1
-    for x in range(p):  # (x : 1 : 0)
-        if (pow(x, 3, p) + 1) % p == 0:
-            cnt += 1
-    # (1 : 0 : 0) is never on the curve
+    # (1 : -1 : 0) is a rational point, so the cubic is isomorphic over F_p
+    # (p > 3) to its Weierstrass model Y^2 = X^3 - 27 mu (mu^3 + 8) X
+    # + 54 (mu^6 - 20 mu^3 - 8).
+    m3 = pow(mu, 3, p)
+    cnt = _count_y2(ctx, (1, 0, -27 * mu * (m3 + 8) % p, 54 * (m3 * m3 - 20 * m3 - 8) % p))
     return CurveCount("hesse", p, cnt, p + 1 - cnt)
 
 

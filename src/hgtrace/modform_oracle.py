@@ -2,13 +2,14 @@
 
 Exact integer q-expansion arithmetic: eta products, Eisenstein series, the
 discriminant cusp form, Hecke traces on level-1 cusp forms, and newform
-coefficient fixtures. The level-6 weight-8 newform 6.8.a.a is one fixed
-combination f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24, f4 =
-(eta(t) eta(2t) eta(3t) eta(6t))^2. The two shipped fixtures were derived with
-the machinery in this module (see level6_weight8_ap and cm_level24_weight5_ap)
-and are validated against the Ramanujan bound on load; the test suite
-re-derives every shipped coefficient, so a fixture is refreshed or extended by
-the same route.
+coefficient fixtures. A level-1 trace is read off the Miller basis, reached
+from the monomials Delta^c E4^a E6^b by integer back-substitution. The level-6
+weight-8 newform 6.8.a.a is one fixed combination f4 * (E4(t) - 4 E4(2t) -
+9 E4(3t) + 36 E4(6t)) / 24, f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2. The two
+shipped fixtures were derived with the machinery in this module (see
+level6_weight8_ap and cm_level24_weight5_ap) and are validated against the
+Ramanujan bound on load; the test suite re-derives every shipped coefficient,
+so a fixture is refreshed or extended by the same route.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -138,7 +138,8 @@ def _level1_basis(k: int, N: int) -> list[QExpansion]:
     """Basis Delta^c E4^a E6^b of weight-k cusp forms, with c >= 1 and b <= 1.
 
     Restricting b to {0, 1} (via E6^2 = E4^3 - 1728 Delta) makes the monomials
-    independent, so their number equals the dimension.
+    independent, so their number equals the dimension: one for each
+    c = 1..dim, in that order, each q^c + O(q^(c+1)).
     """
     if k % 2 or k < 12:
         raise QExpansionError("cusp forms require even k >= 12")
@@ -168,53 +169,26 @@ def dim_level1_cusp(k: int) -> int:
     return k // 12 - 1 if k % 12 == 2 else k // 12
 
 
-def level1_hecke_trace(k: int, p: int, N: int | None = None) -> int:
+def level1_hecke_trace(k: int, p: int) -> int:
     """Tr(T_p) on the level-one cusp forms of weight k, exactly.
 
-    Uses the monomial basis above; needs N >= p*dim.
+    The monomials g_c of _level1_basis (c = 1..d, d = dim) start q^c + ..., so
+    integer back-substitution turns them into the Miller basis f_1..f_d with
+    f_i[j] = delta_ij for j <= d (for c = d-1 down to 1, subtract g_c[j] f_j
+    for every j > c). The f_i coordinate of T_p f_i is its q^i coefficient
+    f_i[p i] + p^(k-1) f_i[i/p], and the second term is 0 because i/p < i.
+    So Tr(T_p) = sum_i f_i[p i], read off series cut at q^(p d).
     """
-    basis_dim = dim_level1_cusp(k)
-    if basis_dim == 0:
+    d = dim_level1_cusp(k)
+    if d == 0:
         return 0
-    if N is None:
-        N = p * basis_dim + p
-    return _basis_hecke_trace(_level1_basis(k, N), p, k)
-
-
-def _basis_hecke_trace(basis: list[QExpansion], p: int, k: int) -> int:
-    """Tr(T_p) on the T_p-stable span of the weight-k series in basis.
-
-    The first len(basis) coefficients a_f(1..d) must determine a form in the
-    span. T_p acts on coefficients by a_{T_p f}(m) = a_f(pm) + p^(k-1) a_f(m/p),
-    so every series must reach q^(p*d).
-    """
-    d = len(basis)
-    N = min(f.N for f in basis)
-    if N < p * d:
-        raise QExpansionError(f"truncation {N} too small for T_{p} on dim {d}")
-    A = [[Fraction(f[m]) for f in basis] for m in range(1, d + 1)]
-    tr = Fraction(0)
-    for j, f in enumerate(basis):
-        tp = [Fraction(f[p * m] + (p ** (k - 1) * f[m // p] if m % p == 0 else 0))
-              for m in range(1, d + 1)]
-        tr += _solve_fraction(A, tp)[j]
-    assert tr.denominator == 1
-    return int(tr)
-
-
-def _solve_fraction(A, b):
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if M[r][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        pv = M[c][c]
-        M[c] = [x / pv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [M[r][n] for r in range(n)]
+    f = [list(g.coeffs) for g in _level1_basis(k, p * d)]  # f[i - 1] starts at q^i
+    for c in range(d - 1, 0, -1):
+        for j in range(c + 1, d + 1):
+            x = f[c - 1][j]
+            if x:
+                f[c - 1] = [a - x * b for a, b in zip(f[c - 1], f[j - 1])]
+    return sum(f[i - 1][p * i] for i in range(1, d + 1))
 
 
 # ---------------------------------------------------------------------------

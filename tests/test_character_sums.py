@@ -236,10 +236,21 @@ def test_hp_sweep_square_property_row2oo(ctx13):
 
 
 def test_calibrations_match_table_rows():
-    for sig in ((2, "oo", "oo"), (2, 3, "oo"), (2, 4, "oo"), (2, 6, "oo"), (2, 4, 6)):
+    # calibration primes: the first three p > 5 with p = 1 mod the row's level
+    for sig, primes in (((2, "oo", "oo"), (7, 11, 13)), ((2, 3, "oo"), (7, 13, 19)),
+                        ((2, 4, "oo"), (13, 17, 29)), ((2, 6, "oo"), (7, 13, 19)),
+                        ((2, 4, 6), (13, 37, 61))):
         row = row_by_signature(sig)
         calib = calibrate_hp_weight(row.hd)
         assert (calib.sign, calib.weight) == (row.hp_sign, row.hp_weight), row.name
+        assert calib.primes == primes, row.name
+
+
+def test_calibration_primes_start_at_level_plus_one():
+    # level 10: 11 = M + 1 is the first prime = 1 mod 10
+    hd = hg_datum(("1/10", "3/10", "7/10", "9/10"), (1, 1, 1, 1))
+    with pytest.raises(CalibrationError, match=r"\(11, 31, 41\)"):
+        calibrate_hp_weight(hd)
 
 
 def test_calibration_negative_control():

@@ -103,9 +103,12 @@ def test_bad_prime_is_usage_error(runner, args):
     ["verify", "weil", "--max-prime", "5"],
     ["verify", "legendre", "--max-prime", "3"],
     ["verify", "all", "--max-prime", "6"],
+    ["verify", "weil", "--max-prime", "11"],
+    ["verify", "all", "--max-prime", "12"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
-        "verify-legendre-vacuous", "verify-all-vacuous"])
+        "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
+        "verify-all-skips-246"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -220,6 +223,14 @@ def test_verify_fm(runner):
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
     assert out["results"][0]["passed"] is True
+
+
+def test_verify_weil_states_what_it_checked(runner):
+    # 13 is the first prime at which all five rows, (2,4,6) included, are checked
+    res = runner.invoke(main, ["verify", "weil", "--max-prime", "13"])
+    assert res.exit_code == 0, res.output
+    detail = json.loads(res.output)["results"][0]["detail"]
+    assert detail == "79 values over 9 (row, p) pairs, 0 violations"
 
 
 def test_verify_seed_determinism(runner):

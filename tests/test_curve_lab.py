@@ -16,7 +16,7 @@ from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                frobenius_quartic_data, igusa_clebsch_identity,
                                jacobi_quartic_isomorphism_check,
                                legendre_trace_sweep, qm_consistency)
-from hgtrace.field_core import build_quad_ext, cached_ctx
+from hgtrace.field_core import build_quad_ext, cached_ctx, is_prime
 
 
 def test_legendre_hand_count(ctx7):
@@ -208,6 +208,26 @@ def test_hesse_smoothness_and_twist_invariance():
         c2 = count_hesse(ctx, zeta3 * mu % 13)
         assert c1.good and c1.n_points == c2.n_points
         assert c1.trace * c1.trace <= 4 * 13
+
+
+def _hesse_points(p, mu):
+    """x^3 + y^3 + z^3 = 3 mu xyz over P^2(F_p), point by point: (x : y : 1),
+    then (x : 1 : 0); (1 : 0 : 0) is never on the curve."""
+    cubes = [x ** 3 for x in range(p)]
+    cnt = sum((cubes[x] + cubes[y] + 1 - 3 * mu * x * y) % p == 0
+              for x in range(p) for y in range(p))
+    return cnt + sum((c + 1) % p == 0 for c in cubes)
+
+
+def test_hesse_weierstrass_count_matches_projective_loop():
+    for p in range(5, 140):
+        if is_prime(p):
+            ctx = cached_ctx(p)
+            for mu in range(p):
+                c = count_hesse(ctx, mu)
+                assert c.good == (pow(mu, 3, p) != 1), (p, mu)
+                if c.good:
+                    assert c.n_points == _hesse_points(p, mu), (p, mu)
 
 
 def test_hesse_characteristic_three_is_singular():

@@ -1,5 +1,6 @@
 import json
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -81,9 +82,58 @@ def test_level1_weight16():
 
 
 def test_level1_weight24_dim2():
-    # trace is an integer and satisfies the dimension-2 Deligne bound
-    t = level1_hecke_trace(24, 5)
-    assert abs(t) <= 2 * 2 * 5 ** 11.5
+    # a_2, a_3 of the two conjugate eigenforms: 540 +- 12 sqrt(144169) and
+    # 169740 -+ 576 sqrt(144169)
+    assert level1_hecke_trace(24, 2) == 1080
+    assert level1_hecke_trace(24, 3) == 339480
+
+
+def _hurwitz_class_number(N):
+    """H(N): reduced forms a x^2 + b xy + c y^2 of discriminant -N (|b| <= a <= c,
+    b >= 0 if |b| = a or a = c), with weight 1/2 for a(x^2 + y^2) and 1/3 for
+    a(x^2 + xy + y^2)."""
+    assert N % 4 in (0, 3)
+    h = Fraction(0)
+    for b in range(N % 2, isqrt(N // 3) + 1, 2):
+        ac = (b * b + N) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            if ac % a == 0:
+                c = ac // a
+                if b == 0 and a == c:
+                    h += Fraction(1, 2)
+                elif b == a == c:
+                    h += Fraction(1, 3)
+                else:  # (a, -b, c) is reduced too when 0 < b < a < c
+                    h += 2 if 0 < b < a < c else 1
+    return h
+
+
+def _eichler_selberg_trace(k, p):
+    """Tr T_p on S_k(SL_2(Z)), p prime, by the Eichler-Selberg trace formula:
+    -1/2 sum_{t^2 < 4p} P_k(t, p) H(4p - t^2) - 1, where P_k(t, p) = u_(k-1)
+    for u_0 = 0, u_1 = 1, u_(j+1) = t u_j - p u_(j-1)."""
+    s = Fraction(0)
+    r = isqrt(4 * p - 1)
+    for t in range(-r, r + 1):
+        u0, u1 = 0, 1
+        for _ in range(k - 2):
+            u0, u1 = u1, t * u1 - p * u0
+        s += u1 * _hurwitz_class_number(4 * p - t * t)
+    tr = -s / 2 - 1
+    assert tr.denominator == 1
+    return int(tr)
+
+
+def test_hurwitz_class_numbers():
+    assert [_hurwitz_class_number(N) for N in (3, 4, 7, 8, 11, 12, 15, 16, 20, 23)] \
+        == [Fraction(1, 3), Fraction(1, 2), 1, 1, 1, Fraction(4, 3), 2, Fraction(3, 2), 2, 3]
+
+
+@pytest.mark.parametrize("k", range(12, 39, 2))
+def test_level1_trace_matches_eichler_selberg(k):
+    for p in range(2, 60):
+        if is_prime(p):
+            assert level1_hecke_trace(k, p) == _eichler_selberg_trace(k, p), p
 
 
 def test_level6_ap_matches_fixture():
