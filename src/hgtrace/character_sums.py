@@ -16,7 +16,6 @@ character pair (eta, K), three tables and a gather over t.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -24,8 +23,8 @@ from math import isqrt
 
 import numpy as np
 
-from .field_core import (CongruenceError, FieldError, MultCharacter,
-                         PrimeFieldCtx, build_ctx, is_prime,
+from .field_core import (ByteBoundedLRU, CongruenceError, FieldError,
+                         MultCharacter, PrimeFieldCtx, build_ctx, is_prime,
                          power_residue_char)
 from .hgm_data import HGDatum, is_defined_over_Q, level
 
@@ -100,34 +99,15 @@ def _bracket_table(ctx: PrimeFieldCtx, e_a: int, e_b: int) -> np.ndarray:
 # evicts least recently used tables while their bytes exceed this bound.
 SLOT_CACHE_MAX_BYTES = 256 * 2 ** 20
 
-
-class _SlotCache:
-    """LRU of slot tables keyed by (p, g, ea, eb), bounded by summed nbytes."""
-
-    def __init__(self):
-        self.tables = OrderedDict()
-        self.nbytes = 0
-
-    def get(self, key, build):
-        out = self.tables.get(key)
-        if out is not None:
-            self.tables.move_to_end(key)
-            return out
-        out = build()
-        self.tables[key] = out
-        self.nbytes += out.nbytes
-        while self.nbytes > SLOT_CACHE_MAX_BYTES:
-            self.nbytes -= self.tables.popitem(last=False)[1].nbytes
-        return out
-
-
-_SLOT_CACHE = _SlotCache()
+# slot tables keyed by (p, g, ea, eb)
+_SLOT_CACHE = ByteBoundedLRU()
 
 
 def _slot_table(ctx: PrimeFieldCtx, ea: int, eb: int) -> np.ndarray:
     """bracket(A*chi_e, B*chi_e) over all e, for the slot (a-exp, b-exp)."""
     ea, eb = ea % ctx.n, eb % ctx.n
-    return _SLOT_CACHE.get((ctx.p, ctx.g, ea, eb), lambda: _bracket_table(ctx, ea, eb))
+    return _SLOT_CACHE.get((ctx.p, ctx.g, ea, eb), lambda: _bracket_table(ctx, ea, eb),
+                           SLOT_CACHE_MAX_BYTES)
 
 
 def jacobi_sum(A: MultCharacter, B: MultCharacter) -> AlgebraicValue:
@@ -290,6 +270,17 @@ def al_square_decompose(value: int, p: int, divisors=(1, 2, 3, 6)):
     return None
 
 
+def _al_square_mask(s: np.ndarray, p: int, divisors=(1, 2, 3, 6)) -> np.ndarray:
+    """Where an int64 array s = a + p has s = d*t^2 with d in divisors and
+    0 <= s <= 4p: al_square_decompose over an array."""
+    ok = np.zeros(s.shape, dtype=bool)
+    for d in divisors:
+        q = s // d
+        t = np.rint(np.sqrt(np.maximum(q, 0))).astype(np.int64)
+        ok |= (s == d * q) & (t * t == q)
+    return ok & (s >= 0) & (s <= 4 * p)
+
+
 def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     """A row's lambda chart over an int64 array of lambdas in [0, p):
     (args, chis, p_factor).
@@ -316,7 +307,7 @@ def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     return args, chis, p_factor
 
 
-def calibrate_hp_weight(hd: HGDatum, primes=None) -> HpCalibration:
+def calibrate_hp_weight(hd: HGDatum) -> HpCalibration:
     """Find the unique (sign, w) making the local traces exact integers in the
     Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, across sample primes.
 
@@ -329,11 +320,8 @@ def calibrate_hp_weight(hd: HGDatum, primes=None) -> HpCalibration:
     Raises CalibrationError if no pair or several pairs survive.
     """
     M = level(hd)
-    if primes is None:  # the first three primes p > 5 with p = 1 mod M
-        primes = islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3)
-    primes = tuple(primes)
-    if len(primes) < 3:
-        raise CalibrationError("need at least 3 calibration primes")
+    # the first three primes p > 5 with p = 1 mod M
+    primes = tuple(islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3))
     a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
 
     survivors = [(sign, w) for sign in (1, -1) for w in (0, 1, 2)]
@@ -363,7 +351,7 @@ def _exact_local_traces(vals: np.ndarray, p: int, tol: float) -> bool:
     r = np.round(vals.real)
     if np.any(np.abs(vals.imag) > tol) or np.any(np.abs(vals.real - r) > tol):
         return False
-    return all(al_square_decompose(int(a), p) is not None for a in r)
+    return bool(_al_square_mask(r.astype(np.int64) + p, p).all())
 
 
 def elliptic_square_value(hd: HGDatum, ctx: PrimeFieldCtx,

@@ -9,9 +9,9 @@ quantities back to exact integers.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class PrimeFieldCtx:
         """Order of the multiplicative group."""
         return self.p - 1
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the dlog and root-of-unity tables (24 a point)."""
+        return self.dlog.nbytes + self.zeta.nbytes
+
     def char(self, e: int) -> "MultCharacter":
         return MultCharacter(self, e % self.n)
 
@@ -141,10 +146,37 @@ def build_ctx(p: int, bound: int = DEFAULT_P_BOUND, generator: int | None = None
     return PrimeFieldCtx(p=p, g=g, dlog=dlog, zeta=zeta)
 
 
-@lru_cache(maxsize=64)
+class ByteBoundedLRU:
+    """Least-recently-used cache of values with an nbytes attribute (arrays,
+    contexts), kept within a byte bound given on each insertion."""
+
+    def __init__(self):
+        self.tables = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key, build, max_bytes: int):
+        out = self.tables.get(key)
+        if out is not None:
+            self.tables.move_to_end(key)
+            return out
+        out = build()
+        self.tables[key] = out
+        self.nbytes += out.nbytes
+        while self.nbytes > max_bytes:
+            self.nbytes -= self.tables.popitem(last=False)[1].nbytes
+        return out
+
+
+# Shared contexts take 24 bytes a point (2.4 MB at the p cap); least recently
+# used ones are evicted while their bytes exceed this bound.
+CTX_CACHE_MAX_BYTES = 64 * 2 ** 20
+
+_CTX_CACHE = ByteBoundedLRU()
+
+
 def cached_ctx(p: int) -> PrimeFieldCtx:
     """Shared default context for p (least primitive root)."""
-    return build_ctx(p)
+    return _CTX_CACHE.get(p, lambda: build_ctx(p), CTX_CACHE_MAX_BYTES)
 
 
 @dataclass(frozen=True)

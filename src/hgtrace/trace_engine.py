@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .character_sums import (CalibrationError, HpCalibration, SnapError,
-                             _lambda_chart, datum_table, elliptic_square_value,
-                             snap_tolerance)
+                             _al_square_mask, _lambda_chart, datum_table,
+                             elliptic_square_value, snap_tolerance)
 from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
 from .hgm_data import OO, TriangleGroupRow, row_by_signature
 from .curve_lab import legendre_trace_sweep
@@ -121,7 +121,13 @@ def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
         i = int(np.argmin(ok))
         raise SnapError(f"a_Gamma({lams[i]}, {p}) did not snap to an integer: "
                         f"{complex(vals[i])!r}")
-    return dict(zip(lams.tolist(), snapped.astype(np.int64).tolist()))
+    a = snapped.astype(np.int64)
+    ok = _al_square_mask(a + p, p, row.al_divisors)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SnapError(f"a_Gamma({lams[i]}, {p}) snapped to {a[i]}, but a + p is not "
+                        f"d*t^2 <= 4p with d in {row.al_divisors}")
+    return dict(zip(lams.tolist(), a.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,34 @@
-"""The names the benchmark in perfbench/ relies on still exist.
+"""The names and outputs the benchmark in perfbench/ relies on still hold.
 
 perfbench/tracing.py wraps the layers listed in TRACED, and
 perfbench/worker.py::sweep_headroom reads a row's lambda chart fields. A rename
 in src/ would otherwise break only the traced benchmark run. tracing.py is
-executed from source (no bytecode is written under perfbench/).
+executed from source (no bytecode is written under perfbench/). The trace
+reports' stdout bytes are checked against perfbench/digests.json, which is
+only read here.
 """
 
+import hashlib
 import importlib
+import json
 import runpy
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
+from click.testing import CliRunner
 
 import hgtrace
+from hgtrace.cli import main
 # sweep_headroom calls these two
 from hgtrace.character_sums import datum_table, snap_tolerance  # noqa: F401
 from hgtrace.field_core import cached_ctx
 from hgtrace.hgm_data import TriangleGroupRow, level, triangle_table
 from hgtrace.trace_engine import a_gamma_sweep
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_traced_names_resolve():
@@ -75,3 +83,18 @@ def test_sweep_headroom_reads_the_production_sweep():
             vals = raw * np.array(chis) * scale
             snapped = np.round(vals.real).astype(np.int64).tolist()
             assert dict(zip(lams, snapped)) == a_gamma_sweep(row, ctx), (row.name, p)
+
+
+@pytest.mark.parametrize("command", [
+    *(f"trace --group {g} --weight 8 --prime-range 7:600"
+      for g in ("2,oo,oo", "2,3,oo", "2,4,oo", "2,6,oo", "2,4,6")),
+    "trace --group 2,4,6 --weight 8 --prime 109",
+    "trace --group 2,4,6 --weight 8 --prime 10009",
+])
+def test_trace_stdout_matches_recorded_digest(command):
+    """The trace-sweep commands and two single-prime reports print exactly the
+    bytes whose sha256 the benchmark recorded."""
+    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
+    res = CliRunner().invoke(main, command.split())
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digests["hgtrace " + command]

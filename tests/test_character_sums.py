@@ -6,7 +6,8 @@ import pytest
 
 from hgtrace import character_sums
 from hgtrace.character_sums import (CalibrationError, HpCalibration,
-                                    _slot_table, al_square_decompose, bracket,
+                                    _al_square_mask, _slot_table,
+                                    al_square_decompose, bracket,
                                     calibrate_hp_weight, clausen_check,
                                     clausen_reports, clausen_sweep,
                                     datum_char_exponents,
@@ -222,6 +223,17 @@ def test_hp_delta_branch(ctx13):
     assert v.z == pytest.approx(expect, abs=1e-9)
 
 
+def test_al_square_mask_matches_decompose():
+    """The array test agrees with al_square_decompose on every a around the
+    Weil box, for each divisor pattern of the table."""
+    for p in (13, 37, 1009):
+        a = np.arange(-p - 50, 3 * p + 50, dtype=np.int64)
+        for divisors in ((1,), (1, 2), (1, 3), (1, 2, 3, 6)):
+            mask = _al_square_mask(a + p, p, divisors)
+            want = [al_square_decompose(int(x), p, divisors) is not None for x in a]
+            assert mask.tolist() == want, (p, divisors)
+
+
 def test_hp_sweep_square_property_row2oo(ctx13):
     """All generic lambda of the (2,oo,oo) row give a + p a perfect square <= 4p."""
     row = row_by_signature((2, "oo", "oo"))
@@ -257,8 +269,8 @@ def test_calibration_negative_control():
     # wrong character assignment: a non-Galois-stable datum has irrational
     # sums, so no (sign, w) can make the traces integers
     hd = hg_datum(("1/2", "1/3", "1/3"), (1, 1, 1))
-    with pytest.raises(CalibrationError):
-        calibrate_hp_weight(hd, primes=(7, 13, 19))
+    with pytest.raises(CalibrationError, match=r"\(7, 13, 19\)"):
+        calibrate_hp_weight(hd)
 
 
 def test_elliptic_square_vs_cm_fixture():

@@ -1,11 +1,21 @@
 import csv
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hgtrace.cli import main
+from hgtrace import cli
+from hgtrace.character_sums import SnapError
+from hgtrace.cli import _json_text, main
+from hgtrace.hgm_data import OO
 from hgtrace.modform_oracle import fixture_path, load_fixture_by_label
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=str)
 
 
 @pytest.fixture()
@@ -233,6 +243,22 @@ def test_verify_weil_states_what_it_checked(runner):
     assert detail == "79 values over 9 (row, p) pairs, 0 violations"
 
 
+def test_verify_weil_reports_a_failed_sweep(runner, monkeypatch):
+    real = cli.a_gamma_sweep
+
+    def sweep(row, ctx):
+        if row.a_rule == "row_246":
+            raise SnapError(f"a_Gamma(2, {ctx.p}) snapped to 5, but a + p is not d*t^2")
+        return real(row, ctx)
+
+    monkeypatch.setattr(cli, "a_gamma_sweep", sweep)
+    res = runner.invoke(main, ["verify", "weil", "--max-prime", "13"])
+    assert res.exit_code == 1, res.output
+    detail = json.loads(res.output)["results"][0]["detail"]
+    assert detail.startswith("68 values over 9 (row, p) pairs, 1 violations, "
+                             "first [('(2,4,6)', 13, 'a_Gamma(2, 13) snapped to 5")
+
+
 def test_verify_seed_determinism(runner):
     a = runner.invoke(main, ["verify", "fm", "--seed", "5"]).output
     b = runner.invoke(main, ["verify", "fm", "--seed", "5"]).output
@@ -252,3 +278,56 @@ def test_calibrate_bg_lambda_research(runner):
     out = json.loads(res.output)
     assert "best_linear_map" in out
     assert out["note"].startswith("research")
+
+
+@pytest.mark.parametrize("obj", [
+    {"f": np.float64(1.5), "i": np.int64(7), "b": [True, False, None, 0, -1]},
+    [math.nan, math.inf, -math.inf, 0.1, -0.0, 1e300, 10 ** 30],
+    {"frac": Fraction(-3, 7), "oo": OO, "set": {3}},
+    {"text": "\u00e9\u03bb\U0001d11e", "ctl": "a\tb\nc\x00\x1f\"\\/"},
+    {}, [], {"e": {}, "l": [], "t": ()}, (1, ("a", 2), []), "top", 5, None,
+    {"b": 1, "a": {"d": [1], "c": ["x", "y", None]}},
+    {"k": [["3", "generic", 12], ["oo", "cusp", 1], ["-3", "elliptic(2)", None]]},
+    [["3", "generic", 1.5], ["4", "generic", 2]],
+    [["3", "generic", 1], ["4", "generic", [2]]],
+    [["3", "generic"], ["4", "generic"]],
+    [["3", "generic", True]],
+    [["3", "generic", np.int64(4)]],
+    [("3", "generic", 4)],
+    {"s": {1: "int key", 3: [{3.5: None, -1.5: 0}, {True: 1, False: 0}, {None: 2}]}},
+], ids=["numpy-and-bool", "floats", "default-str", "non-ascii-and-control",
+        "empty-dict", "empty-list", "empty-nested", "tuples", "top-str", "top-int",
+        "top-none", "nested-sorted", "term-rows", "row-float", "row-nested-list",
+        "row-length-2", "row-bool", "row-numpy-int", "row-tuple", "non-str-keys"])
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == _dumps(obj)
+
+
+def test_json_writer_mixed_keys_fail_like_json_dumps():
+    with pytest.raises(TypeError):
+        _dumps({1: "a", "b": 2})
+    with pytest.raises(TypeError):
+        _json_text({1: "a", "b": 2})
+
+
+@pytest.mark.parametrize("args", [
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "7:100"],
+    ["trace", "--group", "2,3,oo", "--weight", "12", "--prime-range", "7:40"],
+    ["trace", "--group", "2,oo,oo", "--weight", "6", "--prime", "11"],
+    ["sum", "np", "--alpha", "1/2,1/2", "--beta", "1,1", "--prime", "13",
+     "--lambda", "3"],
+    ["sum", "np", "--alpha", "1/2,1/3,1/3", "--beta", "1,1,1", "--prime", "13",
+     "--lambda", "3"],
+    ["sum", "hp", "--group", "2,4,6", "--prime", "13", "--t", "5"],
+    ["verify", "weil", "--max-prime", "13"],
+    ["calibrate", "hp", "--group", "2,4,6"],
+    ["calibrate", "legendre"],
+    ["calibrate", "bg-lambda", "--prime", "13"],
+], ids=lambda args: " ".join(args[:2]))
+def test_json_writer_on_every_emitted_payload(runner, monkeypatch, args):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", payloads.append)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert len(payloads) == 1
+    assert _json_text(payloads[0]) == _dumps(payloads[0])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hgtrace import field_core
 from hgtrace.field_core import (CongruenceError, FieldError, build_ctx,
-                                build_quad_ext, is_prime, least_primitive_root,
-                                nth_primitive_root, power_residue_char, tonelli_sqrt)
+                                build_quad_ext, cached_ctx, is_prime,
+                                least_primitive_root, nth_primitive_root,
+                                power_residue_char, tonelli_sqrt)
 
 
 def test_build_ctx_p7(ctx7):
@@ -31,6 +33,23 @@ def test_build_ctx_rejects_oversize():
 def test_build_ctx_rejects_even():
     with pytest.raises(FieldError):
         build_ctx(2)
+
+
+def test_cached_ctx_is_shared_and_bounded_by_bytes(monkeypatch):
+    cache = field_core.ByteBoundedLRU()
+    monkeypatch.setattr(field_core, "_CTX_CACHE", cache)
+    assert cached_ctx(101) is cached_ctx(101)
+    assert cached_ctx(101).nbytes == 101 * 8 + 100 * 16
+    limit = 3 * cached_ctx(101).nbytes  # fewer than three contexts near p = 100
+    monkeypatch.setattr(field_core, "CTX_CACHE_MAX_BYTES", limit)
+    keep = cached_ctx(101)
+    for p in (103, 107, 109, 113, 127):
+        cached_ctx(101)  # a hit refreshes the context's recency
+        cached_ctx(p)
+        assert cache.nbytes <= limit
+        assert cache.nbytes == sum(c.nbytes for c in cache.tables.values())
+    assert list(cache.tables) == [101, 127]  # 113 went first, as least recent
+    assert cached_ctx(101) is keep
 
 
 def test_dlog_bijection(ctx13):

@@ -126,6 +126,31 @@ def test_sweep_snap_error_names_first_bad_lambda(ctx13):
         a_gamma(row, bad, ctx13, irrational)
 
 
+class _ShiftedTable:
+    """A datum table whose sweep moves the value at one index by exactly 1."""
+
+    def __init__(self, table, index):
+        self.table, self.index = table, index
+
+    def sweep(self, args):
+        out = self.table.sweep(args).copy()
+        out[self.index] += 1
+        return out
+
+
+@pytest.mark.parametrize("sig", [(2, OO, OO), (2, 4, 6)])
+def test_sweep_off_by_one_fails_the_square_check(sig):
+    """A value that snaps cleanly to a wrong integer a +- 1 is caught by the
+    exact check a + p = d*t^2; both rows scale the period sum by -1, so a
+    shift of 1 in the sweep moves a by exactly 1. (At the first generic
+    lambda of (2,4,6), a + p = 9 and 8 = 2*2^2 would pass, hence index 1.)"""
+    row, ctx = row_by_signature(sig), cached_ctx(37)
+    shifted = _ShiftedTable(datum_table(row.hd, ctx), 1)
+    with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 37\) snapped to -?\d+, but a \+ p "
+                                        r"is not d\*t\^2"):
+        _a_gamma_values(row, ctx, np.arange(37), shifted)
+
+
 def test_snap_headroom_at_the_p_cap():
     """Every row's sweep snaps at p = 99961, the largest admissible prime under
     the cap, with the tolerance at least 10^4 times its worst distance from an
