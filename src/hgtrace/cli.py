@@ -7,9 +7,10 @@ config and seed produce byte-identical output; JSON is emitted with sorted keys
 and CSV rows in ascending parameter order.
 
 JSON output is written by _json_text, whose contract is byte identity with
-json.dumps(payload, indent=2, sort_keys=True, default=str) for every payload:
-the recorded output digests of the benchmark depend on it, and the tests
-compare the two on every emitted payload.
+json.dumps(payload, indent=2, sort_keys=True, default=_json_default) for every
+payload, where _json_default expands a TraceReport through its to_json() and
+applies str to any other object: the recorded output digests of the benchmark
+depend on it, and the tests compare the two on every emitted payload.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
 from .field_core import FieldError, cached_ctx, is_prime
 from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
-from .trace_engine import (a_gamma_sweep, calibrate_legendre_relation,
+from .trace_engine import (TraceReport, a_gamma_sweep, calibrate_legendre_relation,
                            fm_identity_holds, hecke_trace, legendre_relation)
 
 SCHEMA_VERSION = 1
@@ -48,12 +49,21 @@ def _emit_json(payload: dict):
     click.echo(_json_text(payload))
 
 
+def _json_default(obj):
+    return obj.to_json() if isinstance(obj, TraceReport) else str(obj)
+
+
+class _Raw(str):
+    """Text already written as JSON."""
+
+
 def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, default=str), byte for byte.
+    """json.dumps(obj, indent=2, sort_keys=True, default=_json_default), byte
+    for byte.
 
     json drops its C encoder when given an indent; this writer keeps json's
-    scalar rules and writes each [str, str, int | None] row of a trace
-    report's terms with one f-string.
+    scalar rules and writes a TraceReport's generic terms column-wise, one
+    format call per term and one int repr per distinct value.
     """
     out = []
     _write_json(obj, "\n", out)
@@ -62,7 +72,9 @@ def _json_text(obj) -> str:
 
 def _write_json(obj, nl: str, out: list):
     """Append the chunks of obj to out; nl is a newline plus obj's indent."""
-    if isinstance(obj, str):
+    if type(obj) is _Raw:
+        out.append(obj)
+    elif isinstance(obj, str):
         out.append(_encode_str(obj))
     elif obj is None:
         out.append("null")
@@ -79,10 +91,6 @@ def _write_json(obj, nl: str, out: list):
             out.append("[]")
             return
         inner = nl + "  "
-        rows = _term_rows(obj, inner)
-        if rows is not None:
-            out += ["[" + inner, ("," + inner).join(rows), nl + "]"]
-            return
         sep = "["
         for item in obj:
             out.append(sep + inner)
@@ -95,7 +103,7 @@ def _write_json(obj, nl: str, out: list):
             return
         if not all(isinstance(key, str) for key in obj):
             # json's key coercions and errors; strings hold no raw newline
-            out.append(json.dumps(obj, indent=2, sort_keys=True, default=str)
+            out.append(json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
                        .replace("\n", nl))
             return
         inner = nl + "  "
@@ -105,30 +113,28 @@ def _write_json(obj, nl: str, out: list):
             _write_json(value, inner, out)
             sep = ","
         out.append(nl + "}")
+    elif isinstance(obj, TraceReport):
+        fields = obj.summary_json()
+        fields["terms"] = _Raw(_terms_text(obj, nl + "  "))
+        _write_json(fields, nl, out)
     else:
         out.append(_encode_str(str(obj)))
 
 
-def _term_rows(items, nl: str):
-    """Each item written as a JSON list, if every item is a [str, str, int |
-    None] row; otherwise None."""
-    inner = nl + "  "
-    rows = []
-    for row in items:
-        if not (isinstance(row, list) and len(row) == 3):
-            return None
-        lam, kind, value = row
-        if not (isinstance(lam, str) and isinstance(kind, str)):
-            return None
-        if value is None:
-            value = "null"
-        elif isinstance(value, int) and not isinstance(value, bool):
-            value = int.__repr__(value)
-        else:
-            return None
-        rows.append(f"[{inner}{_encode_str(lam)},{inner}{_encode_str(kind)},"
-                    f"{inner}{value}{nl}]")
-    return rows
+def _terms_text(rep: TraceReport, nl: str) -> str:
+    """The "terms" list of rep.to_json(), written at the indent of nl."""
+    item, field = nl + "  ", nl + "    "
+    template = f'[{field}"{{}}",{field}"generic",{field}{{}}{item}]'
+    value_strs = [int.__repr__(v) for v in rep.generic_values]
+    rows = list(map(template.format, rep.generic_lams.tolist(),
+                    map(value_strs.__getitem__, rep.generic_index.tolist())))
+    for t in rep.special_terms:
+        chunks = []
+        _write_json([str(t.lam), t.kind, t.value], item, chunks)
+        rows.append("".join(chunks))
+    if not rows:
+        return "[]"
+    return "[" + item + ("," + item).join(rows) + nl + "]"
 
 
 def _parse_group(text: str):
@@ -212,7 +218,7 @@ def trace(group, weight, prime, prime_range, fmt):
             sys.exit(1)
         reports.append(rep)
     if fmt == "json":
-        _emit_json({"config": config, "reports": [r.to_json() for r in reports]})
+        _emit_json({"config": config, "reports": reports})
     else:
         out = io.StringIO()
         w = csv.writer(out)

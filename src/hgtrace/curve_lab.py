@@ -125,6 +125,16 @@ def _count_y2(ctx: PrimeFieldCtx, coeffs) -> int:
 _FP2_BLOCK = 2 ** 16
 
 
+def _reduce(v: np.ndarray, p: int) -> np.ndarray:
+    """v mod p in place, for an int64 array v of either sign.
+
+    numpy's floor_divide by a scalar is several times faster than its
+    remainder, and v - (v // p) * p is exact for negative v too.
+    """
+    v -= v // p * p
+    return v
+
+
 def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     """Points of the smooth models of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)),
     one count per coefficient row.
@@ -155,22 +165,22 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
         Y = np.empty_like(X)
         X[-1], Y[-1] = 1, 0
         for k in range(n_coef - 2, -1, -1):
-            X[k] = (X[k + 1] * u + nu * Y[k + 1] % p * w) % p
-            Y[k] = (X[k + 1] * w + Y[k + 1] * u) % p
+            X[k] = _reduce(X[k + 1] * u + _reduce(nu * Y[k + 1], p) * w, p)
+            Y[k] = _reduce(X[k + 1] * w + Y[k + 1] * u, p)
         vr, vi = a_re @ X, a_re @ Y
         if not real:
-            vr += nu * (a_im @ Y % p)
+            vr += nu * _reduce(a_im @ Y, p)
             vi += a_im @ X
         # the norm vr^2 - nu*vi^2, in place: these (row, point) arrays are
         # the block's memory
-        vr %= p
-        vi %= p
+        _reduce(vr, p)
+        _reduce(vi, p)
         vr *= vr
         vi *= vi
-        vi %= p
+        _reduce(vi, p)
         vi *= nu
         vr -= vi
-        vr %= p
+        _reduce(vr, p)
         weight = np.where(w == 0, 1, 2 if real else 1)
         chi_sum += chi[vr] @ weight
     lead = (a_re[:, 0] * a_re[:, 0] - nu * a_im[:, 0] * a_im[:, 0]) % p

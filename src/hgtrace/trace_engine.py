@@ -11,6 +11,8 @@ yields a flagged partial report with an optional oracle residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,7 +35,7 @@ class SymPolyFm:
     """F_m(S, T) with exact integer coefficients: coeffs[(i, j)] * S^i * T^j."""
 
     m: int
-    coeffs: dict
+    coeffs: MappingProxyType
 
     def evaluate(self, S: int, T: int) -> int:
         return sum(c * S ** i * T ** j for (i, j), c in self.coeffs.items())
@@ -52,12 +54,14 @@ def _poly_shift(a: dict, di: int, dj: int) -> dict:
     return {(i + di, j + dj): v for (i, j), v in a.items()}
 
 
+@cache
 def build_Fm(m: int) -> SymPolyFm:
     """The degree-m polynomial with F_m(u^2+uv+v^2, uv) = sum_{i<=2m} u^i v^(2m-i).
 
     Built from the Chebyshev-style recursion P_k = e1 P_{k-1} - T P_{k-2} on
     the complete homogeneous sums, splitting P_k = E_k + e1 O_k and using
-    e1^2 = S + T; F_m is the even part E_{2m}.
+    e1^2 = S + T; F_m is the even part E_{2m}. The result is cached and
+    shared, so its coefficients are read-only.
     """
     if m < 1:
         raise ValueError("m >= 1")
@@ -70,7 +74,7 @@ def build_Fm(m: int) -> SymPolyFm:
         O_k = _poly_add(E_prev1, _poly_shift(O_prev2, 0, 1), sign=-1)
         E_prev2, O_prev2 = E_prev1, O_prev1
         E_prev1, O_prev1 = E_k, O_k
-    return SymPolyFm(m=m, coeffs=E_prev1)
+    return SymPolyFm(m=m, coeffs=MappingProxyType(E_prev1))
 
 
 def fm_identity_holds(m: int, u: int, v: int) -> bool:
@@ -88,21 +92,23 @@ def a_gamma(row: TriangleGroupRow, lam: int, ctx: PrimeFieldCtx,
             table=None) -> int:
     """The exact local trace a_Gamma(lam, p) for a generic lam of the row."""
     lam %= ctx.p
-    vals = _a_gamma_values(row, ctx, np.array([lam]), table)
-    if lam not in vals:
+    _lams, a = _a_gamma_values(row, ctx, np.array([lam]), table)
+    if not len(a):
         raise ValueError(f"lambda = {lam} is a special point of row {row.name}")
-    return vals[lam]
+    return int(a[0])
 
 
 def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx) -> dict[int, int]:
     """a_Gamma for every generic lam in F_p, via one vectorized sweep."""
-    return _a_gamma_values(row, ctx, np.arange(ctx.p))
+    lams, a = _a_gamma_values(row, ctx, np.arange(ctx.p))
+    return dict(zip(lams.tolist(), a.tolist()))
 
 
 def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
-                    table=None) -> dict[int, int]:
-    """a_Gamma at the generic lambdas of an int64 array of lambdas in [0, p),
-    in their order; special lambdas are left out.
+                    table=None) -> tuple[np.ndarray, np.ndarray]:
+    """(generic lams, a_Gamma) for an int64 array of lambdas in [0, p): the
+    generic lambdas in their order and their a_Gamma as int64; special lambdas
+    are left out.
 
     Building the table raises CongruenceError unless p = 1 mod the level.
     """
@@ -127,7 +133,7 @@ def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
         i = int(np.argmin(ok))
         raise SnapError(f"a_Gamma({lams[i]}, {p}) snapped to {a[i]}, but a + p is not "
                         f"d*t^2 <= 4p with d in {row.al_divisors}")
-    return dict(zip(lams.tolist(), a.tolist()))
+    return lams, a
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +237,23 @@ class TraceTerm:
     value: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceReport:
+    """A weight-(k + 2) trace report at p.
+
+    The generic terms are kept column-wise: the generic lambdas ascending, and
+    for each one the index of its F_(k/2)(a_Gamma, p) in generic_values, the
+    distinct values. special_terms holds the cusp terms, then the elliptic ones.
+    """
+
     signature: tuple
     p: int
     k: int
     weight: int
-    terms: tuple[TraceTerm, ...]
+    generic_lams: np.ndarray
+    generic_index: np.ndarray
+    generic_values: tuple[int, ...]
+    special_terms: tuple[TraceTerm, ...]
     generic_sum: int
     cusp_sum: int
     elliptic_sum: int | None
@@ -248,7 +264,19 @@ class TraceReport:
     residual: int | None = None
     dim_cusp_forms: int | None = None
 
-    def to_json(self) -> dict:
+    def _generic_pairs(self):
+        """(lam, value) of each generic term, as Python ints."""
+        return zip(self.generic_lams.tolist(),
+                   map(self.generic_values.__getitem__, self.generic_index.tolist()))
+
+    @property
+    def terms(self) -> tuple[TraceTerm, ...]:
+        """Every term: the generic lambdas ascending, then cusps, then elliptic terms."""
+        return (*(TraceTerm(lam, "generic", v) for lam, v in self._generic_pairs()),
+                *self.special_terms)
+
+    def summary_json(self) -> dict:
+        """to_json() without its "terms"."""
         return {
             "schema_version": 1,
             "signature": [str(e) for e in self.signature],
@@ -264,8 +292,12 @@ class TraceReport:
             "oracle": self.oracle,
             "residual": self.residual,
             "dim_cusp_forms": self.dim_cusp_forms,
-            "terms": [[str(t.lam), t.kind, t.value] for t in self.terms],
         }
+
+    def to_json(self) -> dict:
+        terms = [[str(lam), "generic", v] for lam, v in self._generic_pairs()]
+        terms += ([str(t.lam), t.kind, t.value] for t in self.special_terms)
+        return {**self.summary_json(), "terms": terms}
 
 
 def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceReport:
@@ -284,17 +316,17 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     if p <= 5:
         raise CongruenceError("good reduction requires p > 5")
     fm = build_Fm(k // 2)
-    a_vals = a_gamma_sweep(row, ctx)
+    lams, a = _a_gamma_values(row, ctx, np.arange(p))
     # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur
-    fm_at = {a: fm.evaluate(a, p) for a in set(a_vals.values())}
+    distinct, index, counts = np.unique(a, return_inverse=True, return_counts=True)
+    values = tuple(fm.evaluate(x, p) for x in distinct.tolist())
+    generic_sum = sum(v * c for v, c in zip(values, counts.tolist()))
 
-    terms = [TraceTerm(lam, "generic", fm_at[a]) for lam, a in a_vals.items()]
-    generic_sum = sum(fm_at[a] for a in a_vals.values())
-
+    special = []
     cusp_sum = 0
     for lam, order in row.lambda_special:
         if order == OO:
-            terms.append(TraceTerm(lam, "cusp", 1))
+            special.append(TraceTerm(lam, "cusp", 1))
             cusp_sum += 1
 
     flags = []
@@ -305,17 +337,17 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
         calib = HpCalibration(sign=row.hp_sign, weight=row.hp_weight, primes=())
         esq = elliptic_square_value(row.hd, ctx, calib)
         e2 = p * (esq - p * p)
-        terms.append(TraceTerm(-3, "elliptic(2)", e2))
+        special.append(TraceTerm(-3, "elliptic(2)", e2))
         chi_sum = ctx.legendre(-1) + ctx.legendre(-3) + ctx.legendre(-6)
         e46 = chi_sum * p ** 3
-        terms.append(TraceTerm(OO, "elliptic(4)+elliptic(6)", e46))
+        special.append(TraceTerm(OO, "elliptic(4)+elliptic(6)", e46))
         elliptic_sum = e2 + e46
         total = generic_sum + cusp_sum + elliptic_sum
         partial = False
     else:
         for lam, order in row.lambda_special:
             if order != OO:
-                terms.append(TraceTerm(lam, f"elliptic({order})", None))
+                special.append(TraceTerm(lam, f"elliptic({order})", None))
         flags.append("elliptic terms unavailable")
 
     dim_hint = 1 if (row.a_rule == "row_246" and k == 6) else None
@@ -325,7 +357,8 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
 
     return TraceReport(
         signature=row.signature, p=p, k=k, weight=k + 2,
-        terms=tuple(terms), generic_sum=generic_sum, cusp_sum=cusp_sum,
+        generic_lams=lams, generic_index=index, generic_values=values,
+        special_terms=tuple(special), generic_sum=generic_sum, cusp_sum=cusp_sum,
         elliptic_sum=elliptic_sum, total=total, partial=partial,
         flags=tuple(flags), oracle=oracle, residual=residual,
         dim_cusp_forms=dim_hint)

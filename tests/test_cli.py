@@ -10,12 +10,15 @@ from click.testing import CliRunner
 from hgtrace import cli
 from hgtrace.character_sums import SnapError
 from hgtrace.cli import _json_text, main
-from hgtrace.hgm_data import OO
+from hgtrace.field_core import cached_ctx
+from hgtrace.hgm_data import OO, row_by_signature
 from hgtrace.modform_oracle import fixture_path, load_fixture_by_label
+from hgtrace.trace_engine import TraceReport, hecke_trace
 
 
 def _dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, default=str)
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=lambda o: o.to_json() if isinstance(o, TraceReport) else str(o))
 
 
 @pytest.fixture()
@@ -331,3 +334,37 @@ def test_json_writer_on_every_emitted_payload(runner, monkeypatch, args):
     assert res.exit_code == 0, res.output
     assert len(payloads) == 1
     assert _json_text(payloads[0]) == _dumps(payloads[0])
+
+
+# every row at its first two admissible primes, and a partial (2,3,oo) report
+# at weight 12 whose elliptic terms have no value
+@pytest.mark.parametrize("sig, p, k", [
+    ((2, OO, OO), 7, 6), ((2, OO, OO), 11, 6), ((2, 3, OO), 7, 6), ((2, 3, OO), 13, 6),
+    ((2, 4, OO), 13, 6), ((2, 4, OO), 17, 6), ((2, 6, OO), 7, 6), ((2, 6, OO), 13, 6),
+    ((2, 4, 6), 13, 6), ((2, 4, 6), 37, 6), ((2, 3, OO), 13, 10),
+], ids=lambda v: str(v))
+def test_json_writer_on_trace_reports(sig, p, k):
+    rep = hecke_trace(row_by_signature(sig), cached_ctx(p), k)
+    assert _json_text({"reports": [rep]}) == json.dumps({"reports": [rep.to_json()]},
+                                                        indent=2, sort_keys=True)
+    assert rep.generic_sum == sum(t.value for t in rep.terms if t.kind == "generic")
+    elliptic = [t.value for t in rep.terms if t.kind.startswith("elliptic")]
+    assert elliptic and (rep.partial == all(v is None for v in elliptic))
+
+
+def test_json_writer_at_the_reference_prime(runner, monkeypatch):
+    """The headline command at p = 99961, past the primes of the recorded
+    output digests: an 8.8 MB report."""
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", payloads.append)
+    res = runner.invoke(main, ["trace", "--group", "2,4,6", "--weight", "8",
+                               "--prime", "99961"])
+    assert res.exit_code == 0, res.output
+    payload, = payloads
+    rep, = payload["reports"]
+    text = _json_text(payload)
+    expected = json.dumps({**payload, "reports": [rep.to_json()]}, indent=2, sort_keys=True)
+    if text != expected:  # name the first difference; pytest's diff of 8.8 MB would not end
+        i = next(i for i, (a, b) in enumerate(zip(text + "\0", expected + "\1")) if a != b)
+        lo = max(0, i - 40)
+        pytest.fail(f"first difference at {i}: {text[lo:i + 40]!r} != {expected[lo:i + 40]!r}")

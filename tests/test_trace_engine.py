@@ -287,3 +287,19 @@ def test_report_json_schema(ctx13):
 def test_report_total_is_sum_of_terms(ctx13):
     rep = hecke_trace(row_by_signature((2, 4, 6)), ctx13, 6)
     assert rep.total == sum(t.value for t in rep.terms if t.value is not None)
+
+
+@pytest.mark.parametrize("sig, special", [
+    ((2, OO, OO), ["cusp", "cusp", "elliptic(2)"]),
+    ((2, 4, 6), ["elliptic(2)", "elliptic(4)+elliptic(6)"]),
+])
+def test_report_terms_follow_the_sweep(ctx37, sig, special):
+    """The terms are F_m(a_Gamma(lam), p) at each generic lam ascending, then
+    the cusps, then the elliptic terms."""
+    row, p = row_by_signature(sig), 37
+    rep = hecke_trace(row, ctx37, 6)
+    sweep = a_gamma_sweep(row, ctx37)
+    generic = [(lam, "generic", build_Fm(3).evaluate(a, p)) for lam, a in sweep.items()]
+    terms = rep.terms
+    assert [(t.lam, t.kind, t.value) for t in terms[:len(sweep)]] == generic
+    assert [t.kind for t in terms[len(sweep):]] == special
