@@ -223,8 +223,7 @@ def datum_table(hd: HGDatum, ctx: PrimeFieldCtx) -> BracketTable:
     return BracketTable(ctx, a_exps, b_exps)
 
 
-def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int,
-           calibration: HpCalibration | None = None,
+def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int, calibration: HpCalibration,
            table: BracketTable | None = None) -> AlgebraicValue:
     """H_p(hd; t) = sign * p^(-w) * (period sum at t), for p = 1 mod level.
 
@@ -236,8 +235,6 @@ def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int,
     """
     if not is_defined_over_Q(hd):
         raise ValueError(f"datum {hd} is not defined over Q; H_p is not rational")
-    if calibration is None:
-        calibration = calibrate_hp_weight(hd)
     if table is None:
         table = datum_table(hd, ctx)
     raw = table.raw_value(t)
@@ -290,20 +287,17 @@ def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     chi = phi(1 - arg) and p_factor = 1; the "row_246" chart reads arg = -3/lam
     with chi = phi(-3(1 + 3/lam)) and p_factor = p. chi is 0 exactly at the
     special lambdas, where no trace is defined: lam = 0 and the zero of chi.
-    Inverses and Legendre symbols come from the dlog table (antilog gather and
-    dlog parity).
+    Inverses and Legendre symbols are gathers from the context's tables.
     """
     p, n = ctx.p, ctx.n
-    antilog = np.empty(n, dtype=np.int64)
-    antilog[ctx.dlog[1:]] = np.arange(1, p, dtype=np.int64)
-    inv = antilog[-ctx.dlog[lams] % n]  # meaningless at lam = 0, masked below
+    inv = ctx.antilog[-ctx.dlog[lams] % n]  # meaningless at lam = 0, masked below
     if a_rule == "cusp_row":
         args, chi_args, p_factor = inv, (1 - inv) % p, 1
     elif a_rule == "row_246":
         args, chi_args, p_factor = -3 * inv % p, -3 * (1 + 3 * inv) % p, p
     else:
         raise ValueError(f"unknown a_rule {a_rule!r}")
-    chis = np.where((lams == 0) | (chi_args == 0), 0, 1 - 2 * (ctx.dlog[chi_args] % 2))
+    chis = np.where(lams == 0, 0, ctx.chi[chi_args])
     return args, chis, p_factor
 
 
@@ -354,8 +348,7 @@ def _exact_local_traces(vals: np.ndarray, p: int, tol: float) -> bool:
     return bool(_al_square_mask(r.astype(np.int64) + p, p).all())
 
 
-def elliptic_square_value(hd: HGDatum, ctx: PrimeFieldCtx,
-                          calibration: HpCalibration) -> int:
+def elliptic_square_value(table: BracketTable, calibration: HpCalibration) -> int:
     """The exact integer standing for (p * H_p(hd; 1))^2 at the degenerate fiber.
 
     At t = 1 the local system drops rank; the fiber is a two-dimensional space
@@ -364,16 +357,14 @@ def elliptic_square_value(hd: HGDatum, ctx: PrimeFieldCtx,
     and lower characters is a square in the character group and -1 otherwise.
     The square of the single-eigenvalue surrogate used by the trace formula is
     then tau1^2 - eps * p^2 (so eigenvalues {p, -p} at eps = -1, where the
-    period sum itself vanishes).
+    period sum itself vanishes). table is the datum's datum_table.
     """
-    p = ctx.p
-    table = datum_table(hd, ctx)
+    p = table.ctx.p
     tau1 = AlgebraicValue.from_complex(
         calibration.sign * p ** (1 - calibration.weight) * table.raw_value(1),
-        snap_tolerance(p, hd.n) * p).expect_int("degenerate-fiber trace")
+        snap_tolerance(p, len(table.a_exps)) * p).expect_int("degenerate-fiber trace")
     # eps: square-ness of iota(a_2) * iota(b_2)
-    exps_a, exps_b = datum_char_exponents(hd, ctx)
-    eps = 1 if (exps_a[1] + exps_b[1]) % 2 == 0 else -1
+    eps = 1 if (table.a_exps[1] + table.b_exps[1]) % 2 == 0 else -1
     return tau1 * tau1 - eps * p * p
 
 
@@ -444,7 +435,7 @@ def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
         r1 = BracketTable(ctx, [(phi * K * S.inverse()).e, S.e], [0, K.e]).sweep(generic)
         r2 = BracketTable(ctx, [(phi * K.inverse() * S).e, -S.e],
                           [0, -K.e]).sweep(generic)
-        phi_1mt = 1 - 2 * (ctx.dlog[(1 - generic) % p] & 1)
+        phi_1mt = ctx.chi[(1 - generic) % p]
         lhs = phi_1mt * lhs3.sweep(generic)
         rhs = p - r1 * r2
         swept = zip(lhs.tolist(), rhs.tolist(), (np.abs(lhs - rhs) < tol).tolist())

@@ -6,11 +6,13 @@ command cannot take (p <= 5, or outside the row's congruence class). Identical
 config and seed produce byte-identical output; JSON is emitted with sorted keys
 and CSV rows in ascending parameter order.
 
-JSON output is written by _json_text, whose contract is byte identity with
-json.dumps(payload, indent=2, sort_keys=True, default=_json_default) for every
-payload, where _json_default expands a TraceReport through its to_json() and
-applies str to any other object: the recorded output digests of the benchmark
-depend on it, and the tests compare the two on every emitted payload.
+JSON output is one json.dumps(payload, indent=2, sort_keys=True, default=...)
+call in _json_text, whose default writes a TraceReport as its to_json() and any
+other object json cannot write as its str(). The hand-written part starts at
+the rows of a report's "terms" (_terms_text): json writes a placeholder string
+there, and the rows replace it at its indent. The recorded output digests of
+the benchmark depend on these bytes; the tests compare _json_text with
+json.dumps over to_json() on every emitted payload.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
                         Legendre, PicardSub, UniversalJ, baba_granath_qm_sweep,
                         count_points, count_via_characters, frobenius_quartic_data,
                         legendre_trace_sweep)
-from .field_core import FieldError, cached_ctx, is_prime
+from .field_core import DEFAULT_P_BOUND, FieldError, cached_ctx, is_prime
 from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
 from .trace_engine import (TraceReport, a_gamma_sweep, calibrate_legendre_relation,
@@ -42,99 +44,56 @@ from .trace_engine import (TraceReport, a_gamma_sweep, calibrate_legendre_relati
 SCHEMA_VERSION = 1
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+# A report's "terms" stand in json's output as this string until its rows are
+# written; the NUL byte cannot arrive through argv.
+_TERMS = "\0terms\0"
+_TERMS_JSON = json.dumps(_TERMS)
 
 
 def _emit_json(payload: dict):
     click.echo(_json_text(payload))
 
 
-def _json_default(obj):
-    return obj.to_json() if isinstance(obj, TraceReport) else str(obj)
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), with a TraceReport written
+    as its to_json() and any other object json cannot write as its str()."""
+    reports = []
 
+    def default(obj):
+        if isinstance(obj, TraceReport):
+            reports.append(obj)
+            return {**obj.summary_json(), "terms": _TERMS}
+        return str(obj)
 
-class _Raw(str):
-    """Text already written as JSON."""
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, default=_json_default), byte
-    for byte.
-
-    json drops its C encoder when given an indent; this writer keeps json's
-    scalar rules and writes a TraceReport's generic terms column-wise, one
-    format call per term and one int repr per distinct value.
-    """
-    out = []
-    _write_json(obj, "\n", out)
+    chunks = json.dumps(payload, indent=2, sort_keys=True, default=default).split(_TERMS_JSON)
+    if len(chunks) != len(reports) + 1:
+        raise ValueError(f"{len(chunks) - 1} terms placeholders for {len(reports)} reports")
+    out = [chunks[0]]
+    for rep, before, after in zip(reports, chunks, chunks[1:]):
+        line = before[before.rindex("\n"):]  # '\n<indent>"terms": '
+        out += (_terms_text(rep, line[:len(line) - len(line.lstrip("\n "))]), after)
     return "".join(out)
 
 
-def _write_json(obj, nl: str, out: list):
-    """Append the chunks of obj to out; nl is a newline plus obj's indent."""
-    if type(obj) is _Raw:
-        out.append(obj)
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "["
-        for item in obj:
-            out.append(sep + inner)
-            _write_json(item, inner, out)
-            sep = ","
-        out.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        if not all(isinstance(key, str) for key in obj):
-            # json's key coercions and errors; strings hold no raw newline
-            out.append(json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
-                       .replace("\n", nl))
-            return
-        inner = nl + "  "
-        sep = "{"
-        for key, value in sorted(obj.items()):
-            out.append(f"{sep}{inner}{_encode_str(key)}: ")
-            _write_json(value, inner, out)
-            sep = ","
-        out.append(nl + "}")
-    elif isinstance(obj, TraceReport):
-        fields = obj.summary_json()
-        fields["terms"] = _Raw(_terms_text(obj, nl + "  "))
-        _write_json(fields, nl, out)
-    else:
-        out.append(_encode_str(str(obj)))
-
-
 def _terms_text(rep: TraceReport, nl: str) -> str:
-    """The "terms" list of rep.to_json(), written at the indent of nl."""
+    """The "terms" list of rep.to_json(), written at the indent of nl: a
+    newline and the indent of the line that opens the list.
+
+    The generic rows are one join of (lambda, value) pairs, each distinct
+    value formatted once; the few cusp and elliptic rows are their scalars
+    through json.dumps.
+    """
     item, field = nl + "  ", nl + "    "
-    template = f'[{field}"{{}}",{field}"generic",{field}{{}}{item}]'
-    value_strs = [int.__repr__(v) for v in rep.generic_values]
-    rows = list(map(template.format, rep.generic_lams.tolist(),
-                    map(value_strs.__getitem__, rep.generic_index.tolist())))
-    for t in rep.special_terms:
-        chunks = []
-        _write_json([str(t.lam), t.kind, t.value], item, chunks)
-        rows.append("".join(chunks))
-    if not rows:
-        return "[]"
-    return "[" + item + ("," + item).join(rows) + nl + "]"
+    rows = []
+    if len(rep.generic_lams):
+        open_, mid, close = f'[{field}"', f'",{field}"generic",{field}', item + "]"
+        value_strs = list(map(str, rep.generic_values))
+        pairs = zip(map(str, rep.generic_lams.tolist()),
+                    map(value_strs.__getitem__, rep.generic_index.tolist()))
+        rows.append(open_ + (close + "," + item + open_).join(map(mid.join, pairs)) + close)
+    rows += ("[" + field + ("," + field).join(map(json.dumps, (str(t.lam), t.kind, t.value)))
+             + item + "]" for t in rep.special_terms)
+    return "[" + item + ("," + item).join(rows) + nl + "]" if rows else "[]"
 
 
 def _parse_group(text: str):
@@ -147,7 +106,10 @@ def _parse_group(text: str):
         raise click.UsageError(str(exc))
 
 
-def _parse_primes(prime, prime_range):
+def _parse_primes(prime, prime_range, runs):
+    """The primes of --prime or of --prime-range, ascending. A prime of the
+    range above the p cap that the command runs (runs(p)) is a usage error,
+    raised before the rest of the range is listed."""
     if prime is not None and prime_range:
         raise click.UsageError("give either --prime or --prime-range")
     if prime is not None:
@@ -159,7 +121,16 @@ def _parse_primes(prime, prime_range):
             lo, hi = (int(x) for x in prime_range.split(":"))
         except ValueError:
             raise click.UsageError("--prime-range expects LO:HI")
-        return [p for p in range(lo, hi + 1) if is_prime(p)]
+        if lo > hi:
+            raise click.UsageError(f"--prime-range {prime_range} is empty: LO > HI")
+        primes = []
+        for p in filter(is_prime, range(lo, hi + 1)):
+            if p > DEFAULT_P_BOUND and runs(p):
+                raise _over_p_cap(p)
+            primes.append(p)
+        if not primes:
+            raise click.UsageError(f"--prime-range {prime_range} holds no prime")
+        return primes
     raise click.UsageError("a prime or prime range is required")
 
 
@@ -169,6 +140,11 @@ def _field_ctx(p: int):
         return cached_ctx(p)
     except FieldError as exc:
         raise click.UsageError(str(exc))
+
+
+def _over_p_cap(p: int) -> click.UsageError:
+    """The usage error for a prime p above the p cap, raised before any work."""
+    return click.UsageError(f"p = {p} exceeds the configured bound {DEFAULT_P_BOUND}")
 
 
 def _parse_fraction_list(text: str):
@@ -197,7 +173,12 @@ def main():
 def trace(group, weight, prime, prime_range, fmt):
     """Hecke trace reports -Tr(T_p | S_weight) for a table row."""
     row = _parse_group(group)
-    primes = _parse_primes(prime, prime_range)
+    M = level(row.hd)
+
+    def runs(p):
+        return p > 5 and (p - 1) % M == 0
+
+    primes = _parse_primes(prime, prime_range, runs)
     if weight % 2 or weight < 4:
         raise click.UsageError("--weight must be even and >= 4")
     k = weight - 2
@@ -206,9 +187,8 @@ def trace(group, weight, prime, prime_range, fmt):
               "schema_version": SCHEMA_VERSION}
     reports = []
     for p in primes:
-        if (p - 1) % level(row.hd) or p <= 5:
-            click.echo(f"skipping p = {p}: needs p > 5 with p = 1 mod "
-                       f"{level(row.hd)}", err=True)
+        if not runs(p):
+            click.echo(f"skipping p = {p}: needs p > 5 with p = 1 mod {M}", err=True)
             continue
         ctx = _field_ctx(p)
         try:
@@ -361,8 +341,7 @@ def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
     try:
         fieldctx = ctx
         if fp2:
-            from .field_core import build_quad_ext
-            fieldctx = build_quad_ext(ctx)
+            fieldctx = ctx.ext
         for lv in lam_values:
             kwargs = dict(base)
             if lv is not None:
@@ -404,6 +383,10 @@ def verify(suite, prime, max_prime, seed):
     if suite in ("weil", "all") and max_prime < 13:
         raise click.UsageError(f"--max-prime {max_prime} skips the (2,4,6) row of verify "
                                f"{suite}: its first admissible prime is 13")
+    if suite in ("weil", "legendre", "all"):  # each runs every prime 7 <= p <= max_prime
+        over = next(filter(is_prime, range(DEFAULT_P_BOUND + 1, max_prime + 1)), None)
+        if over is not None:
+            raise _over_p_cap(over)
     suites = [suite] if suite != "all" else ["clausen", "weil", "fm", "legendre",
                                              "genlegendre", "qm", "analytic"]
     results = []

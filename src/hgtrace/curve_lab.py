@@ -23,8 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .field_core import (FieldError, PrimeFieldCtx, QuadExtCtx, build_quad_ext,
-                         tonelli_sqrt)
+from .field_core import FieldError, PrimeFieldCtx, QuadExtCtx, tonelli_sqrt
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,6 @@ class ConicX6:
 # y^2 = f(x) and y^N = prod (x - r)^m, each counted by one vectorized sum
 
 
-def _legendre_symbols(ctx: PrimeFieldCtx, v: np.ndarray) -> np.ndarray:
-    """Quadratic character of each entry of v in [0, p), from the dlog parity."""
-    return np.where(v == 0, 0, 1 - 2 * (ctx.dlog[v] & 1))
-
-
 def _count_y2(ctx: PrimeFieldCtx, coeffs) -> int:
     """Points of the smooth model of y^2 = f(x) over F_p.
 
@@ -116,7 +110,7 @@ def _count_y2(ctx: PrimeFieldCtx, coeffs) -> int:
     for co in coeffs:
         v = (v * x + int(co)) % p
     at_inf = 1 + (ctx.legendre(int(coeffs[0])) if len(coeffs) % 2 else 0)
-    return p + int(np.sum(_legendre_symbols(ctx, v))) + at_inf
+    return p + int(np.sum(ctx.chi[v], dtype=np.int64)) + at_inf
 
 
 # The F_{p^2} counter evaluates a block of points at a time, with about this
@@ -155,7 +149,7 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     real = not a_im.any()
     n_points = p * ((p + 1) // 2 if real else p)
     step = max(1, _FP2_BLOCK // (n_rows + 2 * n_coef))
-    chi = _legendre_symbols(ext.base, np.arange(p)).astype(np.int8)
+    chi = ext.base.chi
     chi_sum = np.zeros(n_rows, dtype=np.int64)
     for i0 in range(0, n_points, step):
         idx = np.arange(i0, min(i0 + step, n_points), dtype=np.int64)
@@ -250,7 +244,7 @@ def legendre_trace_sweep(ctx: PrimeFieldCtx) -> np.ndarray:
     """Traces a_E(lam) = -sum_x chi(x(x-1)(x-lam)) for all lam (entries at
     0, 1 are meaningless)."""
     p = ctx.p
-    chi = _legendre_symbols(ctx, np.arange(p))
+    chi = ctx.chi
     lams = np.arange(p, dtype=np.int64)
     traces = np.zeros(p, dtype=np.int64)
     for x in range(p):
@@ -430,7 +424,7 @@ def baba_granath_curve(ctx: PrimeFieldCtx, j: int, branch: int = 1):
         return None, "degenerate", ("degenerate: 27j + 16 = 0",)
     m6j = (-6 * j) % p
     chi = ctx.legendre(m6j)
-    ext = build_quad_ext(ctx)
+    ext = ctx.ext
     if chi == 1:
         s = ((branch * tonelli_sqrt(m6j, p)) % p, 0)
         field_tag = "F_p"
@@ -508,12 +502,10 @@ def count_genus2_fp(ctx: PrimeFieldCtx, coeffs) -> int:
     return _count_y2(ctx, [c[0] for c in coeffs])
 
 
-def count_genus2_fp2(ctx: PrimeFieldCtx, sextics, ext: QuadExtCtx | None = None) -> list[int]:
+def count_genus2_fp2(ctx: PrimeFieldCtx, sextics) -> list[int]:
     """Points of y^2 = f(x) over F_p2 for each sextic given as F_p2 pairs, all
     in one batched _count_y2_fp2 call."""
-    if ext is None:
-        ext = build_quad_ext(ctx)
-    return _count_y2_fp2(ext, [[c[0] for c in f] for f in sextics],
+    return _count_y2_fp2(ctx.ext, [[c[0] for c in f] for f in sextics],
                          [[c[1] for c in f] for f in sextics])
 
 
@@ -549,7 +541,6 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
     The F_{p^2} counts of all the curves defined over F_p are one
     count_genus2_fp2 call.
     """
-    ext = build_quad_ext(ctx)
     scans, pending = [], []
     for j in js:
         scan = []
@@ -565,7 +556,7 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
             scan.append((branch, res))
         scans.append(scan)
     if pending:
-        n2s = count_genus2_fp2(ctx, [coeffs for _scan, _i, coeffs in pending], ext)
+        n2s = count_genus2_fp2(ctx, [coeffs for _scan, _i, coeffs in pending])
         for (scan, i, coeffs), n2 in zip(pending, n2s):
             n1 = count_genus2_fp(ctx, coeffs)
             scan[i] = (scan[i][0], qm_consistency(n1, n2, ctx.p))
@@ -587,8 +578,7 @@ def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
     coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
     if coeffs is None or any("bad reduction" in f for f in flags):
         raise FieldError("degenerate j")
-    ext = build_quad_ext(ctx)
-    n2, = count_genus2_fp2(ctx, [coeffs], ext)
+    n2, = count_genus2_fp2(ctx, [coeffs])
     n1 = count_genus2_fp(ctx, coeffs) if field_tag == "F_p" else None
     return n1, n2, ctx.p ** 2 + 1 - n2
 
@@ -635,7 +625,7 @@ def count_points(spec, fieldctx) -> CurveCount:
             coeffs, _tag, flags = baba_granath_curve(ctx, spec.j, spec.branch)
             if coeffs is None:
                 return CurveCount("baba-granath", fieldctx.q, 0, None, good=False, flags=flags)
-            n2, = count_genus2_fp2(ctx, [coeffs], fieldctx)
+            n2, = count_genus2_fp2(ctx, [coeffs])
             return CurveCount("baba-granath/F_p2", fieldctx.q, n2, None, flags=flags)
         raise FieldError(f"no F_p2 counter for {spec!r}")
     ctx: PrimeFieldCtx = fieldctx

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -72,12 +73,16 @@ def nth_primitive_root(p: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeFieldCtx:
-    """Immutable context for F_p: generator, dlog table, root-of-unity table."""
+    """Immutable context for F_p: generator, and the per-prime tables: dlog
+    (dlog[0] = -1), its inverse antilog[k] = g^k, the roots of unity zeta^k,
+    and the quadratic character chi (int8, chi[0] = 0)."""
 
     p: int
     g: int
     dlog: np.ndarray = field(repr=False, compare=False)
     zeta: np.ndarray = field(repr=False, compare=False)
+    antilog: np.ndarray = field(repr=False, compare=False)
+    chi: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -86,8 +91,13 @@ class PrimeFieldCtx:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the dlog and root-of-unity tables (24 a point)."""
-        return self.dlog.nbytes + self.zeta.nbytes
+        """Bytes held by the per-prime tables (33 a point)."""
+        return self.dlog.nbytes + self.zeta.nbytes + self.antilog.nbytes + self.chi.nbytes
+
+    @cached_property
+    def ext(self) -> "QuadExtCtx":
+        """F_{p^2}, built on first use (build_quad_ext)."""
+        return build_quad_ext(self)
 
     def char(self, e: int) -> "MultCharacter":
         return MultCharacter(self, e % self.n)
@@ -101,10 +111,7 @@ class PrimeFieldCtx:
         return self.char(self.n // 2)
 
     def legendre(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            return 0
-        return 1 if self.dlog[x] % 2 == 0 else -1
+        return int(self.chi[x % self.p])
 
     def inv(self, x: int) -> int:
         x %= self.p
@@ -143,7 +150,11 @@ def build_ctx(p: int, bound: int = DEFAULT_P_BOUND, generator: int | None = None
         raise FieldError(f"{generator} is not a primitive root mod {p}")
     n = p - 1
     zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    return PrimeFieldCtx(p=p, g=g, dlog=dlog, zeta=zeta)
+    antilog = np.empty(n, dtype=np.int64)
+    antilog[dlog[1:]] = np.arange(1, p, dtype=np.int64)
+    chi = (1 - 2 * (dlog & 1)).astype(np.int8)  # dlog(x) parity; dlog[0] = -1
+    chi[0] = 0
+    return PrimeFieldCtx(p=p, g=g, dlog=dlog, zeta=zeta, antilog=antilog, chi=chi)
 
 
 class ByteBoundedLRU:
@@ -167,7 +178,7 @@ class ByteBoundedLRU:
         return out
 
 
-# Shared contexts take 24 bytes a point (2.4 MB at the p cap); least recently
+# Shared contexts take 33 bytes a point (3.3 MB at the p cap); least recently
 # used ones are evicted while their bytes exceed this bound.
 CTX_CACHE_MAX_BYTES = 64 * 2 ** 20
 

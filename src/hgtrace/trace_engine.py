@@ -316,7 +316,8 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     if p <= 5:
         raise CongruenceError("good reduction requires p > 5")
     fm = build_Fm(k // 2)
-    lams, a = _a_gamma_values(row, ctx, np.arange(p))
+    table = datum_table(row.hd, ctx)
+    lams, a = _a_gamma_values(row, ctx, np.arange(p), table)
     # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur
     distinct, index, counts = np.unique(a, return_inverse=True, return_counts=True)
     values = tuple(fm.evaluate(x, p) for x in distinct.tolist())
@@ -335,7 +336,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     partial = True
     if row.a_rule == "row_246" and k == 6:
         calib = HpCalibration(sign=row.hp_sign, weight=row.hp_weight, primes=())
-        esq = elliptic_square_value(row.hd, ctx, calib)
+        esq = elliptic_square_value(table, calib)
         e2 = p * (esq - p * p)
         special.append(TraceTerm(-3, "elliptic(2)", e2))
         chi_sum = ctx.legendre(-1) + ctx.legendre(-3) + ctx.legendre(-6)

@@ -60,7 +60,7 @@ def test_criterion_02_cm_elliptic_term():
     fx = load_fixture_by_label("24.5.h.b")
     ok = True
     for p in (13, 37, 61):
-        esq = elliptic_square_value(row.hd, cached_ctx(p), calib)
+        esq = elliptic_square_value(datum_table(row.hd, cached_ctx(p)), calib)
         ok = ok and (esq - p * p == fx.coefficient(p))
     _line(2, "CM elliptic term matches the weight-5 fixture", ok)
     assert ok

@@ -279,7 +279,7 @@ def test_elliptic_square_vs_cm_fixture():
     calib = HpCalibration(row.hp_sign, row.hp_weight, ())
     fx = load_fixture_by_label("24.5.h.b")
     for p in (13, 37, 61, 73, 97):
-        esq = elliptic_square_value(row.hd, build_ctx(p), calib)
+        esq = elliptic_square_value(datum_table(row.hd, build_ctx(p)), calib)
         assert esq - p * p == fx.coefficient(p), p
 
 

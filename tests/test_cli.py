@@ -118,14 +118,45 @@ def test_bad_prime_is_usage_error(runner, args):
     ["verify", "all", "--max-prime", "6"],
     ["verify", "weil", "--max-prime", "11"],
     ["verify", "all", "--max-prime", "12"],
+    ["verify", "weil", "--max-prime", "100003"],
+    ["verify", "legendre", "--max-prime", "100003"],
+    ["verify", "all", "--max-prime", "200000"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "99000:100100"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "600:7"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "24:28"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
         "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
-        "verify-all-skips-246"])
+        "verify-all-skips-246", "verify-weil-over-cap", "verify-legendre-over-cap",
+        "verify-all-over-cap", "trace-range-over-cap", "trace-range-reversed",
+        "trace-range-no-prime"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert res.output.strip().splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "weil", "--max-prime", "100003"],
+    ["verify", "legendre", "--max-prime", "100003"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "99000:100100"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "7:3000000"],
+], ids=lambda args: " ".join(args[:2] + args[-1:]))
+def test_p_cap_is_checked_before_any_prime_runs(runner, monkeypatch, args):
+    def no_work(p):
+        raise AssertionError(f"context built for p = {p}")
+    monkeypatch.setattr(cli, "cached_ctx", no_work)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "exceeds the configured bound 100000" in res.output
+
+
+def test_trace_range_of_skipped_primes_is_not_an_error(runner):
+    res = runner.invoke(main, ["trace", "--group", "2,4,6", "--weight", "8",
+                               "--prime-range", "7:12"])
+    assert res.exit_code == 0, res.output
+    assert "skipping p = 11" in res.stderr
+    assert json.loads(res.stdout)["reports"] == []
 
 
 def test_sum_np(runner):
@@ -304,6 +335,17 @@ def test_calibrate_bg_lambda_research(runner):
         "row-length-2", "row-bool", "row-numpy-int", "row-tuple", "non-str-keys"])
 def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == _dumps(obj)
+
+
+def test_json_writer_places_reports_at_any_depth():
+    rep, rep2 = (hecke_trace(row_by_signature(sig), cached_ctx(13), 6)
+                 for sig in ((2, 4, 6), (2, 3, OO)))
+    placeholder_text = "\\u0000terms\\u0000"  # json's escape of the placeholder, as text
+    for obj in (rep, [rep, rep2], {"a": [1, {"b": {"report": rep}}], "z": rep2},
+                {"note": placeholder_text, placeholder_text: [rep], "terms": "\0terms"}):
+        assert _json_text(obj) == _dumps(obj)
+    with pytest.raises(ValueError):  # the placeholder itself cannot be written
+        _json_text({"terms": "\0terms\0"})
 
 
 def test_json_writer_mixed_keys_fail_like_json_dumps():

@@ -39,7 +39,7 @@ def test_cached_ctx_is_shared_and_bounded_by_bytes(monkeypatch):
     cache = field_core.ByteBoundedLRU()
     monkeypatch.setattr(field_core, "_CTX_CACHE", cache)
     assert cached_ctx(101) is cached_ctx(101)
-    assert cached_ctx(101).nbytes == 101 * 8 + 100 * 16
+    assert cached_ctx(101).nbytes == 101 * 8 + 100 * 16 + 100 * 8 + 101 * 1
     limit = 3 * cached_ctx(101).nbytes  # fewer than three contexts near p = 100
     monkeypatch.setattr(field_core, "CTX_CACHE_MAX_BYTES", limit)
     keep = cached_ctx(101)
@@ -91,6 +91,24 @@ def test_legendre_symbol_examples(ctx7):
     assert ctx7.legendre(2) == 1
     assert ctx7.legendre(0) == 0
     assert ctx7.legendre(3) == -1
+
+
+@pytest.mark.parametrize("p, index", [(7, 0), (7, 1), (13, 0), (13, 3), (101, 5),
+                                      (1009, 0), (1009, 7)])
+def test_antilog_and_quadratic_character_tables(p, index):
+    """antilog inverts dlog and chi is Euler's criterion, for any generator."""
+    ctx = build_ctx(p, generator=nth_primitive_root(p, index))
+    x = np.arange(1, p)
+    assert (ctx.antilog[ctx.dlog[x]] == x).all()
+    assert ctx.antilog.dtype == np.int64 and ctx.chi.dtype == np.int8
+    euler = [0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)]
+    assert ctx.chi.tolist() == euler
+    assert [ctx.legendre(v) for v in range(-p, p)] == euler * 2
+
+
+def test_quadratic_extension_is_cached_on_the_context(ctx13):
+    assert ctx13.ext is ctx13.ext
+    assert ctx13.ext == build_quad_ext(ctx13)
 
 
 def test_legendre_multiplicative(ctx13):
