@@ -280,7 +280,7 @@ def _al_square_mask(s: np.ndarray, p: int, divisors=(1, 2, 3, 6)) -> np.ndarray:
 
 def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     """A row's lambda chart over an int64 array of lambdas in [0, p):
-    (args, chis, p_factor).
+    (args, chis, p_factor), read by local_traces.
 
     The local trace at lam is chi * p_factor * (period sum at arg), scaled by
     the row's (sign, w). The "cusp_row" chart reads arg = 1/lam with
@@ -301,16 +301,44 @@ def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
     return args, chis, p_factor
 
 
+def local_traces(a_rule: str, ctx: PrimeFieldCtx, table, lams: np.ndarray, n: int,
+                 sign: int, weight: int, divisors=(1, 2, 3, 6)):
+    """(generic lams, local traces) for an int64 array of lambdas in [0, p): the
+    one route from a period sum to an exact local trace. The a_rule chart reads
+    each lambda off table.sweep, scaled by sign * p_factor / p^weight; each value
+    must snap within snap_tolerance(p, n) to an integer a with a + p = d*t^2 <= 4p
+    for a d in divisors, or SnapError names the first lambda that fails.
+    """
+    p = ctx.p
+    args, chis, p_factor = _lambda_chart(a_rule, ctx, lams)
+    generic = chis != 0
+    vals = table.sweep(args[generic]) * chis[generic] * (sign * p_factor / p ** weight)
+    tol = snap_tolerance(p, n)
+    snapped = np.round(vals.real)
+    ok = (np.abs(vals.imag) < tol) & (np.abs(vals.real - snapped) < tol)
+    lams = lams[generic]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SnapError(f"a_Gamma({lams[i]}, {p}) did not snap to an integer: "
+                        f"{complex(vals[i])!r}")
+    a = snapped.astype(np.int64)
+    ok = _al_square_mask(a + p, p, divisors)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SnapError(f"a_Gamma({lams[i]}, {p}) snapped to {a[i]}, but a + p is not "
+                        f"d*t^2 <= 4p with d in {divisors}")
+    return lams, a
+
+
 def calibrate_hp_weight(hd: HGDatum) -> HpCalibration:
     """Find the unique (sign, w) making the local traces exact integers in the
     Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, across sample primes.
 
-    The traces tested are those of the lambda chart (_lambda_chart): "cusp_row"
-    for data with all beta entries integral, "row_246" for the nontrivial-beta
-    datum of the compact row. One chart sweep per prime serves all six
-    candidates. A plain perfect-square criterion would reject the correct
-    normalization at the Atkin-Lehner twisted points, so the d | 6
-    decomposition is the calibration invariant.
+    A candidate survives when local_traces, the routine behind a_Gamma, takes
+    it at every sample prime on the "cusp_row" chart (all beta integral) or the
+    "row_246" chart (the compact row's datum). A plain perfect-square criterion
+    would reject the correct normalization at the Atkin-Lehner twisted points,
+    so the d | 6 decomposition is the calibration invariant.
     Raises CalibrationError if no pair or several pairs survive.
     """
     M = level(hd)
@@ -318,34 +346,22 @@ def calibrate_hp_weight(hd: HGDatum) -> HpCalibration:
     primes = tuple(islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3))
     a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
 
-    survivors = [(sign, w) for sign in (1, -1) for w in (0, 1, 2)]
-    for p in primes:
-        ctx = build_ctx(p)
+    def normalizes(sign, w):
         try:
-            table = datum_table(hd, ctx)
-        except CongruenceError:
-            survivors = []
-            break
-        args, chis, p_factor = _lambda_chart(a_rule, ctx, np.arange(1, p))
-        generic = chis != 0
-        swept = table.sweep(args[generic]) * chis[generic]
-        tol = snap_tolerance(p, hd.n)
-        survivors = [(sign, w) for sign, w in survivors
-                     if _exact_local_traces(swept * (sign * p_factor / p ** w), p, tol)]
+            for p in primes:
+                ctx = build_ctx(p)
+                local_traces(a_rule, ctx, datum_table(hd, ctx), np.arange(p), hd.n, sign, w)
+        except (CongruenceError, SnapError):
+            return False
+        return True
+
+    survivors = [(sign, w) for sign in (1, -1) for w in (0, 1, 2) if normalizes(sign, w)]
     if not survivors:
         raise CalibrationError(f"no (sign, weight) normalizes {hd} over primes {primes}")
     if len(survivors) > 1:
         raise CalibrationError(f"ambiguous normalization for {hd}: {survivors}")
     sign, w = survivors[0]
     return HpCalibration(sign=sign, weight=w, primes=primes)
-
-
-def _exact_local_traces(vals: np.ndarray, p: int, tol: float) -> bool:
-    """Every value snaps to an integer a with a + p = d*t^2, d | 6."""
-    r = np.round(vals.real)
-    if np.any(np.abs(vals.imag) > tol) or np.any(np.abs(vals.real - r) > tol):
-        return False
-    return bool(_al_square_mask(r.astype(np.int64) + p, p).all())
 
 
 def elliptic_square_value(table: BracketTable, calibration: HpCalibration) -> int:

@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .analytic_hgm import clausen_complex_check, euler_period_check, ode_residual
@@ -367,16 +368,29 @@ def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
 # verify
 
 
+# The options each verify suite reads; "all" runs every suite and reads them all.
+_VERIFY_SUITES = {"clausen": ("prime",), "weil": ("max_prime",), "fm": ("seed",),
+                  "legendre": ("max_prime",), "genlegendre": ("prime",), "qm": ("prime",),
+                  "analytic": ()}
+
+
 @main.command()
-@click.argument("suite", type=click.Choice(
-    ["clausen", "weil", "fm", "legendre", "genlegendre", "qm", "analytic", "all"]))
+@click.argument("suite", type=click.Choice([*_VERIFY_SUITES, "all"]))
 @click.option("--prime", type=int, default=None)
 @click.option("--max-prime", type=int, default=61)
 @click.option("--seed", type=int, default=0)
-def verify(suite, prime, max_prime, seed):
+@click.pass_context
+def verify(ctx, suite, prime, max_prime, seed):
     """Run an invariant suite; deterministic given the seed."""
+    suites = list(_VERIFY_SUITES) if suite == "all" else [suite]
+    read = {opt for name in suites for opt in _VERIFY_SUITES[name]}
+    for opt in ("prime", "max_prime", "seed"):
+        if opt not in read and ctx.get_parameter_source(opt) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"verify {suite} does not read --{opt.replace('_', '-')}")
     if prime is not None:
         _field_ctx(prime)
+    if "genlegendre" in suites and prime and (prime - 1) % 6:
+        raise click.UsageError(f"genlegendre needs p = 1 mod 6, got {prime}")
     if suite == "legendre" and max_prime < 7:
         raise click.UsageError(f"--max-prime {max_prime} checks no prime: "
                                f"the {suite} suite starts at 7")
@@ -387,8 +401,6 @@ def verify(suite, prime, max_prime, seed):
         over = next(filter(is_prime, range(DEFAULT_P_BOUND + 1, max_prime + 1)), None)
         if over is not None:
             raise _over_p_cap(over)
-    suites = [suite] if suite != "all" else ["clausen", "weil", "fm", "legendre",
-                                             "genlegendre", "qm", "analytic"]
     results = []
     ok = True
     for name in suites:
@@ -446,8 +458,6 @@ def _run_suite(name, prime, max_prime, seed):
         return True, f"map {calib.map_label}, all odd p <= {max_prime}"
     if name == "genlegendre":
         primes = [prime] if prime else [7, 13, 19]
-        if prime and (prime - 1) % 6:
-            raise click.UsageError(f"genlegendre needs p = 1 mod 6, got {prime}")
         for p in primes:
             ctx = cached_ctx(p)
             for lam in range(2, p):

@@ -130,20 +130,20 @@ def _dlog_table(p: int, g: int) -> np.ndarray:
     return dlog
 
 
-def build_ctx(p: int, bound: int = DEFAULT_P_BOUND, generator: int | None = None) -> PrimeFieldCtx:
+def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
     """Construct a PrimeFieldCtx with verified primitive root and dlog table.
 
     The dlog table is O(p) and a datum's character sums over it are
-    O(p log p); p is capped (default 10^5) because snapping is checked, with
-    a measured headroom, only up to that size. Passing an explicit generator is supported for
-    generator-independence tests; it must itself be a primitive root.
+    O(p log p); p is capped at DEFAULT_P_BOUND because snapping is checked,
+    with a measured headroom, only up to that size. An explicit generator, for
+    generator-independence tests, must itself be a primitive root.
     """
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
     if p == 2:
         raise FieldError("p must be an odd prime")
-    if p > bound:
-        raise FieldError(f"p = {p} exceeds the configured bound {bound}")
+    if p > DEFAULT_P_BOUND:
+        raise FieldError(f"p = {p} exceeds the configured bound {DEFAULT_P_BOUND}")
     g = least_primitive_root(p) if generator is None else generator
     dlog = _dlog_table(p, g)
     if generator is not None and np.count_nonzero(dlog >= 0) != p - 1:

@@ -141,7 +141,7 @@ class TriangleGroupRow:
     a_rule selects the lambda chart that reads the local trace off H_p:
     "cusp_row" gives a(lam) = phi(1 - 1/lam) * H_p(1/lam), and "row_246" gives
     a(lam) = phi(-3(1 + 3/lam)) * p * H_p(-3/lam). Both charts live in
-    character_sums._lambda_chart.
+    character_sums._lambda_chart, behind character_sums.local_traces.
     """
 
     signature: tuple

@@ -10,15 +10,15 @@ yields a flagged partial report with an optional oracle residual.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .character_sums import (CalibrationError, HpCalibration, SnapError,
-                             _al_square_mask, _lambda_chart, datum_table,
-                             elliptic_square_value, snap_tolerance)
+from .character_sums import (CalibrationError, HpCalibration, datum_table,
+                             elliptic_square_value, local_traces)
 from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
 from .hgm_data import OO, TriangleGroupRow, row_by_signature
 from .curve_lab import legendre_trace_sweep
@@ -41,40 +41,27 @@ class SymPolyFm:
         return sum(c * S ** i * T ** j for (i, j), c in self.coeffs.items())
 
 
-def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + sign * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _poly_shift(a: dict, di: int, dj: int) -> dict:
-    return {(i + di, j + dj): v for (i, j), v in a.items()}
-
-
 @cache
 def build_Fm(m: int) -> SymPolyFm:
     """The degree-m polynomial with F_m(u^2+uv+v^2, uv) = sum_{i<=2m} u^i v^(2m-i).
 
-    Built from the Chebyshev-style recursion P_k = e1 P_{k-1} - T P_{k-2} on
-    the complete homogeneous sums, splitting P_k = E_k + e1 O_k and using
-    e1^2 = S + T; F_m is the even part E_{2m}. The result is cached and
-    shared, so its coefficients are read-only.
+    That sum is (u (u^2)^m - v (v^2)^m) / (u - v), a combination of the m-th
+    powers of u^2 and v^2, whose sum is S - T and whose product is T^2. So
+    F_0 = 1, F_1 = S and F_k = (S - T) F_(k-1) - T^2 F_(k-2). The result is
+    cached and shared, so its coefficients are read-only.
     """
     if m < 1:
         raise ValueError("m >= 1")
-    E_prev2, O_prev2 = {(0, 0): 1}, {}     # P_0 = 1
-    E_prev1, O_prev1 = {}, {(0, 0): 1}     # P_1 = e1
-    for _ in range(2, 2 * m + 1):
-        E_k = _poly_add(_poly_add(_poly_shift(O_prev1, 1, 0),
-                                  _poly_shift(O_prev1, 0, 1)),
-                        _poly_shift(E_prev2, 0, 1), sign=-1)
-        O_k = _poly_add(E_prev1, _poly_shift(O_prev2, 0, 1), sign=-1)
-        E_prev2, O_prev2 = E_prev1, O_prev1
-        E_prev1, O_prev1 = E_k, O_k
-    return SymPolyFm(m=m, coeffs=MappingProxyType(E_prev1))
+    F_prev, F = {(0, 0): 1}, {(1, 0): 1}
+    for _ in range(m - 1):
+        nxt = defaultdict(int)
+        for (i, j), c in F.items():  # (S - T) F_(k-1)
+            nxt[i + 1, j] += c
+            nxt[i, j + 1] -= c
+        for (i, j), c in F_prev.items():  # - T^2 F_(k-2)
+            nxt[i, j + 2] -= c
+        F_prev, F = F, {key: c for key, c in nxt.items() if c}
+    return SymPolyFm(m=m, coeffs=MappingProxyType(F))
 
 
 def fm_identity_holds(m: int, u: int, v: int) -> bool:
@@ -106,34 +93,12 @@ def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx) -> dict[int, int]:
 
 def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
                     table=None) -> tuple[np.ndarray, np.ndarray]:
-    """(generic lams, a_Gamma) for an int64 array of lambdas in [0, p): the
-    generic lambdas in their order and their a_Gamma as int64; special lambdas
-    are left out.
-
-    Building the table raises CongruenceError unless p = 1 mod the level.
-    """
-    p = ctx.p
+    """(generic lams, a_Gamma) for an int64 array of lambdas in [0, p): the row's
+    local_traces. Building the table raises CongruenceError unless p = 1 mod level."""
     if table is None:
         table = datum_table(row.hd, ctx)
-    args, chis, p_factor = _lambda_chart(row.a_rule, ctx, lams)
-    generic = chis != 0
-    vals = table.sweep(args[generic]) * chis[generic] \
-        * (row.hp_sign * p_factor / p ** row.hp_weight)
-    tol = snap_tolerance(p, row.hd.n)
-    snapped = np.round(vals.real)
-    ok = (np.abs(vals.imag) < tol) & (np.abs(vals.real - snapped) < tol)
-    lams = lams[generic]
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise SnapError(f"a_Gamma({lams[i]}, {p}) did not snap to an integer: "
-                        f"{complex(vals[i])!r}")
-    a = snapped.astype(np.int64)
-    ok = _al_square_mask(a + p, p, row.al_divisors)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise SnapError(f"a_Gamma({lams[i]}, {p}) snapped to {a[i]}, but a + p is not "
-                        f"d*t^2 <= 4p with d in {row.al_divisors}")
-    return lams, a
+    return local_traces(row.a_rule, ctx, table, lams, row.hd.n, row.hp_sign,
+                        row.hp_weight, row.al_divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +158,13 @@ def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: dict, a_e):
     return None, held
 
 
-def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
+LEGENDRE_CALIBRATION_PRIMES = (7, 11, 13)
+
+
+def calibrate_legendre_relation() -> LegendreCalibration:
     """Identify the map R from the Legendre parameter to the row coordinate with
-    a_Gamma(R(lam'), p) = a_E(lam')^2 - p for every Legendre-generic lam'.
+    a_Gamma(R(lam'), p) = a_E(lam')^2 - p for every Legendre-generic lam' at
+    each of LEGENDRE_CALIBRATION_PRIMES.
 
     Candidates are the six Mobius maps plus degree-two pushes with small
     integer scaling; points where R lands on a special lambda of the row (the
@@ -207,7 +176,7 @@ def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
     row = row_by_signature((2, OO, OO))
     survivors = set(_COVER_MAPS)
     correspondences = {name: set() for name in survivors}
-    for p in primes:
+    for p in LEGENDRE_CALIBRATION_PRIMES:
         ctx = build_ctx(p)
         a_row = a_gamma_sweep(row, ctx)
         a_e = legendre_trace_sweep(ctx)
@@ -222,7 +191,7 @@ def calibrate_legendre_relation(primes=(7, 11, 13)) -> LegendreCalibration:
     if len({frozenset(correspondences[n]) for n in names}) != 1:
         raise CalibrationError(
             f"survivors induce different correspondences: {names}")
-    return LegendreCalibration(map_label=names[0], primes=tuple(primes),
+    return LegendreCalibration(map_label=names[0], primes=LEGENDRE_CALIBRATION_PRIMES,
                                aliases=tuple(names[1:]))
 
 

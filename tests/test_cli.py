@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from hgtrace.field_core import cached_ctx
 from hgtrace.hgm_data import OO, row_by_signature
 from hgtrace.modform_oracle import fixture_path, load_fixture_by_label
 from hgtrace.trace_engine import TraceReport, hecke_trace
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _dumps(obj):
@@ -124,12 +128,22 @@ def test_bad_prime_is_usage_error(runner, args):
     ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "99000:100100"],
     ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "600:7"],
     ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "24:28"],
+    ["verify", "fm", "--max-prime", "1"],
+    ["verify", "clausen", "--prime", "7", "--max-prime", "200000"],
+    ["verify", "weil", "--prime", "13"],
+    ["verify", "legendre", "--seed", "1"],
+    ["verify", "qm", "--max-prime", "61"],
+    ["verify", "fm", "--prime", "13"],
+    ["verify", "analytic", "--seed", "0"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
         "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
         "verify-all-skips-246", "verify-weil-over-cap", "verify-legendre-over-cap",
         "verify-all-over-cap", "trace-range-over-cap", "trace-range-reversed",
-        "trace-range-no-prime"])
+        "trace-range-no-prime", "verify-fm-unread-max-prime",
+        "verify-clausen-unread-max-prime", "verify-weil-unread-prime",
+        "verify-legendre-unread-seed", "verify-qm-unread-max-prime",
+        "verify-fm-unread-prime", "verify-analytic-unread-default-seed"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -267,6 +281,47 @@ def test_verify_fm(runner):
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
     assert out["results"][0]["passed"] is True
+    # options the suite does not read are not given, and their defaults are echoed
+    assert (out["config"]["prime"], out["config"]["max_prime"]) == (None, 61)
+
+
+def _no_suite(*args):
+    raise AssertionError(f"suite ran: {args}")
+
+
+@pytest.mark.parametrize("args, error", [
+    (["verify", "clausen", "--prime", "7", "--seed", "0"], "verify clausen does not read --seed"),
+    (["verify", "all", "--prime", "47"], "genlegendre needs p = 1 mod 6, got 47"),
+], ids=["unread-option", "all-genlegendre-not-1-mod-6"])
+def test_verify_usage_error_comes_before_any_suite_runs(runner, monkeypatch, args, error):
+    monkeypatch.setattr(cli, "_run_suite", _no_suite)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert f"Error: {error}" in res.output
+
+
+def test_verify_all_reads_every_option(runner, monkeypatch):
+    monkeypatch.setattr(cli, "_run_suite", _no_suite)
+    res = runner.invoke(main, ["verify", "all", "--prime", "13", "--max-prime", "61",
+                               "--seed", "0"])
+    assert "suite ran: ('clausen', 13, 61, 0)" in str(res.exception)
+
+
+def _readme_commands():
+    """The hgtrace lines of README's "Command line" block, comments dropped."""
+    text = (REPO_ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("hgtrace ")]
+    assert commands, "README's Command line block lists no hgtrace command"
+    return commands
+
+
+@pytest.mark.parametrize("args", _readme_commands(), ids=" ".join)
+def test_readme_command_line_runs(runner, monkeypatch, args):
+    monkeypatch.chdir(REPO_ROOT)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
 
 
 def test_verify_weil_states_what_it_checked(runner):

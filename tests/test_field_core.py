@@ -27,7 +27,7 @@ def test_build_ctx_rejects_composite():
 
 def test_build_ctx_rejects_oversize():
     with pytest.raises(FieldError):
-        build_ctx(100003, bound=100000)
+        build_ctx(100003)
 
 
 def test_build_ctx_rejects_even():

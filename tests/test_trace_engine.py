@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hgtrace.character_sums import (SnapError, _lambda_chart, datum_table,
-                                    snap_tolerance)
+from hgtrace import character_sums
+from hgtrace.character_sums import (CalibrationError, SnapError, _lambda_chart,
+                                    calibrate_hp_weight, datum_table, snap_tolerance)
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
 from hgtrace.hgm_data import OO, hg_datum, row_by_signature, triangle_table
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
@@ -84,7 +85,7 @@ def _exact_solve(A, b, ncols):
     return out
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 11))
 def test_fm_against_interpolation_oracle(m):
     assert _fm_by_interpolation(m) == build_Fm(m).coeffs
 
@@ -149,6 +150,40 @@ def test_sweep_off_by_one_fails_the_square_check(sig):
     with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 37\) snapped to -?\d+, but a \+ p "
                                         r"is not d\*t\^2"):
         _a_gamma_values(row, ctx, np.arange(37), shifted)
+
+
+class _ImaginaryOffsetTable:
+    """A datum table whose sweep returns its values rounded to integers, plus
+    an imaginary part of exactly off."""
+
+    def __init__(self, table, off):
+        self.table, self.off = table, off
+
+    def sweep(self, args):
+        return np.round(self.table.sweep(args).real) + 1j * self.off
+
+
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fraction):
+    """A value exactly snap_tolerance away from an integer fails a_Gamma and the
+    H_p calibration alike; one half as far passes both. The (2,oo,oo) row scales
+    the period sum by exactly -1, so the offset reaches the check unrounded."""
+    row = row_by_signature((2, OO, OO))
+    real = character_sums.datum_table
+    monkeypatch.setattr(character_sums, "datum_table", lambda hd, ctx: _ImaginaryOffsetTable(
+        real(hd, ctx), fraction * snap_tolerance(ctx.p, hd.n)))
+    ctx = cached_ctx(13)
+    table = character_sums.datum_table(row.hd, ctx)
+    if fraction < 1:
+        assert _a_gamma_values(row, ctx, np.arange(13), table)[1].tolist() == \
+            list(a_gamma_sweep(row, ctx).values())
+        calib = calibrate_hp_weight(row.hd)
+        assert (calib.sign, calib.weight) == (row.hp_sign, row.hp_weight)
+    else:
+        with pytest.raises(SnapError, match="did not snap"):
+            _a_gamma_values(row, ctx, np.arange(13), table)
+        with pytest.raises(CalibrationError, match=r"no \(sign, weight\)"):
+            calibrate_hp_weight(row.hd)
 
 
 def test_snap_headroom_at_the_p_cap():
