@@ -197,13 +197,6 @@ def np_sum(A: list[MultCharacter], B: list[MultCharacter], lam: int) -> Algebrai
 # Calibrated H_p
 
 
-@dataclass(frozen=True)
-class HpCalibration:
-    sign: int
-    weight: int
-    primes: tuple[int, ...]
-
-
 class CalibrationError(ArithmeticError):
     """No unique (sign, weight) satisfies the integrality invariants."""
 
@@ -223,11 +216,11 @@ def datum_table(hd: HGDatum, ctx: PrimeFieldCtx) -> BracketTable:
     return BracketTable(ctx, a_exps, b_exps)
 
 
-def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int, calibration: HpCalibration,
+def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int, sign: int, weight: int,
            table: BracketTable | None = None) -> AlgebraicValue:
-    """H_p(hd; t) = sign * p^(-w) * (period sum at t), for p = 1 mod level.
+    """H_p(hd; t) = sign * p^(-weight) * (period sum at t), for p = 1 mod level.
 
-    The (sign, w) normalization is fixed per datum by calibrate_hp_weight and
+    The (sign, weight) normalization is fixed per datum by calibrate_hp_weight and
     persisted on the triangle-group table rows. Only data defined over Q are
     accepted (otherwise the value is not rational). The t = 1 value is the
     plain period sum at the degenerate fiber; the elliptic-point bookkeeping in
@@ -238,15 +231,14 @@ def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int, calibration: HpCalibration,
     if table is None:
         table = datum_table(hd, ctx)
     raw = table.raw_value(t)
-    pw = ctx.p ** calibration.weight
-    scaled = AlgebraicValue.from_complex(calibration.sign * raw,
-                                         snap_tolerance(ctx.p, hd.n))
+    pw = ctx.p ** weight
+    scaled = AlgebraicValue.from_complex(sign * raw, snap_tolerance(ctx.p, hd.n))
     if scaled.snapped is None:
-        return AlgebraicValue(calibration.sign * raw / pw, None)
+        return AlgebraicValue(sign * raw / pw, None)
     snapped = Fraction(scaled.snapped, pw)
     if snapped.denominator == 1:
         snapped = int(snapped)
-    return AlgebraicValue(calibration.sign * raw / pw, snapped)
+    return AlgebraicValue(sign * raw / pw, snapped)
 
 
 def al_square_decompose(value: int, p: int, divisors=(1, 2, 3, 6)):
@@ -330,9 +322,17 @@ def local_traces(a_rule: str, ctx: PrimeFieldCtx, table, lams: np.ndarray, n: in
     return lams, a
 
 
-def calibrate_hp_weight(hd: HGDatum) -> HpCalibration:
+def calibration_primes(hd: HGDatum) -> tuple[int, ...]:
+    """The sample primes of calibrate_hp_weight: the first three primes p > 5
+    with p = 1 mod the datum's level."""
+    M = level(hd)
+    return tuple(islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3))
+
+
+def calibrate_hp_weight(hd: HGDatum) -> tuple[int, int]:
     """Find the unique (sign, w) making the local traces exact integers in the
-    Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, across sample primes.
+    Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, at the
+    calibration_primes.
 
     A candidate survives when local_traces, the routine behind a_Gamma, takes
     it at every sample prime on the "cusp_row" chart (all beta integral) or the
@@ -341,9 +341,7 @@ def calibrate_hp_weight(hd: HGDatum) -> HpCalibration:
     so the d | 6 decomposition is the calibration invariant.
     Raises CalibrationError if no pair or several pairs survive.
     """
-    M = level(hd)
-    # the first three primes p > 5 with p = 1 mod M
-    primes = tuple(islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3))
+    primes = calibration_primes(hd)
     a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
 
     def normalizes(sign, w):
@@ -360,15 +358,14 @@ def calibrate_hp_weight(hd: HGDatum) -> HpCalibration:
         raise CalibrationError(f"no (sign, weight) normalizes {hd} over primes {primes}")
     if len(survivors) > 1:
         raise CalibrationError(f"ambiguous normalization for {hd}: {survivors}")
-    sign, w = survivors[0]
-    return HpCalibration(sign=sign, weight=w, primes=primes)
+    return survivors[0]
 
 
-def elliptic_square_value(table: BracketTable, calibration: HpCalibration) -> int:
+def elliptic_square_value(table: BracketTable, sign: int, weight: int) -> int:
     """The exact integer standing for (p * H_p(hd; 1))^2 at the degenerate fiber.
 
     At t = 1 the local system drops rank; the fiber is a two-dimensional space
-    whose Frobenius has trace tau1 = sign * p^(1-w) * (period sum at 1) and
+    whose Frobenius has trace tau1 = sign * p^(1-weight) * (period sum at 1) and
     determinant eps * p^2, where eps is +1 when the product of the second upper
     and lower characters is a square in the character group and -1 otherwise.
     The square of the single-eigenvalue surrogate used by the trace formula is
@@ -377,7 +374,7 @@ def elliptic_square_value(table: BracketTable, calibration: HpCalibration) -> in
     """
     p = table.ctx.p
     tau1 = AlgebraicValue.from_complex(
-        calibration.sign * p ** (1 - calibration.weight) * table.raw_value(1),
+        sign * p ** (1 - weight) * table.raw_value(1),
         snap_tolerance(p, len(table.a_exps)) * p).expect_int("degenerate-fiber trace")
     # eps: square-ness of iota(a_2) * iota(b_2)
     eps = 1 if (table.a_exps[1] + table.b_exps[1]) % 2 == 0 else -1

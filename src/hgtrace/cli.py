@@ -29,9 +29,9 @@ from click.core import ParameterSource
 
 from . import __version__
 from .analytic_hgm import clausen_complex_check, euler_period_check, ode_residual
-from .character_sums import (CalibrationError, HpCalibration, SnapError,
-                             calibrate_hp_weight, clausen_sweep, datum_table,
-                             hp_sum)
+from .character_sums import (AlgebraicValue, CalibrationError, SnapError,
+                             calibrate_hp_weight, calibration_primes,
+                             clausen_sweep, datum_table, hp_sum, snap_tolerance)
 from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
                         Legendre, PicardSub, UniversalJ, baba_granath_qm_sweep,
                         count_points, count_via_characters, frobenius_quartic_data,
@@ -148,6 +148,14 @@ def _over_p_cap(p: int) -> click.UsageError:
     return click.UsageError(f"p = {p} exceeds the configured bound {DEFAULT_P_BOUND}")
 
 
+def _reject_unread(click_ctx, read, command: str):
+    """A usage error for any option given explicitly that command does not read."""
+    for param in click_ctx.command.params:
+        if (isinstance(param, click.Option) and param.name not in read
+                and click_ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+            raise click.UsageError(f"{command} does not read {param.opts[0]}")
+
+
 def _parse_fraction_list(text: str):
     try:
         return tuple(Fraction(s.strip()) for s in text.split(","))
@@ -234,7 +242,6 @@ def sum_np(alpha, beta, prime, lam):
         table = datum_table(hd, ctx)
     except (ValueError, FieldError) as exc:
         raise click.UsageError(str(exc))
-    from .character_sums import AlgebraicValue, snap_tolerance
     val = AlgebraicValue.from_complex(table.raw_value(lam), snap_tolerance(prime, hd.n))
     _emit_json({"config": {"command": "sum np", "alpha": alpha, "beta": beta,
                            "prime": prime, "lambda": lam,
@@ -252,8 +259,7 @@ def sum_hp(group, prime, t):
     row = _parse_group(group)
     ctx = _field_ctx(prime)
     try:
-        calib = HpCalibration(sign=row.hp_sign, weight=row.hp_weight, primes=())
-        val = hp_sum(row.hd, ctx, t, calibration=calib)
+        val = hp_sum(row.hd, ctx, t, row.hp_sign, row.hp_weight)
     except FieldError as exc:
         raise click.UsageError(str(exc))
     except ValueError as exc:
@@ -269,12 +275,15 @@ def sum_hp(group, prime, t):
 # count
 
 
+# Each family's curve spec and the options it reads besides --prime and --fp2
+# (count_points takes or refuses F_{p^2} per family). An option read here is
+# required unless it has a default (--branch).
 _FAMILIES = {
     "legendre": (Legendre, ("lam",)),
     "universal-j": (UniversalJ, ("j",)),
     "jacobi-quartic": (JacobiQuartic, ("sigma",)),
     "hesse": (Hesse, ("mu",)),
-    "genlegendre": (GenLegendre, ("N", "a", "b", "c", "lam")),
+    "genlegendre": (GenLegendre, ("n_", "exps", "lam")),
     "picard": (PicardSub, ("lam",)),
     "baba-granath": (BabaGranath, ("j", "branch")),
     "conic": (ConicX6, ()),
@@ -283,8 +292,6 @@ _FAMILIES = {
 
 def _lambda_selection(text: str, p: int) -> list[int]:
     """Lambda range notation: 'all', a single value, or a comma list."""
-    if text is None:
-        raise click.UsageError("--lambda required")
     if text.strip().lower() == "all":
         return list(range(p))
     try:
@@ -305,39 +312,33 @@ def _lambda_selection(text: str, p: int) -> list[int]:
 @click.option("--exps", default=None, help="a,b,c for genlegendre")
 @click.option("--branch", type=int, default=1)
 @click.option("--fp2", is_flag=True, help="count over F_{p^2} instead")
-def count(family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
+@click.pass_context
+def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
     """Brute-force point counts; CSV: family, params, p, q, n_points, trace, flags."""
-    cls, names = _FAMILIES[family]
+    cls, read = _FAMILIES[family]
+    _reject_unread(click_ctx, {"prime", "fp2", *read}, f"count {family}")
+    opts = {param.name: param.opts[0] for param in click_ctx.command.params}
+    missing = [opts[name] for name in read if click_ctx.params[name] is None]
+    if missing:
+        raise click.UsageError(f"count {family} requires {' and '.join(missing)}")
     ctx = _field_ctx(prime)
     base = {}
     lam_values = [None]
-    for name in names:
+    for name in read:
         if name == "lam":
             lam_values = _lambda_selection(lam, prime)
-        elif name == "j":
-            if j is None:
-                raise click.UsageError("--j required")
-            base["j"] = j
-        elif name == "sigma":
-            if sigma is None:
-                raise click.UsageError("--sigma required")
-            base["sigma"] = sigma
-        elif name == "mu":
-            if mu is None:
-                raise click.UsageError("--mu required")
-            base["mu"] = mu
-        elif name == "N":
-            if n_ is None or exps is None:
-                raise click.UsageError("--n and --exps required for genlegendre")
+        elif name == "n_":
             if n_ < 2:
                 raise click.UsageError("--n must be >= 2")
+            base["N"] = n_
+        elif name == "exps":
             try:
                 a, b, c = (int(x) for x in exps.split(","))
             except ValueError:
                 raise click.UsageError(f"--exps expects three integers a,b,c, got {exps!r}")
-            base.update(N=n_, a=a, b=b, c=c)
-        elif name == "branch":
-            base["branch"] = branch
+            base.update(a=a, b=b, c=c)
+        else:
+            base[name] = click_ctx.params[name]
     rows = []
     try:
         fieldctx = ctx
@@ -383,10 +384,8 @@ _VERIFY_SUITES = {"clausen": ("prime",), "weil": ("max_prime",), "fm": ("seed",)
 def verify(ctx, suite, prime, max_prime, seed):
     """Run an invariant suite; deterministic given the seed."""
     suites = list(_VERIFY_SUITES) if suite == "all" else [suite]
-    read = {opt for name in suites for opt in _VERIFY_SUITES[name]}
-    for opt in ("prime", "max_prime", "seed"):
-        if opt not in read and ctx.get_parameter_source(opt) is not ParameterSource.DEFAULT:
-            raise click.UsageError(f"verify {suite} does not read --{opt.replace('_', '-')}")
+    _reject_unread(ctx, {opt for name in suites for opt in _VERIFY_SUITES[name]},
+                   f"verify {suite}")
     if prime is not None:
         _field_ctx(prime)
     if "genlegendre" in suites and prime and (prime - 1) % 6:
@@ -542,8 +541,7 @@ def fixture_validate(path):
 
 
 @main.command()
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json")
-def table(fmt):
+def table():
     """The five triangle-group rows with data and lambda charts."""
     click.echo(table_json())
 
@@ -558,15 +556,15 @@ def calibrate():
 def calibrate_hp(group):
     row = _parse_group(group)
     try:
-        calib = calibrate_hp_weight(row.hd)
+        sign, weight = calibrate_hp_weight(row.hd)
     except CalibrationError as exc:
         click.echo(f"calibration failure: {exc}", err=True)
         sys.exit(1)
-    agree = calib.sign == row.hp_sign and calib.weight == row.hp_weight
+    agree = (sign, weight) == (row.hp_sign, row.hp_weight)
     _emit_json({"config": {"command": "calibrate hp", "group": row.name,
                            "schema_version": SCHEMA_VERSION},
-                "sign": calib.sign, "weight": calib.weight,
-                "primes": list(calib.primes), "matches_table": agree})
+                "sign": sign, "weight": weight,
+                "primes": list(calibration_primes(row.hd)), "matches_table": agree})
     if not agree:
         sys.exit(1)
 

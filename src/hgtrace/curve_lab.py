@@ -13,6 +13,10 @@ The counts are direct sums: O(p) per curve over F_p, and over F_{p^2} one
 pass over the points for a whole batch of curves, each curve a row of one
 integer matmul. For curves with coefficients in F_p that pass covers half of
 F_{p^2}, since x and its conjugate give conjugate values of f.
+
+The Baba-Granath genus-2 sextics are written down in closed form. Their
+discriminant vanishes for p > 5 only at the two j that baba_granath_curve
+returns as degenerate, so no sextic is tested for squarefreeness.
 """
 
 from __future__ import annotations
@@ -407,14 +411,18 @@ def count_picard_sub(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
 def baba_granath_curve(ctx: PrimeFieldCtx, j: int, branch: int = 1):
     """Sextic coefficients (degree 6 down to 0) of the genus-2 model at j.
 
-    s = branch * sqrt(-6j) lives in F_p when -6j is a residue and in F_{p^2}
+    With t = -2(27j + 16) and s = branch * sqrt(-6j), the coefficients are
+    u_i + v_i*s for the integer rows
+    u = (-4, 6t, 84t, -4t^2, 84t^2, 6t^3, -4t^3) and
+    v = (3, 0, 27t, 0, -27t^2, 0, -3t^3).
+    s lives in F_p when -6j is a residue and is s1*sqrt(nu) in F_{p^2}
     otherwise; coefficients are returned as F_{p^2} pairs along with the field
-    tag and flags. The curve is degenerate at j = 0 (s = 0, CM point) and where
-    the t-parameter -2(27j + 16) vanishes.
+    tag and flags. The sextic's discriminant is 2^57 * 3^15 * j^3 * (27j + 16)^15,
+    so for p > 5 it is squarefree except at the two degenerate j: j = 0
+    (s = 0, CM point) and 27j + 16 = 0 (t = 0).
     """
     p = ctx.p
     j %= p
-    flags = []
     if p <= 5:
         raise FieldError("need p > 5")
     if j == 0:
@@ -422,79 +430,16 @@ def baba_granath_curve(ctx: PrimeFieldCtx, j: int, branch: int = 1):
     t = (-2 * (27 * j + 16)) % p
     if t == 0:
         return None, "degenerate", ("degenerate: 27j + 16 = 0",)
+    t2, t3 = t * t, t * t * t
+    u = (-4, 6 * t, 84 * t, -4 * t2, 84 * t2, 6 * t3, -4 * t3)
+    v = (3, 0, 27 * t, 0, -27 * t2, 0, -3 * t3)
     m6j = (-6 * j) % p
-    chi = ctx.legendre(m6j)
-    ext = ctx.ext
-    if chi == 1:
-        s = ((branch * tonelli_sqrt(m6j, p)) % p, 0)
-        field_tag = "F_p"
-    else:
-        s = ext.sqrt_of_base(m6j)
-        s = (s[0] * branch % p, s[1] * branch % p)
-        field_tag = "F_p2"
-        flags.append("s lies in F_p2 only")
-    def sc(v):
-        return (v % p, 0)
-    def mul(*xs):
-        r = (1, 0)
-        for x in xs:
-            r = ext.mul(r, x)
-        return r
-    tF = sc(t)
-    t2, t3 = mul(tF, tF), mul(tF, tF, tF)
-    coeffs = (
-        ext.add(sc(-4), mul(sc(3), s)),
-        mul(sc(6), tF),
-        mul(sc(3), tF, ext.add(sc(28), mul(sc(9), s))),
-        mul(sc(-4), t2),
-        mul(sc(3), t2, ext.add(sc(28), mul(sc(-9), s))),
-        mul(sc(6), t3),
-        mul(sc(-1), t3, ext.add(sc(4), mul(sc(3), s))),
-    )
-    if not _sextic_squarefree(ext, coeffs):
-        return coeffs, field_tag, tuple(flags) + ("bad reduction: sextic not squarefree",)
-    return coeffs, field_tag, tuple(flags)
-
-
-def _sextic_squarefree(ext: QuadExtCtx, coeffs) -> bool:
-    """Squarefree test via gcd(f, f') by Euclid over F_p2, which holds the
-    coefficients in either case; the gcd does not depend on the field."""
-    f = list(coeffs)
-    df = [ext.mul((len(f) - 1 - i, 0), f[i]) for i in range(len(f) - 1)]
-    g = _poly_gcd_ext(ext, f, df)
-    return len(g) == 1
-
-
-def _trim(f):
-    i = 0
-    while i < len(f) - 1 and f[i] == (0, 0):
-        i += 1
-    return f[i:]
-
-
-def _poly_gcd_ext(ext, a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while not (len(b) == 1 and b[0] == (0, 0)):
-        a, b = b, _poly_mod_ext(ext, a, b)
-    return a
-
-
-def _poly_mod_ext(ext, a, b):
-    p, nu = ext.base.p, ext.nu
-    a = list(a)
-    # (l0 + l1 sqrt(nu))^-1 = (l0 - l1 sqrt(nu)) / (l0^2 - nu l1^2), one F_p inverse
-    l0, l1 = b[0]
-    n_inv = ext.base.inv(l0 * l0 - nu * l1 * l1)
-    inv_lead = (l0 * n_inv % p, -l1 * n_inv % p)
-    while len(a) >= len(b) and not (len(a) == 1 and a[0] == (0, 0)):
-        f = ext.mul(a[0], inv_lead)
-        for i in range(len(b)):
-            t = ext.mul(f, b[i])
-            a[i] = ((a[i][0] - t[0]) % p, (a[i][1] - t[1]) % p)
-        a = _trim(a)
-        if len(a) == 1 and a[0] == (0, 0):
-            break
-    return a
+    if ctx.legendre(m6j) == 1:
+        s = branch * tonelli_sqrt(m6j, p)
+        return tuple(((a + b * s) % p, 0) for a, b in zip(u, v)), "F_p", ()
+    s1 = branch * tonelli_sqrt(m6j * ctx.inv(ctx.ext.nu), p)
+    return (tuple((a % p, b * s1 % p) for a, b in zip(u, v)), "F_p2",
+            ("s lies in F_p2 only",))
 
 
 def count_genus2_fp(ctx: PrimeFieldCtx, coeffs) -> int:
@@ -546,8 +491,8 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
         scan = []
         for branch in (1, -1):
             coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
-            if coeffs is None or any("bad reduction" in f for f in flags):
-                res = QMResult(None, False, "; ".join(flags) or "degenerate")
+            if coeffs is None:
+                res = QMResult(None, False, "; ".join(flags))
             elif field_tag != "F_p":
                 res = QMResult(None, False, "curve only defined over F_p2")
             else:
@@ -575,8 +520,8 @@ def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
     and p^2 + 1 - n2 is the sum of the squared F_p-Frobenius eigenvalues when
     the curve descends, or the F_{p^2}-trace otherwise.
     """
-    coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
-    if coeffs is None or any("bad reduction" in f for f in flags):
+    coeffs, field_tag, _flags = baba_granath_curve(ctx, j, branch)
+    if coeffs is None:
         raise FieldError("degenerate j")
     n2, = count_genus2_fp2(ctx, [coeffs])
     n1 = count_genus2_fp(ctx, coeffs) if field_tag == "F_p" else None
@@ -648,8 +593,6 @@ def count_points(spec, fieldctx) -> CurveCount:
         if field_tag != "F_p":
             return CurveCount("baba-granath", ctx.p, 0, None, good=False,
                               flags=flags + ("no F_p model; count over F_p2",))
-        if any("bad reduction" in f for f in flags):
-            return CurveCount("baba-granath", ctx.p, 0, None, good=False, flags=flags)
         n1 = count_genus2_fp(ctx, coeffs)
         tr = ctx.p + 1 - n1
         return CurveCount("baba-granath", ctx.p, n1,

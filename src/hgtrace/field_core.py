@@ -13,6 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -216,7 +217,6 @@ class MultCharacter:
 
     @property
     def order(self) -> int:
-        from math import gcd
         return self.ctx.n // gcd(self.e, self.ctx.n)
 
     @property
@@ -262,8 +262,8 @@ def power_residue_char(ctx: PrimeFieldCtx, a: Fraction | int) -> MultCharacter:
 class QuadExtCtx:
     """F_{p^2} = F_p(sqrt(nu)) with nu a quadratic non-residue.
 
-    Elements are (a, b) pairs meaning a + b*sqrt(nu). Only the handful of
-    operations the point counters need are provided.
+    Elements are (a, b) pairs meaning a + b*sqrt(nu). The point counters work
+    on arrays of coordinates; mul and add serve scalar reference computations.
     """
 
     base: PrimeFieldCtx
@@ -282,28 +282,6 @@ class QuadExtCtx:
     def add(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         p = self.base.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def pow(self, x: tuple[int, int], e: int) -> tuple[int, int]:
-        r = (1, 0)
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
-
-    def sqrt_of_base(self, v: int) -> tuple[int, int]:
-        """A square root of v in F_{p^2} for v in F_p (always exists)."""
-        p = self.base.p
-        v %= p
-        if v == 0:
-            return (0, 0)
-        if self.base.legendre(v) == 1:
-            r = tonelli_sqrt(v, p)
-            return (r, 0)
-        # v = nu * c^2
-        c2 = v * self.base.inv(self.nu) % p
-        return (0, tonelli_sqrt(c2, p))
 
 
 def tonelli_sqrt(v: int, p: int) -> int:

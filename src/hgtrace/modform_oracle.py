@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
 
+from .field_core import is_prime
+
 FIXTURE_ENV = "HGTRACE_FIXTURE_DIR"
 _BUILTIN_FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -272,7 +274,6 @@ def _validate_fixture_dict(data: dict) -> NewformFixture:
     if not (isinstance(level, int) and isinstance(weight, int) and level > 0 and weight > 0):
         raise FixtureError("fixture schema violation: level/weight")
     ap = {}
-    from .field_core import is_prime
     for k, v in data["ap"].items():
         pk = int(k)
         if not is_prime(pk):

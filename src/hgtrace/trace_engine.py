@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .character_sums import (CalibrationError, HpCalibration, datum_table,
+from .character_sums import (CalibrationError, datum_table,
                              elliptic_square_value, local_traces)
 from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
 from .hgm_data import OO, TriangleGroupRow, row_by_signature
@@ -304,8 +304,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     total = None
     partial = True
     if row.a_rule == "row_246" and k == 6:
-        calib = HpCalibration(sign=row.hp_sign, weight=row.hp_weight, primes=())
-        esq = elliptic_square_value(table, calib)
+        esq = elliptic_square_value(table, row.hp_sign, row.hp_weight)
         e2 = p * (esq - p * p)
         special.append(TraceTerm(-3, "elliptic(2)", e2))
         chi_sum = ctx.legendre(-1) + ctx.legendre(-3) + ctx.legendre(-6)

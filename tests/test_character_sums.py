@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from hgtrace import character_sums
-from hgtrace.character_sums import (CalibrationError, HpCalibration,
-                                    _al_square_mask, _slot_table,
+from hgtrace.character_sums import (CalibrationError, _al_square_mask, _slot_table,
                                     al_square_decompose, bracket,
-                                    calibrate_hp_weight, clausen_check,
-                                    clausen_reports, clausen_sweep,
+                                    calibrate_hp_weight, calibration_primes,
+                                    clausen_check, clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     jacobi_sum, np_sum, snap_tolerance)
@@ -203,22 +202,20 @@ def test_np_sum_validation(ctx7):
 
 def test_hp_congruence_error():
     row = row_by_signature((2, 4, 6))
-    calib = HpCalibration(row.hp_sign, row.hp_weight, ())
     with pytest.raises(CongruenceError):
-        hp_sum(row.hd, cached_ctx(7), 3, calibration=calib)
+        hp_sum(row.hd, cached_ctx(7), 3, row.hp_sign, row.hp_weight)
 
 
 def test_hp_requires_rationality(ctx13):
     hd = hg_datum(("1/3", "1/2"), (1, 1))  # 1/3 alone: not Galois stable
     with pytest.raises(ValueError):
-        hp_sum(hd, ctx13, 2, calibration=HpCalibration(1, 0, ()))
+        hp_sum(hd, ctx13, 2, 1, 0)
 
 
 def test_hp_delta_branch(ctx13):
     row = row_by_signature((2, 4, 6))
-    calib = HpCalibration(row.hp_sign, row.hp_weight, ())
     table = datum_table(row.hd, ctx13)
-    v = hp_sum(row.hd, ctx13, 0, calibration=calib, table=table)
+    v = hp_sum(row.hd, ctx13, 0, row.hp_sign, row.hp_weight, table=table)
     expect = row.hp_sign * table.raw_value(0) / 13 ** row.hp_weight
     assert v.z == pytest.approx(expect, abs=1e-9)
 
@@ -237,11 +234,10 @@ def test_al_square_mask_matches_decompose():
 def test_hp_sweep_square_property_row2oo(ctx13):
     """All generic lambda of the (2,oo,oo) row give a + p a perfect square <= 4p."""
     row = row_by_signature((2, "oo", "oo"))
-    calib = HpCalibration(row.hp_sign, row.hp_weight, ())
     table = datum_table(row.hd, ctx13)
     p = 13
     for lam in range(2, p):
-        h = hp_sum(row.hd, ctx13, ctx13.inv(lam), calibration=calib, table=table)
+        h = hp_sum(row.hd, ctx13, ctx13.inv(lam), row.hp_sign, row.hp_weight, table=table)
         a = int(ctx13.legendre(1 - ctx13.inv(lam)) * h.snapped)
         d, t = al_square_decompose(a, p)
         assert d == 1 and t * t <= 4 * p
@@ -253,9 +249,8 @@ def test_calibrations_match_table_rows():
                         ((2, 4, "oo"), (13, 17, 29)), ((2, 6, "oo"), (7, 13, 19)),
                         ((2, 4, 6), (13, 37, 61))):
         row = row_by_signature(sig)
-        calib = calibrate_hp_weight(row.hd)
-        assert (calib.sign, calib.weight) == (row.hp_sign, row.hp_weight), row.name
-        assert calib.primes == primes, row.name
+        assert calibrate_hp_weight(row.hd) == (row.hp_sign, row.hp_weight), row.name
+        assert calibration_primes(row.hd) == primes, row.name
 
 
 def test_calibration_primes_start_at_level_plus_one():
@@ -276,10 +271,10 @@ def test_calibration_negative_control():
 def test_elliptic_square_vs_cm_fixture():
     """(p H(1))^2 - p^2 equals the weight-5 CM coefficient, incl. a split prime."""
     row = row_by_signature((2, 4, 6))
-    calib = HpCalibration(row.hp_sign, row.hp_weight, ())
     fx = load_fixture_by_label("24.5.h.b")
     for p in (13, 37, 61, 73, 97):
-        esq = elliptic_square_value(datum_table(row.hd, build_ctx(p)), calib)
+        esq = elliptic_square_value(datum_table(row.hd, build_ctx(p)),
+                                    row.hp_sign, row.hp_weight)
         assert esq - p * p == fx.coefficient(p), p
 
 

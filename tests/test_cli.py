@@ -135,6 +135,12 @@ def test_bad_prime_is_usage_error(runner, args):
     ["verify", "qm", "--max-prime", "61"],
     ["verify", "fm", "--prime", "13"],
     ["verify", "analytic", "--seed", "0"],
+    ["count", "hesse", "--prime", "7", "--mu", "2", "--j", "5"],
+    ["count", "conic", "--prime", "7", "--lambda", "3"],
+    ["count", "legendre", "--prime", "7", "--lambda", "2", "--branch", "1"],
+    ["count", "legendre", "--prime", "7"],
+    ["count", "genlegendre", "--prime", "13", "--n", "6", "--lambda", "2"],
+    ["table", "--format", "json"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
         "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
@@ -143,7 +149,10 @@ def test_bad_prime_is_usage_error(runner, args):
         "trace-range-no-prime", "verify-fm-unread-max-prime",
         "verify-clausen-unread-max-prime", "verify-weil-unread-prime",
         "verify-legendre-unread-seed", "verify-qm-unread-max-prime",
-        "verify-fm-unread-prime", "verify-analytic-unread-default-seed"])
+        "verify-fm-unread-prime", "verify-analytic-unread-default-seed",
+        "count-hesse-unread-j", "count-conic-unread-lambda",
+        "count-legendre-unread-default-branch", "count-legendre-missing-lambda",
+        "count-genlegendre-missing-exps", "table-no-format-option"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output

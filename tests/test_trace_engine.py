@@ -177,8 +177,7 @@ def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fractio
     if fraction < 1:
         assert _a_gamma_values(row, ctx, np.arange(13), table)[1].tolist() == \
             list(a_gamma_sweep(row, ctx).values())
-        calib = calibrate_hp_weight(row.hd)
-        assert (calib.sign, calib.weight) == (row.hp_sign, row.hp_weight)
+        assert calibrate_hp_weight(row.hd) == (row.hp_sign, row.hp_weight)
     else:
         with pytest.raises(SnapError, match="did not snap"):
             _a_gamma_values(row, ctx, np.arange(13), table)
