@@ -310,7 +310,9 @@ def _lambda_selection(text: str, p: int) -> list[int]:
 @click.option("--mu", type=int, default=None)
 @click.option("--n", "n_", type=int, default=None, help="superelliptic exponent N")
 @click.option("--exps", default=None, help="a,b,c for genlegendre")
-@click.option("--branch", type=int, default=1)
+@click.option("--branch", type=click.Choice(["1", "-1"]), default="1",
+              callback=lambda _ctx, _param, value: int(value),
+              help="sign of s = sqrt(-6j) for baba-granath")
 @click.option("--fp2", is_flag=True, help="count over F_{p^2} instead")
 @click.pass_context
 def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
@@ -353,7 +355,7 @@ def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
     except FieldError as exc:
         # p <= 5 for a family that needs p > 5, or --fp2 with no F_{p^2} counter
         raise click.UsageError(str(exc))
-    except TypeError as exc:
+    except (TypeError, SnapError) as exc:
         click.echo(f"computation failure: {exc}", err=True)
         sys.exit(1)
     out = io.StringIO()
@@ -446,14 +448,17 @@ def _run_suite(name, prime, max_prime, seed):
         return not bad, (f"{values} values over {pairs} (row, p) pairs, {len(bad)} violations"
                          + (f", first {bad[:3]}" if bad else ""))
     if name == "legendre":
-        calib = calibrate_legendre_relation()
-        row = row_by_signature((2, OO, OO))
-        for p in [q for q in range(7, max_prime + 1) if is_prime(q)]:
-            ctx = cached_ctx(p)
-            bad, _held = legendre_relation(calib.map_label, ctx, a_gamma_sweep(row, ctx),
-                                           legendre_trace_sweep(ctx))
-            if bad is not None:
-                return False, f"mismatch p={p} lam'={bad}"
+        try:  # a SnapError is a guard of legendre_trace_sweep or of the a_Gamma snap
+            calib = calibrate_legendre_relation()
+            row = row_by_signature((2, OO, OO))
+            for p in [q for q in range(7, max_prime + 1) if is_prime(q)]:
+                ctx = cached_ctx(p)
+                bad, _held = legendre_relation(calib.map_label, ctx, a_gamma_sweep(row, ctx),
+                                               legendre_trace_sweep(ctx))
+                if bad is not None:
+                    return False, f"mismatch p={p} lam'={bad}"
+        except SnapError as exc:
+            return False, str(exc)
         return True, f"map {calib.map_label}, all odd p <= {max_prime}"
     if name == "genlegendre":
         primes = [prime] if prime else [7, 13, 19]
@@ -573,7 +578,7 @@ def calibrate_hp(group):
 def calibrate_legendre():
     try:
         calib = calibrate_legendre_relation()
-    except CalibrationError as exc:
+    except (CalibrationError, SnapError) as exc:
         click.echo(f"calibration failure: {exc}", err=True)
         sys.exit(1)
     _emit_json({"config": {"command": "calibrate legendre",

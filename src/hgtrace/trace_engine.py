@@ -114,21 +114,23 @@ class LegendreCalibration:
 
 def _scaled_cover_maps(c: int) -> dict:
     return {
-        f"{c}*lam/(lam-1)^2": lambda l, p, inv: c * l % p * inv((l - 1) ** 2 % p) % p,
-        f"{c}*lam^2/(lam-1)": lambda l, p, inv: c * l * l % p * inv((l - 1) % p) % p,
-        f"{c}*lam*(1-lam)": lambda l, p, inv: c * l % p * ((1 - l) % p) % p,
+        f"{c}*lam/(lam-1)^2": lambda l, p: (c * l % p, (l - 1) % p * ((l - 1) % p) % p),
+        f"{c}*lam^2/(lam-1)": lambda l, p: (c * l % p * l % p, (l - 1) % p),
+        f"{c}*lam*(1-lam)": lambda l, p: (c * l % p * ((1 - l) % p) % p, 1),
     }
 
 
-# Candidate maps R(lam', p, inv): the six Mobius maps, then degree-two pushes
-# with small integer scalings.
+# Candidate maps R(lam') = num/den: the six Mobius maps, then degree-two pushes
+# with small integer scalings. Each takes lam' in [0, p), an int or an int64
+# array, and returns (num, den) reduced mod p, every product taken of factors
+# already reduced, so it stays below p^2.
 _COVER_MAPS = {
-    "lam": lambda l, p, inv: l % p,
-    "1/lam": lambda l, p, inv: inv(l),
-    "1-lam": lambda l, p, inv: (1 - l) % p,
-    "1/(1-lam)": lambda l, p, inv: inv((1 - l) % p),
-    "lam/(lam-1)": lambda l, p, inv: l * inv((l - 1) % p) % p,
-    "(lam-1)/lam": lambda l, p, inv: (l - 1) % p * inv(l) % p,
+    "lam": lambda l, p: (l, 1),
+    "1/lam": lambda l, p: (1, l),
+    "1-lam": lambda l, p: ((1 - l) % p, 1),
+    "1/(1-lam)": lambda l, p: (1, (1 - l) % p),
+    "lam/(lam-1)": lambda l, p: (l, (l - 1) % p),
+    "(lam-1)/lam": lambda l, p: ((l - 1) % p, l),
     **{label: f for c in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16)
        for label, f in _scaled_cover_maps(c).items()},
 }
@@ -138,24 +140,31 @@ def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: dict, a_e):
     """Test a_Gamma(R(lam'), p) = a_E(lam')^2 - p at every Legendre-generic lam'.
 
     R is the cover map named label, a_row the (2,oo,oo) row's a_gamma_sweep
-    and a_e the legendre_trace_sweep, both at p. A lam' where R is undefined or
-    lands on a special lambda of the row is skipped. Returns (bad, held): the
-    first lam' where the relation fails (None if there is none) and the
-    (R(lam'), a_Gamma) pairs at which it held before that.
+    and a_e the legendre_trace_sweep, both at p. a_row is read into two arrays
+    over F_p and R is evaluated on all lam' in [2, p) at once, with
+    1/den = antilog[-dlog(den)]; a lam' where den vanishes or R lands on a
+    special lambda of the row is skipped. Returns (bad, held): the first lam'
+    where the relation fails (None if there is none) and an int64 array of the
+    (R(lam'), a_Gamma) rows at which it held before that.
     """
-    p, f = ctx.p, _COVER_MAPS[label]
-    held = []
-    for lamp in range(2, p):
-        try:
-            target = f(lamp, p, ctx.inv)
-        except ZeroDivisionError:
-            continue
-        if target not in a_row:
-            continue
-        if a_row[target] != int(a_e[lamp]) ** 2 - p:
-            return lamp, held
-        held.append((target, a_row[target]))
-    return None, held
+    p, n = ctx.p, ctx.n
+    lams = np.fromiter(a_row, np.int64, len(a_row))
+    generic = np.zeros(p, dtype=bool)
+    generic[lams] = True
+    a_at = np.zeros(p, dtype=np.int64)
+    a_at[lams] = np.fromiter(a_row.values(), np.int64, len(a_row))
+    lamp = np.arange(2, p, dtype=np.int64)
+    num, den = np.broadcast_arrays(*_COVER_MAPS[label](lamp, p))
+    defined = den != 0
+    lamp, num, den = lamp[defined], num[defined], den[defined]
+    target = num * ctx.antilog[-ctx.dlog[den] % n] % p
+    keep = generic[target]
+    lamp, target = lamp[keep], target[keep]
+    a_target = a_at[target]
+    failed = np.flatnonzero(a_target != a_e[lamp] ** 2 - p)
+    k = failed[0] if failed.size else len(lamp)
+    held = np.stack((target[:k], a_target[:k]), axis=1)
+    return (int(lamp[k]) if failed.size else None), held
 
 
 LEGENDRE_CALIBRATION_PRIMES = (7, 11, 13)
@@ -182,9 +191,9 @@ def calibrate_legendre_relation() -> LegendreCalibration:
         a_e = legendre_trace_sweep(ctx)
         for name in list(survivors):
             bad, held = legendre_relation(name, ctx, a_row, a_e)
-            if bad is not None or not held:
+            if bad is not None or not len(held):
                 survivors.discard(name)
-            correspondences[name].update((p, target, a) for target, a in held)
+            correspondences[name].update((p, target, a) for target, a in held.tolist())
     if not survivors:
         raise CalibrationError("no consistent legendre identification found")
     names = sorted(survivors)

@@ -135,7 +135,8 @@ def test_criterion_05_legendre_oracle_equivalence():
         a_e = legendre_trace_sweep(ctx)
         specials = row.finite_specials_mod_p(p)
         for lamp in range(2, p):
-            target = cover(lamp, p, ctx.inv)
+            num, den = cover(lamp, p)
+            target = num * ctx.inv(den) % p
             if target in specials:
                 continue
             if a_row[target] != int(a_e[lamp]) ** 2 - p:
@@ -236,6 +237,12 @@ def _literal_a_gamma(row, lam, ctx, table):
     return None if h is None else chi * factor * h
 
 
+def _literal_legendre_trace(p, lam):
+    """a_E(lam) = -sum_x (x(x-1)(x-lam))^((p-1)/2) mod p, lifted to -1, 0, 1."""
+    e = (p - 1) // 2
+    return -sum((pow(x * (x - 1) * (x - lam), e, p) + 1) % p - 1 for x in range(p))
+
+
 def test_criterion_10_determinism():
     """Byte-identical output across primitive roots; sweeps == literal definitions."""
     row = row_by_signature((2, 4, 6))
@@ -261,7 +268,8 @@ def test_criterion_10_determinism():
                       if _literal_a_gamma(row, lam, ctx, table) != a]
         traces = legendre_trace_sweep(ctx)
         leg_bad += [(p, lam) for lam in range(2, p)
-                    if int(traces[lam]) != count_points(Legendre(lam), ctx).trace]
+                    if not int(traces[lam]) == count_points(Legendre(lam), ctx).trace
+                    == _literal_legendre_trace(p, lam)]
     ok = roots_ok and not a_bad and not special_bad and not leg_bad
     _line(10, "determinism: 3 primitive roots; sweeps == literal definitions, "
           "p <= 61", ok, f"roots={roots_ok} a_gamma={a_bad[:3]} "

@@ -90,10 +90,13 @@ def test_sweep_headroom_reads_the_production_sweep():
       for g in ("2,oo,oo", "2,3,oo", "2,4,oo", "2,6,oo", "2,4,6")),
     "trace --group 2,4,6 --weight 8 --prime 109",
     "trace --group 2,4,6 --weight 8 --prime 10009",
+    *(f"count legendre --prime {p} --lambda all" for p in (997, 1009, 1021, 1033)),
+    *(f"verify legendre --max-prime {m}" for m in (290, 300, 310)),
 ])
 def test_trace_stdout_matches_recorded_digest(command):
-    """The trace-sweep commands and two single-prime reports print exactly the
-    bytes whose sha256 the benchmark recorded."""
+    """The trace-sweep commands, two single-prime reports and the Legendre
+    count and verify commands of cross-checks print exactly the bytes whose
+    sha256 the benchmark recorded."""
     digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
     res = CliRunner().invoke(main, command.split())
     assert res.exit_code == 0, res.output

@@ -141,6 +141,8 @@ def test_bad_prime_is_usage_error(runner, args):
     ["count", "legendre", "--prime", "7"],
     ["count", "genlegendre", "--prime", "13", "--n", "6", "--lambda", "2"],
     ["table", "--format", "json"],
+    ["count", "baba-granath", "--prime", "29", "--j", "5", "--branch", "0"],
+    ["count", "baba-granath", "--prime", "29", "--j", "5", "--branch", "2"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
         "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
@@ -152,7 +154,8 @@ def test_bad_prime_is_usage_error(runner, args):
         "verify-fm-unread-prime", "verify-analytic-unread-default-seed",
         "count-hesse-unread-j", "count-conic-unread-lambda",
         "count-legendre-unread-default-branch", "count-legendre-missing-lambda",
-        "count-genlegendre-missing-exps", "table-no-format-option"])
+        "count-genlegendre-missing-exps", "table-no-format-option",
+        "count-baba-granath-branch-0", "count-baba-granath-branch-2"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -355,6 +358,33 @@ def test_verify_weil_reports_a_failed_sweep(runner, monkeypatch):
     detail = json.loads(res.output)["results"][0]["detail"]
     assert detail.startswith("68 values over 9 (row, p) pairs, 1 violations, "
                              "first [('(2,4,6)', 13, 'a_Gamma(2, 13) snapped to 5")
+
+
+def test_verify_legendre_reaches_the_thousands(runner):
+    res = runner.invoke(main, ["verify", "legendre", "--max-prime", "1000"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["results"] == [
+        {"detail": "map -4*lam/(lam-1)^2, all odd p <= 1000", "passed": True,
+         "suite": "legendre"}]
+
+
+@pytest.mark.usefixtures("skewed_legendre_correlation")
+@pytest.mark.parametrize("args", [
+    ["count", "legendre", "--prime", "13", "--lambda", "all"],
+    ["count", "legendre", "--prime", "13", "--lambda", "2"],
+    ["verify", "legendre", "--max-prime", "13"],
+    ["calibrate", "legendre"],
+], ids=["count-all", "count-one", "verify", "calibrate"])
+def test_legendre_guard_failure_prints_no_count(runner, args):
+    """A correlation value off by 1 or by 0.4 at lambda = 5 fails the command
+    (exit 1); it never prints a count, a map or a passed check."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    if args[0] == "verify":
+        [result] = json.loads(res.stdout)["results"]
+        assert result["passed"] is False and result["detail"].startswith("Legendre")
+    else:
+        assert res.stdout == "" and "failure: Legendre" in res.stderr
 
 
 def test_verify_seed_determinism(runner):

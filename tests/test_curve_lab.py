@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hgtrace import curve_lab
+from hgtrace.character_sums import SnapError
 from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                JacobiQuartic, Legendre, PicardSub, UniversalJ,
                                baba_granath_curve, baba_granath_qm_scan,
@@ -16,7 +18,7 @@ from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                frobenius_quartic_data, igusa_clebsch_identity,
                                jacobi_quartic_isomorphism_check,
                                legendre_trace_sweep, qm_consistency)
-from hgtrace.field_core import build_quad_ext, cached_ctx, is_prime
+from hgtrace.field_core import FieldError, build_quad_ext, cached_ctx, is_prime
 
 
 def test_legendre_hand_count(ctx7):
@@ -36,10 +38,42 @@ def test_legendre_weil(ctx13):
         assert cc.trace * cc.trace <= 4 * 13
 
 
-def test_legendre_sweep_matches_single(ctx13):
-    traces = legendre_trace_sweep(ctx13)
-    for lam in range(2, 13):
-        assert int(traces[lam]) == count_legendre(ctx13, lam).trace
+def literal_legendre_trace(p, lam):
+    """a_E(lam) = -sum_x (x(x-1)(x-lam))^((p-1)/2) mod p, each power lifted to
+    -1, 0 or 1 (Euler's criterion)."""
+    e = (p - 1) // 2
+    return -sum((pow(x * (x - 1) * (x - lam), e, p) + 1) % p - 1 for x in range(p))
+
+
+def test_legendre_sweep_matches_single():
+    """The correlation sweep and count_points(Legendre) against the literal sum,
+    every lambda at every prime 3 <= p <= 101 (bad reduction at 0 and 1)."""
+    for p in [q for q in range(3, 102) if is_prime(q)]:
+        ctx = cached_ctx(p)
+        traces = legendre_trace_sweep(ctx)
+        assert traces.dtype == np.int64 and not traces.flags.writeable
+        for lam in range(p):
+            a = literal_legendre_trace(p, lam)
+            assert int(traces[lam]) == a, (p, lam)
+            cc = count_points(Legendre(lam), ctx)
+            if lam in (0, 1):
+                assert not cc.good and cc.trace is None
+            else:
+                assert (cc.n_points, cc.trace) == (p + 1 - a, a), (p, lam)
+
+
+def test_legendre_sweep_guards_raise(skewed_legendre_correlation):
+    """A correlation value off by 1 fails the 4 | p + 1 - a test, one off by
+    0.4 fails the rounding test; neither yields a trace."""
+    ctx = cached_ctx(1009)
+    if skewed_legendre_correlation == 1.0:
+        match = "a_E\\(5\\) = .* not divisible by 4"
+    else:
+        match = "lam = 5, p = 1009 .* not within 0.25"
+    with pytest.raises(SnapError, match=match):
+        legendre_trace_sweep(ctx)
+    with pytest.raises(SnapError):
+        count_points(Legendre(3), ctx)
 
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -332,6 +366,13 @@ def test_qm_consistency_negative_control(ctx13):
 def test_baba_granath_degenerate_j0(ctx13):
     coeffs, tag, flags = baba_granath_curve(ctx13, 0)
     assert coeffs is None and "CM point" in flags[0]
+
+
+@pytest.mark.parametrize("branch", [0, 2, -2])
+def test_baba_granath_branch_is_a_sign(branch, ctx13):
+    """Only s = +-sqrt(-6j) lies on the family; any other branch raises."""
+    with pytest.raises(FieldError, match="branch must be 1 or -1"):
+        baba_granath_curve(ctx13, 5, branch)
 
 
 def _bareiss_det(m):

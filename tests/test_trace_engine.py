@@ -11,11 +11,12 @@ from hgtrace.character_sums import (CalibrationError, SnapError, _lambda_chart,
                                     calibrate_hp_weight, datum_table, snap_tolerance)
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
 from hgtrace.hgm_data import OO, hg_datum, row_by_signature, triangle_table
+from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
 from hgtrace.trace_engine import (_COVER_MAPS, LegendreCalibration,
                                   _a_gamma_values, a_gamma, a_gamma_sweep,
                                   build_Fm, calibrate_legendre_relation,
-                                  fm_identity_holds, hecke_trace)
+                                  fm_identity_holds, hecke_trace, legendre_relation)
 
 
 def test_build_F1_is_S():
@@ -246,10 +247,39 @@ def test_legendre_relation_all_primes_to_61():
         a_e = legendre_trace_sweep(ctx)
         specials = row.finite_specials_mod_p(p)
         for lamp in range(2, p):
-            target = cover(lamp, p, ctx.inv)
+            num, den = cover(lamp, p)
+            target = num * ctx.inv(den) % p
             if target in specials:
                 continue
             assert a_row[target] == int(a_e[lamp]) ** 2 - p, (p, lamp)
+
+
+def test_legendre_relation_matches_a_scalar_loop():
+    """The array relation returns what a loop over lam' returns, for every
+    cover map, including the first failing lam'."""
+    row = row_by_signature((2, OO, OO))
+    failed = 0
+    for p in (7, 11, 13, 29, 61):
+        ctx = cached_ctx(p)
+        a_row = a_gamma_sweep(row, ctx)
+        a_e = legendre_trace_sweep(ctx)
+        for label, cover in _COVER_MAPS.items():
+            bad, held = None, []
+            for lamp in range(2, p):
+                num, den = cover(lamp, p)
+                if den == 0:
+                    continue
+                target = num * ctx.inv(den) % p
+                if target not in a_row:
+                    continue
+                if a_row[target] != int(a_e[lamp]) ** 2 - p:
+                    bad = lamp
+                    break
+                held.append([target, a_row[target]])
+            got_bad, got_held = legendre_relation(label, ctx, a_row, a_e)
+            assert (got_bad, got_held.tolist()) == (bad, held), (label, p)
+            failed += bad is not None
+    assert failed > 0
 
 
 def test_legendre_negative_control(ctx13):
@@ -261,7 +291,8 @@ def test_legendre_negative_control(ctx13):
     a_e = legendre_trace_sweep(ctx13)
     mismatches = 0
     for lamp in range(2, 13):
-        target = cover(lamp, 13, ctx13.inv)
+        num, den = cover(lamp, 13)
+        target = num * ctx13.inv(den) % 13
         if target in row.finite_specials_mod_p(13):
             continue
         if -a_row[target] != int(a_e[lamp]) ** 2 - 13:
