@@ -202,7 +202,7 @@ def trace(group, weight, prime, prime_range, fmt):
         ctx = _field_ctx(p)
         try:
             rep = hecke_trace(row, ctx, k)
-        except (SnapError, CalibrationError) as exc:
+        except (SnapError, CalibrationError, FixtureError) as exc:
             click.echo(f"computation failure at p = {p}: {exc}", err=True)
             sys.exit(1)
         reports.append(rep)
@@ -538,7 +538,7 @@ def fixture():
 def fixture_validate(path):
     try:
         fx = load_fixture(path)
-    except (FixtureError, OSError, json.JSONDecodeError) as exc:
+    except (FixtureError, OSError) as exc:
         click.echo(f"INVALID: {exc}", err=True)
         sys.exit(1)
     click.echo(f"OK: {fx.label} (level {fx.level}, weight {fx.weight}, "

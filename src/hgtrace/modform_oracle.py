@@ -1,15 +1,15 @@
 """Independent modular-forms ground truth.
 
-Exact integer q-expansion arithmetic: eta products, Eisenstein series, the
-discriminant cusp form, Hecke traces on level-1 cusp forms, and newform
-coefficient fixtures. A level-1 trace is read off the Miller basis, reached
-from the monomials Delta^c E4^a E6^b by integer back-substitution. The level-6
-weight-8 newform 6.8.a.a is one fixed combination f4 * (E4(t) - 4 E4(2t) -
-9 E4(3t) + 36 E4(6t)) / 24, f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2. The two
-shipped fixtures were derived with the machinery in this module (see
-level6_weight8_ap and cm_level24_weight5_ap) and are validated against the
-Ramanujan bound on load; the test suite re-derives every shipped coefficient,
-so a fixture is refreshed or extended by the same route.
+Hecke traces on level-one cusp forms come from the Eichler-Selberg trace
+formula, in integer arithmetic with Hurwitz class numbers. The rest is exact
+integer q-series arithmetic on tuples of coefficients: eta products and
+Eisenstein series. The level-6 weight-8 newform 6.8.a.a is one fixed
+combination f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24,
+f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2. The two shipped fixtures were derived
+with the machinery in this module (see level6_weight8_ap and
+cm_level24_weight5_ap) and are validated against the Ramanujan bound on load;
+the test suite re-derives every shipped coefficient, so a fixture is refreshed
+or extended by the same route.
 """
 
 from __future__ import annotations
@@ -28,38 +28,6 @@ _BUILTIN_FIXTURES = Path(__file__).parent / "fixtures"
 
 class QExpansionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class QExpansion:
-    """Truncated integer q-series sum a_m q^m, m = 0..N."""
-
-    weight: int
-    coeffs: tuple
-    N: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.N + 1:
-            raise QExpansionError("coefficient list does not match truncation")
-
-    def __getitem__(self, m: int):
-        return self.coeffs[m]
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise QExpansionError("weights differ")
-        N = min(self.N, other.N)
-        return QExpansion(self.weight,
-                          tuple(self.coeffs[i] + other.coeffs[i] for i in range(N + 1)), N)
-
-    def __mul__(self, other):
-        if isinstance(other, QExpansion):
-            N = min(self.N, other.N)
-            return QExpansion(self.weight + other.weight,
-                              tuple(_mul_trunc(self.coeffs, other.coeffs, N)), N)
-        return QExpansion(self.weight, tuple(a * other for a in self.coeffs), self.N)
-
-    __rmul__ = __mul__
 
 
 def _mul_trunc(a, b, N: int) -> list:
@@ -88,11 +56,11 @@ def _euler_series(d: int, N: int) -> list:
     return co
 
 
-def eta_product(d_powers: dict[int, int], N: int) -> QExpansion:
-    """prod_d (q^(d/24))^(r_d) * prod_n (1 - q^(dn))^(r_d) as a q-series.
+def eta_product(d_powers: dict[int, int], N: int) -> tuple:
+    """Coefficients 0..N of prod_d (q^(d/24))^(r_d) * prod_n (1 - q^(dn))^(r_d).
 
-    Requires sum d*r_d divisible by 24 and all exponents nonnegative here
-    (enough for the oracle bases). Weight is sum(r_d)/2.
+    Requires sum d*r_d divisible by 24, an even sum r_d (integer weight) and all
+    exponents nonnegative (enough for the oracle bases).
     """
     shift, wt2 = 0, 0
     for d, r in d_powers.items():
@@ -108,11 +76,11 @@ def eta_product(d_powers: dict[int, int], N: int) -> QExpansion:
         euler = _euler_series(d, N)
         for _ in range(r):
             co = _mul_trunc(euler, co, N)
-    return QExpansion(wt2 // 2, tuple(([0] * shift + co)[:N + 1]), N)
+    return tuple(([0] * shift + co)[:N + 1])
 
 
-def eisenstein(k: int, N: int, d: int = 1) -> QExpansion:
-    """E_k(d tau) normalized with constant term 1, k in {2, 4, 6}.
+def eisenstein(k: int, N: int, d: int = 1) -> tuple:
+    """Coefficients 0..N of E_k(d tau), constant term 1, k in {2, 4, 6}.
 
     One divisor-sum sieve: each e <= N/d adds c e^(k-1) at every multiple of d e.
     """
@@ -122,75 +90,63 @@ def eisenstein(k: int, N: int, d: int = 1) -> QExpansion:
         ce = c * e ** (k - 1)
         for m in range(d * e, N + 1, d * e):
             co[m] += ce
-    return QExpansion(k, tuple(co), N)
-
-
-def eta_power_24(N: int) -> QExpansion:
-    """The discriminant cusp form q prod (1 - q^n)^24, truncated at N."""
-    if N < 2:
-        raise QExpansionError("need N >= 2")
-    return eta_product({1: 24}, N)
+    return tuple(co)
 
 
 # ---------------------------------------------------------------------------
 # Level-1 Hecke traces
 
 
-def _level1_basis(k: int, N: int) -> list[QExpansion]:
-    """Basis Delta^c E4^a E6^b of weight-k cusp forms, with c >= 1 and b <= 1.
+def hurwitz_class_number_12(N: int) -> int:
+    """12 H(N), for N > 0 with N = 0 or 3 mod 4.
 
-    Restricting b to {0, 1} (via E6^2 = E4^3 - 1728 Delta) makes the monomials
-    independent, so their number equals the dimension: one for each
-    c = 1..dim, in that order, each q^c + O(q^(c+1)).
+    H(N) counts the reduced forms a x^2 + b xy + c y^2 of discriminant -N
+    (|b| <= a <= c, b >= 0 if |b| = a or a = c), with weight 1/2 for
+    a(x^2 + y^2) and 1/3 for a(x^2 + xy + y^2). The grid runs over b >= 0;
+    (a, -b, c) is reduced too when 0 < b < a < c, so that form counts twice.
     """
-    if k % 2 or k < 12:
-        raise QExpansionError("cusp forms require even k >= 12")
-    E4, E6 = eisenstein(4, N), eisenstein(6, N)
-    delta = eta_power_24(N)
-    basis = []
-    for c in range(1, k // 12 + 1):
-        rem = k - 12 * c
-        for b in (0, 1):
-            if rem - 6 * b >= 0 and (rem - 6 * b) % 4 == 0:
-                a = (rem - 6 * b) // 4
-                f = delta
-                for _ in range(c - 1):
-                    f = f * delta
-                for _ in range(a):
-                    f = f * E4
-                if b:
-                    f = f * E6
-                basis.append(f)
-    return basis
-
-
-def dim_level1_cusp(k: int) -> int:
-    """dim S_k(SL_2(Z)) for even k."""
-    if k % 2 or k < 12:
-        return 0
-    return k // 12 - 1 if k % 12 == 2 else k // 12
+    if N <= 0 or N % 4 in (1, 2):
+        raise QExpansionError(f"no discriminant -{N}")
+    h = 0
+    for b in range(N % 2, isqrt(N // 3) + 1, 2):
+        ac = (b * b + N) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            if ac % a == 0:
+                c = ac // a
+                if b == 0 and a == c:
+                    h += 6
+                elif b == a == c:
+                    h += 4
+                else:
+                    h += 24 if 0 < b < a < c else 12
+    return h
 
 
 def level1_hecke_trace(k: int, p: int) -> int:
-    """Tr(T_p) on the level-one cusp forms of weight k, exactly.
+    """Tr(T_p) on the level-one cusp forms of weight k, p prime, exactly.
 
-    The monomials g_c of _level1_basis (c = 1..d, d = dim) start q^c + ..., so
-    integer back-substitution turns them into the Miller basis f_1..f_d with
-    f_i[j] = delta_ij for j <= d (for c = d-1 down to 1, subtract g_c[j] f_j
-    for every j > c). The f_i coordinate of T_p f_i is its q^i coefficient
-    f_i[p i] + p^(k-1) f_i[i/p], and the second term is 0 because i/p < i.
-    So Tr(T_p) = sum_i f_i[p i], read off series cut at q^(p d).
+    The Eichler-Selberg trace formula (Cohen-Stromberg, Modular Forms, ch. 12):
+
+        Tr T_p = -1/2 sum_{t^2 < 4p} P_k(t, p) H(4p - t^2) - 1,
+
+    where P_k(t, p) = u_(k-1) for u_0 = 0, u_1 = 1, u_(j+1) = t u_j - p u_(j-1).
+    P_k and H are even in t for even k, so each t > 0 counts twice. The sum
+    is taken with 12 H, which makes it an integer divisible by 24.
     """
-    d = dim_level1_cusp(k)
-    if d == 0:
+    if k % 2 or k < 4:
         return 0
-    f = [list(g.coeffs) for g in _level1_basis(k, p * d)]  # f[i - 1] starts at q^i
-    for c in range(d - 1, 0, -1):
-        for j in range(c + 1, d + 1):
-            x = f[c - 1][j]
-            if x:
-                f[c - 1] = [a - x * b for a, b in zip(f[c - 1], f[j - 1])]
-    return sum(f[i - 1][p * i] for i in range(1, d + 1))
+    if not is_prime(p):
+        raise QExpansionError(f"{p} is not prime")
+    s = 0
+    for t in range(isqrt(4 * p - 1) + 1):
+        u0, u1 = 0, 1
+        for _ in range(k - 2):
+            u0, u1 = u1, t * u1 - p * u0
+        s += (2 if t else 1) * u1 * hurwitz_class_number_12(4 * p - t * t)
+    if s % 24:
+        raise QExpansionError(f"Eichler-Selberg sum {s} at (k, p) = ({k}, {p}) "
+                              "is not divisible by 24")
+    return -s // 24 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +168,11 @@ def level6_weight8_ap(p: int) -> int:
     if p in (2, 3):
         raise QExpansionError("p must be coprime to the level")
     f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, p)
-    g = eisenstein(4, p)
-    for c, d in ((-4, 2), (-9, 3), (36, 6)):
-        g = g + c * eisenstein(4, p, d)
+    g = [a - 4 * b - 9 * c + 36 * e
+         for a, b, c, e in zip(*(eisenstein(4, p, d) for d in (1, 2, 3, 6)))]
     ap24 = sum(f4[i] * g[p - i] for i in range(1, p + 1))
-    assert ap24 % 24 == 0
+    if ap24 % 24:
+        raise QExpansionError(f"24 a_{p} = {ap24} is not divisible by 24")
     return ap24 // 24
 
 
@@ -264,21 +220,28 @@ class FixtureError(ValueError):
     pass
 
 
-def _validate_fixture_dict(data: dict) -> NewformFixture:
+def _is_int(v) -> bool:
+    """True for a JSON integer; JSON true and false load as bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _validate_fixture_dict(data) -> NewformFixture:
+    if not isinstance(data, dict):
+        raise FixtureError("fixture is not a JSON object")
     for key in ("label", "level", "weight", "ap"):
         if key not in data:
             raise FixtureError(f"fixture missing key {key!r}")
     if not isinstance(data["label"], str) or not isinstance(data["ap"], dict):
         raise FixtureError("fixture schema violation: label/ap types")
     level, weight = data["level"], data["weight"]
-    if not (isinstance(level, int) and isinstance(weight, int) and level > 0 and weight > 0):
+    if not (_is_int(level) and _is_int(weight) and level > 0 and weight > 0):
         raise FixtureError("fixture schema violation: level/weight")
     ap = {}
     for k, v in data["ap"].items():
-        pk = int(k)
-        if not is_prime(pk):
-            raise FixtureError(f"ap key {k} is not prime")
-        if not isinstance(v, int):
+        pk = int(k) if k.isdecimal() else 0
+        if str(pk) != k or not is_prime(pk):  # "05" would overwrite "5"
+            raise FixtureError(f"ap key {k!r} is not prime")
+        if not _is_int(v):
             raise FixtureError(f"a_{k} is not an integer")
         # Ramanujan-Petersson gate: |a_p| <= 2 p^((k-1)/2)
         if v * v > 4 * pk ** (weight - 1):
@@ -289,10 +252,16 @@ def _validate_fixture_dict(data: dict) -> NewformFixture:
 
 
 def load_fixture(path: str | Path) -> NewformFixture:
-    """Load and validate a newform coefficient fixture file."""
+    """Load and validate a newform coefficient fixture file.
+
+    Every malformed file, unparsable JSON included, raises FixtureError naming
+    the path; a file that cannot be opened raises OSError.
+    """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return _validate_fixture_dict(data)
+        try:
+            return _validate_fixture_dict(json.load(fh))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, FixtureError
+            raise FixtureError(f"{path}: {exc}") from None
 
 
 def fixture_path(label: str) -> Path:

@@ -281,6 +281,38 @@ def test_fixture_validate_bad(tmp_path, runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"label": "x", "level": 6, "weight": 8, "ap": {"abc": 1}}',
+    '5',
+    '{"label": "x", "level": true, "weight": 8, "ap": {"5": 1}}',
+    '{"label": "x", "level": 6, "weight": 8, "ap": {"5": true}}',
+    '{"label": "x",',
+])
+def test_fixture_validate_malformed(tmp_path, runner, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    res = runner.invoke(main, ["fixture", "validate", str(bad)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("INVALID") and "OK" not in res.output
+
+
+def test_trace_with_malformed_fixture_fails(tmp_path, runner, monkeypatch):
+    fixture = {"label": "6.8.a.a", "level": 6, "weight": 8, "ap": {"5": -114}}
+    (tmp_path / "6.8.a.a.json").write_text(json.dumps(fixture))
+    monkeypatch.setenv("HGTRACE_FIXTURE_DIR", str(tmp_path))
+    args = ["trace", "--group", "2,4,6", "--weight", "8", "--prime", "13"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["reports"][0]["oracle"] is None  # a_13 missing
+    (tmp_path / "6.8.a.a.json").write_text(
+        json.dumps({**fixture, "ap": {"abc": 1}}))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.count("\n") == 1
+    assert res.output.startswith("computation failure at p = 13:")
+    assert "6.8.a.a.json" in res.output and "oracle" not in res.output
+
+
 def test_table_command(runner):
     res = runner.invoke(main, ["table"])
     assert res.exit_code == 0

@@ -1,16 +1,18 @@
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
+from hgtrace import modform_oracle
 from hgtrace.field_core import cached_ctx, is_prime
 from hgtrace.hgm_data import level, row_by_signature
-from hgtrace.modform_oracle import (FixtureError, NewformFixture,
-                                    cm_level24_weight5_ap, dim_level1_cusp,
-                                    eisenstein, eta_power_24, eta_product,
-                                    level1_hecke_trace, level6_weight8_ap,
-                                    load_fixture, load_fixture_by_label)
+from hgtrace.modform_oracle import (FixtureError, NewformFixture, QExpansionError,
+                                    _mul_trunc, cm_level24_weight5_ap,
+                                    eisenstein, eta_product,
+                                    hurwitz_class_number_12, level1_hecke_trace,
+                                    level6_weight8_ap, load_fixture,
+                                    load_fixture_by_label)
 from hgtrace.trace_engine import hecke_trace
 
 TAU = {2: -24, 3: 252, 5: 4830, 7: -16744, 11: 534612, 13: -577738,
@@ -19,21 +21,26 @@ TAU = {2: -24, 3: 252, 5: 4830, 7: -16744, 11: 534612, 13: -577738,
        47: 2687348496}
 
 
+def _delta(N):
+    """The discriminant cusp form q prod (1 - q^n)^24, truncated at N."""
+    return eta_product({1: 24}, N)
+
+
 def test_delta_normalization():
-    d = eta_power_24(30)
+    d = _delta(30)
     assert d[0] == 0 and d[1] == 1
     assert d[2] == -24
 
 
 def test_delta_known_tau():
-    d = eta_power_24(50)
+    d = _delta(50)
     for p, v in TAU.items():
         if p <= 50:
             assert d[p] == v, p
 
 
 def test_tau_multiplicative():
-    d = eta_power_24(40)
+    d = _delta(40)
     assert d[6] == d[2] * d[3]
     assert d[10] == d[2] * d[5]
     assert d[15] == d[3] * d[5]
@@ -42,7 +49,7 @@ def test_tau_multiplicative():
 
 def test_tau_hecke_recursion():
     # a(p^2) = a(p)^2 - p^11 for the weight-12 eigenform
-    d = eta_power_24(50)
+    d = _delta(50)
     assert d[4] == d[2] ** 2 - 2 ** 11
     assert d[9] == d[3] ** 2 - 3 ** 11
     assert d[49] == d[7] ** 2 - 7 ** 11
@@ -58,15 +65,61 @@ def test_eisenstein_normalizations():
 def test_product_keeps_every_coefficient():
     # E4^2 = E8 = 1 + 480 sum sigma_7(m) q^m, up to the last kept coefficient
     N = 30
-    e8 = eisenstein(4, N) * eisenstein(4, N)
-    assert e8.weight == 8 and e8.N == N
-    assert list(e8.coeffs) == [1] + [
+    e8 = _mul_trunc(eisenstein(4, N), eisenstein(4, N), N)
+    assert e8 == [1] + [
         480 * sum(d ** 7 for d in range(1, m + 1) if m % d == 0)
         for m in range(1, N + 1)]
 
 
+def _miller_monomials(k):
+    """Exponents (c, a, b) of the monomials Delta^c E4^a E6^b of weight k with
+    c >= 1 and b <= 1, in increasing c.
+
+    Restricting b to {0, 1} (via E6^2 = E4^3 - 1728 Delta) makes the monomials
+    independent, so their number is dim S_k(SL_2(Z)): one for each c = 1..dim,
+    each q^c + O(q^(c+1)).
+    """
+    out = []
+    for c in range(1, k // 12 + 1):
+        rem = k - 12 * c
+        b = rem % 4 // 2
+        if rem >= 6 * b:
+            out.append((c, (rem - 6 * b) // 4, b))
+    return out
+
+
+def _miller_basis_trace(k, p):
+    """Tr(T_p) on S_k(SL_2(Z)) read off the Miller basis, an independent route.
+
+    The monomials g_c (c = 1..d, d = dim) start q^c + ..., so integer
+    back-substitution turns them into the Miller basis f_1..f_d with
+    f_i[j] = delta_ij for j <= d (for c = d-1 down to 1, subtract g_c[j] f_j
+    for every j > c). The f_i coordinate of T_p f_i is its q^i coefficient
+    f_i[p i] + p^(k-1) f_i[i/p], and the second term is 0 because i/p < i.
+    So Tr(T_p) = sum_i f_i[p i], read off series cut at q^(p d).
+    """
+    exps = _miller_monomials(k)
+    d = len(exps)
+    if d == 0:
+        return 0
+    N = p * d
+    delta, e4, e6 = _delta(N), eisenstein(4, N), eisenstein(6, N)
+    f = []  # f[i - 1] starts at q^i
+    for c, a, b in exps:
+        g = delta
+        for factor in [delta] * (c - 1) + [e4] * a + [e6] * b:
+            g = _mul_trunc(g, factor, N)
+        f.append(g)
+    for c in range(d - 1, 0, -1):
+        for j in range(c + 1, d + 1):
+            x = f[c - 1][j]
+            if x:
+                f[c - 1] = [u - x * v for u, v in zip(f[c - 1], f[j - 1])]
+    return sum(f[i - 1][p * i] for i in range(1, d + 1))
+
+
 def test_dim_level1():
-    assert [dim_level1_cusp(k) for k in (12, 14, 16, 18, 20, 22, 24, 26)] \
+    assert [len(_miller_monomials(k)) for k in (12, 14, 16, 18, 20, 22, 24, 26)] \
         == [1, 0, 1, 1, 1, 1, 2, 1]
 
 
@@ -77,7 +130,7 @@ def test_level1_traces_match_tau():
 
 def test_level1_weight16():
     # dim 1: trace = a_2 of Delta*E4 as the normalized eigenform
-    f = eta_power_24(10) * eisenstein(4, 10)
+    f = _mul_trunc(_delta(10), eisenstein(4, 10), 10)
     assert level1_hecke_trace(16, 2) == f[2]
 
 
@@ -88,52 +141,58 @@ def test_level1_weight24_dim2():
     assert level1_hecke_trace(24, 3) == 339480
 
 
-def _hurwitz_class_number(N):
-    """H(N): reduced forms a x^2 + b xy + c y^2 of discriminant -N (|b| <= a <= c,
-    b >= 0 if |b| = a or a = c), with weight 1/2 for a(x^2 + y^2) and 1/3 for
-    a(x^2 + xy + y^2)."""
-    assert N % 4 in (0, 3)
-    h = Fraction(0)
-    for b in range(N % 2, isqrt(N // 3) + 1, 2):
-        ac = (b * b + N) // 4
-        for a in range(max(b, 1), isqrt(ac) + 1):
-            if ac % a == 0:
-                c = ac // a
-                if b == 0 and a == c:
-                    h += Fraction(1, 2)
-                elif b == a == c:
-                    h += Fraction(1, 3)
-                else:  # (a, -b, c) is reduced too when 0 < b < a < c
-                    h += 2 if 0 < b < a < c else 1
-    return h
-
-
-def _eichler_selberg_trace(k, p):
-    """Tr T_p on S_k(SL_2(Z)), p prime, by the Eichler-Selberg trace formula:
-    -1/2 sum_{t^2 < 4p} P_k(t, p) H(4p - t^2) - 1, where P_k(t, p) = u_(k-1)
-    for u_0 = 0, u_1 = 1, u_(j+1) = t u_j - p u_(j-1)."""
-    s = Fraction(0)
-    r = isqrt(4 * p - 1)
-    for t in range(-r, r + 1):
-        u0, u1 = 0, 1
-        for _ in range(k - 2):
-            u0, u1 = u1, t * u1 - p * u0
-        s += u1 * _hurwitz_class_number(4 * p - t * t)
-    tr = -s / 2 - 1
-    assert tr.denominator == 1
-    return int(tr)
-
-
 def test_hurwitz_class_numbers():
-    assert [_hurwitz_class_number(N) for N in (3, 4, 7, 8, 11, 12, 15, 16, 20, 23)] \
+    assert [Fraction(hurwitz_class_number_12(N), 12)
+            for N in (3, 4, 7, 8, 11, 12, 15, 16, 20, 23)] \
         == [Fraction(1, 3), Fraction(1, 2), 1, 1, 1, Fraction(4, 3), 2, Fraction(3, 2), 2, 3]
+    for N in (0, -4, 1, 6):
+        with pytest.raises(QExpansionError):
+            hurwitz_class_number_12(N)
 
 
 @pytest.mark.parametrize("k", range(12, 39, 2))
 def test_level1_trace_matches_eichler_selberg(k):
+    # level1_hecke_trace, the Eichler-Selberg formula, against the Miller basis
     for p in range(2, 60):
         if is_prime(p):
-            assert level1_hecke_trace(k, p) == _eichler_selberg_trace(k, p), p
+            assert level1_hecke_trace(k, p) == _miller_basis_trace(k, p), p
+
+
+def test_level1_trace_pins_the_miller_basis_values():
+    # Miller-basis values at p = 997, seconds each to recompute that way
+    assert level1_hecke_trace(24, 997) == -24333229709162682266825770194528740
+    assert level1_hecke_trace(30, 997) == 5158212416561334698073318842164504844630380
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 14])
+def test_level1_trace_vanishes_without_cusp_forms(k):
+    # S_k(SL_2(Z)) = 0: the trace formula itself gives 0, with no early exit
+    for p in (5, 7, 11, 97, 1009):
+        assert level1_hecke_trace(k, p) == 0, p
+
+
+@pytest.mark.parametrize("k, modulus, primes", [
+    (12, 691, (1009, 10009, 99961)), (16, 3617, (1009, 10009))])
+def test_level1_trace_eisenstein_congruence_and_bound(k, modulus, primes):
+    # dim S_k = 1, so the trace is a_p of the eigenform: a_p = 1 + p^(k-1)
+    # mod the numerator of B_k/2k (Ramanujan's 691, and 3617 at k = 16), and
+    # |a_p| <= 2 p^((k-1)/2) (Deligne)
+    for p in primes:
+        tr = level1_hecke_trace(k, p)
+        assert (tr - 1 - pow(p, k - 1, modulus)) % modulus == 0, p
+        assert tr * tr <= 4 * p ** (k - 1), p
+
+
+def test_level1_trace_checks_its_inputs(monkeypatch):
+    assert level1_hecke_trace(13, 5) == 0 and level1_hecke_trace(2, 5) == 0
+    with pytest.raises(QExpansionError, match="not prime"):
+        level1_hecke_trace(12, 9)
+    # one class number off by one breaks the divisibility by 24
+    h12 = hurwitz_class_number_12
+    monkeypatch.setattr(modform_oracle, "hurwitz_class_number_12",
+                        lambda N: h12(N) + (N == 20))
+    with pytest.raises(QExpansionError, match="divisible by 24"):
+        level1_hecke_trace(12, 5)
 
 
 def test_level6_ap_matches_fixture():
@@ -148,13 +207,12 @@ def test_level6_combination_is_normalized_eigenform():
     # f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24, as a whole series
     N = 200
     f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, N)
-    g = eisenstein(4, N)
-    for c, d in ((-4, 2), (-9, 3), (36, 6)):
-        g = g + c * eisenstein(4, N, d)
-    prod = f4 * g
-    assert prod.weight == 8 and prod[0] == 0
-    assert all(c % 24 == 0 for c in prod.coeffs)
-    a = [c // 24 for c in prod.coeffs]
+    e1, e2, e3, e6 = (eisenstein(4, N, d) for d in (1, 2, 3, 6))
+    g = [u - 4 * v - 9 * w + 36 * x for u, v, w, x in zip(e1, e2, e3, e6)]
+    prod = _mul_trunc(f4, g, N)
+    assert prod[0] == 0
+    assert all(c % 24 == 0 for c in prod)
+    a = [c // 24 for c in prod]
     assert a[1:4] == [1, 8, 27]
     for m in range(2, N + 1):
         for n in range(2, N // m + 1):
@@ -163,6 +221,17 @@ def test_level6_combination_is_normalized_eigenform():
     for ell in (5, 7, 11, 13):
         assert a[ell * ell] == a[ell] ** 2 - ell ** 7, ell
     assert all(level6_weight8_ap(p) == a[p] for p in range(5, N + 1) if is_prime(p))
+
+
+def test_level6_ap_checks_divisibility_by_24(monkeypatch):
+    # E4 with its q^(p-1) coefficient off by one moves 24 a_p by f4[1] = 1
+    def skewed(k, N, d=1):
+        co = list(eisenstein(k, N, d))
+        co[N - 1] += d == 1
+        return tuple(co)
+    monkeypatch.setattr(modform_oracle, "eisenstein", skewed)
+    with pytest.raises(QExpansionError, match="divisible by 24"):
+        level6_weight8_ap(37)
 
 
 def test_headline_identity_past_the_fixture():
@@ -206,6 +275,42 @@ def test_fixture_schema_violations(tmp_path):
         load_fixture(path)
 
 
+@pytest.mark.parametrize("data, match", [
+    (5, "not a JSON object"),
+    ([], "not a JSON object"),
+    ({"label": "x", "level": 6, "weight": 8, "ap": {"abc": 1}}, "'abc' is not prime"),
+    ({"label": "x", "level": 6, "weight": 8, "ap": {"5": 1, "05": -1}}, "'05' is not prime"),
+    ({"label": "x", "level": 6, "weight": 8, "ap": {" 5": 1}}, "' 5' is not prime"),
+    ({"label": "x", "level": True, "weight": 8, "ap": {"5": 1}}, "level/weight"),
+    ({"label": "x", "level": 6, "weight": True, "ap": {"5": 1}}, "level/weight"),
+    ({"label": "x", "level": 6, "weight": 8, "ap": {"5": True}}, "a_5 is not an integer"),
+])
+def test_fixture_malformed_values(tmp_path, data, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FixtureError, match=match) as exc:
+        load_fixture(path)
+    assert str(path) in str(exc.value)
+
+
+def test_fixture_unparsable_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"label": "x",')
+    with pytest.raises(FixtureError, match="bad.json"):
+        load_fixture(path)
+
+
+def test_malformed_fixture_stops_the_trace(tmp_path, monkeypatch):
+    row = row_by_signature((2, 4, 6))
+    good = {"label": "6.8.a.a", "level": 6, "weight": 8, "ap": {"5": -114}}
+    (tmp_path / "6.8.a.a.json").write_text(json.dumps(good))
+    monkeypatch.setenv("HGTRACE_FIXTURE_DIR", str(tmp_path))
+    assert hecke_trace(row, cached_ctx(13), 6).oracle is None  # a_13 missing
+    (tmp_path / "6.8.a.a.json").write_text(json.dumps({**good, "ap": {"abc": 1}}))
+    with pytest.raises(FixtureError, match="6.8.a.a.json"):
+        hecke_trace(row, cached_ctx(13), 6)
+
+
 def test_builtin_fixtures_load():
     for label in ("6.8.a.a", "24.5.h.b"):
         fx = load_fixture_by_label(label)
@@ -238,6 +343,4 @@ def test_eta_product_matches_literal_product(d_powers):
                 co = [c - (co[i - d * n] if i >= d * n else 0)
                       for i, c in enumerate(co)]
     shift = sum(d * r for d, r in d_powers.items()) // 24
-    eta = eta_product(d_powers, N)
-    assert eta.weight == sum(d_powers.values()) // 2
-    assert list(eta.coeffs) == ([0] * shift + co)[:N + 1]
+    assert list(eta_product(d_powers, N)) == ([0] * shift + co)[:N + 1]
