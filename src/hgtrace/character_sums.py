@@ -482,12 +482,6 @@ def _clausen_at_one(ctx, eta, K, tol):
     return "t=1, etaK = S^2", lhs3, rhs, abs(lhs3 - rhs) < tol
 
 
-def clausen_check(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
-                  t: int) -> ClausenReport:
-    """The Clausen check at one (eta, K, t): clausen_reports restricted to t."""
-    return clausen_reports(ctx, eta, K, [t])[0]
-
-
 def clausen_sweep(ctx: PrimeFieldCtx):
     """All admissible Clausen checks over F_p. Yields ClausenReports.
 

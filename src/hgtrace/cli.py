@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
@@ -39,10 +40,9 @@ from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
 from .field_core import DEFAULT_P_BOUND, FieldError, cached_ctx, is_prime
 from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
-from .trace_engine import (TraceReport, a_gamma_sweep, calibrate_legendre_relation,
-                           fm_identity_holds, hecke_trace, legendre_relation)
-
-SCHEMA_VERSION = 1
+from .trace_engine import (SCHEMA_VERSION, TraceReport, a_gamma_sweep,
+                           calibrate_legendre_relation, fm_identity_holds, hecke_trace,
+                           legendre_relation)
 
 
 # A report's "terms" stand in json's output as this string until its rows are
@@ -442,7 +442,7 @@ def _run_suite(name, prime, max_prime, seed):
             for p in [q for q in range(7, max_prime + 1) if is_prime(q) and (q - 1) % M == 0]:
                 pairs += 1
                 try:  # the sweep checks a + p = d*t^2 <= 4p on every value
-                    values += len(a_gamma_sweep(row, cached_ctx(p)))
+                    values += len(a_gamma_sweep(row, cached_ctx(p))[0])
                 except SnapError as exc:
                     bad.append((row.name, p, str(exc)))
         return not bad, (f"{values} values over {pairs} (row, p) pairs, {len(bad)} violations"
@@ -599,28 +599,26 @@ def calibrate_bg_lambda(prime):
     row = row_by_signature((2, 4, 6))
     if (p - 1) % 12:
         raise click.UsageError("prime must be 1 mod 12")
-    a_row = a_gamma_sweep(row, ctx)
-    data = {}
+    lams, a = a_gamma_sweep(row, ctx)
+    # a = T + p or a = p - T exactly when |a - p| = |T|; -1 marks a special lambda
+    dist = np.full(p, -1, dtype=np.int64)
+    dist[lams] = np.abs(a - p)
+    js, absT = [], []
     for j in range(1, p):
         try:
             _n1, _n2, s2 = frobenius_quartic_data(ctx, j)
         except FieldError:
             continue
-        data[j] = s2 // 2  # candidate u^2 + ubar^2 up to sign
-    best = None
-    for c in range(1, p):
-        hits = 0
-        for j, T in data.items():
-            lam = c * j % p
-            if lam in a_row and a_row[lam] in (T + p, -T + p):
-                hits += 1
-        if best is None or hits > best[1]:
-            best = (c, hits)
+        js.append(j)
+        absT.append(abs(s2 // 2))  # candidate u^2 + ubar^2 up to sign
+    js, absT = np.array(js, dtype=np.int64), np.array(absT, dtype=np.int64)
+    hits = [int(np.count_nonzero(dist[c * js % p] == absT)) for c in range(1, p)]
+    best = int(np.argmax(hits))  # the first c with the most hits is c = best + 1
     _emit_json({"config": {"command": "calibrate bg-lambda", "prime": p,
                            "schema_version": SCHEMA_VERSION},
-                "best_linear_map": {"c": best[0], "matches": best[1],
-                                    "out_of": len(data)},
-                "c_equals_81_over_16": best[0] == 81 * pow(16, p - 2, p) % p,
+                "best_linear_map": {"c": best + 1, "matches": hits[best],
+                                    "out_of": len(js)},
+                "c_equals_81_over_16": best + 1 == 81 * pow(16, p - 2, p) % p,
                 "note": "research sweep; no outcome asserted"})
 
 

@@ -549,11 +549,6 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
     return scans
 
 
-def baba_granath_qm_scan(ctx: PrimeFieldCtx, j: int):
-    """Run qm_consistency on both s-branches at j; returns list of (branch, QMResult)."""
-    return baba_granath_qm_sweep(ctx, [j])[0]
-
-
 def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
     """(n1 or None, n2, sum of squared eigenvalues) for the branch at j.
 

@@ -74,26 +74,14 @@ def fm_identity_holds(m: int, u: int, v: int) -> bool:
 # Local traces
 
 
-def a_gamma(row: TriangleGroupRow, lam: int, ctx: PrimeFieldCtx,
-            table=None) -> int:
-    """The exact local trace a_Gamma(lam, p) for a generic lam of the row."""
-    lam %= ctx.p
-    _lams, a = _a_gamma_values(row, ctx, np.array([lam]), table)
-    if not len(a):
-        raise ValueError(f"lambda = {lam} is a special point of row {row.name}")
-    return int(a[0])
-
-
-def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx) -> dict[int, int]:
-    """a_Gamma for every generic lam in F_p, via one vectorized sweep."""
-    lams, a = _a_gamma_values(row, ctx, np.arange(ctx.p))
-    return dict(zip(lams.tolist(), a.tolist()))
-
-
-def _a_gamma_values(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray,
-                    table=None) -> tuple[np.ndarray, np.ndarray]:
-    """(generic lams, a_Gamma) for an int64 array of lambdas in [0, p): the row's
-    local_traces. Building the table raises CongruenceError unless p = 1 mod level."""
+def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray | None = None,
+                  table=None) -> tuple[np.ndarray, np.ndarray]:
+    """(generic lams, a_Gamma) as int64 arrays: the row's local_traces over an
+    int64 array of lambdas in [0, p), all of F_p ascending by default. A special
+    lambda is absent from the returned lams. Building the table raises
+    CongruenceError unless p = 1 mod level."""
+    if lams is None:
+        lams = np.arange(ctx.p, dtype=np.int64)
     if table is None:
         table = datum_table(row.hd, ctx)
     return local_traces(row.a_rule, ctx, table, lams, row.hd.n, row.hp_sign,
@@ -135,23 +123,23 @@ _COVER_MAPS = {
 }
 
 
-def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: dict, a_e):
+def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: tuple, a_e):
     """Test a_Gamma(R(lam'), p) = a_E(lam')^2 - p at every Legendre-generic lam'.
 
     R is the cover map named label, a_row the (2,oo,oo) row's a_gamma_sweep
-    and a_e the legendre_trace_sweep, both at p. a_row is read into two arrays
-    over F_p and R is evaluated on all lam' in [2, p) at once, with
-    1/den = antilog[-dlog(den)]; a lam' where den vanishes or R lands on a
-    special lambda of the row is skipped. Returns (bad, held): the first lam'
-    where the relation fails (None if there is none) and an int64 array of the
-    (R(lam'), a_Gamma) rows at which it held before that.
+    arrays (generic lams, a_Gamma) and a_e the legendre_trace_sweep, both at p.
+    R is evaluated on all lam' in [2, p) at once, with 1/den = antilog[-dlog(den)];
+    a lam' where den vanishes or R lands on a special lambda of the row is
+    skipped. Returns (bad, held): the first lam' where the relation fails (None
+    if there is none) and an int64 array of the (R(lam'), a_Gamma) rows at which
+    it held before that.
     """
     p, n = ctx.p, ctx.n
-    lams = np.fromiter(a_row, np.int64, len(a_row))
+    lams, a = a_row
     generic = np.zeros(p, dtype=bool)
     generic[lams] = True
     a_at = np.zeros(p, dtype=np.int64)
-    a_at[lams] = np.fromiter(a_row.values(), np.int64, len(a_row))
+    a_at[lams] = a
     lamp = np.arange(2, p, dtype=np.int64)
     num, den = np.broadcast_arrays(*_COVER_MAPS[label](lamp, p))
     defined = den != 0
@@ -207,6 +195,10 @@ def calibrate_legendre_relation() -> LegendreCalibration:
 # Hecke trace reports
 
 
+# The "schema_version" of every JSON payload: trace reports and CLI configs.
+SCHEMA_VERSION = 1
+
+
 @dataclass(frozen=True)
 class TraceTerm:
     lam: object  # int or OO
@@ -255,7 +247,7 @@ class TraceReport:
     def summary_json(self) -> dict:
         """to_json() without its "terms"."""
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "signature": [str(e) for e in self.signature],
             "p": self.p,
             "k": self.k,
@@ -294,7 +286,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
         raise CongruenceError("good reduction requires p > 5")
     fm = build_Fm(k // 2)
     table = datum_table(row.hd, ctx)
-    lams, a = _a_gamma_values(row, ctx, np.arange(p), table)
+    lams, a = a_gamma_sweep(row, ctx, table=table)
     # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur
     distinct, index, counts = np.unique(a, return_inverse=True, return_counts=True)
     values = tuple(fm.evaluate(x, p) for x in distinct.tolist())
@@ -308,8 +300,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
             cusp_sum += 1
 
     flags = []
-    elliptic_sum = None
-    total = None
+    elliptic_sum = total = dim_hint = None
     partial = True
     if row.a_rule == "row_246" and k == 6:
         esq = elliptic_square_value(table, row.hp_sign, row.hp_weight)
@@ -321,13 +312,13 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
         elliptic_sum = e2 + e46
         total = generic_sum + cusp_sum + elliptic_sum
         partial = False
+        dim_hint = 1
     else:
         for lam, order in row.lambda_special:
             if order != OO:
                 special.append(TraceTerm(lam, f"elliptic({order})", None))
         flags.append("elliptic terms unavailable")
 
-    dim_hint = 1 if (row.a_rule == "row_246" and k == 6) else None
     oracle = _oracle_total(row, p, k)
     residual = None if oracle is None else (
         (total if total is not None else generic_sum + cusp_sum) - oracle)

@@ -4,6 +4,20 @@ from hgtrace import curve_lab
 from hgtrace.field_core import build_ctx
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true",
+                     help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def ctx7():
     return build_ctx(7)

@@ -19,7 +19,7 @@ import pytest
 from hgtrace.character_sums import (al_square_decompose, clausen_sweep, datum_table,
                                     elliptic_square_value, hp_sum)
 from hgtrace.curve_lab import (GenLegendre, Legendre, baba_granath_curve,
-                               baba_granath_qm_scan, count_points,
+                               baba_granath_qm_sweep, count_points,
                                count_via_characters, legendre_trace_sweep)
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
@@ -87,7 +87,8 @@ def _weil_sweep(rows, divisors_fn):
     for row in rows:
         M = level(row.hd)
         for p in (q for q in range(7, 62) if is_prime(q) and (q - 1) % M == 0):
-            for lam, a in a_gamma_sweep(row, cached_ctx(p)).items():
+            lams, a_row = a_gamma_sweep(row, cached_ctx(p))
+            for lam, a in zip(lams.tolist(), a_row.tolist()):
                 if al_square_decompose(a, p, divisors_fn(row)) is None:
                     bad.append((row.name, p, lam, a))
     return bad
@@ -131,7 +132,7 @@ def test_criterion_05_legendre_oracle_equivalence():
     bad = []
     for p in (q for q in range(3, 102) if is_prime(q) and q > 2):
         ctx = cached_ctx(p)
-        a_row = a_gamma_sweep(row, ctx)
+        a_row = dict(zip(*(x.tolist() for x in a_gamma_sweep(row, ctx))))
         a_e = legendre_trace_sweep(ctx)
         specials = row.finite_specials_mod_p(p)
         for lamp in range(2, p):
@@ -175,7 +176,7 @@ def test_criterion_08_baba_granath_qm_p29():
     ctx = cached_ctx(29)
     sampled = passed = 0
     for j in range(1, 29):
-        scans = baba_granath_qm_scan(ctx, j)
+        scans = baba_granath_qm_sweep(ctx, [j])[0]
         # qm_consistency runs on the branches whose curve is defined over F_p
         if any(baba_granath_curve(ctx, j, b)[1] == "F_p" for b, _r in scans):
             sampled += 1
@@ -199,7 +200,7 @@ def test_criterion_08_baba_granath_qm_p13_p17_as_stated():
         ctx = cached_ctx(p)
         passed = 0
         for j in range(1, p):
-            passed += sum(1 for _b, r in baba_granath_qm_scan(ctx, j) if r.passed)
+            passed += sum(1 for _b, r in baba_granath_qm_sweep(ctx, [j])[0] if r.passed)
         ok_primes.append(passed > 0)
     _line(8, "genus-2 QM consistency as stated at p in {13, 17}", all(ok_primes))
     assert all(ok_primes)
@@ -261,10 +262,10 @@ def test_criterion_10_determinism():
             if (p - 1) % level(row.hd):
                 continue
             table = datum_table(row.hd, ctx)
-            sweep = a_gamma_sweep(row, ctx)
-            if set(range(p)) - set(sweep) != row.finite_specials_mod_p(p):
+            lams, a_row = (x.tolist() for x in a_gamma_sweep(row, ctx))
+            if set(range(p)) - set(lams) != row.finite_specials_mod_p(p):
                 special_bad.append((row.name, p))
-            a_bad += [(row.name, p, lam) for lam, a in sweep.items()
+            a_bad += [(row.name, p, lam) for lam, a in zip(lams, a_row)
                       if _literal_a_gamma(row, lam, ctx, table) != a]
         traces = legendre_trace_sweep(ctx)
         leg_bad += [(p, lam) for lam in range(2, p)

@@ -12,6 +12,7 @@ import hashlib
 import importlib
 import json
 import runpy
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 from click.testing import CliRunner
 
 import hgtrace
+from hgtrace import trace_engine
 from hgtrace.cli import main
 # sweep_headroom calls these two
 from hgtrace.character_sums import datum_table, snap_tolerance  # noqa: F401
@@ -60,8 +62,8 @@ def test_kernel_backend_label():
 
 def test_sweep_headroom_reads_the_production_sweep():
     """sweep_headroom's chart, written as in worker.py, scales the public
-    datum_table(...).sweep(args) into exactly a_gamma_sweep's integers, so the
-    headroom metric measures the values the program snaps."""
+    datum_table(...).sweep(args) into exactly a_gamma_sweep's (lams, a) arrays,
+    so the headroom metric measures the values the program snaps."""
     for p in (13, 37, 61, 1009):
         ctx = cached_ctx(p)
         for row in triangle_table():
@@ -82,7 +84,34 @@ def test_sweep_headroom_reads_the_production_sweep():
             assert raw.shape == (len(args),)
             vals = raw * np.array(chis) * scale
             snapped = np.round(vals.real).astype(np.int64).tolist()
-            assert dict(zip(lams, snapped)) == a_gamma_sweep(row, ctx), (row.name, p)
+            got_lams, got_a = a_gamma_sweep(row, ctx)
+            assert (got_lams.tolist(), got_a.tolist()) == (lams, snapped), (row.name, p)
+
+
+@pytest.mark.parametrize("command", [
+    "trace --group 2,4,6 --weight 8 --prime 13",
+    "verify legendre --max-prime 13",
+    "verify weil --max-prime 13",
+])
+def test_commands_call_the_traced_a_gamma_sweep(monkeypatch, command):
+    """trace, verify legendre and verify weil reach a_Gamma through the name
+    trace_engine.a_gamma_sweep, which tracing.py wraps: a counting wrapper,
+    installed in every hgtrace module namespace as Recorder.install does, sees
+    each command call it."""
+    original = trace_engine.a_gamma_sweep
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("hgtrace") and \
+                vars(mod).get("a_gamma_sweep") is original:
+            monkeypatch.setattr(mod, "a_gamma_sweep", counting)
+    res = CliRunner().invoke(main, command.split())
+    assert res.exit_code == 0, res.output
+    assert calls, command
 
 
 @pytest.mark.parametrize("command", [

@@ -8,7 +8,7 @@ from hgtrace import character_sums
 from hgtrace.character_sums import (CalibrationError, _al_square_mask, _slot_table,
                                     al_square_decompose, bracket,
                                     calibrate_hp_weight, calibration_primes,
-                                    clausen_check, clausen_reports, clausen_sweep,
+                                    clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     jacobi_sum, np_sum, snap_tolerance)
@@ -279,14 +279,14 @@ def test_elliptic_square_vs_cm_fixture():
 
 
 def test_clausen_inadmissible_reported(ctx13):
-    rep = clausen_check(ctx13, ctx13.trivial_char, ctx13.char(5), 3)
+    rep = clausen_reports(ctx13, ctx13.trivial_char, ctx13.char(5), [3])[0]
     assert not rep.applicable and "eta trivial" in rep.reason
 
 
 def test_clausen_t1_nonsquare_zero(ctx13):
     # eta*K of odd exponent: lhs must vanish
     eta, K = ctx13.char(1), ctx13.char(4)
-    rep = clausen_check(ctx13, eta, K, 1)
+    rep = clausen_reports(ctx13, eta, K, [1])[0]
     assert rep.applicable and rep.passed
     assert abs(rep.lhs) < 1e-6
 
@@ -344,7 +344,7 @@ def test_clausen_reports_match_literal_np_sums(p):
             for t, rep in enumerate(reports):
                 ok, reason, lhs, rhs, passed = literal_clausen(ctx, eta, K, t)
                 assert (rep.applicable, rep.reason, rep.passed) == (ok, reason, passed)
-                assert rep == clausen_check(ctx, eta, K, t)
+                assert rep == clausen_reports(ctx, eta, K, [t])[0]
                 if ok:
                     assert type(rep.passed) is bool
                     assert abs(rep.lhs - lhs) < 1e-9 and abs(rep.rhs - rhs) < 1e-9
@@ -362,7 +362,7 @@ def test_clausen_exhaustive_p37(ctx37):
 
 def test_clausen_both_sqrt_choices(ctx13):
     # the identity cannot depend on which square root S of eta*K is used;
-    # clausen_check picks one, so spot-check the other by direct evaluation
+    # clausen_reports picks one, so spot-check the other by direct evaluation
     eta, K = ctx13.char(2), ctx13.char(4)
-    rep = clausen_check(ctx13, eta, K, 5)
+    rep = clausen_reports(ctx13, eta, K, [5])[0]
     assert rep.applicable and rep.passed

@@ -351,6 +351,14 @@ def test_verify_all_reads_every_option(runner, monkeypatch):
     assert "suite ran: ('clausen', 13, 61, 0)" in str(res.exception)
 
 
+@pytest.mark.slow
+def test_verify_clausen_at_101(runner):
+    res = runner.invoke(main, ["verify", "clausen", "--prime", "101"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["results"][0]["detail"] == \
+        "475400 admissible checks, 0 failures over [101]"
+
+
 def _readme_commands():
     """The hgtrace lines of README's "Command line" block, comments dropped."""
     text = (REPO_ROOT / "README.md").read_text()

@@ -9,8 +9,7 @@ from hgtrace import curve_lab
 from hgtrace.character_sums import SnapError
 from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                JacobiQuartic, Legendre, PicardSub, UniversalJ,
-                               baba_granath_curve, baba_granath_qm_scan,
-                               baba_granath_qm_sweep,
+                               baba_granath_curve, baba_granath_qm_sweep,
                                conic_points, count_genus2_fp, count_genus2_fp2,
                                count_gen_legendre, count_hesse, count_legendre,
                                count_universal_j,
@@ -149,7 +148,8 @@ def test_qm_sweep_is_per_j_scan(monkeypatch):
     monkeypatch.setattr(curve_lab, "_FP2_BLOCK", 1000)
     ctx = cached_ctx(29)
     js = list(range(1, 29))
-    assert baba_granath_qm_sweep(ctx, js) == [baba_granath_qm_scan(ctx, j) for j in js]
+    assert baba_granath_qm_sweep(ctx, js) == [baba_granath_qm_sweep(ctx, [j])[0]
+                                              for j in js]
 
 
 def test_universal_j_literal_count():
@@ -471,7 +471,7 @@ def test_baba_granath_qm_passes_at_29():
     ctx = cached_ctx(29)
     passed = 0
     for j in range(1, 29):
-        for branch, res in baba_granath_qm_scan(ctx, j):
+        for branch, res in baba_granath_qm_sweep(ctx, [j])[0]:
             if res.passed:
                 passed += 1
     assert passed > 0

@@ -13,9 +13,8 @@ from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primi
 from hgtrace.hgm_data import OO, hg_datum, row_by_signature, triangle_table
 from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
-from hgtrace.trace_engine import (_COVER_MAPS, LegendreCalibration,
-                                  _a_gamma_values, a_gamma, a_gamma_sweep,
-                                  build_Fm, calibrate_legendre_relation,
+from hgtrace.trace_engine import (_COVER_MAPS, SCHEMA_VERSION, LegendreCalibration,
+                                  a_gamma_sweep, build_Fm, calibrate_legendre_relation,
                                   fm_identity_holds, hecke_trace, legendre_relation)
 
 
@@ -91,28 +90,42 @@ def test_fm_against_interpolation_oracle(m):
     assert _fm_by_interpolation(m) == build_Fm(m).coeffs
 
 
+def _one_lambda(row, lam, ctx, table=None):
+    """a_gamma_sweep at the single lambda lam mod p, as int64 arrays."""
+    return a_gamma_sweep(row, ctx, np.array([lam % ctx.p]), table)
+
+
+def _sweep_dict(sweep):
+    """{lam: a_Gamma} of a_gamma_sweep's arrays, for the scalar reference loops."""
+    lams, a = sweep
+    return dict(zip(lams.tolist(), a.tolist()))
+
+
 def test_a_gamma_rejects_special(ctx13):
-    row = row_by_signature((2, OO, OO))
-    with pytest.raises(ValueError):
-        a_gamma(row, 1, ctx13)
-    with pytest.raises(ValueError):
-        a_gamma(row, 0, ctx13)
-    r246 = row_by_signature((2, 4, 6))
-    with pytest.raises(ValueError):
-        a_gamma(r246, -3, ctx13)
+    """A special lambda is absent from the returned lambdas."""
+    row, r246 = row_by_signature((2, OO, OO)), row_by_signature((2, 4, 6))
+    for r, lam in ((row, 1), (row, 0), (r246, -3)):
+        lams, a = _one_lambda(r, lam, ctx13)
+        assert lams.tolist() == a.tolist() == [], (r.name, lam)
+    lams, a = _one_lambda(row, 2, ctx13)
+    assert lams.tolist() == [2] and len(a) == 1
 
 
 def test_a_gamma_congruence(ctx7):
     with pytest.raises(CongruenceError):
-        a_gamma(row_by_signature((2, 4, 6)), 2, ctx7)
+        _one_lambda(row_by_signature((2, 4, 6)), 2, ctx7)
 
 
 def test_a_gamma_matches_sweep(ctx13):
+    """The sweep over F_p returns int64 arrays, and each of its entries is the
+    sweep at that lambda alone."""
     for sig in ((2, OO, OO), (2, 4, 6)):
         row = row_by_signature(sig)
-        sweep = a_gamma_sweep(row, ctx13)
-        for lam in list(sweep)[:5]:
-            assert a_gamma(row, lam, ctx13) == sweep[lam]
+        lams, a = a_gamma_sweep(row, ctx13)
+        assert lams.dtype == a.dtype == np.int64
+        assert (np.diff(lams) > 0).all()
+        for lam, want in zip(lams.tolist()[:5], a.tolist()):
+            assert _one_lambda(row, lam, ctx13)[1].tolist() == [want]
 
 
 def test_sweep_snap_error_names_first_bad_lambda(ctx13):
@@ -120,12 +133,12 @@ def test_sweep_snap_error_names_first_bad_lambda(ctx13):
     row = row_by_signature((2, OO, OO))
     irrational = datum_table(hg_datum(("1/2", "1/3", "1/3"), (1, 1, 1)), ctx13)
     with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 13\) did not snap") as exc:
-        _a_gamma_values(row, ctx13, np.arange(13), irrational)
+        a_gamma_sweep(row, ctx13, table=irrational)
     bad = int(re.search(r"a_Gamma\((\d+),", str(exc.value)).group(1))
     for lam in range(bad):
-        _a_gamma_values(row, ctx13, np.array([lam]), irrational)
+        _one_lambda(row, lam, ctx13, irrational)
     with pytest.raises(SnapError):
-        a_gamma(row, bad, ctx13, irrational)
+        _one_lambda(row, bad, ctx13, irrational)
 
 
 class _ShiftedTable:
@@ -150,7 +163,7 @@ def test_sweep_off_by_one_fails_the_square_check(sig):
     shifted = _ShiftedTable(datum_table(row.hd, ctx), 1)
     with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 37\) snapped to -?\d+, but a \+ p "
                                         r"is not d\*t\^2"):
-        _a_gamma_values(row, ctx, np.arange(37), shifted)
+        a_gamma_sweep(row, ctx, table=shifted)
 
 
 class _ImaginaryOffsetTable:
@@ -176,12 +189,12 @@ def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fractio
     ctx = cached_ctx(13)
     table = character_sums.datum_table(row.hd, ctx)
     if fraction < 1:
-        assert _a_gamma_values(row, ctx, np.arange(13), table)[1].tolist() == \
-            list(a_gamma_sweep(row, ctx).values())
+        assert a_gamma_sweep(row, ctx, table=table)[1].tolist() == \
+            a_gamma_sweep(row, ctx)[1].tolist()
         assert calibrate_hp_weight(row.hd) == (row.hp_sign, row.hp_weight)
     else:
         with pytest.raises(SnapError, match="did not snap"):
-            _a_gamma_values(row, ctx, np.arange(13), table)
+            a_gamma_sweep(row, ctx, table=table)
         with pytest.raises(CalibrationError, match=r"no \(sign, weight\)"):
             calibrate_hp_weight(row.hd)
 
@@ -193,13 +206,13 @@ def test_snap_headroom_at_the_p_cap():
     p = 99961
     ctx = cached_ctx(p)
     for row in triangle_table():
-        sweep = a_gamma_sweep(row, ctx)
+        _lams, a = a_gamma_sweep(row, ctx)
         args, chis, p_factor = _lambda_chart(row.a_rule, ctx, np.arange(p))
         generic = chis != 0
         vals = datum_table(row.hd, ctx).sweep(args[generic]) * chis[generic] \
             * (row.hp_sign * p_factor / p ** row.hp_weight)
         snapped = np.round(vals.real)
-        assert snapped.astype(np.int64).tolist() == list(sweep.values()), row.name
+        assert snapped.astype(np.int64).tolist() == a.tolist(), row.name
         worst = max(np.abs(vals.imag).max(), np.abs(vals.real - snapped).max())
         assert snap_tolerance(p, row.hd.n) >= 1e4 * worst, row.name
 
@@ -210,7 +223,7 @@ def test_a_gamma_generator_independent():
     for idx in range(3):
         g = nth_primitive_root(13, idx)
         ctx = build_ctx(13, generator=g)
-        vals = a_gamma_sweep(row, ctx)
+        vals = [x.tolist() for x in a_gamma_sweep(row, ctx)]
         if base is None:
             base = vals
         else:
@@ -219,7 +232,7 @@ def test_a_gamma_generator_independent():
 
 def test_frobenius_trace_Vk(ctx13):
     row = row_by_signature((2, OO, OO))
-    a = a_gamma(row, 2, ctx13)
+    a, = _one_lambda(row, 2, ctx13)[1].tolist()
     assert build_Fm(1).evaluate(a, 13) == a
     p = 13
     assert build_Fm(3).evaluate(a, p) == a ** 3 - 2 * p * a * a - p * p * a + p ** 3
@@ -243,7 +256,7 @@ def test_legendre_relation_all_primes_to_61():
     row = row_by_signature((2, OO, OO))
     for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         ctx = cached_ctx(p)
-        a_row = a_gamma_sweep(row, ctx)
+        a_row = _sweep_dict(a_gamma_sweep(row, ctx))
         a_e = legendre_trace_sweep(ctx)
         specials = row.finite_specials_mod_p(p)
         for lamp in range(2, p):
@@ -261,7 +274,8 @@ def test_legendre_relation_matches_a_scalar_loop():
     failed = 0
     for p in (7, 11, 13, 29, 61):
         ctx = cached_ctx(p)
-        a_row = a_gamma_sweep(row, ctx)
+        sweep = a_gamma_sweep(row, ctx)
+        a_row = _sweep_dict(sweep)
         a_e = legendre_trace_sweep(ctx)
         for label, cover in _COVER_MAPS.items():
             bad, held = None, []
@@ -276,7 +290,7 @@ def test_legendre_relation_matches_a_scalar_loop():
                     bad = lamp
                     break
                 held.append([target, a_row[target]])
-            got_bad, got_held = legendre_relation(label, ctx, a_row, a_e)
+            got_bad, got_held = legendre_relation(label, ctx, sweep, a_e)
             assert (got_bad, got_held.tolist()) == (bad, held), (label, p)
             failed += bad is not None
     assert failed > 0
@@ -287,7 +301,7 @@ def test_legendre_negative_control(ctx13):
     from hgtrace.curve_lab import legendre_trace_sweep
     cover = _COVER_MAPS["-4*lam/(lam-1)^2"]
     row = row_by_signature((2, OO, OO))
-    a_row = a_gamma_sweep(row, ctx13)
+    a_row = _sweep_dict(a_gamma_sweep(row, ctx13))
     a_e = legendre_trace_sweep(ctx13)
     mismatches = 0
     for lamp in range(2, 13):
@@ -343,7 +357,7 @@ def test_hecke_trace_generator_independent():
 def test_report_json_schema(ctx13):
     rep = hecke_trace(row_by_signature((2, 4, 6)), ctx13, 6)
     d = rep.to_json()
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == SCHEMA_VERSION == 1
     assert d["total"] == rep.total
     parsed = json.loads(json.dumps(d))
     assert parsed["p"] == 13
@@ -363,8 +377,9 @@ def test_report_terms_follow_the_sweep(ctx37, sig, special):
     the cusps, then the elliptic terms."""
     row, p = row_by_signature(sig), 37
     rep = hecke_trace(row, ctx37, 6)
-    sweep = a_gamma_sweep(row, ctx37)
-    generic = [(lam, "generic", build_Fm(3).evaluate(a, p)) for lam, a in sweep.items()]
+    lams, a = a_gamma_sweep(row, ctx37)
+    generic = [(lam, "generic", build_Fm(3).evaluate(x, p))
+               for lam, x in zip(lams.tolist(), a.tolist())]
     terms = rep.terms
-    assert [(t.lam, t.kind, t.value) for t in terms[:len(sweep)]] == generic
-    assert [t.kind for t in terms[len(sweep):]] == special
+    assert [(t.lam, t.kind, t.value) for t in terms[:len(lams)]] == generic
+    assert [t.kind for t in terms[len(lams):]] == special
