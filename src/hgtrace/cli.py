@@ -34,9 +34,9 @@ from .character_sums import (AlgebraicValue, CalibrationError, SnapError,
                              calibrate_hp_weight, calibration_primes,
                              clausen_sweep, datum_table, hp_sum, snap_tolerance)
 from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
-                        Legendre, PicardSub, UniversalJ, baba_granath_qm_sweep,
-                        count_points, count_via_characters, frobenius_quartic_data,
-                        legendre_trace_sweep)
+                        Legendre, PicardSub, UniversalJ, baba_granath_curve,
+                        baba_granath_qm_sweep, count_genus2_fp2, count_points,
+                        count_via_characters, legendre_trace_sweep)
 from .field_core import DEFAULT_P_BOUND, FieldError, cached_ctx, is_prime
 from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
@@ -603,14 +603,19 @@ def calibrate_bg_lambda(prime):
     # a = T + p or a = p - T exactly when |a - p| = |T|; -1 marks a special lambda
     dist = np.full(p, -1, dtype=np.int64)
     dist[lams] = np.abs(a - p)
-    js, absT = [], []
+    # p^2 + 1 - n2 over F_p2 is the sum of the squared Frobenius eigenvalues;
+    # one batch per field of definition, since one row off F_p makes the
+    # batch evaluate all of F_p2
+    by_field = {}
     for j in range(1, p):
-        try:
-            _n1, _n2, s2 = frobenius_quartic_data(ctx, j)
-        except FieldError:
-            continue
-        js.append(j)
-        absT.append(abs(s2 // 2))  # candidate u^2 + ubar^2 up to sign
+        coeffs, tag, _flags = baba_granath_curve(ctx, j)
+        if coeffs is not None:
+            by_field.setdefault(tag, []).append((j, coeffs))
+    js, absT = [], []
+    for curves in by_field.values():
+        js += [j for j, _coeffs in curves]
+        n2s = count_genus2_fp2(ctx, [coeffs for _j, coeffs in curves])
+        absT += [abs((p * p + 1 - n2) // 2) for n2 in n2s]  # u^2 + ubar^2 up to sign
     js, absT = np.array(js, dtype=np.int64), np.array(absT, dtype=np.int64)
     hits = [int(np.count_nonzero(dist[c * js % p] == absT)) for c in range(1, p)]
     best = int(np.argmax(hits))  # the first c with the most hits is c = best + 1

@@ -402,16 +402,22 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
     for m in (a, b, c, a + b + c):
         if m % N == 0:
             raise FieldError("datum violates N not dividing a, b, c, a+b+c")
-    eN = (p - 1) // N
-    dlog_f = [int(ctx.dlog[pow(x, a, p) * pow((x - 1) % p, b, p) % p
-                           * pow((x - lam) % p, c, p) % p])
-              for x in range(p) if x not in (0, 1, lam)]
-    sums = {}
-    for k in range(N):
-        acc = 0j
-        for d in dlog_f:
-            acc += ctx.zeta[(k * eN * d) % (p - 1)]
-        sums[k] = acc
+    # f(x) by int64 products mod p over x not in {0, 1, lam}, where every
+    # factor is a unit (so exponents reduce mod p - 1); chi^k(f(x)) reads
+    # dlog f(x) only mod N, so S_k = sum_r hist[r] zeta^(k eN r)
+    x = np.arange(2, p, dtype=np.int64)
+    x = x[x != lam]
+    f = np.ones_like(x)
+    for base, e in ((x, a), (x - 1, b), ((x - lam) % p, c)):
+        e %= p - 1
+        while e:
+            if e & 1:
+                f = f * base % p
+            base = base * base % p
+            e >>= 1
+    hist = np.bincount(ctx.dlog[f] % N, minlength=N)
+    eN, r = (p - 1) // N, np.arange(N)
+    sums = {k: complex(hist @ ctx.zeta[k * eN * r % (p - 1)]) for k in range(N)}
     total = sum(sums.values())
     n_points = round(total.real) + _boundary_places(ctx, N, ((0, a), (1, b), (lam, c)))
     new_part = sum(sums[k] for k in range(1, N) if gcd(k, N) == 1)
@@ -547,21 +553,6 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
             n1 = count_genus2_fp(ctx, coeffs)
             scan[i] = (scan[i][0], qm_consistency(n1, n2, ctx.p))
     return scans
-
-
-def frobenius_quartic_data(ctx: PrimeFieldCtx, j: int, branch: int = 1):
-    """(n1 or None, n2, sum of squared eigenvalues) for the branch at j.
-
-    Works for both residue classes of -6j: over F_p2 the count always exists
-    and p^2 + 1 - n2 is the sum of the squared F_p-Frobenius eigenvalues when
-    the curve descends, or the F_{p^2}-trace otherwise.
-    """
-    coeffs, field_tag, _flags = baba_granath_curve(ctx, j, branch)
-    if coeffs is None:
-        raise FieldError("degenerate j")
-    n2, = count_genus2_fp2(ctx, [coeffs])
-    n1 = count_genus2_fp(ctx, coeffs) if field_tag == "F_p" else None
-    return n1, n2, ctx.p ** 2 + 1 - n2
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Independent modular-forms ground truth.
 
-Hecke traces on level-one cusp forms come from the Eichler-Selberg trace
-formula, in integer arithmetic with Hurwitz class numbers. The rest is exact
-integer q-series arithmetic on tuples of coefficients: eta products and
-Eisenstein series. The level-6 weight-8 newform 6.8.a.a is one fixed
-combination f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24,
-f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2. The two shipped fixtures were derived
-with the machinery in this module (see level6_weight8_ap and
-cm_level24_weight5_ap) and are validated against the Ramanujan bound on load;
-the test suite re-derives every shipped coefficient, so a fixture is refreshed
-or extended by the same route.
+Hecke traces on S_k(Gamma0(N)) for N | 6 come from one formula, the
+Eichler-Selberg trace formula in Cohen's form, in integer arithmetic over the
+reduced binary quadratic forms of each discriminant (gamma0_hecke_trace).
+Level one is its N = 1 case (level1_hecke_trace), and the level-6 weight-8
+newform 6.8.a.a is the new part of the four levels at weight 8
+(level6_weight8_ap). The two shipped fixtures were derived by this module's
+routes (level6_weight8_ap and cm_level24_weight5_ap) and are validated against
+the Ramanujan bound on load; the test suite re-derives every shipped
+coefficient, so a fixture is refreshed or extended by the same route. The
+q-series (eta products, Eisenstein series, the Miller basis) are kept in the
+tests as an independent reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 from .field_core import is_prime
@@ -30,71 +31,11 @@ class QExpansionError(ValueError):
     pass
 
 
-def _mul_trunc(a, b, N: int) -> list:
-    """Coefficients 0..N of the product of the integer series a and b.
-
-    Zero coefficients of a are skipped, so pass the sparser factor first.
-    """
-    out = [0] * (N + 1)
-    for i, x in enumerate(a[:N + 1]):
-        if x:
-            for j, y in enumerate(b[:N + 1 - i]):
-                out[i + j] += x * y
-    return out
-
-
-def _euler_series(d: int, N: int) -> list:
-    """prod_n (1 - q^(dn)) to q^N by Euler's pentagonal number theorem:
-    the sum over k in Z of (-1)^k q^(d k(3k-1)/2)."""
-    co = [0] * (N + 1)
-    k = 0
-    while d * k * (3 * k - 1) // 2 <= N:
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if d * e <= N:
-                co[d * e] = (-1) ** k
-        k += 1
-    return co
-
-
-def eta_product(d_powers: dict[int, int], N: int) -> tuple:
-    """Coefficients 0..N of prod_d (q^(d/24))^(r_d) * prod_n (1 - q^(dn))^(r_d).
-
-    Requires sum d*r_d divisible by 24, an even sum r_d (integer weight) and all
-    exponents nonnegative (enough for the oracle bases).
-    """
-    shift, wt2 = 0, 0
-    for d, r in d_powers.items():
-        if r < 0:
-            raise QExpansionError("negative eta exponents not supported")
-        shift += d * r
-        wt2 += r
-    if shift % 24 or wt2 % 2:
-        raise QExpansionError("eta product is not integer-weight/integral-shift")
-    shift //= 24
-    co = [1] + [0] * N
-    for d, r in d_powers.items():
-        euler = _euler_series(d, N)
-        for _ in range(r):
-            co = _mul_trunc(euler, co, N)
-    return tuple(([0] * shift + co)[:N + 1])
-
-
-def eisenstein(k: int, N: int, d: int = 1) -> tuple:
-    """Coefficients 0..N of E_k(d tau), constant term 1, k in {2, 4, 6}.
-
-    One divisor-sum sieve: each e <= N/d adds c e^(k-1) at every multiple of d e.
-    """
-    c = {2: -24, 4: 240, 6: -504}[k]
-    co = [1] + [0] * N
-    for e in range(1, N // d + 1):
-        ce = c * e ** (k - 1)
-        for m in range(d * e, N + 1, d * e):
-            co[m] += ce
-    return tuple(co)
-
-
 # ---------------------------------------------------------------------------
-# Level-1 Hecke traces
+# Hecke traces on S_k(Gamma0(N)), N | 6
+
+_DIVISORS = {1: (1,), 2: (1, 2), 3: (1, 3), 6: (1, 2, 3, 6)}
+_PSI = {1: 1, 2: 3, 3: 4, 6: 12}  # the index of Gamma0(N) in SL_2(Z)
 
 
 def hurwitz_class_number_12(N: int) -> int:
@@ -122,58 +63,110 @@ def hurwitz_class_number_12(N: int) -> int:
     return h
 
 
-def level1_hecke_trace(k: int, p: int) -> int:
-    """Tr(T_p) on the level-one cusp forms of weight k, p prime, exactly.
+def _traces_24(k: int, n: int, N: int) -> dict:
+    """{L: 24 Tr T_n on S_k(Gamma0(L))} for every L | N, k even >= 4 and
+    gcd(n, N) = 1, from one pass over t.
 
-    The Eichler-Selberg trace formula (Cohen-Stromberg, Modular Forms, ch. 12):
+    Cohen's formula (Cohen-Stromberg, Modular Forms, ch. 12) is A1 + A2 + A3
+    with no A4 (k > 2):
 
-        Tr T_p = -1/2 sum_{t^2 < 4p} P_k(t, p) H(4p - t^2) - 1,
+        A1 = n^(k/2-1) (k-1) psi(L)/12 if n is a square, else 0,
+        A2 = -1/2 sum_{t^2 < 4n} P_k(t, n) sum_f h_w(-(4n - t^2)/f^2) mu_L(t, f, n),
+        A3 = -1/2 sigma0(L) sum_{d | n} min(d, n/d)^(k-1),
 
-    where P_k(t, p) = u_(k-1) for u_0 = 0, u_1 = 1, u_(j+1) = t u_j - p u_(j-1).
-    P_k and H are even in t for even k, so each t > 0 counts twice. The sum
-    is taken with 12 H, which makes it an integer divisible by 24.
+    with P_k(t, n) = u_(k-1) for u_0 = 0, u_1 = 1, u_(j+1) = t u_j - n u_(j-1),
+    h_w the primitive reduced forms weighted as in H, and mu_L = prod_{q | L}
+    mu_q, where mu_q = q + 1 if q | f and otherwise the number r_q of roots of
+    x^2 - t x + n mod q. The reduced forms of discriminant -D whose content is
+    divisible by g are g times those of discriminant -D/g^2, so the f-sum is
+    1/12 sum_{g | L} 12 H(D/g^2) prod_{q | g} (q + 1 - r_q) prod_{q | L/g} r_q
+    with D = 4n - t^2, read off the one grid with no content test.
+    P_k, H and r_q are even in t for even k, so each t > 0 counts twice.
     """
-    if k % 2 or k < 4:
-        return 0
-    if not is_prime(p):
-        raise QExpansionError(f"{p} is not prime")
-    s = 0
-    for t in range(isqrt(4 * p - 1) + 1):
+    levels = _DIVISORS[N]
+    # r_q reads t only mod q, so the t-sum is kept per (t mod N, g)
+    acc = [[0] * (N + 1) for _ in range(N)]
+    nonunit = levels[1:]
+    for t in range(isqrt(4 * n - 1) + 1):
         u0, u1 = 0, 1
         for _ in range(k - 2):
-            u0, u1 = u1, t * u1 - p * u0
-        s += (2 if t else 1) * u1 * hurwitz_class_number_12(4 * p - t * t)
-    if s % 24:
-        raise QExpansionError(f"Eichler-Selberg sum {s} at (k, p) = ({k}, {p}) "
+            u0, u1 = u1, t * u1 - n * u0
+        c, D, row = (2 if t else 1) * u1, 4 * n - t * t, acc[t % N]
+        row[1] += c * hurwitz_class_number_12(D)
+        for g in nonunit:
+            Dg, rem = divmod(D, g * g)
+            if rem == 0 and Dg % 4 in (0, 3):
+                row[g] += c * hurwitz_class_number_12(Dg)
+    out = dict.fromkeys(levels, 0)
+    for t, row in enumerate(acc):
+        roots = {q: sum((x * x - t * x + n) % q == 0 for x in range(1, q))
+                 for q in (2, 3) if N % q == 0}
+        for L in levels:
+            for g in levels:
+                if L % g == 0:
+                    m = row[g]
+                    for q, r_q in roots.items():
+                        if L % q == 0:
+                            m *= q + 1 - r_q if g % q == 0 else r_q
+                    out[L] -= m
+    r = isqrt(n)
+    mins = 2 * sum(d ** (k - 1) for d in range(1, r + 1) if n % d == 0)
+    if r * r == n:  # d = r was counted twice
+        mins -= r ** (k - 1)
+    for L in levels:
+        out[L] -= 12 * len(_DIVISORS[L]) * mins
+        if r * r == n:
+            out[L] += 2 * r ** (k - 2) * (k - 1) * _PSI[L]
+    return out
+
+
+def _exact(sum24: int, N, k: int, n: int) -> int:
+    if sum24 % 24:
+        raise QExpansionError(f"trace-formula sum {sum24} at (N, k, n) = ({N}, {k}, {n}) "
                               "is not divisible by 24")
-    return -s // 24 - 1
+    return sum24 // 24
 
 
-# ---------------------------------------------------------------------------
-# Level-6 weight-8 newform and the level-24 weight-5 CM form (fixture sources)
+def gamma0_hecke_trace(N: int, k: int, n: int) -> int:
+    """Tr T_n on S_k(Gamma0(N)), trivial character, for N in {1, 2, 3, 6}
+    and gcd(n, N) = 1, exactly (see _traces_24 for the formula).
+
+    The four groups have genus 0, so S_2 = 0; odd k gives 0 too.
+    """
+    if N not in _DIVISORS or n < 1 or gcd(n, N) > 1:
+        raise QExpansionError(f"need N | 6 and n >= 1 coprime to N, got (N, n) = ({N}, {n})")
+    if k % 2 or k < 4:
+        return 0
+    return _exact(_traces_24(k, n, N)[N], N, k, n)
+
+
+def level1_hecke_trace(k: int, p: int) -> int:
+    """Tr(T_p) on the level-one cusp forms of weight k, p prime, exactly:
+    the N = 1 case of gamma0_hecke_trace, -1/2 sum_t P_k(t, p) H(4p - t^2) - 1."""
+    if not is_prime(p):
+        raise QExpansionError(f"{p} is not prime")
+    return gamma0_hecke_trace(1, k, p)
 
 
 def level6_weight8_ap(p: int) -> int:
     """a_p of the unique weight-8 level-6 newform 6.8.a.a, for p not dividing 6.
 
-    The newform is one fixed combination in the basis f4 * E4(d tau), d | 6,
-    plus f4^2 of S_8(Gamma0(6)), where f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2:
+    S_8^new(Gamma0(6)) is one-dimensional, so a_p is Tr T_p on it. For n
+    coprime to N, Tr T_n on S_k(Gamma0(N)) is sum_{L | N} 2^omega(N/L) times
+    the trace on the new part of level L; solved upward from L = 1,
 
-        6.8.a.a = f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24.
+        a_p = T(6) - 2 T(2) - 2 T(3) + 4 T(1),  T(N) = Tr T_p on S_8(Gamma0(N)),
 
-    The coordinates (1/24, -1/6, -3/8, 3/2, 0) were solved once in exact
-    fractions from a_1..a_5 = 1, 8, 27, 64, -114. a_p is the one q^p
-    coefficient, a dot product of f4 against the Eisenstein combination.
+    and all four traces come from one pass of _traces_24.
     """
-    if p in (2, 3):
+    if gcd(p, 6) > 1:
         raise QExpansionError("p must be coprime to the level")
-    f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, p)
-    g = [a - 4 * b - 9 * c + 36 * e
-         for a, b, c, e in zip(*(eisenstein(4, p, d) for d in (1, 2, 3, 6)))]
-    ap24 = sum(f4[i] * g[p - i] for i in range(1, p + 1))
-    if ap24 % 24:
-        raise QExpansionError(f"24 a_{p} = {ap24} is not divisible by 24")
-    return ap24 // 24
+    t = _traces_24(8, p, 6)
+    return _exact(t[6] - 2 * t[2] - 2 * t[3] + 4 * t[1], "6 new", 8, p)
+
+
+# ---------------------------------------------------------------------------
+# The level-24 weight-5 CM form (a fixture source)
 
 
 def cm_level24_weight5_ap(p: int):

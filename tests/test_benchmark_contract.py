@@ -27,6 +27,7 @@ from hgtrace.cli import main
 from hgtrace.character_sums import datum_table, snap_tolerance  # noqa: F401
 from hgtrace.field_core import cached_ctx
 from hgtrace.hgm_data import TriangleGroupRow, level, triangle_table
+from hgtrace.modform_oracle import level6_weight8_ap
 from hgtrace.trace_engine import a_gamma_sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -121,12 +122,24 @@ def test_commands_call_the_traced_a_gamma_sweep(monkeypatch, command):
     "trace --group 2,4,6 --weight 8 --prime 10009",
     *(f"count legendre --prime {p} --lambda all" for p in (997, 1009, 1021, 1033)),
     *(f"verify legendre --max-prime {m}" for m in (290, 300, 310)),
+    "trace --group 2,3,oo --weight 12 --prime-range 7:200",
+    *(f"verify genlegendre --prime {p}" for p in (199, 211)),
 ])
 def test_trace_stdout_matches_recorded_digest(command):
-    """The trace-sweep commands, two single-prime reports and the Legendre
-    count and verify commands of cross-checks print exactly the bytes whose
-    sha256 the benchmark recorded."""
+    """The trace-sweep commands, two single-prime reports, the level-1 oracle
+    range of oracle-check and the Legendre and generalized Legendre commands
+    of cross-checks print exactly the bytes whose sha256 the benchmark
+    recorded."""
     digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
     res = CliRunner().invoke(main, command.split())
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digests["hgtrace " + command]
+
+
+def test_level6_oracle_matches_recorded_digest():
+    """oracle-check's direct call: the digest of level6_weight8_ap(109) as the
+    benchmark records a call's result, one JSON value and a newline."""
+    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
+    text = json.dumps(level6_weight8_ap(109)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        digests["hgtrace.modform_oracle.level6_weight8_ap(109)"]

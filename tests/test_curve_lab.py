@@ -14,7 +14,7 @@ from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
                                count_gen_legendre, count_hesse, count_legendre,
                                count_universal_j,
                                count_points, count_via_characters,
-                               frobenius_quartic_data, igusa_clebsch_identity,
+                               igusa_clebsch_identity,
                                jacobi_quartic_isomorphism_check,
                                legendre_trace_sweep, qm_consistency)
 from hgtrace.field_core import FieldError, build_quad_ext, cached_ctx, is_prime
@@ -478,11 +478,11 @@ def test_baba_granath_qm_passes_at_29():
 
 
 def test_frobenius_quartic_weil(ctx13):
-    for j in range(1, 13):
-        if (27 * j + 16) % 13 == 0:
-            continue
-        _n1, _n2, s2 = frobenius_quartic_data(ctx13, j)
-        assert abs(s2) <= 4 * 13  # |sum of squared unit eigenvalues| <= 4p
+    # p^2 + 1 - #C(F_p2) is the sum of the squared Frobenius eigenvalues
+    sextics = [baba_granath_curve(ctx13, j)[0] for j in range(1, 13) if (27 * j + 16) % 13]
+    assert len(sextics) == 11
+    for n2 in count_genus2_fp2(ctx13, sextics):
+        assert abs(13 ** 2 + 1 - n2) <= 4 * 13  # |sum of squared unit eigenvalues| <= 4p
 
 
 def test_count_points_dispatch(ctx13):

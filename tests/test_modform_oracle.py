@@ -8,8 +8,7 @@ from hgtrace import modform_oracle
 from hgtrace.field_core import cached_ctx, is_prime
 from hgtrace.hgm_data import level, row_by_signature
 from hgtrace.modform_oracle import (FixtureError, NewformFixture, QExpansionError,
-                                    _mul_trunc, cm_level24_weight5_ap,
-                                    eisenstein, eta_product,
+                                    cm_level24_weight5_ap, gamma0_hecke_trace,
                                     hurwitz_class_number_12, level1_hecke_trace,
                                     level6_weight8_ap, load_fixture,
                                     load_fixture_by_label)
@@ -19,6 +18,87 @@ TAU = {2: -24, 3: 252, 5: 4830, 7: -16744, 11: 534612, 13: -577738,
        17: -6905934, 19: 10661420, 23: 18643272, 29: 128406630,
        31: -52843168, 37: -182213314, 41: 308120442, 43: -17125708,
        47: 2687348496}
+
+
+# ---------------------------------------------------------------------------
+# Exact integer q-series: the tests' independent route to the oracle values
+
+
+def _mul_trunc(a, b, N: int) -> list:
+    """Coefficients 0..N of the product of the integer series a and b.
+
+    Zero coefficients of a are skipped, so pass the sparser factor first.
+    """
+    out = [0] * (N + 1)
+    for i, x in enumerate(a[:N + 1]):
+        if x:
+            for j, y in enumerate(b[:N + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _euler_series(d: int, N: int) -> list:
+    """prod_n (1 - q^(dn)) to q^N by Euler's pentagonal number theorem:
+    the sum over k in Z of (-1)^k q^(d k(3k-1)/2)."""
+    co = [0] * (N + 1)
+    k = 0
+    while d * k * (3 * k - 1) // 2 <= N:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if d * e <= N:
+                co[d * e] = (-1) ** k
+        k += 1
+    return co
+
+
+def eta_product(d_powers: dict[int, int], N: int) -> tuple:
+    """Coefficients 0..N of prod_d (q^(d/24))^(r_d) * prod_n (1 - q^(dn))^(r_d).
+
+    Requires sum d*r_d divisible by 24, an even sum r_d (integer weight) and all
+    exponents nonnegative (enough for the reference bases).
+    """
+    shift, wt2 = 0, 0
+    for d, r in d_powers.items():
+        if r < 0:
+            raise QExpansionError("negative eta exponents not supported")
+        shift += d * r
+        wt2 += r
+    if shift % 24 or wt2 % 2:
+        raise QExpansionError("eta product is not integer-weight/integral-shift")
+    shift //= 24
+    co = [1] + [0] * N
+    for d, r in d_powers.items():
+        euler = _euler_series(d, N)
+        for _ in range(r):
+            co = _mul_trunc(euler, co, N)
+    return tuple(([0] * shift + co)[:N + 1])
+
+
+def eisenstein(k: int, N: int, d: int = 1) -> tuple:
+    """Coefficients 0..N of E_k(d tau), constant term 1, k in {2, 4, 6}.
+
+    One divisor-sum sieve: each e <= N/d adds c e^(k-1) at every multiple of d e.
+    """
+    c = {2: -24, 4: 240, 6: -504}[k]
+    co = [1] + [0] * N
+    for e in range(1, N // d + 1):
+        ce = c * e ** (k - 1)
+        for m in range(d * e, N + 1, d * e):
+            co[m] += ce
+    return tuple(co)
+
+
+def _level6_series(N):
+    """24 times the q-series of 6.8.a.a to q^N: f4 * (E4(t) - 4 E4(2t) -
+    9 E4(3t) + 36 E4(6t)), f4 = (eta(t) eta(2t) eta(3t) eta(6t))^2.
+
+    The coordinates (1/24, -1/6, -3/8, 3/2, 0) in the basis f4 * E4(d tau),
+    d | 6, plus f4^2 of S_8(Gamma0(6)) were solved once in exact fractions
+    from a_1..a_5 = 1, 8, 27, 64, -114.
+    """
+    f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, N)
+    e1, e2, e3, e6 = (eisenstein(4, N, d) for d in (1, 2, 3, 6))
+    g = [u - 4 * v - 9 * w + 36 * x for u, v, w, x in zip(e1, e2, e3, e6)]
+    return _mul_trunc(f4, g, N)
 
 
 def _delta(N):
@@ -206,10 +286,7 @@ def test_level6_ap_matches_fixture():
 def test_level6_combination_is_normalized_eigenform():
     # f4 * (E4(t) - 4 E4(2t) - 9 E4(3t) + 36 E4(6t)) / 24, as a whole series
     N = 200
-    f4 = eta_product({1: 2, 2: 2, 3: 2, 6: 2}, N)
-    e1, e2, e3, e6 = (eisenstein(4, N, d) for d in (1, 2, 3, 6))
-    g = [u - 4 * v - 9 * w + 36 * x for u, v, w, x in zip(e1, e2, e3, e6)]
-    prod = _mul_trunc(f4, g, N)
+    prod = _level6_series(N)
     assert prod[0] == 0
     assert all(c % 24 == 0 for c in prod)
     a = [c // 24 for c in prod]
@@ -220,18 +297,59 @@ def test_level6_combination_is_normalized_eigenform():
                 assert a[m * n] == a[m] * a[n], (m, n)
     for ell in (5, 7, 11, 13):
         assert a[ell * ell] == a[ell] ** 2 - ell ** 7, ell
-    assert all(level6_weight8_ap(p) == a[p] for p in range(5, N + 1) if is_prime(p))
+
+
+def test_level6_ap_matches_the_q_series():
+    # the trace formula's new part against the q-series, prime by prime
+    a = _level6_series(400)
+    primes = [p for p in range(5, 400) if is_prime(p)]
+    assert [level6_weight8_ap(p) for p in primes] == [a[p] // 24 for p in primes]
+    assert all(type(level6_weight8_ap(p)) is int for p in (5, 397))
 
 
 def test_level6_ap_checks_divisibility_by_24(monkeypatch):
-    # E4 with its q^(p-1) coefficient off by one moves 24 a_p by f4[1] = 1
-    def skewed(k, N, d=1):
-        co = list(eisenstein(k, N, d))
-        co[N - 1] += d == 1
-        return tuple(co)
-    monkeypatch.setattr(modform_oracle, "eisenstein", skewed)
+    # one class number off by one (at t = 0, D = 4 * 37) moves 24 a_37 by
+    # P_8(0, 37) (r_2 - 2)(r_3 - 2) = 37^3 * (-1)(-2), not a multiple of 24
+    h12 = hurwitz_class_number_12
+    monkeypatch.setattr(modform_oracle, "hurwitz_class_number_12",
+                        lambda N: h12(N) + (N == 4 * 37))
     with pytest.raises(QExpansionError, match="divisible by 24"):
         level6_weight8_ap(37)
+
+
+@pytest.mark.parametrize("N, c, e2, e3", [
+    (1, 1, 1, 1), (2, 2, 1, 0), (3, 2, 0, 1), (6, 4, 0, 0)])
+def test_gamma0_trace_of_t1_is_the_dimension(N, c, e2, e3):
+    # Tr T_1 = dim S_k(Gamma0(N)) = -(k - 1) + (k/2 - 1) c + e2 [k/4] + e3 [k/3]
+    # (Riemann-Roch, genus 0; c cusps, e2 and e3 elliptic points)
+    for k in range(4, 31, 2):
+        dim = -(k - 1) + (k // 2 - 1) * c + e2 * (k // 4) + e3 * (k // 3)
+        assert gamma0_hecke_trace(N, k, 1) == dim, k
+
+
+def test_gamma0_trace_at_composite_n():
+    # the level-6 new part at n = 25, 35, 49 is a_n of 6.8.a.a, and level 1
+    # at weight 12 gives tau(n), both read off the q-series
+    a = _level6_series(50)
+    for n in (25, 35, 49):
+        assert 24 * level6_weight8_ap(n) == a[n], n
+    d = _delta(50)
+    for n in (4, 6, 9, 25, 49, 50):
+        assert gamma0_hecke_trace(1, 12, n) == d[n], n
+
+
+@pytest.mark.parametrize("N, k, n", [
+    (2, 8, 4), (3, 8, 9), (6, 8, 10), (6, 8, 15), (5, 8, 7), (4, 8, 7), (1, 8, 0)])
+def test_gamma0_trace_checks_its_inputs(N, k, n):
+    with pytest.raises(QExpansionError, match="coprime"):
+        gamma0_hecke_trace(N, k, n)
+
+
+def test_gamma0_trace_vanishes_at_odd_and_low_weight():
+    for N in (1, 2, 3, 6):
+        assert [gamma0_hecke_trace(N, k, 5) for k in (-2, 0, 1, 2, 3, 5, 9)] == [0] * 7
+    with pytest.raises(QExpansionError, match="coprime"):
+        level6_weight8_ap(9)
 
 
 def test_headline_identity_past_the_fixture():
@@ -241,6 +359,18 @@ def test_headline_identity_past_the_fixture():
     primes = [p for p in range(7, 1000) if is_prime(p) and (p - 1) % M == 0]
     assert len(primes) == 36
     for p in primes + [10009]:
+        assert hecke_trace(row, cached_ctx(p), 6).total == -level6_weight8_ap(p), p
+
+
+@pytest.mark.slow
+def test_headline_identity_to_5000_and_at_99961():
+    # the same identity at every admissible p < 5000 and at the reference
+    # prime 99961, out of the q-series' reach
+    row = row_by_signature((2, 4, 6))
+    M = level(row.hd)
+    primes = [p for p in range(7, 5000) if is_prime(p) and (p - 1) % M == 0]
+    assert len(primes) == 159
+    for p in primes + [99961]:
         assert hecke_trace(row, cached_ctx(p), 6).total == -level6_weight8_ap(p), p
 
 
