@@ -24,15 +24,6 @@ class PochhammerPole(ArithmeticError):
     """A lower parameter hit a nonpositive integer."""
 
 
-@dataclass(frozen=True)
-class SeriesEval:
-    hd: HGDatum
-    t: complex
-    K: int
-    value: complex
-    tail_bound: float
-
-
 def _series_coeffs(hd: HGDatum, K: int) -> list[float]:
     """c_k = prod (a_i)_k / prod (b_j)_k, with (1)_k = k! in the first slot."""
     cs = [1.0]
@@ -51,8 +42,8 @@ def _series_coeffs(hd: HGDatum, K: int) -> list[float]:
     return cs
 
 
-def nf_series(hd: HGDatum, t: complex, K: int = DEFAULT_TRUNCATION) -> SeriesEval:
-    """Truncated hypergeometric series at t, |t| <= 0.9, with a tail estimate."""
+def nf_series(hd: HGDatum, t: complex, K: int = DEFAULT_TRUNCATION) -> complex:
+    """The hypergeometric series at t, |t| <= 0.9, truncated after the t^K term."""
     if abs(t) > 0.9:
         raise ValueError("series evaluation restricted to |t| <= 0.9")
     if K < 10:
@@ -63,15 +54,12 @@ def nf_series(hd: HGDatum, t: complex, K: int = DEFAULT_TRUNCATION) -> SeriesEva
     for c in cs:
         val += c * tp
         tp *= t
-    last = abs(cs[K] * t ** K)
-    tail = last * abs(t) / max(1e-12, 1 - abs(t))
-    return SeriesEval(hd=hd, t=t, K=K, value=val, tail_bound=tail)
+    return val
 
 
 def hyp2f1(a, b, c, t: complex, K: int = DEFAULT_TRUNCATION) -> complex:
     """2F1(a, b; c; t) by truncated series."""
-    hd = HGDatum((Fraction(a), Fraction(b)), (Fraction(1), Fraction(c)))
-    return nf_series(hd, t, K).value
+    return nf_series(HGDatum((a, b), (1, c)), t, K)
 
 
 def ode_residual(hd: HGDatum, t: complex, K: int = DEFAULT_TRUNCATION) -> float:
@@ -181,7 +169,7 @@ def clausen_complex_check(a, b, t: float, K: int = DEFAULT_TRUNCATION) -> Clause
     half = Fraction(1, 2)
     hd3 = HGDatum((half, a - b + half, b - a + half),
                   (Fraction(1), a + b + half, Fraction(3, 2) - a - b))
-    lhs = (1 - t) ** (-0.5) * nf_series(hd3, t, K).value
+    lhs = (1 - t) ** (-0.5) * nf_series(hd3, t, K)
     rhs = hyp2f1(a, b, a + b + half, t, K) * hyp2f1(1 - a, 1 - b,
                                                     Fraction(3, 2) - a - b, t, K)
     return ClausenComplexReport(a=a, b=b, t=t, lhs=lhs, rhs=rhs,

@@ -370,12 +370,14 @@ def elliptic_square_value(table: BracketTable, sign: int, weight: int) -> int:
     and lower characters is a square in the character group and -1 otherwise.
     The square of the single-eigenvalue surrogate used by the trace formula is
     then tau1^2 - eps * p^2 (so eigenvalues {p, -p} at eps = -1, where the
-    period sum itself vanishes). table is the datum's datum_table.
+    period sum itself vanishes). table is the datum's datum_table. tau1 snaps
+    within snap_tolerance(p, n), the tolerance of the local traces, which are
+    values of the same size.
     """
     p = table.ctx.p
     tau1 = AlgebraicValue.from_complex(
         sign * p ** (1 - weight) * table.raw_value(1),
-        snap_tolerance(p, len(table.a_exps)) * p).expect_int("degenerate-fiber trace")
+        snap_tolerance(p, len(table.a_exps))).expect_int("degenerate-fiber trace")
     # eps: square-ness of iota(a_2) * iota(b_2)
     eps = 1 if (table.a_exps[1] + table.b_exps[1]) % 2 == 0 else -1
     return tau1 * tau1 - eps * p * p

@@ -38,7 +38,7 @@ from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
                         baba_granath_qm_sweep, count_genus2_fp2, count_points,
                         count_via_characters, legendre_trace_sweep)
 from .field_core import DEFAULT_P_BOUND, FieldError, cached_ctx, is_prime
-from .hgm_data import OO, hg_datum, level, row_by_signature, table_json, triangle_table
+from .hgm_data import OO, HGDatum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
 from .trace_engine import (SCHEMA_VERSION, TraceReport, a_gamma_sweep,
                            calibrate_legendre_relation, fm_identity_holds, hecke_trace,
@@ -92,8 +92,8 @@ def _terms_text(rep: TraceReport, nl: str) -> str:
         pairs = zip(map(str, rep.generic_lams.tolist()),
                     map(value_strs.__getitem__, rep.generic_index.tolist()))
         rows.append(open_ + (close + "," + item + open_).join(map(mid.join, pairs)) + close)
-    rows += ("[" + field + ("," + field).join(map(json.dumps, (str(t.lam), t.kind, t.value)))
-             + item + "]" for t in rep.special_terms)
+    rows += ("[" + field + ("," + field).join(map(json.dumps, (str(lam), kind, value)))
+             + item + "]" for lam, kind, value in rep.special_terms)
     return "[" + item + ("," + item).join(rows) + nl + "]" if rows else "[]"
 
 
@@ -237,7 +237,7 @@ def sum_group():
 def sum_np(alpha, beta, prime, lam):
     """The period sum of the datum at lambda."""
     try:
-        hd = hg_datum(_parse_fraction_list(alpha), _parse_fraction_list(beta))
+        hd = HGDatum(_parse_fraction_list(alpha), _parse_fraction_list(beta))
         ctx = cached_ctx(prime)
         table = datum_table(hd, ctx)
     except (ValueError, FieldError) as exc:
@@ -603,19 +603,15 @@ def calibrate_bg_lambda(prime):
     # a = T + p or a = p - T exactly when |a - p| = |T|; -1 marks a special lambda
     dist = np.full(p, -1, dtype=np.int64)
     dist[lams] = np.abs(a - p)
-    # p^2 + 1 - n2 over F_p2 is the sum of the squared Frobenius eigenvalues;
-    # one batch per field of definition, since one row off F_p makes the
-    # batch evaluate all of F_p2
-    by_field = {}
+    # p^2 + 1 - n2 over F_p2 is the sum of the squared Frobenius eigenvalues
+    js, sextics = [], []
     for j in range(1, p):
-        coeffs, tag, _flags = baba_granath_curve(ctx, j)
+        coeffs, _tag, _flags = baba_granath_curve(ctx, j)
         if coeffs is not None:
-            by_field.setdefault(tag, []).append((j, coeffs))
-    js, absT = [], []
-    for curves in by_field.values():
-        js += [j for j, _coeffs in curves]
-        n2s = count_genus2_fp2(ctx, [coeffs for _j, coeffs in curves])
-        absT += [abs((p * p + 1 - n2) // 2) for n2 in n2s]  # u^2 + ubar^2 up to sign
+            js.append(j)
+            sextics.append(coeffs)
+    n2s = count_genus2_fp2(ctx, sextics)
+    absT = [abs((p * p + 1 - n2) // 2) for n2 in n2s]  # u^2 + ubar^2 up to sign
     js, absT = np.array(js, dtype=np.int64), np.array(absT, dtype=np.int64)
     hits = [int(np.count_nonzero(dist[c * js % p] == absT)) for c in range(1, p)]
     best = int(np.argmax(hits))  # the first c with the most hits is c = best + 1

@@ -12,10 +12,11 @@ simple zero of f always contributes exactly one place.
 The counts over F_p are direct sums, O(p) per curve, except the Legendre
 family: its traces for every lambda at once are one cyclic correlation mod p,
 O(p log p) by real FFTs and rounded under two exact guards, and a single
-Legendre count reads its trace from that sweep. Over F_{p^2} the counts are one
-pass over the points for a whole batch of curves, each curve a row of one
-integer matmul. For curves with coefficients in F_p that pass covers half of
-F_{p^2}, since x and its conjugate give conjugate values of f.
+Legendre count reads its trace from that sweep. Over F_{p^2} a batch of curves
+is at most two passes over the points, each curve a row of one integer matmul:
+one pass for the curves with coefficients in F_p, which covers half of
+F_{p^2} since x and its conjugate give conjugate values of f, and one for the
+rest.
 
 The Baba-Granath genus-2 sextics are written down in closed form. Their
 discriminant vanishes for p > 5 only at the two j that baba_granath_curve
@@ -44,7 +45,6 @@ class CurveCount:
     shape), or None when p + 1 - #C(F_p) is odd.
     """
 
-    tag: str
     q: int
     n_points: int
     trace: int | None = None
@@ -140,20 +140,27 @@ def _reduce(v: np.ndarray, p: int) -> np.ndarray:
 
 def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     """Points of the smooth models of y^2 = f(x) over F_{p^2} = F_p(sqrt(nu)),
-    one count per coefficient row.
+    one count per coefficient row, in the order of the rows.
 
     The coefficients re + im*sqrt(nu) of each row are given as rows_re,
     rows_im in the order of _count_y2, with the same rule at infinity.
     z != 0 is a square iff its norm re^2 - nu*im^2 is a square in F_p, and the
     norm vanishes only at 0. A block of points x = u + w*sqrt(nu) is the power
     basis x^k = X_k + Y_k sqrt(nu), and every row is read off it by one
-    integer matmul. When every coefficient lies in F_p, f(x) and f(xbar) are
-    conjugate and have the same norm, so only w in [0, (p - 1)/2] is
-    evaluated and each w > 0 counts twice.
+    integer matmul. When every coefficient of a row lies in F_p, f(x) and
+    f(xbar) are conjugate and have the same norm, so only w in [0, (p - 1)/2]
+    is evaluated and each w > 0 counts twice. Those rows are one pass and the
+    others a second.
     """
     p, nu = ext.base.p, ext.nu
     a_re = np.asarray(rows_re, dtype=np.int64) % p
     a_im = np.asarray(rows_im, dtype=np.int64) % p
+    in_fp = ~a_im.any(axis=1)
+    if in_fp.any() and not in_fp.all():
+        counts = np.empty(len(a_re), dtype=np.int64)
+        for rows in (in_fp, ~in_fp):
+            counts[rows] = _count_y2_fp2(ext, a_re[rows], a_im[rows])
+        return counts.tolist()
     n_rows, n_coef = a_re.shape
     real = not a_im.any()
     n_points = p * ((p + 1) // 2 if real else p)
@@ -244,10 +251,10 @@ def count_legendre(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
     p = ctx.p
     lam %= p
     if lam in (0, 1):
-        return CurveCount("legendre", p, 0, None, good=False,
+        return CurveCount(p, 0, None, good=False,
                           flags=("bad reduction: lambda(1-lambda) = 0",))
     trace = int(legendre_trace_sweep(ctx)[lam])
-    return CurveCount("legendre", p, p + 1 - trace, trace)
+    return CurveCount(p, p + 1 - trace, trace)
 
 
 # legendre_trace_sweep accepts a correlation value this close to an integer;
@@ -294,15 +301,15 @@ def legendre_trace_sweep(ctx: PrimeFieldCtx) -> np.ndarray:
     return traces
 
 
-def count_legendre_fp2(ext: QuadExtCtx, lam: tuple[int, int]) -> CurveCount:
-    """Legendre count over F_{p^2}, for quadratic points of the lambda-line."""
+def count_legendre_fp2(ext: QuadExtCtx, lam: int) -> CurveCount:
+    """Legendre count over F_{p^2}, for lam in F_p."""
     p, q = ext.base.p, ext.q
-    l0, l1 = lam[0] % p, lam[1] % p
-    if l1 == 0 and l0 in (0, 1):
-        return CurveCount("legendre/F_p2", q, 0, None, good=False,
+    lam %= p
+    if lam in (0, 1):
+        return CurveCount(q, 0, None, good=False,
                           flags=("bad reduction: lambda(1-lambda) = 0",))
-    cnt, = _count_y2_fp2(ext, [(1, -1 - l0, l0, 0)], [(0, -l1, l1, 0)])
-    return CurveCount("legendre/F_p2", q, cnt, q + 1 - cnt)
+    cnt, = _count_y2_fp2(ext, [(1, -1 - lam, lam, 0)], [(0, 0, 0, 0)])
+    return CurveCount(q, cnt, q + 1 - cnt)
 
 
 def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
@@ -310,12 +317,12 @@ def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
     p = ctx.p
     j %= p
     if j == 0 or j == 1728 % p:
-        return CurveCount("universal-j", p, 0, None, good=False,
+        return CurveCount(p, 0, None, good=False,
                           flags=("bad reduction: j in {0, 1728}",))
     c = ctx.inv(j - 1728)
     # complete the square: (y + x/2)^2 = x^3 + x^2/4 - (36x + 1) c
     cnt = _count_y2(ctx, (1, ctx.inv(4), -36 * c, -c))
-    return CurveCount("universal-j", p, cnt, p + 1 - cnt)
+    return CurveCount(p, cnt, p + 1 - cnt)
 
 
 def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
@@ -323,17 +330,15 @@ def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
     p = ctx.p
     mu %= p
     if p == 3:  # the cubic is the triple line (x + y + z)^3
-        return CurveCount("hesse", p, 0, None, good=False,
-                          flags=("singular: p = 3",))
+        return CurveCount(p, 0, None, good=False, flags=("singular: p = 3",))
     if pow(mu, 3, p) == 1:
-        return CurveCount("hesse", p, 0, None, good=False,
-                          flags=("singular: mu^3 = 1",))
+        return CurveCount(p, 0, None, good=False, flags=("singular: mu^3 = 1",))
     # (1 : -1 : 0) is a rational point, so the cubic is isomorphic over F_p
     # (p > 3) to its Weierstrass model Y^2 = X^3 - 27 mu (mu^3 + 8) X
     # + 54 (mu^6 - 20 mu^3 - 8).
     m3 = pow(mu, 3, p)
     cnt = _count_y2(ctx, (1, 0, -27 * mu * (m3 + 8) % p, 54 * (m3 * m3 - 20 * m3 - 8) % p))
-    return CurveCount("hesse", p, cnt, p + 1 - cnt)
+    return CurveCount(p, cnt, p + 1 - cnt)
 
 
 def count_jacobi_quartic(ctx: PrimeFieldCtx, sigma: int) -> CurveCount:
@@ -344,11 +349,11 @@ def count_jacobi_quartic(ctx: PrimeFieldCtx, sigma: int) -> CurveCount:
     p = ctx.p
     sigma %= p
     if sigma == 0 or pow(sigma, 4, p) == 1:
-        return CurveCount("jacobi-quartic", p, 0, None, good=False,
+        return CurveCount(p, 0, None, good=False,
                           flags=("degenerate: sigma(sigma^4-1) = 0",))
     s2 = sigma * sigma % p
     cnt = _count_y2(ctx, (1, 0, -(s2 + ctx.inv(s2)), 0, 1))
-    return CurveCount("jacobi-quartic", p, cnt, p + 1 - cnt)
+    return CurveCount(p, cnt, p + 1 - cnt)
 
 
 def jacobi_quartic_isomorphism_check(ctx: PrimeFieldCtx, sigma: int) -> bool:
@@ -374,14 +379,13 @@ def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
     """Smooth-model count of y^N = x^a (x-1)^b (x-lam)^c over F_p."""
     p = ctx.p
     lam %= p
-    tag = f"genlegendre({N};{a},{b},{c})"
     if lam in (0, 1):
-        return CurveCount(tag, p, 0, None, good=False,
+        return CurveCount(p, 0, None, good=False,
                           flags=("bad reduction: lambda in {0, 1}",))
     if N % p == 0:
-        return CurveCount(tag, p, 0, None, good=False, flags=("p divides N",))
+        return CurveCount(p, 0, None, good=False, flags=("p divides N",))
     cnt = _superelliptic_count(ctx, N, ((0, a), (1, b), (lam, c)))
-    return CurveCount(tag, p, cnt, p + 1 - cnt)
+    return CurveCount(p, cnt, p + 1 - cnt)
 
 
 def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
@@ -421,8 +425,7 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
     total = sum(sums.values())
     n_points = round(total.real) + _boundary_places(ctx, N, ((0, a), (1, b), (lam, c)))
     new_part = sum(sums[k] for k in range(1, N) if gcd(k, N) == 1)
-    return (CurveCount(f"genlegendre-chars({N};{a},{b},{c})", p, n_points,
-                       p + 1 - n_points),
+    return (CurveCount(p, n_points, p + 1 - n_points),
             sums, new_part)
 
 
@@ -441,10 +444,9 @@ def count_picard_sub(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
     lam %= p
     mu = (1 - lam) % p
     if lam in (0, 1) or mu in (0, 1) or lam == mu:
-        return CurveCount("picard-sub", p, 0, None, good=False,
-                          flags=("degenerate parameter",))
+        return CurveCount(p, 0, None, good=False, flags=("degenerate parameter",))
     cnt = _superelliptic_count(ctx, 3, ((0, 1), (1, 1), (lam, 1), (mu, 1)))
-    return CurveCount("picard-sub", p, cnt, p + 1 - cnt,
+    return CurveCount(p, cnt, p + 1 - cnt,
                       flags=("exploratory: Jacobian splitting not asserted",))
 
 
@@ -591,14 +593,14 @@ def count_points(spec, fieldctx) -> CurveCount:
     """Dispatch a CurveSpec to its counter (PrimeFieldCtx or QuadExtCtx)."""
     if isinstance(fieldctx, QuadExtCtx):
         if isinstance(spec, Legendre):
-            return count_legendre_fp2(fieldctx, (spec.lam % fieldctx.base.p, 0))
+            return count_legendre_fp2(fieldctx, spec.lam)
         if isinstance(spec, BabaGranath):
             ctx = fieldctx.base
             coeffs, _tag, flags = baba_granath_curve(ctx, spec.j, spec.branch)
             if coeffs is None:
-                return CurveCount("baba-granath", fieldctx.q, 0, None, good=False, flags=flags)
+                return CurveCount(fieldctx.q, 0, None, good=False, flags=flags)
             n2, = count_genus2_fp2(ctx, [coeffs])
-            return CurveCount("baba-granath/F_p2", fieldctx.q, n2, None, flags=flags)
+            return CurveCount(fieldctx.q, n2, None, flags=flags)
         raise FieldError(f"no F_p2 counter for {spec!r}")
     ctx: PrimeFieldCtx = fieldctx
     if isinstance(spec, Legendre):
@@ -616,14 +618,13 @@ def count_points(spec, fieldctx) -> CurveCount:
     if isinstance(spec, BabaGranath):
         coeffs, field_tag, flags = baba_granath_curve(ctx, spec.j, spec.branch)
         if coeffs is None:
-            return CurveCount("baba-granath", ctx.p, 0, None, good=False, flags=flags)
+            return CurveCount(ctx.p, 0, None, good=False, flags=flags)
         if field_tag != "F_p":
-            return CurveCount("baba-granath", ctx.p, 0, None, good=False,
+            return CurveCount(ctx.p, 0, None, good=False,
                               flags=flags + ("no F_p model; count over F_p2",))
         n1 = count_genus2_fp(ctx, coeffs)
         tr = ctx.p + 1 - n1
-        return CurveCount("baba-granath", ctx.p, n1,
-                          tr // 2 if tr % 2 == 0 else None, flags=flags)
+        return CurveCount(ctx.p, n1, tr // 2 if tr % 2 == 0 else None, flags=flags)
     if isinstance(spec, ConicX6):
-        return CurveCount("conic-x6", ctx.p, conic_points(ctx), None)
+        return CurveCount(ctx.p, conic_points(ctx), None)
     raise TypeError(f"unknown curve spec {spec!r}")

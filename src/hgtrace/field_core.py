@@ -41,11 +41,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def least_primitive_root(p: int) -> int:
-    """Smallest generator of F_p^*."""
-    return nth_primitive_root(p, 0)
-
-
 def nth_primitive_root(p: int, index: int) -> int:
     """The index-th smallest primitive root of p (index 0 = least).
 
@@ -145,7 +140,7 @@ def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
         raise FieldError("p must be an odd prime")
     if p > DEFAULT_P_BOUND:
         raise FieldError(f"p = {p} exceeds the configured bound {DEFAULT_P_BOUND}")
-    g = least_primitive_root(p) if generator is None else generator
+    g = nth_primitive_root(p, 0) if generator is None else generator
     dlog = _dlog_table(p, g)
     if generator is not None and np.count_nonzero(dlog >= 0) != p - 1:
         raise FieldError(f"{generator} is not a primitive root mod {p}")
@@ -230,8 +225,6 @@ class MultCharacter:
 
     def inverse(self) -> "MultCharacter":
         return MultCharacter(self.ctx, -self.e)
-
-    conjugate = inverse
 
     def is_square(self) -> bool:
         """Whether chi = S^2 for some character S (exponent parity; n is even)."""

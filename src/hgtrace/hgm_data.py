@@ -46,10 +46,6 @@ class HGDatum:
         return f"{{{a}; {b}}}"
 
 
-def hg_datum(alpha, beta) -> HGDatum:
-    return HGDatum(tuple(Fraction(a) for a in alpha), tuple(Fraction(b) for b in beta))
-
-
 def level(hd: HGDatum) -> int:
     """Least common denominator of all entries of alpha and beta."""
     M = 1
@@ -155,12 +151,6 @@ class TriangleGroupRow:
     @property
     def name(self) -> str:
         return "(" + ",".join(str(e) for e in self.signature) + ")"
-
-    def special_lambdas(self):
-        return tuple(lam for lam, _ in self.lambda_special)
-
-    def cusp_lambdas(self):
-        return tuple(lam for lam, order in self.lambda_special if order == OO)
 
     def finite_specials_mod_p(self, p: int) -> set[int]:
         return {lam % p for lam, _ in self.lambda_special if lam != OO}

@@ -33,7 +33,6 @@ from .modform_oracle import level1_hecke_trace, load_fixture_by_label
 class SymPolyFm:
     """F_m(S, T) with exact integer coefficients: coeffs[(i, j)] * S^i * T^j."""
 
-    m: int
     coeffs: MappingProxyType
 
     def evaluate(self, S: int, T: int) -> int:
@@ -60,7 +59,7 @@ def build_Fm(m: int) -> SymPolyFm:
         for (i, j), c in F_prev.items():  # - T^2 F_(k-2)
             nxt[i, j + 2] -= c
         F_prev, F = F, {key: c for key, c in nxt.items() if c}
-    return SymPolyFm(m=m, coeffs=MappingProxyType(F))
+    return SymPolyFm(coeffs=MappingProxyType(F))
 
 
 def fm_identity_holds(m: int, u: int, v: int) -> bool:
@@ -96,7 +95,6 @@ def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray | 
 class LegendreCalibration:
     map_label: str
     primes: tuple[int, ...]
-    aliases: tuple[str, ...] = ()
 
 
 def _scaled_cover_maps(c: int) -> dict:
@@ -167,7 +165,7 @@ def calibrate_legendre_relation() -> LegendreCalibration:
     branch locus) are skipped. The winner is unique up to precomposition with
     the Legendre deck involutions (which leave a_E^2 invariant), so several
     labels may survive; they are verified to induce the same correspondence
-    and the lexicographically first is returned, the rest as aliases.
+    and the lexicographically first is returned.
     """
     row = row_by_signature((2, OO, OO))
     survivors = set(_COVER_MAPS)
@@ -187,8 +185,7 @@ def calibrate_legendre_relation() -> LegendreCalibration:
     if len({frozenset(correspondences[n]) for n in names}) != 1:
         raise CalibrationError(
             f"survivors induce different correspondences: {names}")
-    return LegendreCalibration(map_label=names[0], primes=LEGENDRE_CALIBRATION_PRIMES,
-                               aliases=tuple(names[1:]))
+    return LegendreCalibration(map_label=names[0], primes=LEGENDRE_CALIBRATION_PRIMES)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +196,17 @@ def calibrate_legendre_relation() -> LegendreCalibration:
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TraceTerm:
-    lam: object  # int or OO
-    kind: str    # "generic" | "cusp" | "elliptic(n)"
-    value: int | None
-
-
 @dataclass(frozen=True, eq=False)
 class TraceReport:
     """A weight-(k + 2) trace report at p.
 
     The generic terms are kept column-wise: the generic lambdas ascending, and
     for each one the index of its F_(k/2)(a_Gamma, p) in generic_values, the
-    distinct values. special_terms holds the cusp terms, then the elliptic ones.
+    distinct values. special_terms holds the cusp terms, then the elliptic
+    ones, as (lam, kind, value) rows: lam an int or OO, kind "cusp" or
+    "elliptic(...)", and value None where no elliptic term is implemented.
+    The "terms" of to_json() list every term as [str(lam), kind, value], the
+    generic ones first with kind "generic".
     """
 
     signature: tuple
@@ -222,7 +216,7 @@ class TraceReport:
     generic_lams: np.ndarray
     generic_index: np.ndarray
     generic_values: tuple[int, ...]
-    special_terms: tuple[TraceTerm, ...]
+    special_terms: tuple[tuple, ...]
     generic_sum: int
     cusp_sum: int
     elliptic_sum: int | None
@@ -232,17 +226,6 @@ class TraceReport:
     oracle: int | None = None
     residual: int | None = None
     dim_cusp_forms: int | None = None
-
-    def _generic_pairs(self):
-        """(lam, value) of each generic term, as Python ints."""
-        return zip(self.generic_lams.tolist(),
-                   map(self.generic_values.__getitem__, self.generic_index.tolist()))
-
-    @property
-    def terms(self) -> tuple[TraceTerm, ...]:
-        """Every term: the generic lambdas ascending, then cusps, then elliptic terms."""
-        return (*(TraceTerm(lam, "generic", v) for lam, v in self._generic_pairs()),
-                *self.special_terms)
 
     def summary_json(self) -> dict:
         """to_json() without its "terms"."""
@@ -264,8 +247,9 @@ class TraceReport:
         }
 
     def to_json(self) -> dict:
-        terms = [[str(lam), "generic", v] for lam, v in self._generic_pairs()]
-        terms += ([str(t.lam), t.kind, t.value] for t in self.special_terms)
+        terms = [[str(lam), "generic", self.generic_values[i]]
+                 for lam, i in zip(self.generic_lams.tolist(), self.generic_index.tolist())]
+        terms += ([str(lam), kind, value] for lam, kind, value in self.special_terms)
         return {**self.summary_json(), "terms": terms}
 
 
@@ -296,7 +280,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     cusp_sum = 0
     for lam, order in row.lambda_special:
         if order == OO:
-            special.append(TraceTerm(lam, "cusp", 1))
+            special.append((lam, "cusp", 1))
             cusp_sum += 1
 
     flags = []
@@ -305,10 +289,10 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     if row.a_rule == "row_246" and k == 6:
         esq = elliptic_square_value(table, row.hp_sign, row.hp_weight)
         e2 = p * (esq - p * p)
-        special.append(TraceTerm(-3, "elliptic(2)", e2))
+        special.append((-3, "elliptic(2)", e2))
         chi_sum = ctx.legendre(-1) + ctx.legendre(-3) + ctx.legendre(-6)
         e46 = chi_sum * p ** 3
-        special.append(TraceTerm(OO, "elliptic(4)+elliptic(6)", e46))
+        special.append((OO, "elliptic(4)+elliptic(6)", e46))
         elliptic_sum = e2 + e46
         total = generic_sum + cusp_sum + elliptic_sum
         partial = False
@@ -316,7 +300,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     else:
         for lam, order in row.lambda_special:
             if order != OO:
-                special.append(TraceTerm(lam, f"elliptic({order})", None))
+                special.append((lam, f"elliptic({order})", None))
         flags.append("elliptic terms unavailable")
 
     oracle = _oracle_total(row, p, k)

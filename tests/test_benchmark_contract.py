@@ -3,15 +3,16 @@
 perfbench/tracing.py wraps the layers listed in TRACED, and
 perfbench/worker.py::sweep_headroom reads a row's lambda chart fields. A rename
 in src/ would otherwise break only the traced benchmark run. tracing.py is
-executed from source (no bytecode is written under perfbench/). The trace
-reports' stdout bytes are checked against perfbench/digests.json, which is
-only read here.
+executed from source (no bytecode is written under perfbench/). The stdout
+bytes of every command the benchmark runs are checked against
+perfbench/digests.json, which is only read here.
 """
 
 import hashlib
 import importlib
 import json
 import runpy
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -33,6 +34,32 @@ from hgtrace.trace_engine import a_gamma_sweep
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
+# Runs the smoke test's tiny operations as worker.py runs them, all in one
+# process under one tracing.Recorder, and prints the names of the spans
+# recorded and the operations that failed. argv[1] is the perfbench directory.
+_TRACED_TINY_OPS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import worker
+from test_smoke import TINY_OPS
+from tracing import Recorder
+
+_setup_s, fatal = worker._import_hgtrace()
+if fatal:
+    sys.exit(fatal)
+recorder = Recorder(0)
+recorder.install()
+failed = []
+for op in TINY_OPS:
+    if op.kind == "cli":
+        _stdout, code, error, _op_s = worker._run_cli(op.args, recorder)
+    else:
+        _stdout, code, error, _op_s, _value = worker._run_call(op.args)
+    if error or code != 0:
+        failed.append([op.key, code, error])
+print(json.dumps({"spans": sorted({span[0] for span in recorder.spans}), "failed": failed}))
+"""
+
 
 def test_traced_names_resolve():
     traced = runpy.run_path(str(TRACING))["TRACED"]
@@ -47,6 +74,21 @@ def test_traced_names_resolve():
         if not ok:
             missing.append(f"{modname}.{attr}")
     assert not missing, missing
+
+
+def test_tiny_ops_reach_every_traced_layer():
+    """perfbench/test_smoke.py's tiny operations, run under tracing.py's
+    Recorder, record a span for every name in TRACED: a change that stops
+    calling a traced name fails here, not only in the half-minute smoke test.
+    One fresh process runs them all, since Recorder.install rewraps hgtrace's
+    module namespaces; -B keeps bytecode out of perfbench/."""
+    proc = subprocess.run([sys.executable, "-B", "-c", _TRACED_TINY_OPS, str(PERFBENCH)],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["failed"] == []
+    traced = {name for name, *_ in runpy.run_path(str(TRACING))["TRACED"]}
+    assert sorted(traced - set(out["spans"])) == []
 
 
 def test_sweep_headroom_inputs():
@@ -115,31 +157,22 @@ def test_commands_call_the_traced_a_gamma_sweep(monkeypatch, command):
     assert calls, command
 
 
-@pytest.mark.parametrize("command", [
-    *(f"trace --group {g} --weight 8 --prime-range 7:600"
-      for g in ("2,oo,oo", "2,3,oo", "2,4,oo", "2,6,oo", "2,4,6")),
-    "trace --group 2,4,6 --weight 8 --prime 109",
-    "trace --group 2,4,6 --weight 8 --prime 10009",
-    *(f"count legendre --prime {p} --lambda all" for p in (997, 1009, 1021, 1033)),
-    *(f"verify legendre --max-prime {m}" for m in (290, 300, 310)),
-    "trace --group 2,3,oo --weight 12 --prime-range 7:200",
-    *(f"verify genlegendre --prime {p}" for p in (199, 211)),
-])
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
+
+
+@pytest.mark.parametrize("command", sorted(key.removeprefix("hgtrace ")
+                                           for key in DIGESTS if key.startswith("hgtrace ")))
 def test_trace_stdout_matches_recorded_digest(command):
-    """The trace-sweep commands, two single-prime reports, the level-1 oracle
-    range of oracle-check and the Legendre and generalized Legendre commands
-    of cross-checks print exactly the bytes whose sha256 the benchmark
-    recorded."""
-    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
+    """Every CLI command of the benchmark, at every seed, prints exactly the
+    bytes whose sha256 the benchmark recorded."""
     res = CliRunner().invoke(main, command.split())
     assert res.exit_code == 0, res.output
-    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digests["hgtrace " + command]
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == DIGESTS["hgtrace " + command]
 
 
 def test_level6_oracle_matches_recorded_digest():
     """oracle-check's direct call: the digest of level6_weight8_ap(109) as the
     benchmark records a call's result, one JSON value and a newline."""
-    digests = json.loads((PERFBENCH / "digests.json").read_text())["digests"]
     text = json.dumps(level6_weight8_ap(109)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        digests["hgtrace.modform_oracle.level6_weight8_ap(109)"]
+        DIGESTS["hgtrace.modform_oracle.level6_weight8_ap(109)"]

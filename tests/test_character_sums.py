@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from hgtrace import character_sums
-from hgtrace.character_sums import (CalibrationError, _al_square_mask, _slot_table,
-                                    al_square_decompose, bracket,
+from hgtrace.character_sums import (CalibrationError, SnapError, _al_square_mask,
+                                    _slot_table, al_square_decompose, bracket,
                                     calibrate_hp_weight, calibration_primes,
                                     clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     jacobi_sum, np_sum, snap_tolerance)
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, is_prime
-from hgtrace.hgm_data import hg_datum, level, row_by_signature, triangle_table
+from hgtrace.hgm_data import HGDatum, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
 
 
@@ -207,7 +207,7 @@ def test_hp_congruence_error():
 
 
 def test_hp_requires_rationality(ctx13):
-    hd = hg_datum(("1/3", "1/2"), (1, 1))  # 1/3 alone: not Galois stable
+    hd = HGDatum(("1/3", "1/2"), (1, 1))  # 1/3 alone: not Galois stable
     with pytest.raises(ValueError):
         hp_sum(hd, ctx13, 2, 1, 0)
 
@@ -255,7 +255,7 @@ def test_calibrations_match_table_rows():
 
 def test_calibration_primes_start_at_level_plus_one():
     # level 10: 11 = M + 1 is the first prime = 1 mod 10
-    hd = hg_datum(("1/10", "3/10", "7/10", "9/10"), (1, 1, 1, 1))
+    hd = HGDatum(("1/10", "3/10", "7/10", "9/10"), (1, 1, 1, 1))
     with pytest.raises(CalibrationError, match=r"\(11, 31, 41\)"):
         calibrate_hp_weight(hd)
 
@@ -263,7 +263,7 @@ def test_calibration_primes_start_at_level_plus_one():
 def test_calibration_negative_control():
     # wrong character assignment: a non-Galois-stable datum has irrational
     # sums, so no (sign, w) can make the traces integers
-    hd = hg_datum(("1/2", "1/3", "1/3"), (1, 1, 1))
+    hd = HGDatum(("1/2", "1/3", "1/3"), (1, 1, 1))
     with pytest.raises(CalibrationError, match=r"\(7, 13, 19\)"):
         calibrate_hp_weight(hd)
 
@@ -276,6 +276,19 @@ def test_elliptic_square_vs_cm_fixture():
         esq = elliptic_square_value(datum_table(row.hd, build_ctx(p)),
                                     row.hp_sign, row.hp_weight)
         assert esq - p * p == fx.coefficient(p), p
+
+
+@pytest.mark.parametrize("offset", [0.4, 2.5])
+def test_degenerate_fiber_trace_off_an_integer_fails_to_snap(offset):
+    """At p = 10009 the snap tolerance of tau1 = p * H_p(1) is 3e-4, so a
+    period sum at t = 1 that is 0.4 or 2.5 off the true one raises SnapError
+    instead of rounding to a wrong elliptic(2) term."""
+    row = row_by_signature((2, 4, 6))
+    table = datum_table(row.hd, cached_ctx(10009))
+    elliptic_square_value(table, row.hp_sign, row.hp_weight)  # the true sum snaps
+    table.values[table.ctx.dlog[1]] += offset
+    with pytest.raises(SnapError, match="degenerate-fiber trace"):
+        elliptic_square_value(table, row.hp_sign, row.hp_weight)
 
 
 def test_clausen_inadmissible_reported(ctx13):

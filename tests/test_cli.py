@@ -143,6 +143,12 @@ def test_bad_prime_is_usage_error(runner, args):
     ["table", "--format", "json"],
     ["count", "baba-granath", "--prime", "29", "--j", "5", "--branch", "0"],
     ["count", "baba-granath", "--prime", "29", "--j", "5", "--branch", "2"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime", "13", "--prime-range", "7:20"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime-range", "5"],
+    ["trace", "--group", "2,4,6", "--weight", "8"],
+    ["trace", "--group", "2,4,6", "--weight", "7", "--prime", "13"],
+    ["count", "legendre", "--prime", "13", "--lambda", "x"],
+    ["calibrate", "bg-lambda", "--prime", "7"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
         "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
@@ -155,7 +161,9 @@ def test_bad_prime_is_usage_error(runner, args):
         "count-hesse-unread-j", "count-conic-unread-lambda",
         "count-legendre-unread-default-branch", "count-legendre-missing-lambda",
         "count-genlegendre-missing-exps", "table-no-format-option",
-        "count-baba-granath-branch-0", "count-baba-granath-branch-2"])
+        "count-baba-granath-branch-0", "count-baba-granath-branch-2",
+        "trace-prime-and-range", "trace-range-not-lo-hi", "trace-no-prime",
+        "trace-odd-weight", "count-lambda-not-integer", "calibrate-bg-lambda-not-1-mod-12"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -523,8 +531,9 @@ def test_json_writer_on_trace_reports(sig, p, k):
     rep = hecke_trace(row_by_signature(sig), cached_ctx(p), k)
     assert _json_text({"reports": [rep]}) == json.dumps({"reports": [rep.to_json()]},
                                                         indent=2, sort_keys=True)
-    assert rep.generic_sum == sum(t.value for t in rep.terms if t.kind == "generic")
-    elliptic = [t.value for t in rep.terms if t.kind.startswith("elliptic")]
+    terms = rep.to_json()["terms"]
+    assert rep.generic_sum == sum(value for _lam, kind, value in terms if kind == "generic")
+    elliptic = [value for _lam, kind, value in terms if kind.startswith("elliptic")]
     assert elliptic and (rep.partial == all(v is None for v in elliptic))
 
 

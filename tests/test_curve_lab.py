@@ -121,9 +121,10 @@ def literal_count_y2_fp2(ext, co_re, co_im):
 @pytest.mark.parametrize("block", [None, 64])
 def test_count_y2_fp2_batched_matches_literal(block, monkeypatch):
     """Several rows in one call, against literal enumeration over F_p2: all
-    rows in F_p (the halved evaluation) and with non-real rows (the full
-    one), sextics with a vanishing lead, and cubics; a block of 64 (row,
-    point) pairs leaves the last block partial."""
+    rows in F_p (the halved evaluation) and with non-real rows placed before
+    and after them (a full pass of their own, the counts back in row order),
+    sextics with a vanishing lead, and cubics; a block of 64 (row, point)
+    pairs leaves the last block partial."""
     if block is not None:
         monkeypatch.setattr(curve_lab, "_FP2_BLOCK", block)
     rng = random.Random(11)
@@ -136,7 +137,8 @@ def test_count_y2_fp2_batched_matches_literal(block, monkeypatch):
             non_real = [[rng.randrange(p) for _ in range(degree + 1)] for _ in range(2)]
             non_real[1][0] = 0
             for rows_re, rows_im in ((rational, zeros),
-                                     (rational + non_real, zeros + non_real)):
+                                     (non_real[:1] + rational + non_real[1:],
+                                      non_real[:1] + zeros + non_real[1:])):
                 got = curve_lab._count_y2_fp2(ext, rows_re, rows_im)
                 want = [literal_count_y2_fp2(ext, re, im)
                         for re, im in zip(rows_re, rows_im)]

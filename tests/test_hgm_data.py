@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from hgtrace.hgm_data import (OO, hg_datum, is_defined_over_Q,
+from hgtrace.hgm_data import (OO, HGDatum, is_defined_over_Q,
                               is_primitive, level, local_exponents,
                               row_by_signature, schwarz_angles, table_json,
                               triangle_table, yang_parameters)
 
 F = Fraction
 
-HD_246 = hg_datum(("1/2", "1/4", "3/4"), (1, "5/6", "7/6"))
-HD_2OO = hg_datum(("1/2", "1/2", "1/2"), (1, 1, 1))
-HD_23O = hg_datum(("1/2", "1/6", "5/6"), (1, 1, 1))
+HD_246 = HGDatum(("1/2", "1/4", "3/4"), (1, "5/6", "7/6"))
+HD_2OO = HGDatum(("1/2", "1/2", "1/2"), (1, 1, 1))
+HD_23O = HGDatum(("1/2", "1/6", "5/6"), (1, 1, 1))
 
 
 def test_level_examples():
@@ -23,21 +23,21 @@ def test_level_examples():
 
 def test_datum_validation():
     with pytest.raises(ValueError):
-        hg_datum(("1/3",), (1,))  # n = 1 rejected
+        HGDatum(("1/3",), (1,))  # n = 1 rejected
     with pytest.raises(ValueError):
-        hg_datum(("1/2", "1/2"), ("1/2", 1))  # beta must start with 1
+        HGDatum(("1/2", "1/2"), ("1/2", 1))  # beta must start with 1
 
 
 def test_defined_over_Q():
     assert is_defined_over_Q(HD_246)
-    assert is_defined_over_Q(hg_datum(("1/2", "1/3", "2/3"), (1, 1, 1)))
-    assert not is_defined_over_Q(hg_datum(("1/5", "1/2"), (1, 1)))
+    assert is_defined_over_Q(HGDatum(("1/2", "1/3", "2/3"), (1, 1, 1)))
+    assert not is_defined_over_Q(HGDatum(("1/5", "1/2"), (1, 1)))
 
 
 def test_primitivity():
     assert is_primitive(HD_246)
     assert is_primitive(HD_2OO)
-    assert not is_primitive(hg_datum(("1/2", 1), (1, 1)))
+    assert not is_primitive(HGDatum(("1/2", 1), (1, 1)))
 
 
 def test_local_exponents_gamma():
@@ -85,7 +85,7 @@ def test_table_rows():
     r246 = row_by_signature((2, 4, 6))
     assert r246.hd.alpha == (F(1, 2), F(1, 4), F(3, 4))
     assert r246.hd.beta == (F(1), F(5, 6), F(7, 6))
-    assert r246.special_lambdas() == (-3, OO, 0)
+    assert [lam for lam, _order in r246.lambda_special] == [-3, OO, 0]
     r26 = row_by_signature((2, 6, OO))
     assert r26.hd.alpha == (F(1, 2), F(1, 3), F(2, 3))
     assert r26.hd.beta == (F(1), F(1), F(1))
@@ -101,15 +101,15 @@ def test_table_row_invariants():
 
 
 def test_cusp_bookkeeping():
-    assert len(row_by_signature((2, OO, OO)).cusp_lambdas()) == 2
-    assert len(row_by_signature((2, 3, OO)).cusp_lambdas()) == 1
-    assert len(row_by_signature((2, 4, 6)).cusp_lambdas()) == 0
+    for sig, cusps in (((2, OO, OO), 2), ((2, 3, OO), 1), ((2, 4, 6), 0)):
+        orders = [order for _lam, order in row_by_signature(sig).lambda_special]
+        assert orders.count(OO) == cusps, sig
 
 
 def test_zero_is_always_special():
     # structural guarantee: no generic lambda = 0 ever arises in a trace sum
     for row in triangle_table():
-        assert 0 in row.special_lambdas()
+        assert 0 in [lam for lam, _order in row.lambda_special]
 
 
 def test_table_serializes():

@@ -10,7 +10,7 @@ from hgtrace import character_sums
 from hgtrace.character_sums import (CalibrationError, SnapError, _lambda_chart,
                                     calibrate_hp_weight, datum_table, snap_tolerance)
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
-from hgtrace.hgm_data import OO, hg_datum, row_by_signature, triangle_table
+from hgtrace.hgm_data import OO, HGDatum, row_by_signature, triangle_table
 from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
 from hgtrace.trace_engine import (_COVER_MAPS, SCHEMA_VERSION, LegendreCalibration,
@@ -131,7 +131,7 @@ def test_a_gamma_matches_sweep(ctx13):
 def test_sweep_snap_error_names_first_bad_lambda(ctx13):
     """A sweep that does not snap raises at its first bad lambda."""
     row = row_by_signature((2, OO, OO))
-    irrational = datum_table(hg_datum(("1/2", "1/3", "1/3"), (1, 1, 1)), ctx13)
+    irrational = datum_table(HGDatum(("1/2", "1/3", "1/3"), (1, 1, 1)), ctx13)
     with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 13\) did not snap") as exc:
         a_gamma_sweep(row, ctx13, table=irrational)
     bad = int(re.search(r"a_Gamma\((\d+),", str(exc.value)).group(1))
@@ -202,7 +202,8 @@ def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fractio
 def test_snap_headroom_at_the_p_cap():
     """Every row's sweep snaps at p = 99961, the largest admissible prime under
     the cap, with the tolerance at least 10^4 times its worst distance from an
-    integer."""
+    integer; so does the (2,4,6) row's degenerate-fiber trace tau1 = p * H_p(1),
+    which elliptic_square_value snaps."""
     p = 99961
     ctx = cached_ctx(p)
     for row in triangle_table():
@@ -215,6 +216,10 @@ def test_snap_headroom_at_the_p_cap():
         assert snapped.astype(np.int64).tolist() == a.tolist(), row.name
         worst = max(np.abs(vals.imag).max(), np.abs(vals.real - snapped).max())
         assert snap_tolerance(p, row.hd.n) >= 1e4 * worst, row.name
+    row = row_by_signature((2, 4, 6))
+    tau1 = row.hp_sign * p ** (1 - row.hp_weight) * datum_table(row.hd, ctx).raw_value(1)
+    worst = max(abs(tau1.imag), abs(tau1.real - round(tau1.real)))
+    assert snap_tolerance(p, row.hd.n) >= 1e4 * worst
 
 
 def test_a_gamma_generator_independent():
@@ -365,7 +370,8 @@ def test_report_json_schema(ctx13):
 
 def test_report_total_is_sum_of_terms(ctx13):
     rep = hecke_trace(row_by_signature((2, 4, 6)), ctx13, 6)
-    assert rep.total == sum(t.value for t in rep.terms if t.value is not None)
+    terms = rep.to_json()["terms"]
+    assert rep.total == sum(value for _lam, _kind, value in terms if value is not None)
 
 
 @pytest.mark.parametrize("sig, special", [
@@ -378,8 +384,8 @@ def test_report_terms_follow_the_sweep(ctx37, sig, special):
     row, p = row_by_signature(sig), 37
     rep = hecke_trace(row, ctx37, 6)
     lams, a = a_gamma_sweep(row, ctx37)
-    generic = [(lam, "generic", build_Fm(3).evaluate(x, p))
+    generic = [[str(lam), "generic", build_Fm(3).evaluate(x, p)]
                for lam, x in zip(lams.tolist(), a.tolist())]
-    terms = rep.terms
-    assert [(t.lam, t.kind, t.value) for t in terms[:len(lams)]] == generic
-    assert [t.kind for t in terms[len(lams):]] == special
+    terms = rep.to_json()["terms"]
+    assert terms[:len(lams)] == generic
+    assert [kind for _lam, kind, _value in terms[len(lams):]] == special
