@@ -11,7 +11,7 @@ one inverse DFT of a histogram over t, and the period sums at every nonzero
 lambda are one inverse DFT of the datum's slot product. A datum costs
 O(p log p), after which each lambda is a gather; slot tables are cached under
 a byte bound. The finite-field Clausen check is read the same way: per
-character pair (eta, K), three tables and a gather over t.
+character pair (eta, K), three tables and a gather over t, returned as columns.
 """
 
 from __future__ import annotations
@@ -387,25 +387,13 @@ def elliptic_square_value(table: BracketTable, sign: int, weight: int) -> int:
 # Finite-field Clausen (the 3P2 <-> product-of-2P1 identity)
 
 
-@dataclass(frozen=True)
-class ClausenReport:
-    p: int
-    eta_exp: int
-    K_exp: int
-    t: int
-    applicable: bool
-    reason: str
-    lhs: complex | None = None
-    rhs: complex | None = None
-    passed: bool | None = None
+def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter, ts):
+    """The finite-field Clausen identity at (eta, K), as the columns
+    (t, lhs, rhs, passed) over the t in ts where it applies, in the order of ts.
 
-
-def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
-                    ts) -> list[ClausenReport]:
-    """Verify the finite-field Clausen identity at (eta, K) for every t in ts.
-
-    Hypotheses: none of eta, K*phi, eta*K, eta*Kbar trivial. For t not 0 or 1,
-    with eta*K = S^2, the identity satisfied by the literal period sums is
+    Hypotheses: none of eta, K*phi, eta*K, eta*Kbar trivial; no t applies to
+    an inadmissible pair, and t = 0 never applies. For t not 0 or 1, with
+    eta*K = S^2, the identity satisfied by the literal period sums is
 
         phi(1-t) * 3P2(phi, eta, etabar; K, Kbar; t) = q - 2P1 * 2P1,
 
@@ -413,88 +401,51 @@ def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter,
     square case it equals minus the Jacobi-sum expression
     J(etaK, etabarK)/J(phi, Kbar) * (J(S*Kbar, phi*Sbar)^2 + J(phi*S*Kbar, Sbar)^2).
     (Both branches differ by one overall sign from the commonly printed form;
-    the test suite verifies the coded identity exhaustively.) Inadmissible
-    inputs are reported, not raised.
+    the test suite verifies the coded identity exhaustively.) When eta*K is a
+    non-square only t = 1 applies.
 
-    The three period sums are built once for the pair, as one BracketTable
-    each (the 3P2 and the two 2P1), so every generic t is a gather of their
-    values at dlog t; the t = 1 branch is one scalar np_sum. Reports are
-    aligned with ts.
+    A square pair builds its three period sums once, as one BracketTable each
+    (the 3P2 and the two 2P1), so every generic t is a gather of their values
+    at dlog t and t = 1 reads the 3P2 at dlog 1 = 0; a non-square pair's t = 1
+    is one scalar np_sum. passed is |lhs - rhs| < snap_tolerance(p, 3) * p.
     """
-    p = ctx.p
-    ts = [t % p for t in ts]
-    phi = ctx.quadratic_char
-
-    def report(t, applicable, reason, lhs=None, rhs=None, passed=None):
-        return ClausenReport(p=p, eta_exp=eta.e, K_exp=K.e, t=t, applicable=applicable,
-                             reason=reason, lhs=lhs, rhs=rhs, passed=passed)
-
-    bad = []
-    if eta.is_trivial:
-        bad.append("eta trivial")
-    if (K * phi).is_trivial:
-        bad.append("K*phi trivial")
-    if (eta * K).is_trivial:
-        bad.append("eta*K trivial")
-    if (eta * K.inverse()).is_trivial:
-        bad.append("eta*Kbar trivial")
-    if bad:
-        return [report(t, False, "; ".join(bad)) for t in ts]
-
-    etaK = eta * K
-    tol = snap_tolerance(p, 3) * p
-    generic = np.array([t for t in ts if t > 1], dtype=np.int64)
-    if etaK.is_square() and generic.size:
+    p, phi, etaK = ctx.p, ctx.quadratic_char, eta * K
+    ts = np.asarray(ts, dtype=np.int64) % p
+    if any(ch.is_trivial for ch in (eta, K * phi, etaK, eta * K.inverse())):
+        ts = ts[:0]
+    ts = ts[ts != 0] if etaK.is_square() else ts[ts == 1]
+    at_one = ts == 1
+    lhs, rhs = np.zeros(len(ts), dtype=complex), np.zeros(len(ts), dtype=complex)
+    if not etaK.is_square() and at_one.any():
+        lhs[:] = np_sum([phi, eta, eta.inverse()], [ctx.trivial_char, K, K.inverse()], 1).z
+    elif ts.size:
         S = etaK.sqrt()
         lhs3 = BracketTable(ctx, [phi.e, eta.e, -eta.e], [0, K.e, -K.e])
+        generic = ts[~at_one]
         r1 = BracketTable(ctx, [(phi * K * S.inverse()).e, S.e], [0, K.e]).sweep(generic)
-        r2 = BracketTable(ctx, [(phi * K.inverse() * S).e, -S.e],
-                          [0, -K.e]).sweep(generic)
-        phi_1mt = ctx.chi[(1 - generic) % p]
-        lhs = phi_1mt * lhs3.sweep(generic)
-        rhs = p - r1 * r2
-        swept = zip(lhs.tolist(), rhs.tolist(), (np.abs(lhs - rhs) < tol).tolist())
-
-    out = []
-    for t in ts:
-        if t == 0:
-            out.append(report(t, False, "t = 0 is outside the identity"))
-        elif t == 1:
-            out.append(report(t, True, *_clausen_at_one(ctx, eta, K, tol)))
-        elif etaK.is_square():
-            out.append(report(t, True, "t generic, etaK = S^2", *next(swept)))
-        else:
-            out.append(report(t, False, "etaK is not a square in the character group"))
-    return out
-
-
-def _clausen_at_one(ctx, eta, K, tol):
-    """(reason, lhs, rhs, passed) of the t = 1 branch of clausen_reports."""
-    phi = ctx.quadratic_char
-    etaK = eta * K
-    lhs3 = np_sum([phi, eta, eta.inverse()], [ctx.trivial_char, K, K.inverse()], 1).z
-    if not etaK.is_square():
-        return "t=1, etaK non-square", lhs3, 0j, abs(lhs3) < tol
-    S = etaK.sqrt()
-    num = jacobi_sum(etaK, eta.inverse() * K).z
-    den = jacobi_sum(phi, K.inverse()).z
-    j1 = jacobi_sum(S * K.inverse(), phi * S.inverse()).z
-    j2 = jacobi_sum(phi * S * K.inverse(), S.inverse()).z
-    rhs = -num / den * (j1 * j1 + j2 * j2)
-    return "t=1, etaK = S^2", lhs3, rhs, abs(lhs3 - rhs) < tol
+        r2 = BracketTable(ctx, [(phi * K.inverse() * S).e, -S.e], [0, -K.e]).sweep(generic)
+        lhs[~at_one] = ctx.chi[(1 - generic) % p] * lhs3.sweep(generic)
+        rhs[~at_one] = p - r1 * r2
+        if at_one.any():
+            j1 = jacobi_sum(S * K.inverse(), phi * S.inverse()).z
+            j2 = jacobi_sum(phi * S * K.inverse(), S.inverse()).z
+            lhs[at_one] = lhs3.raw_value(1)
+            rhs[at_one] = (-jacobi_sum(etaK, eta.inverse() * K).z
+                           / jacobi_sum(phi, K.inverse()).z * (j1 * j1 + j2 * j2))
+    return ts, lhs, rhs, np.abs(lhs - rhs) < snap_tolerance(p, 3) * p
 
 
 def clausen_sweep(ctx: PrimeFieldCtx):
-    """All admissible Clausen checks over F_p. Yields ClausenReports.
+    """Every admissible Clausen check over F_p: for each pair (eta, K), yields
+    ((eta exponent, K exponent), clausen_reports columns over t = 1 .. p - 1);
+    an inadmissible pair's columns are empty.
 
-    Each pair (eta, K) costs three O(p log p) tables, one gather over t and
-    the scalar t = 1 branch, so the sweep costs O(p^3 log p) over the
-    (p - 1)^2 pairs.
+    Each square pair costs three O(p log p) tables, one gather over t and four
+    Jacobi sums at t = 1, so the sweep costs O(p^3 log p) over the (p - 1)^2
+    pairs.
     """
     n = ctx.n
-    ts = range(1, ctx.p)
+    ts = np.arange(1, ctx.p)
     for eeta in range(n):
         for eK in range(n):
-            for rep in clausen_reports(ctx, ctx.char(eeta), ctx.char(eK), ts):
-                if rep.applicable:
-                    yield rep
+            yield (eeta, eK), clausen_reports(ctx, ctx.char(eeta), ctx.char(eK), ts)

@@ -9,14 +9,14 @@ Specialized to hyperelliptic sextics this is the familiar rule "2 points at
 infinity iff the leading coefficient is a square" (1 for a quintic), and a
 simple zero of f always contributes exactly one place.
 
-The counts over F_p are direct sums, O(p) per curve, except the Legendre
-family: its traces for every lambda at once are one cyclic correlation mod p,
-O(p log p) by real FFTs and rounded under two exact guards, and a single
-Legendre count reads its trace from that sweep. Over F_{p^2} a batch of curves
-is at most two passes over the points, each curve a row of one integer matmul:
-one pass for the curves with coefficients in F_p, which covers half of
-F_{p^2} since x and its conjugate give conjugate values of f, and one for the
-rest.
+The counts over F_p are direct sums, O(p) per curve and a batch of curves
+one Horner pass, except the Legendre family: its traces for every lambda at
+once are one cyclic correlation mod p, O(p log p) by real FFTs and rounded
+under two exact guards, and a single Legendre count reads its trace from that
+sweep. Over F_{p^2} a batch of curves is at most two passes over the points,
+each curve a row of float64 matmuls that are exact below 2^53: one pass for
+the curves with coefficients in F_p, which covers half of F_{p^2} since x and
+its conjugate give conjugate values of f, and one for the rest.
 
 The Baba-Granath genus-2 sextics are written down in closed form. Their
 discriminant vanishes for p > 5 only at the two j that baba_granath_curve
@@ -105,27 +105,34 @@ class ConicX6:
 # y^2 = f(x) and y^N = prod (x - r)^m, each counted by one vectorized sum
 
 
-def _count_y2(ctx: PrimeFieldCtx, coeffs) -> int:
-    """Points of the smooth model of y^2 = f(x) over F_p.
+# The counters evaluate a block of (row, point) pairs at a time, about this
+# many, so a block adds a few MB to the process at any p. Over F_{p^2} the
+# power basis's rows count with the coefficient rows.
+_BLOCK = 2 ** 16
 
-    coeffs runs from degree d = len(coeffs) - 1 down to 0; f is evaluated on
-    all of F_p by Horner's rule. Infinity gives one place for odd d and
-    1 + chi(lead) for even d (one place when the lead vanishes: the degree
-    dropped to d - 1).
+
+def _count_y2(ctx: PrimeFieldCtx, rows) -> list[int]:
+    """Points of the smooth models of y^2 = f(x) over F_p, one count per
+    coefficient row, in the order of the rows.
+
+    A row runs from degree d = len(row) - 1 down to 0; a block of rows is
+    evaluated on all of F_p by one Horner pass over a rows x p array. Infinity
+    gives one place for odd d and 1 + chi(lead) for even d (one place when the
+    lead vanishes: the degree dropped to d - 1).
     """
-    p = ctx.p
+    p, chi = ctx.p, ctx.chi
+    a = np.asarray(rows, dtype=np.int64) % p
     x = np.arange(p, dtype=np.int64)
-    v = np.zeros(p, dtype=np.int64)
-    for co in coeffs:
-        v = (v * x + int(co)) % p
-    at_inf = 1 + (ctx.legendre(int(coeffs[0])) if len(coeffs) % 2 else 0)
-    return p + int(np.sum(ctx.chi[v], dtype=np.int64)) + at_inf
-
-
-# The F_{p^2} counter evaluates a block of points at a time, with about this
-# many (row, point) pairs in a block, counting the power basis's rows with the
-# coefficient rows; a block then adds a few MB to the process at any p.
-_FP2_BLOCK = 2 ** 16
+    step = max(1, _BLOCK // p)
+    chi_sum = []
+    for r0 in range(0, len(a), step):
+        block = a[r0:r0 + step]
+        v = np.zeros((len(block), p), dtype=np.int64)
+        for k in range(a.shape[1]):
+            v = _reduce(v * x + block[:, k, None], p)
+        chi_sum += chi[v].sum(axis=1, dtype=np.int64).tolist()
+    at_inf = 1 + (chi[a[:, 0]] if a.shape[1] % 2 else 0)
+    return (p + np.array(chi_sum, dtype=np.int64) + at_inf).tolist()
 
 
 def _reduce(v: np.ndarray, p: int) -> np.ndarray:
@@ -146,25 +153,30 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     rows_im in the order of _count_y2, with the same rule at infinity.
     z != 0 is a square iff its norm re^2 - nu*im^2 is a square in F_p, and the
     norm vanishes only at 0. A block of points x = u + w*sqrt(nu) is the power
-    basis x^k = X_k + Y_k sqrt(nu), and every row is read off it by one
-    integer matmul. When every coefficient of a row lies in F_p, f(x) and
-    f(xbar) are conjugate and have the same norm, so only w in [0, (p - 1)/2]
-    is evaluated and each w > 0 counts twice. Those rows are one pass and the
-    others a second.
+    basis x^k = X_k + Y_k sqrt(nu), and every row is read off it by float64
+    matmuls, which are exact while a row's sums n_coef * (p - 1)^2 stay below
+    2^53; past that FieldError is raised before any point is evaluated. When
+    every coefficient of a row lies in F_p, f(x) and f(xbar) are conjugate and
+    have the same norm, so only w in [0, (p - 1)/2] is evaluated and each
+    w > 0 counts twice. Those rows are one pass and the others a second.
     """
     p, nu = ext.base.p, ext.nu
     a_re = np.asarray(rows_re, dtype=np.int64) % p
     a_im = np.asarray(rows_im, dtype=np.int64) % p
+    n_rows, n_coef = a_re.shape
+    if n_coef * (p - 1) ** 2 >= 2 ** 53:
+        raise FieldError(f"{n_coef} coefficients at p = {p}: the F_p2 count's float64 "
+                         "sums would pass 2^53 and stop being exact")
     in_fp = ~a_im.any(axis=1)
     if in_fp.any() and not in_fp.all():
-        counts = np.empty(len(a_re), dtype=np.int64)
+        counts = np.empty(n_rows, dtype=np.int64)
         for rows in (in_fp, ~in_fp):
             counts[rows] = _count_y2_fp2(ext, a_re[rows], a_im[rows])
         return counts.tolist()
-    n_rows, n_coef = a_re.shape
     real = not a_im.any()
     n_points = p * ((p + 1) // 2 if real else p)
-    step = max(1, _FP2_BLOCK // (n_rows + 2 * n_coef))
+    step = max(1, _BLOCK // (n_rows + 2 * n_coef))
+    f_re, f_im = a_re.astype(np.float64), a_im.astype(np.float64)
     chi = ext.base.chi
     chi_sum = np.zeros(n_rows, dtype=np.int64)
     for i0 in range(0, n_points, step):
@@ -177,22 +189,24 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
         for k in range(n_coef - 2, -1, -1):
             X[k] = _reduce(X[k + 1] * u + _reduce(nu * Y[k + 1], p) * w, p)
             Y[k] = _reduce(X[k + 1] * w + Y[k + 1] * u, p)
-        vr, vi = a_re @ X, a_re @ Y
+        X, Y = X.astype(np.float64), Y.astype(np.float64)
+        vr, vi = (f_re @ X).astype(np.int64), (f_re @ Y).astype(np.int64)
         if not real:
-            vr += nu * _reduce(a_im @ Y, p)
-            vi += a_im @ X
-        # the norm vr^2 - nu*vi^2, in place: these (row, point) arrays are
-        # the block's memory
+            vr += nu * _reduce((f_im @ Y).astype(np.int64), p)
+            vi += (f_im @ X).astype(np.int64)
+        # the norm vr^2 - nu*vi^2, in place (|norm| < p^3 fits int64): these
+        # (row, point) arrays are the block's memory
         _reduce(vr, p)
         _reduce(vi, p)
         vr *= vr
         vi *= vi
-        _reduce(vi, p)
         vi *= nu
         vr -= vi
-        _reduce(vr, p)
-        weight = np.where(w == 0, 1, 2 if real else 1)
-        chi_sum += chi[vr] @ weight
+        c = chi[_reduce(vr, p)]
+        block_sum = c.sum(axis=1, dtype=np.int64)
+        if real:  # the points with w = 0 are the first p and count once
+            block_sum = 2 * block_sum - c[:, :max(0, p - i0)].sum(axis=1, dtype=np.int64)
+        chi_sum += block_sum
     lead = (a_re[:, 0] * a_re[:, 0] - nu * a_im[:, 0] * a_im[:, 0]) % p
     at_inf = 1 + (chi[lead] if n_coef % 2 else 0)
     return (p * p + chi_sum + at_inf).tolist()
@@ -321,7 +335,7 @@ def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
                           flags=("bad reduction: j in {0, 1728}",))
     c = ctx.inv(j - 1728)
     # complete the square: (y + x/2)^2 = x^3 + x^2/4 - (36x + 1) c
-    cnt = _count_y2(ctx, (1, ctx.inv(4), -36 * c, -c))
+    cnt, = _count_y2(ctx, [(1, ctx.inv(4), -36 * c, -c)])
     return CurveCount(p, cnt, p + 1 - cnt)
 
 
@@ -337,7 +351,7 @@ def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
     # (p > 3) to its Weierstrass model Y^2 = X^3 - 27 mu (mu^3 + 8) X
     # + 54 (mu^6 - 20 mu^3 - 8).
     m3 = pow(mu, 3, p)
-    cnt = _count_y2(ctx, (1, 0, -27 * mu * (m3 + 8) % p, 54 * (m3 * m3 - 20 * m3 - 8) % p))
+    cnt, = _count_y2(ctx, [(1, 0, -27 * mu * (m3 + 8) % p, 54 * (m3 * m3 - 20 * m3 - 8) % p)])
     return CurveCount(p, cnt, p + 1 - cnt)
 
 
@@ -352,7 +366,7 @@ def count_jacobi_quartic(ctx: PrimeFieldCtx, sigma: int) -> CurveCount:
         return CurveCount(p, 0, None, good=False,
                           flags=("degenerate: sigma(sigma^4-1) = 0",))
     s2 = sigma * sigma % p
-    cnt = _count_y2(ctx, (1, 0, -(s2 + ctx.inv(s2)), 0, 1))
+    cnt, = _count_y2(ctx, [(1, 0, -(s2 + ctx.inv(s2)), 0, 1)])
     return CurveCount(p, cnt, p + 1 - cnt)
 
 
@@ -491,9 +505,10 @@ def baba_granath_curve(ctx: PrimeFieldCtx, j: int, branch: int = 1):
             ("s lies in F_p2 only",))
 
 
-def count_genus2_fp(ctx: PrimeFieldCtx, coeffs) -> int:
-    """Points of y^2 = f(x) over F_p for a sextic given as F_p2 pairs in F_p."""
-    return _count_y2(ctx, [c[0] for c in coeffs])
+def count_genus2_fp(ctx: PrimeFieldCtx, sextics) -> list[int]:
+    """Points of y^2 = f(x) over F_p for each sextic given as F_p2 pairs in F_p,
+    all in one batched _count_y2 call."""
+    return _count_y2(ctx, [[c[0] for c in f] for f in sextics])
 
 
 def count_genus2_fp2(ctx: PrimeFieldCtx, sextics) -> list[int]:
@@ -532,8 +547,8 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
     """qm_consistency on both s-branches at every j in js; one list of
     (branch, QMResult) per j, aligned with js.
 
-    The F_{p^2} counts of all the curves defined over F_p are one
-    count_genus2_fp2 call.
+    The F_p and F_{p^2} counts of all the curves defined over F_p are one
+    count_genus2_fp and one count_genus2_fp2 call.
     """
     scans, pending = [], []
     for j in js:
@@ -550,9 +565,9 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
             scan.append((branch, res))
         scans.append(scan)
     if pending:
-        n2s = count_genus2_fp2(ctx, [coeffs for _scan, _i, coeffs in pending])
-        for (scan, i, coeffs), n2 in zip(pending, n2s):
-            n1 = count_genus2_fp(ctx, coeffs)
+        sextics = [coeffs for _scan, _i, coeffs in pending]
+        n1s, n2s = count_genus2_fp(ctx, sextics), count_genus2_fp2(ctx, sextics)
+        for (scan, i, _coeffs), n1, n2 in zip(pending, n1s, n2s):
             scan[i] = (scan[i][0], qm_consistency(n1, n2, ctx.p))
     return scans
 
@@ -567,7 +582,7 @@ def conic_points(ctx: PrimeFieldCtx) -> int:
         raise FieldError("need p > 3")
     # the chart x = 1 is z^2 = -3y^2 - 1; its places at infinity are the
     # points (0 : 1 : z) with z^2 = -3 (x = y = 0 is impossible)
-    return _count_y2(ctx, (-3, 0, -1))
+    return _count_y2(ctx, [(-3, 0, -1)])[0]
 
 
 def igusa_clebsch_identity(j: Fraction) -> bool:
@@ -622,7 +637,7 @@ def count_points(spec, fieldctx) -> CurveCount:
         if field_tag != "F_p":
             return CurveCount(ctx.p, 0, None, good=False,
                               flags=flags + ("no F_p model; count over F_p2",))
-        n1 = count_genus2_fp(ctx, coeffs)
+        n1, = count_genus2_fp(ctx, [coeffs])
         tr = ctx.p + 1 - n1
         return CurveCount(ctx.p, n1, tr // 2 if tr % 2 == 0 else None, flags=flags)
     if isinstance(spec, ConicX6):

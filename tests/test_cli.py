@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import shlex
@@ -365,6 +366,22 @@ def test_verify_clausen_at_101(runner):
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["results"][0]["detail"] == \
         "475400 admissible checks, 0 failures over [101]"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command, exit_code, digest", [
+    ("verify qm --prime 397", 1,
+     "3a849c7e4daa0964c1332651de4546d8117427d210e322fe9517eb62c26d5966"),
+    ("calibrate bg-lambda --prime 397", 0,
+     "da46c2f371b731ce21d29bee872b01c57195ae5172bd84d12781d130df6a9b13"),
+])
+def test_genus2_sweeps_at_397_match_recorded_digest(runner, command, exit_code, digest):
+    """The genus-2 F_p and F_p2 counts at p = 397, past the benchmark's p = 197:
+    the stdout digests recorded before the counts went through float64 matmuls.
+    bg-lambda counts the sextics with coefficients outside F_p too."""
+    res = runner.invoke(main, command.split())
+    assert res.exit_code == exit_code, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 def _readme_commands():

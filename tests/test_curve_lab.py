@@ -83,7 +83,7 @@ def test_legendre_fp2_matches_frobenius(block, monkeypatch):
     """#E(F_p2) = p^2 + 1 - (a_p^2 - 2p) with a_p from the F_p sweep; a block
     of 64 elements makes F_p2 run in many blocks, the last one partial."""
     if block is not None:
-        monkeypatch.setattr(curve_lab, "_FP2_BLOCK", block)
+        monkeypatch.setattr(curve_lab, "_BLOCK", block)
     for p in (3,) + SMALL_PRIMES:
         ctx = cached_ctx(p)
         ext = build_quad_ext(ctx)
@@ -93,6 +93,30 @@ def test_legendre_fp2_matches_frobenius(block, monkeypatch):
             cc = count_points(Legendre(lam), ext)
             assert cc.q == p * p
             assert cc.n_points == p * p + 1 - (a * a - 2 * p), (p, lam)
+
+
+def test_legendre_fp2_matches_frobenius_past_the_literal_primes():
+    """The float64 matmul path at p = 1009 and 2003, over half of F_p2 in
+    about 70 and 280 blocks: #E(F_p2) = p^2 + 1 - (a_p^2 - 2p)."""
+    for p in (1009, 2003):
+        ctx = cached_ctx(p)
+        ext = build_quad_ext(ctx)
+        traces = legendre_trace_sweep(ctx)
+        for lam in (2, 3, p // 2, p - 1):
+            a = int(traces[lam])
+            assert count_points(Legendre(lam), ext).n_points == p * p + 1 - (a * a - 2 * p)
+
+
+def test_count_y2_fp2_refuses_rows_past_float64_exactness(monkeypatch):
+    """A row's sums reach n_coef * (p - 1)^2, exact in float64 below 2^53:
+    900,901 coefficients at p = 99991 pass it (900,900 would not) and raise
+    before any point is evaluated."""
+    ext = build_quad_ext(cached_ctx(99991))
+    monkeypatch.setattr(curve_lab, "_reduce", lambda v, p: pytest.fail("points evaluated"))
+    assert 900900 * 99990 ** 2 < 2 ** 53 <= 900901 * 99990 ** 2
+    row = np.zeros((1, 900901), dtype=np.int64)
+    with pytest.raises(FieldError, match="2\\^53"):
+        curve_lab._count_y2_fp2(ext, row, row)
 
 
 def literal_count_y2_fp2(ext, co_re, co_im):
@@ -126,7 +150,7 @@ def test_count_y2_fp2_batched_matches_literal(block, monkeypatch):
     sextics with a vanishing lead, and cubics; a block of 64 (row, point)
     pairs leaves the last block partial."""
     if block is not None:
-        monkeypatch.setattr(curve_lab, "_FP2_BLOCK", block)
+        monkeypatch.setattr(curve_lab, "_BLOCK", block)
     rng = random.Random(11)
     for p in (3, 5, 7, 11, 13):
         ext = build_quad_ext(cached_ctx(p))
@@ -147,7 +171,7 @@ def test_count_y2_fp2_batched_matches_literal(block, monkeypatch):
 
 def test_qm_sweep_is_per_j_scan(monkeypatch):
     """One batched count for every j equals the scans one j at a time."""
-    monkeypatch.setattr(curve_lab, "_FP2_BLOCK", 1000)
+    monkeypatch.setattr(curve_lab, "_BLOCK", 1000)
     ctx = cached_ctx(29)
     js = list(range(1, 29))
     assert baba_granath_qm_sweep(ctx, js) == [baba_granath_qm_sweep(ctx, [j])[0]
@@ -181,14 +205,15 @@ def test_picard_literal_count():
             assert cc.n_points == affine + 1, (p, lam)
 
 
-def test_genus2_fp_literal_count():
+def test_genus2_fp_literal_count(monkeypatch):
     """Random sextics with no repeated root in F_p, against (x, y) enumeration
-    plus the y with y^2 = lead at infinity."""
+    plus the y with y^2 = lead at infinity; six per p in one batched call,
+    also with blocks of 64 (row, point) pairs, a few rows per block."""
     rng = random.Random(5)
     for p in SMALL_PRIMES:
         ctx = cached_ctx(p)
-        checked = 0
-        while checked < 6:
+        sextics, want = [], []
+        while len(sextics) < 6:
             f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(6)]
             df = [(6 - i) * c for i, c in enumerate(f[:-1])]
             ev = lambda g, x: sum(c * x ** (len(g) - 1 - i) for i, c in enumerate(g)) % p
@@ -197,8 +222,12 @@ def test_genus2_fp_literal_count():
             affine = sum(1 for x in range(p) for y in range(p)
                          if (y * y - ev(f, x)) % p == 0)
             at_inf = sum(1 for y in range(p) if (y * y - f[0]) % p == 0)
-            assert count_genus2_fp(ctx, [(c, 0) for c in f]) == affine + at_inf
-            checked += 1
+            sextics.append([(c, 0) for c in f])
+            want.append(affine + at_inf)
+        assert count_genus2_fp(ctx, sextics) == want, p
+        with monkeypatch.context() as m:
+            m.setattr(curve_lab, "_BLOCK", 64)
+            assert count_genus2_fp(ctx, sextics) == want, p
 
 
 def test_gen_legendre_is_line_when_N_coprime_to_p_minus_1():
@@ -358,7 +387,7 @@ def test_qm_consistency_negative_control(ctx13):
         coeffs = [(rng.randrange(13), 0) for _ in range(7)]
         if coeffs[0][0] == 0:
             continue
-        n1 = count_genus2_fp(ctx13, coeffs)
+        n1, = count_genus2_fp(ctx13, [coeffs])
         n2, = count_genus2_fp2(ctx13, [coeffs])
         trials += 1
         if not qm_consistency(n1, n2, 13).passed:
@@ -465,7 +494,7 @@ def test_baba_granath_fp_trace_zero(ctx13):
         coeffs, _tag, _flags = baba_granath_curve(ctx13, j)
         if coeffs[0][0] % 13 == 0:
             continue
-        n1 = count_genus2_fp(ctx13, coeffs)
+        n1, = count_genus2_fp(ctx13, [coeffs])
         assert n1 == 13 + 1
 
 
