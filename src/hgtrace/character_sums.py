@@ -1,5 +1,5 @@
-"""Jacobi sums, the bracket symbol, the nP(n-1) period sum, the calibrated
-finite-field hypergeometric function H_p, and the finite-field Clausen check.
+"""The bracket symbol, the nP(n-1) period sum, the calibrated finite-field
+hypergeometric function H_p, and the finite-field Clausen check.
 
 Values are carried as double-precision complex numbers and snapped to exact
 integers (or rationals with a p-power denominator) when a quantity is known to
@@ -10,8 +10,8 @@ Fourier transforms over the character group Z/(p-1) instead. The brackets are
 one inverse DFT of a histogram over t, and the period sums at every nonzero
 lambda are one inverse DFT of the datum's slot product. A datum costs
 O(p log p), after which each lambda is a gather; slot tables are cached under
-a byte bound. The finite-field Clausen check is read the same way: per
-character pair (eta, K), three tables and a gather over t, returned as columns.
+a byte bound. The finite-field Clausen check is read the same way: for each
+eta, the square pairs (eta, K) are one batch of tables and a gather over t.
 """
 
 from __future__ import annotations
@@ -68,29 +68,34 @@ def _require_same_ctx(*chars: MultCharacter) -> PrimeFieldCtx:
 
 
 def _jacobi_dlog_pairs(ctx: PrimeFieldCtx):
-    """dlog pairs (dlog t, dlog(1-t)) over the t with t, 1-t both nonzero."""
-    p = ctx.p
-    t = np.arange(2, p, dtype=np.int64)
-    return ctx.dlog[t], ctx.dlog[(1 - t) % p]
+    """dlog pairs (dlog t, dlog(1-t)) over t = 2 .. p-1, the t with t, 1-t both
+    nonzero: 1 - t runs over p-1 .. 2, so the pairs are a slice and its reverse."""
+    d = ctx.dlog[2:]
+    return d, d[::-1]
 
 
-def _bracket_table(ctx: PrimeFieldCtx, e_a: int, e_b: int) -> np.ndarray:
-    """bracket(A*chi^e, B*chi^e) for e = 0..n-1, as one inverse DFT.
+def _bracket_table(ctx: PrimeFieldCtx, e_a, e_b) -> np.ndarray:
+    """bracket(A*chi^e, B*chi^e) for e = 0..n-1, one row for each pair of
+    exponents (e_a[i], e_b[i]) of the int arrays e_a, e_b: shape (m, n).
 
     bracket(X, Y) = -Y(-1) * J(X, Ybar), and J(A*chi^e, Bbar*chibar^e) is the
     sum over t of zeta^(e_a d1 - e_b d2) * zeta^(e (d1 - d2)), with d1, d2 the
     paired dlogs of t and 1-t. Binning t at (d1 - d2) mod n turns the sum over
-    t into the length-n DFT of that histogram. chi(-1) is the exponent parity,
-    since dlog(-1) = n/2.
+    t into the length-n DFT of that histogram. The m histograms are one flat
+    bincount, row i binned at i*n + (d1 - d2) mod n, and one row-wise inverse
+    DFT. chi(-1) is the exponent parity, since dlog(-1) = n/2.
     """
     n = ctx.n
+    e_a = np.asarray(e_a, dtype=np.int64).reshape(-1, 1)
+    e_b = np.asarray(e_b, dtype=np.int64).reshape(-1, 1)
     d1, d2 = _jacobi_dlog_pairs(ctx)
-    bins = (d1 - d2) % n
-    w = ctx.zeta[(e_a * d1 - e_b * d2) % n]
-    hist = (np.bincount(bins, weights=w.real, minlength=n)
-            + 1j * np.bincount(bins, weights=w.imag, minlength=n))
+    size = n * len(e_a)
+    bins = ((d1 - d2) % n + np.arange(0, size, n)[:, None]).ravel()
+    w = ctx.zeta[(e_a * d1 - e_b * d2) % n].ravel()
+    hist = (np.bincount(bins, weights=w.real, minlength=size)
+            + 1j * np.bincount(bins, weights=w.imag, minlength=size))
     sign = np.where((e_b + np.arange(n)) % 2, 1.0, -1.0)
-    out = sign * (n * np.fft.ifft(hist))
+    out = sign * (n * np.fft.ifft(hist.reshape(-1, n), axis=-1))
     out.setflags(write=False)
     return out
 
@@ -106,28 +111,8 @@ _SLOT_CACHE = ByteBoundedLRU()
 def _slot_table(ctx: PrimeFieldCtx, ea: int, eb: int) -> np.ndarray:
     """bracket(A*chi_e, B*chi_e) over all e, for the slot (a-exp, b-exp)."""
     ea, eb = ea % ctx.n, eb % ctx.n
-    return _SLOT_CACHE.get((ctx.p, ctx.g, ea, eb), lambda: _bracket_table(ctx, ea, eb),
-                           SLOT_CACHE_MAX_BYTES)
-
-
-def jacobi_sum(A: MultCharacter, B: MultCharacter) -> AlgebraicValue:
-    """J(A, B) = sum over t in F_p of A(t) B(1-t), with the chi(0) = 0 convention."""
-    ctx = _require_same_ctx(A, B)
-    n = ctx.n
-    if A.is_trivial and B.is_trivial:
-        return AlgebraicValue(complex(ctx.p - 2), ctx.p - 2)
-    d1, d2 = _jacobi_dlog_pairs(ctx)
-    val = complex(np.sum(ctx.zeta[(A.e * d1 + B.e * d2) % n]))
-    return AlgebraicValue.from_complex(val, snap_tolerance(ctx.p, 1))
-
-
-def bracket(A: MultCharacter, B: MultCharacter) -> AlgebraicValue:
-    """The binomial-style symbol -B(-1) * J(A, Bbar)."""
-    _require_same_ctx(A, B)
-    j = jacobi_sum(A, B.inverse())
-    sign = -B.value_at_minus1()
-    snapped = None if j.snapped is None else sign * j.snapped
-    return AlgebraicValue(sign * j.z, snapped)
+    return _SLOT_CACHE.get((ctx.p, ctx.g, ea, eb),
+                           lambda: _bracket_table(ctx, [ea], [eb])[0], SLOT_CACHE_MAX_BYTES)
 
 
 class BracketTable:
@@ -387,9 +372,10 @@ def elliptic_square_value(table: BracketTable, sign: int, weight: int) -> int:
 # Finite-field Clausen (the 3P2 <-> product-of-2P1 identity)
 
 
-def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter, ts):
-    """The finite-field Clausen identity at (eta, K), as the columns
-    (t, lhs, rhs, passed) over the t in ts where it applies, in the order of ts.
+def _clausen_columns(ctx: PrimeFieldCtx, eeta: int, eKs, ts):
+    """The finite-field Clausen identity at (chi^eeta, chi^eK) for each eK of
+    the int array eKs: one tuple of columns (t, lhs, rhs, passed) per eK, over
+    the t in ts where it applies, in the order of ts.
 
     Hypotheses: none of eta, K*phi, eta*K, eta*Kbar trivial; no t applies to
     an inadmissible pair, and t = 0 never applies. For t not 0 or 1, with
@@ -402,50 +388,68 @@ def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter, ts
     J(etaK, etabarK)/J(phi, Kbar) * (J(S*Kbar, phi*Sbar)^2 + J(phi*S*Kbar, Sbar)^2).
     (Both branches differ by one overall sign from the commonly printed form;
     the test suite verifies the coded identity exhaustively.) When eta*K is a
-    non-square only t = 1 applies.
+    non-square only t = 1 applies, read off one np_sum, the definition.
+    passed is |lhs - rhs| < snap_tolerance(p, 3) * p.
 
-    A square pair builds its three period sums once, as one BracketTable each
-    (the 3P2 and the two 2P1), so every generic t is a gather of their values
-    at dlog t and t = 1 reads the 3P2 at dlog 1 = 0; a non-square pair's t = 1
-    is one scalar np_sum. passed is |lhs - rhs| < snap_tolerance(p, 3) * p.
+    The square pairs are one batch. One _bracket_table call gives their slot
+    rows and, as the e = 0 entries of rows (A, Bbar), the Jacobi sums
+    J(A, B) = -B(-1) * bracket(A, Bbar). Each period sum is its slot product
+    under one row-wise inverse DFT, read at dlog t (dlog 1 = 0). The prefactors
+    drop out, since eta*K is a square: the 3P2's is 1 and the 2P1 share theirs.
     """
-    p, phi, etaK = ctx.p, ctx.quadratic_char, eta * K
-    ts = np.asarray(ts, dtype=np.int64) % p
-    if any(ch.is_trivial for ch in (eta, K * phi, etaK, eta * K.inverse())):
-        ts = ts[:0]
-    ts = ts[ts != 0] if etaK.is_square() else ts[ts == 1]
-    at_one = ts == 1
-    lhs, rhs = np.zeros(len(ts), dtype=complex), np.zeros(len(ts), dtype=complex)
-    if not etaK.is_square() and at_one.any():
-        lhs[:] = np_sum([phi, eta, eta.inverse()], [ctx.trivial_char, K, K.inverse()], 1).z
-    elif ts.size:
-        S = etaK.sqrt()
-        lhs3 = BracketTable(ctx, [phi.e, eta.e, -eta.e], [0, K.e, -K.e])
-        generic = ts[~at_one]
-        r1 = BracketTable(ctx, [(phi * K * S.inverse()).e, S.e], [0, K.e]).sweep(generic)
-        r2 = BracketTable(ctx, [(phi * K.inverse() * S).e, -S.e], [0, -K.e]).sweep(generic)
-        lhs[~at_one] = ctx.chi[(1 - generic) % p] * lhs3.sweep(generic)
-        rhs[~at_one] = p - r1 * r2
-        if at_one.any():
-            j1 = jacobi_sum(S * K.inverse(), phi * S.inverse()).z
-            j2 = jacobi_sum(phi * S * K.inverse(), S.inverse()).z
-            lhs[at_one] = lhs3.raw_value(1)
-            rhs[at_one] = (-jacobi_sum(etaK, eta.inverse() * K).z
-                           / jacobi_sum(phi, K.inverse()).z * (j1 * j1 + j2 * j2))
-    return ts, lhs, rhs, np.abs(lhs - rhs) < snap_tolerance(p, 3) * p
+    p, n, h = ctx.p, ctx.n, ctx.n // 2
+    eeta, tol = eeta % n, snap_tolerance(p, 3) * p
+    eKs, ts = np.asarray(eKs, dtype=np.int64) % n, np.asarray(ts, dtype=np.int64) % p
+    admissible = (eeta != 0) & (eKs != h) & ((eeta + eKs) % n != 0) & (eKs != eeta)
+    square = (eeta + eKs) % 2 == 0
+    columns = [(ts[:0], np.zeros(0, complex), np.zeros(0, complex), np.zeros(0, bool))] * len(eKs)
+    rows = np.flatnonzero(admissible & square)
+    if rows.size:
+        eK = eKs[rows]
+        eS, e0 = (eeta + eK) % n // 2, np.zeros_like(eK)
+        # slot rows (A, B) of the 3P2 and the two 2P1, then the rows (A, Bbar) of
+        # J(etaK, etabarK), J(phi, Kbar), J(S Kbar, phi Sbar) and J(phi S Kbar, Sbar)
+        jac_b = np.array([eK - eeta, -eK, h - eS, -eS])
+        tables = _bracket_table(
+            ctx, np.concatenate([e0 + eeta, e0 - eeta, h + eK - eS, eS, h - eK + eS, -eS,
+                                 eeta + eK, e0 + h, eS - eK, h + eS - eK]),
+            np.concatenate([eK, -eK, e0, eK, e0, -eK, *-jac_b])).reshape(10, rows.size, n)
+        lhs3, r1, r2 = np.fft.ifft([_slot_table(ctx, h, 0) * tables[0] * tables[1],
+                                    tables[2] * tables[3], tables[4] * tables[5]], axis=-1)
+        j = np.where(jac_b % 2, 1.0, -1.0) * tables[6:, :, 0]
+        sq_ts = ts[ts != 0]
+        d, at_one = ctx.dlog[sq_ts], sq_ts == 1
+        lhs = ctx.chi[(1 - sq_ts) % p] * lhs3[:, d]
+        rhs = p - r1[:, d] * r2[:, d]
+        lhs[:, at_one] = lhs3[:, :1]
+        rhs[:, at_one] = (-j[0] / j[1] * (j[2] * j[2] + j[3] * j[3]))[:, None]
+        passed = np.abs(lhs - rhs) < tol
+        for i, k in enumerate(rows):
+            columns[k] = (sq_ts, lhs[i], rhs[i], passed[i])
+    ones = ts[ts == 1]
+    if ones.size:
+        phi, eta = ctx.quadratic_char, ctx.char(eeta)
+        for k in np.flatnonzero(admissible & ~square):
+            K = ctx.char(int(eKs[k]))
+            lhs = np.full(ones.size, np_sum([phi, eta, eta.inverse()],
+                                            [ctx.trivial_char, K, K.inverse()], 1).z)
+            columns[k] = (ones, lhs, np.zeros_like(lhs), np.abs(lhs) < tol)
+    return columns
+
+
+def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter, ts):
+    """_clausen_columns at the one pair (eta, K). numpy's inverse DFT and bincount
+    work row by row, so these are bit-identical to the pair's columns in clausen_sweep."""
+    return _clausen_columns(ctx, eta.e, [K.e], ts)[0]
 
 
 def clausen_sweep(ctx: PrimeFieldCtx):
     """Every admissible Clausen check over F_p: for each pair (eta, K), yields
     ((eta exponent, K exponent), clausen_reports columns over t = 1 .. p - 1);
-    an inadmissible pair's columns are empty.
-
-    Each square pair costs three O(p log p) tables, one gather over t and four
-    Jacobi sums at t = 1, so the sweep costs O(p^3 log p) over the (p - 1)^2
-    pairs.
-    """
-    n = ctx.n
-    ts = np.arange(1, ctx.p)
-    for eeta in range(n):
-        for eK in range(n):
-            yield (eeta, eK), clausen_reports(ctx, ctx.char(eeta), ctx.char(eK), ts)
+    an inadmissible pair's columns are empty. The sweep is n = p - 1 numpy
+    passes, one _clausen_columns call over every K for each eta, O(p^3 log p)
+    in all; the one np_sum of each non-square pair is most of what remains."""
+    ts, eKs = np.arange(1, ctx.p), np.arange(ctx.n)
+    for eeta in range(ctx.n):
+        for eK, columns in enumerate(_clausen_columns(ctx, eeta, eKs, ts)):
+            yield (eeta, eK), columns

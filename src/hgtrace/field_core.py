@@ -206,10 +206,6 @@ class MultCharacter:
             return 0j
         return complex(self.ctx.zeta[(self.e * int(self.ctx.dlog[x])) % self.ctx.n])
 
-    def value_at_minus1(self) -> int:
-        """chi(-1) as an exact +-1 (the exponent parity, since dlog(-1) = n/2)."""
-        return 1 if (self.e * (self.ctx.n // 2)) % self.ctx.n == 0 else -1
-
     @property
     def order(self) -> int:
         return self.ctx.n // gcd(self.e, self.ctx.n)

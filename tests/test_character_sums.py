@@ -5,16 +5,36 @@ import numpy as np
 import pytest
 
 from hgtrace import character_sums
-from hgtrace.character_sums import (CalibrationError, SnapError, _al_square_mask,
-                                    _slot_table, al_square_decompose, bracket,
+from hgtrace.character_sums import (AlgebraicValue, CalibrationError, SnapError,
+                                    _al_square_mask, _bracket_table, _jacobi_dlog_pairs,
+                                    _slot_table, al_square_decompose,
                                     calibrate_hp_weight, calibration_primes,
                                     clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
-                                    jacobi_sum, np_sum, snap_tolerance)
-from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, is_prime
+                                    np_sum, snap_tolerance)
+from hgtrace.field_core import (CongruenceError, build_ctx, cached_ctx, is_prime,
+                               nth_primitive_root)
 from hgtrace.hgm_data import HGDatum, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
+
+
+def jacobi_sum(A, B):
+    """J(A, B) = sum over t in F_p of A(t) B(1-t), with the chi(0) = 0
+    convention: the scalar reference for the bracket tables, O(p) a value."""
+    ctx = A.ctx
+    if A.is_trivial and B.is_trivial:
+        return AlgebraicValue(complex(ctx.p - 2), ctx.p - 2)
+    d1, d2 = _jacobi_dlog_pairs(ctx)
+    val = complex(np.sum(ctx.zeta[(A.e * d1 + B.e * d2) % ctx.n]))
+    return AlgebraicValue.from_complex(val, snap_tolerance(ctx.p, 1))
+
+
+def bracket(A, B):
+    """The binomial-style symbol -B(-1) * J(A, Bbar)."""
+    j = jacobi_sum(A, B.inverse())
+    sign = -round(B(-1).real)
+    return AlgebraicValue(sign * j.z, None if j.snapped is None else sign * j.snapped)
 
 
 def brute_jacobi(ctx, A, B):
@@ -94,14 +114,17 @@ def _direct_slot(ctx, ea, eb):
 
 def test_slot_table_equals_direct_brackets():
     """The DFT slot table is bracket(A chi^e, B chi^e) at every e: for every
-    slot at p = 7, 11, 13 and for every datum slot of every row up to p = 61."""
-    for p in (7, 11, 13):
-        ctx = cached_ctx(p)
-        for ea in range(ctx.n):
-            for eb in range(ctx.n):
-                np.testing.assert_allclose(_slot_table(ctx, ea, eb),
-                                           _direct_slot(ctx, ea, eb),
-                                           rtol=0, atol=1e-9, err_msg=f"{p} {ea} {eb}")
+    slot at p = 7, 11, 13 and at p = 13 with a non-least generator, as the n^2
+    rows of one batched _bracket_table call, each row bit-identical to the
+    cached one-row slot table; and for every datum slot of every row up to
+    p = 61."""
+    for ctx in (cached_ctx(7), cached_ctx(11), cached_ctx(13),
+                build_ctx(13, generator=nth_primitive_root(13, 1))):
+        ea, eb = np.divmod(np.arange(ctx.n ** 2), ctx.n)
+        for a, b, row in zip(ea.tolist(), eb.tolist(), _bracket_table(ctx, ea, eb)):
+            np.testing.assert_allclose(row, _direct_slot(ctx, a, b), rtol=0, atol=1e-9,
+                                       err_msg=f"{ctx.p} {ctx.g} {a} {b}")
+            assert np.array_equal(row, _slot_table(ctx, a, b)), (ctx.p, ctx.g, a, b)
     for row, ctx in _admissible_rows():
         for ea, eb in zip(*datum_char_exponents(row.hd, ctx)):
             np.testing.assert_allclose(_slot_table(ctx, ea, eb),
@@ -369,6 +392,24 @@ def test_clausen_reports_match_literal_np_sums(p):
             assert [c.tolist() for c in alone] == [[t], [lhs[i]], [rhs[i]], [passed[i]]]
         assert [c.tolist() for c in sweep_columns] == [c[ts > 0].tolist()
                                                        for c in (ts, lhs, rhs, passed)]
+
+
+def test_clausen_sweep_matches_literal_np_sums_at_23():
+    """At p = 23, past the exhaustive comparison above, the batched sweep's
+    columns for eta = chi^1 and chi^2 and every K (square and non-square
+    eta*K, and the inadmissible pairs) equal the literal np_sum route at
+    every t = 1 .. 22."""
+    ctx = cached_ctx(23)
+    for (eeta, eK), (ts, lhs, rhs, passed) in clausen_sweep(ctx):
+        if eeta not in (1, 2):
+            continue
+        eta, K = ctx.char(eeta), ctx.char(eK)
+        literal = {t: literal_clausen(ctx, eta, K, t) for t in range(1, 23)}
+        assert ts.tolist() == [t for t, row in literal.items() if row[0]], (eeta, eK)
+        for t, got_lhs, got_rhs, got_passed in zip(ts.tolist(), lhs, rhs, passed):
+            _ok, want_lhs, want_rhs, want_passed = literal[t]
+            assert abs(got_lhs - want_lhs) < 1e-9 and abs(got_rhs - want_rhs) < 1e-9
+            assert got_passed == want_passed, (eeta, eK, t)
 
 
 def test_clausen_exhaustive_p37(ctx37):

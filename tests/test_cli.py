@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from hgtrace import cli
-from hgtrace.character_sums import SnapError
+from hgtrace.character_sums import SnapError, clausen_sweep, snap_tolerance
 from hgtrace.cli import _json_text, main
 from hgtrace.field_core import cached_ctx
 from hgtrace.hgm_data import OO, row_by_signature
@@ -362,10 +362,16 @@ def test_verify_all_reads_every_option(runner, monkeypatch):
 
 @pytest.mark.slow
 def test_verify_clausen_at_101(runner):
+    """Every Clausen check at p = 101 passes, and the worst |lhs - rhs| of the
+    sweep is at least 10^8 below the tolerance passed is read against, the
+    margin the tier-1 test asks at 23 and 37."""
     res = runner.invoke(main, ["verify", "clausen", "--prime", "101"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["results"][0]["detail"] == \
         "475400 admissible checks, 0 failures over [101]"
+    worst = max(float(np.abs(lhs - rhs).max(initial=0.0))
+                for _pair, (_ts, lhs, rhs, _passed) in clausen_sweep(cached_ctx(101)))
+    assert 0 < worst <= snap_tolerance(101, 3) * 101 * 1e-8
 
 
 @pytest.mark.slow
