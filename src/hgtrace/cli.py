@@ -40,9 +40,8 @@ from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
 from .field_core import DEFAULT_P_BOUND, FieldError, cached_ctx, is_prime
 from .hgm_data import OO, HGDatum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
-from .trace_engine import (SCHEMA_VERSION, TraceReport, a_gamma_sweep,
-                           calibrate_legendre_relation, fm_identity_holds, hecke_trace,
-                           legendre_relation)
+from .trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, TraceReport, a_gamma_sweep,
+                           fm_identity_holds, hecke_trace, legendre_relation)
 
 
 # A report's "terms" stand in json's output as this string until its rows are
@@ -446,18 +445,8 @@ def _run_suite(name, prime, max_prime, seed):
         return not bad, (f"{values} values over {pairs} (row, p) pairs, {len(bad)} violations"
                          + (f", first {bad[:3]}" if bad else ""))
     if name == "legendre":
-        try:  # a SnapError is a guard of legendre_trace_sweep or of the a_Gamma snap
-            calib = calibrate_legendre_relation()
-            row = row_by_signature((2, OO, OO))
-            for p in [q for q in range(7, max_prime + 1) if is_prime(q)]:
-                ctx = cached_ctx(p)
-                bad, _held = legendre_relation(calib.map_label, ctx, a_gamma_sweep(row, ctx),
-                                               legendre_trace_sweep(ctx))
-                if bad is not None:
-                    return False, f"mismatch p={p} lam'={bad}"
-        except SnapError as exc:
-            return False, str(exc)
-        return True, f"map {calib.map_label}, all odd p <= {max_prime}"
+        failure = _legendre_failure([q for q in range(7, max_prime + 1) if is_prime(q)])
+        return failure is None, failure or f"map {LEGENDRE_COVER_MAP}, all odd p <= {max_prime}"
     if name == "genlegendre":
         primes = [prime] if prime else [7, 13, 19]
         for p in primes:
@@ -487,6 +476,21 @@ def _run_suite(name, prime, max_prime, seed):
         bad = [r for r in rows if not r[-1]]
         return not bad, f"{len(rows)} checks, {len(bad)} failures"
     raise click.UsageError(f"unknown suite {name}")
+
+
+def _legendre_failure(primes) -> str | None:
+    """Why the Legendre cover relation fails at the first of primes where it
+    does, or None if it holds at each."""
+    row = row_by_signature((2, OO, OO))
+    for p in primes:
+        ctx = cached_ctx(p)
+        try:  # a SnapError is a guard of legendre_trace_sweep or of the a_Gamma snap
+            bad = legendre_relation(ctx, a_gamma_sweep(row, ctx), legendre_trace_sweep(ctx))
+        except SnapError as exc:
+            return str(exc)
+        if bad is not None:
+            return f"mismatch p={p} lam'={bad}"
+    return None
 
 
 def _analytic_rows():
@@ -551,7 +555,7 @@ def table():
 
 @main.group()
 def calibrate():
-    """Calibration protocols (normalization, identifications)."""
+    """The H_p normalization protocol, and checks of the two fixed curve maps."""
 
 
 @calibrate.command("hp")
@@ -574,23 +578,23 @@ def calibrate_hp(group):
 
 @calibrate.command("legendre")
 def calibrate_legendre():
-    try:
-        calib = calibrate_legendre_relation()
-    except (CalibrationError, SnapError) as exc:
-        click.echo(f"calibration failure: {exc}", err=True)
+    """Check the Legendre cover map of the (2,oo,oo) row at p = 7, 11, 13."""
+    primes = [7, 11, 13]
+    failure = _legendre_failure(primes)
+    if failure is not None:
+        click.echo(f"calibration failure: {failure}", err=True)
         sys.exit(1)
     _emit_json({"config": {"command": "calibrate legendre",
                            "schema_version": SCHEMA_VERSION},
-                "map": calib.map_label, "primes": list(calib.primes)})
+                "map": LEGENDRE_COVER_MAP, "primes": primes})
 
 
 @calibrate.command("bg-lambda")
 @click.option("--prime", required=True, type=int)
 def calibrate_bg_lambda(prime):
-    """Research sweep: match the compact-row coordinate against the genus-2
-    family parameter by comparing a_Gamma + p with the Frobenius square data.
-
-    Reports the best linear match lambda = c * j; no outcome is asserted.
+    """Check the map lambda = 81 j / 16 from the Baba-Granath parameter j to the
+    compact-row coordinate: |a_Gamma(81 j / 16) - p| = |p^2 + 1 - #C_j(F_p2)| / 2
+    at every j whose sextic C_j is a genus-2 curve. Exits 1 if some j fails.
     """
     p = prime
     ctx = _field_ctx(p)
@@ -611,14 +615,13 @@ def calibrate_bg_lambda(prime):
     n2s = count_genus2_fp2(ctx, sextics)
     absT = [abs((p * p + 1 - n2) // 2) for n2 in n2s]  # u^2 + ubar^2 up to sign
     js, absT = np.array(js, dtype=np.int64), np.array(absT, dtype=np.int64)
-    hits = [int(np.count_nonzero(dist[c * js % p] == absT)) for c in range(1, p)]
-    best = int(np.argmax(hits))  # the first c with the most hits is c = best + 1
+    c = 81 * pow(16, -1, p) % p
+    matches = int(np.count_nonzero(dist[c * js % p] == absT))
     _emit_json({"config": {"command": "calibrate bg-lambda", "prime": p,
                            "schema_version": SCHEMA_VERSION},
-                "best_linear_map": {"c": best + 1, "matches": hits[best],
-                                    "out_of": len(js)},
-                "c_equals_81_over_16": best + 1 == 81 * pow(16, p - 2, p) % p,
-                "note": "research sweep; no outcome asserted"})
+                "map": "lam = 81*j/16", "matches": matches, "out_of": len(js)})
+    if matches < len(js):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

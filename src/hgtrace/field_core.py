@@ -13,7 +13,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -205,10 +204,6 @@ class MultCharacter:
         if x == 0:
             return 0j
         return complex(self.ctx.zeta[(self.e * int(self.ctx.dlog[x])) % self.ctx.n])
-
-    @property
-    def order(self) -> int:
-        return self.ctx.n // gcd(self.e, self.ctx.n)
 
     @property
     def is_trivial(self) -> bool:

@@ -17,11 +17,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .character_sums import (CalibrationError, datum_table,
-                             elliptic_square_value, local_traces)
-from .field_core import CongruenceError, PrimeFieldCtx, build_ctx
-from .hgm_data import OO, TriangleGroupRow, row_by_signature
-from .curve_lab import legendre_trace_sweep
+from .character_sums import datum_table, elliptic_square_value, local_traces
+from .field_core import CongruenceError, PrimeFieldCtx
+from .hgm_data import OO, TriangleGroupRow
 from .modform_oracle import level1_hecke_trace, load_fixture_by_label
 
 
@@ -88,49 +86,23 @@ def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray | 
 
 
 # ---------------------------------------------------------------------------
-# Legendre-cover identification for the (2,oo,oo) row
+# The Legendre cover of the (2,oo,oo) row
 
 
-@dataclass(frozen=True)
-class LegendreCalibration:
-    map_label: str
-    primes: tuple[int, ...]
+# The map R from the Legendre parameter lam' to the row coordinate, with
+# a_Gamma(R(lam'), p) = a_E(lam')^2 - p at every Legendre-generic lam'.
+LEGENDRE_COVER_MAP = "-4*lam/(lam-1)^2"
 
 
-def _scaled_cover_maps(c: int) -> dict:
-    return {
-        f"{c}*lam/(lam-1)^2": lambda l, p: (c * l % p, (l - 1) % p * ((l - 1) % p) % p),
-        f"{c}*lam^2/(lam-1)": lambda l, p: (c * l % p * l % p, (l - 1) % p),
-        f"{c}*lam*(1-lam)": lambda l, p: (c * l % p * ((1 - l) % p) % p, 1),
-    }
+def legendre_relation(ctx: PrimeFieldCtx, a_row: tuple, a_e) -> int | None:
+    """The first lam' in [2, p) where a_Gamma(R(lam'), p) = a_E(lam')^2 - p
+    fails for R = LEGENDRE_COVER_MAP, or None if it holds at every one.
 
-
-# Candidate maps R(lam') = num/den: the six Mobius maps, then degree-two pushes
-# with small integer scalings. Each takes lam' in [0, p), an int or an int64
-# array, and returns (num, den) reduced mod p, every product taken of factors
-# already reduced, so it stays below p^2.
-_COVER_MAPS = {
-    "lam": lambda l, p: (l, 1),
-    "1/lam": lambda l, p: (1, l),
-    "1-lam": lambda l, p: ((1 - l) % p, 1),
-    "1/(1-lam)": lambda l, p: (1, (1 - l) % p),
-    "lam/(lam-1)": lambda l, p: (l, (l - 1) % p),
-    "(lam-1)/lam": lambda l, p: ((l - 1) % p, l),
-    **{label: f for c in (1, -1, 2, -2, 4, -4, 8, -8, 16, -16)
-       for label, f in _scaled_cover_maps(c).items()},
-}
-
-
-def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: tuple, a_e):
-    """Test a_Gamma(R(lam'), p) = a_E(lam')^2 - p at every Legendre-generic lam'.
-
-    R is the cover map named label, a_row the (2,oo,oo) row's a_gamma_sweep
-    arrays (generic lams, a_Gamma) and a_e the legendre_trace_sweep, both at p.
-    R is evaluated on all lam' in [2, p) at once, with 1/den = antilog[-dlog(den)];
-    a lam' where den vanishes or R lands on a special lambda of the row is
-    skipped. Returns (bad, held): the first lam' where the relation fails (None
-    if there is none) and an int64 array of the (R(lam'), a_Gamma) rows at which
-    it held before that.
+    a_row is the (2,oo,oo) row's a_gamma_sweep arrays (generic lams, a_Gamma)
+    and a_e the legendre_trace_sweep, both at p. R = num/den, with num = -4 lam'
+    and den = (lam' - 1)^2 reduced mod p, is evaluated on all lam' at once, with
+    1/den = antilog[-dlog(den)]; a lam' where R lands on a special lambda of
+    the row is skipped.
     """
     p, n = ctx.p, ctx.n
     lams, a = a_row
@@ -139,53 +111,12 @@ def legendre_relation(label: str, ctx: PrimeFieldCtx, a_row: tuple, a_e):
     a_at = np.zeros(p, dtype=np.int64)
     a_at[lams] = a
     lamp = np.arange(2, p, dtype=np.int64)
-    num, den = np.broadcast_arrays(*_COVER_MAPS[label](lamp, p))
-    defined = den != 0
-    lamp, num, den = lamp[defined], num[defined], den[defined]
+    num, den = -4 * lamp % p, (lamp - 1) ** 2 % p
     target = num * ctx.antilog[-ctx.dlog[den] % n] % p
     keep = generic[target]
     lamp, target = lamp[keep], target[keep]
-    a_target = a_at[target]
-    failed = np.flatnonzero(a_target != a_e[lamp] ** 2 - p)
-    k = failed[0] if failed.size else len(lamp)
-    held = np.stack((target[:k], a_target[:k]), axis=1)
-    return (int(lamp[k]) if failed.size else None), held
-
-
-LEGENDRE_CALIBRATION_PRIMES = (7, 11, 13)
-
-
-def calibrate_legendre_relation() -> LegendreCalibration:
-    """Identify the map R from the Legendre parameter to the row coordinate with
-    a_Gamma(R(lam'), p) = a_E(lam')^2 - p for every Legendre-generic lam' at
-    each of LEGENDRE_CALIBRATION_PRIMES.
-
-    Candidates are the six Mobius maps plus degree-two pushes with small
-    integer scaling; points where R lands on a special lambda of the row (the
-    branch locus) are skipped. The winner is unique up to precomposition with
-    the Legendre deck involutions (which leave a_E^2 invariant), so several
-    labels may survive; they are verified to induce the same correspondence
-    and the lexicographically first is returned.
-    """
-    row = row_by_signature((2, OO, OO))
-    survivors = set(_COVER_MAPS)
-    correspondences = {name: set() for name in survivors}
-    for p in LEGENDRE_CALIBRATION_PRIMES:
-        ctx = build_ctx(p)
-        a_row = a_gamma_sweep(row, ctx)
-        a_e = legendre_trace_sweep(ctx)
-        for name in list(survivors):
-            bad, held = legendre_relation(name, ctx, a_row, a_e)
-            if bad is not None or not len(held):
-                survivors.discard(name)
-            correspondences[name].update((p, target, a) for target, a in held.tolist())
-    if not survivors:
-        raise CalibrationError("no consistent legendre identification found")
-    names = sorted(survivors)
-    if len({frozenset(correspondences[n]) for n in names}) != 1:
-        raise CalibrationError(
-            f"survivors induce different correspondences: {names}")
-    return LegendreCalibration(map_label=names[0], primes=LEGENDRE_CALIBRATION_PRIMES)
+    failed = np.flatnonzero(a_at[target] != a_e[lamp] ** 2 - p)
+    return int(lamp[failed[0]]) if failed.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from hgtrace.curve_lab import (GenLegendre, Legendre, baba_granath_curve,
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
-from hgtrace.trace_engine import (_COVER_MAPS, a_gamma_sweep, build_Fm,
-                                  calibrate_legendre_relation, fm_identity_holds,
-                                  hecke_trace)
+from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, a_gamma_sweep, build_Fm,
+                                  fm_identity_holds, hecke_trace)
 from hgtrace.analytic_hgm import (clausen_complex_check, euler_period_check,
                                   ode_residual)
 
@@ -124,9 +123,8 @@ def test_criterion_04_square_invariant_generalized():
 
 
 def test_criterion_05_legendre_oracle_equivalence():
-    """Calibrated identification matches brute-force Legendre counts, p <= 101."""
-    calib = calibrate_legendre_relation()
-    cover = _COVER_MAPS[calib.map_label]
+    """The fixed cover map R(lam') = -4 lam'/(lam' - 1)^2 matches brute-force
+    Legendre counts, p <= 101."""
     row = row_by_signature((2, OO, OO))
     bad = []
     for p in (q for q in range(3, 102) if is_prime(q) and q > 2):
@@ -135,13 +133,12 @@ def test_criterion_05_legendre_oracle_equivalence():
         a_e = legendre_trace_sweep(ctx)
         specials = row.finite_specials_mod_p(p)
         for lamp in range(2, p):
-            num, den = cover(lamp, p)
-            target = num * ctx.inv(den) % p
+            target = -4 * lamp * ctx.inv((lamp - 1) ** 2 % p) % p
             if target in specials:
                 continue
             if a_row[target] != int(a_e[lamp]) ** 2 - p:
                 bad.append((p, lamp))
-    _line(5, f"Legendre oracle equivalence via {calib.map_label}, p <= 101", not bad)
+    _line(5, f"Legendre oracle equivalence via {LEGENDRE_COVER_MAP}, p <= 101", not bad)
     assert not bad
 
 

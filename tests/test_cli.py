@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -379,12 +380,14 @@ def test_verify_clausen_at_101(runner):
     ("verify qm --prime 397", 1,
      "3a849c7e4daa0964c1332651de4546d8117427d210e322fe9517eb62c26d5966"),
     ("calibrate bg-lambda --prime 397", 0,
-     "da46c2f371b731ce21d29bee872b01c57195ae5172bd84d12781d130df6a9b13"),
+     "566356f585878ac473b52bbbd1fc08735de41386b2731a522ee69c9a88ed4309"),
 ])
 def test_genus2_sweeps_at_397_match_recorded_digest(runner, command, exit_code, digest):
     """The genus-2 F_p and F_p2 counts at p = 397, past the benchmark's p = 197:
-    the stdout digests recorded before the counts went through float64 matmuls.
-    bg-lambda counts the sextics with coefficients outside F_p too."""
+    the verify qm digest was recorded before the counts went through float64
+    matmuls, the bg-lambda one (395 of 395 j matching lam = 81*j/16) when that
+    command began checking only the fixed map. bg-lambda counts the sextics
+    with coefficients outside F_p too."""
     res = runner.invoke(main, command.split())
     assert res.exit_code == exit_code, res.output
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
@@ -458,6 +461,25 @@ def test_legendre_guard_failure_prints_no_count(runner, args):
         assert res.stdout == "" and "failure: Legendre" in res.stderr
 
 
+def test_legendre_cover_mismatch_fails_the_command(runner, monkeypatch):
+    """Every a_Gamma negated at p = 11 breaks the cover relation there."""
+    real = cli.a_gamma_sweep
+
+    def sweep(row, ctx):
+        lams, a = real(row, ctx)
+        return (lams, -a) if ctx.p == 11 else (lams, a)
+
+    monkeypatch.setattr(cli, "a_gamma_sweep", sweep)
+    res = runner.invoke(main, ["verify", "legendre", "--max-prime", "13"])
+    assert res.exit_code == 1, res.output
+    [result] = json.loads(res.stdout)["results"]
+    assert result["passed"] is False
+    assert re.fullmatch(r"mismatch p=11 lam'=\d+", result["detail"]), result["detail"]
+    res = runner.invoke(main, ["calibrate", "legendre"])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == "" and "failure: mismatch p=11" in res.stderr
+
+
 def test_verify_seed_determinism(runner):
     a = runner.invoke(main, ["verify", "fm", "--seed", "5"]).output
     b = runner.invoke(main, ["verify", "fm", "--seed", "5"]).output
@@ -471,12 +493,29 @@ def test_calibrate_hp(runner):
     assert out["sign"] == -1 and out["weight"] == 0 and out["matches_table"]
 
 
-def test_calibrate_bg_lambda_research(runner):
-    res = runner.invoke(main, ["calibrate", "bg-lambda", "--prime", "13"])
+@pytest.mark.parametrize("p", [13, 37])
+def test_calibrate_bg_lambda_fixed_map(runner, p):
+    res = runner.invoke(main, ["calibrate", "bg-lambda", "--prime", str(p)])
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
-    assert "best_linear_map" in out
-    assert out["note"].startswith("research")
+    assert out["map"] == "lam = 81*j/16"
+    assert out["matches"] == out["out_of"] == p - 2
+
+
+def test_calibrate_bg_lambda_fails_on_a_skewed_count(runner, monkeypatch):
+    """One F_p2 count off by 2 moves its |T| by 1, so its j no longer matches."""
+    real = cli.count_genus2_fp2
+
+    def skewed(ctx, sextics):
+        n2s = list(real(ctx, sextics))
+        n2s[3] += 2
+        return n2s
+
+    monkeypatch.setattr(cli, "count_genus2_fp2", skewed)
+    res = runner.invoke(main, ["calibrate", "bg-lambda", "--prime", "13"])
+    assert res.exit_code == 1, res.output
+    out = json.loads(res.output)
+    assert (out["matches"], out["out_of"]) == (10, 11)
 
 
 @pytest.mark.parametrize("obj", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import gcd
 
 from hgtrace import field_core
 from hgtrace.field_core import (CongruenceError, FieldError, build_ctx,
@@ -65,7 +66,7 @@ def test_generator_order(ctx13):
 
 def test_power_residue_quadratic(ctx13):
     chi = power_residue_char(ctx13, Fraction(1, 2))
-    assert chi.order == 2
+    assert ctx13.n // gcd(chi.e, ctx13.n) == 2
     for x in range(1, 13):
         assert chi(x).real == pytest.approx(ctx13.legendre(x))
 
@@ -77,7 +78,7 @@ def test_power_residue_integer_is_trivial(ctx13):
 
 def test_power_residue_order6(ctx13):
     chi = power_residue_char(ctx13, Fraction(1, 6))
-    assert chi.order == 6
+    assert ctx13.n // gcd(chi.e, ctx13.n) == 6
     v = chi(ctx13.g)
     assert v == pytest.approx(np.exp(2j * np.pi / 6))
 

@@ -13,9 +13,8 @@ from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primi
 from hgtrace.hgm_data import OO, HGDatum, row_by_signature, triangle_table
 from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
-from hgtrace.trace_engine import (_COVER_MAPS, SCHEMA_VERSION, LegendreCalibration,
-                                  a_gamma_sweep, build_Fm, calibrate_legendre_relation,
-                                  fm_identity_holds, hecke_trace, legendre_relation)
+from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, a_gamma_sweep,
+                                  build_Fm, fm_identity_holds, hecke_trace, legendre_relation)
 
 
 def test_build_F1_is_S():
@@ -248,16 +247,22 @@ def test_f1_supersingular_substitution():
     assert build_Fm(1).evaluate(-13, 13) == -13
 
 
+def _cover(ctx, lamp: int) -> int:
+    """R(lam') = -4 lam' / (lam' - 1)^2 at one lam' != 1, by modular inverse."""
+    p = ctx.p
+    return -4 * lamp * ctx.inv((lamp - 1) ** 2 % p) % p
+
+
 def test_legendre_calibration():
-    calib = calibrate_legendre_relation()
-    assert calib.map_label == "-4*lam/(lam-1)^2"
-    assert isinstance(calib, LegendreCalibration)
+    """The fixed cover map holds at the primes `calibrate legendre` reports."""
+    assert LEGENDRE_COVER_MAP == "-4*lam/(lam-1)^2"
+    row = row_by_signature((2, OO, OO))
+    for p in (7, 11, 13):
+        ctx = cached_ctx(p)
+        assert legendre_relation(ctx, a_gamma_sweep(row, ctx), legendre_trace_sweep(ctx)) is None
 
 
 def test_legendre_relation_all_primes_to_61():
-    from hgtrace.curve_lab import legendre_trace_sweep
-    calib = calibrate_legendre_relation()
-    cover = _COVER_MAPS[calib.map_label]
     row = row_by_signature((2, OO, OO))
     for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         ctx = cached_ctx(p)
@@ -265,53 +270,46 @@ def test_legendre_relation_all_primes_to_61():
         a_e = legendre_trace_sweep(ctx)
         specials = row.finite_specials_mod_p(p)
         for lamp in range(2, p):
-            num, den = cover(lamp, p)
-            target = num * ctx.inv(den) % p
+            target = _cover(ctx, lamp)
             if target in specials:
                 continue
             assert a_row[target] == int(a_e[lamp]) ** 2 - p, (p, lamp)
 
 
 def test_legendre_relation_matches_a_scalar_loop():
-    """The array relation returns what a loop over lam' returns, for every
-    cover map, including the first failing lam'."""
+    """The array relation returns what a loop over lam' returns, the first
+    failing lam' included: with a_Gamma as computed, and with one value of it
+    negated, at each generic lambda in turn."""
     row = row_by_signature((2, OO, OO))
     failed = 0
     for p in (7, 11, 13, 29, 61):
         ctx = cached_ctx(p)
-        sweep = a_gamma_sweep(row, ctx)
-        a_row = _sweep_dict(sweep)
+        lams, a = a_gamma_sweep(row, ctx)
         a_e = legendre_trace_sweep(ctx)
-        for label, cover in _COVER_MAPS.items():
-            bad, held = None, []
+        for i in [None, *range(len(lams))]:
+            skewed = a.copy()
+            if i is not None:
+                skewed[i] = -skewed[i]
+            a_row = dict(zip(lams.tolist(), skewed.tolist()))
+            bad = None
             for lamp in range(2, p):
-                num, den = cover(lamp, p)
-                if den == 0:
-                    continue
-                target = num * ctx.inv(den) % p
-                if target not in a_row:
-                    continue
-                if a_row[target] != int(a_e[lamp]) ** 2 - p:
+                target = _cover(ctx, lamp)
+                if target in a_row and a_row[target] != int(a_e[lamp]) ** 2 - p:
                     bad = lamp
                     break
-                held.append([target, a_row[target]])
-            got_bad, got_held = legendre_relation(label, ctx, sweep, a_e)
-            assert (got_bad, got_held.tolist()) == (bad, held), (label, p)
+            assert legendre_relation(ctx, (lams, skewed), a_e) == bad, (p, i)
             failed += bad is not None
     assert failed > 0
 
 
 def test_legendre_negative_control(ctx13):
     """Flipping the sign of the trace rule breaks the matching at every prime."""
-    from hgtrace.curve_lab import legendre_trace_sweep
-    cover = _COVER_MAPS["-4*lam/(lam-1)^2"]
     row = row_by_signature((2, OO, OO))
     a_row = _sweep_dict(a_gamma_sweep(row, ctx13))
     a_e = legendre_trace_sweep(ctx13)
     mismatches = 0
     for lamp in range(2, 13):
-        num, den = cover(lamp, 13)
-        target = num * ctx13.inv(den) % 13
+        target = _cover(ctx13, lamp)
         if target in row.finite_specials_mod_p(13):
             continue
         if -a_row[target] != int(a_e[lamp]) ** 2 - 13:
