@@ -9,9 +9,11 @@ datum's period sums over all lambda each cost O(p^2); both are discrete
 Fourier transforms over the character group Z/(p-1) instead. The brackets are
 one inverse DFT of a histogram over t, and the period sums at every nonzero
 lambda are one inverse DFT of the datum's slot product. A datum costs
-O(p log p), after which each lambda is a gather; slot tables are cached under
-a byte bound. The finite-field Clausen check is read the same way: for each
-eta, the square pairs (eta, K) are one batch of tables and a gather over t.
+O(p log p), after which each lambda is a gather. A datum's slot tables come
+from a cache under a byte bound, and its missing ones are filled in one batch:
+one bracket-table call over its distinct missing slots. The finite-field
+Clausen check is read the same way: for each eta, the square pairs (eta, K)
+are one batch of tables and a gather over t.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from math import isqrt
 import numpy as np
 
 from .field_core import (ByteBoundedLRU, CongruenceError, FieldError,
-                         MultCharacter, PrimeFieldCtx, build_ctx, is_prime,
-                         power_residue_char)
+                         MultCharacter, PrimeFieldCtx, build_ctx, is_prime)
 from .hgm_data import HGDatum, is_defined_over_Q, level
 
 
@@ -108,11 +109,21 @@ SLOT_CACHE_MAX_BYTES = 256 * 2 ** 20
 _SLOT_CACHE = ByteBoundedLRU()
 
 
-def _slot_table(ctx: PrimeFieldCtx, ea: int, eb: int) -> np.ndarray:
-    """bracket(A*chi_e, B*chi_e) over all e, for the slot (a-exp, b-exp)."""
-    ea, eb = ea % ctx.n, eb % ctx.n
-    return _SLOT_CACHE.get((ctx.p, ctx.g, ea, eb),
-                           lambda: _bracket_table(ctx, [ea], [eb])[0], SLOT_CACHE_MAX_BYTES)
+def _slot_tables(ctx: PrimeFieldCtx, a_exps, b_exps) -> list[np.ndarray]:
+    """bracket(A*chi_e, B*chi_e) over all e, for each slot (a-exp, b-exp) of the
+    lists. Cached slots are read from the cache; the distinct missing ones are
+    one _bracket_table call, each row stored as its own array."""
+    n = ctx.n
+    keys = [(ctx.p, ctx.g, ea % n, eb % n) for ea, eb in zip(a_exps, b_exps)]
+    tables = {key: _SLOT_CACHE.lookup(key) for key in keys}
+    missing = [key for key, table in tables.items() if table is None]
+    if missing:
+        rows = _bracket_table(ctx, [key[2] for key in missing], [key[3] for key in missing])
+        for key, row in zip(missing, rows):
+            row = row.copy()
+            row.setflags(write=False)
+            tables[key] = _SLOT_CACHE.put(key, row, SLOT_CACHE_MAX_BYTES)
+    return [tables[key] for key in keys]
 
 
 class BracketTable:
@@ -132,7 +143,7 @@ class BracketTable:
         self.a_exps = [e % ctx.n for e in a_exps]
         self.b_exps = [e % ctx.n for e in b_exps]
         n = ctx.n
-        slots = [_slot_table(ctx, ea, eb) for ea, eb in zip(self.a_exps, self.b_exps)]
+        slots = _slot_tables(ctx, self.a_exps, self.b_exps)
         # prefactor prod_{i>=2}(-A_iB_i(-1)); chi(-1) is the exponent parity
         pref = 1
         for ea, eb in zip(self.a_exps[1:], self.b_exps[1:]):
@@ -187,12 +198,14 @@ class CalibrationError(ArithmeticError):
 
 
 def datum_char_exponents(hd: HGDatum, ctx: PrimeFieldCtx):
-    """Exponents of iota(a_i), iota(b_j) (requires p = 1 mod level)."""
+    """Exponents of iota(a_i), iota(b_j) (requires p = 1 mod level): iota(a)
+    has exponent a*(p-1) mod p-1, so its value at the generator is exp(2 pi i a)."""
     M = level(hd)
     if (ctx.p - 1) % M:
         raise CongruenceError(f"p = {ctx.p} is not 1 mod level {M}")
-    a_exps = [power_residue_char(ctx, a).e for a in hd.alpha]
-    b_exps = [power_residue_char(ctx, b).e for b in hd.beta]
+    n = ctx.n
+    a_exps = [a.numerator * (n // a.denominator) % n for a in hd.alpha]
+    b_exps = [b.numerator * (n // b.denominator) % n for b in hd.beta]
     return a_exps, b_exps
 
 
@@ -246,13 +259,13 @@ def al_square_decompose(value: int, p: int, divisors=(1, 2, 3, 6)):
 
 def _al_square_mask(s: np.ndarray, p: int, divisors=(1, 2, 3, 6)) -> np.ndarray:
     """Where an int64 array s = a + p has s = d*t^2 with d in divisors and
-    0 <= s <= 4p: al_square_decompose over an array."""
-    ok = np.zeros(s.shape, dtype=bool)
+    0 <= s <= 4p: al_square_decompose over an array. One boolean table marks
+    every d*t^2 <= 4p at index d*t^2 + 1, with indices 0 and 4p + 2 unmarked,
+    and s is one gather at s + 1 clipped to that range."""
+    table = np.zeros(4 * p + 3, dtype=bool)
     for d in divisors:
-        q = s // d
-        t = np.rint(np.sqrt(np.maximum(q, 0))).astype(np.int64)
-        ok |= (s == d * q) & (t * t == q)
-    return ok & (s >= 0) & (s <= 4 * p)
+        table[d * np.arange(isqrt(4 * p // d) + 1) ** 2 + 1] = True
+    return table[np.clip(s + 1, 0, 4 * p + 2)]
 
 
 def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
@@ -414,7 +427,7 @@ def _clausen_columns(ctx: PrimeFieldCtx, eeta: int, eKs, ts):
             ctx, np.concatenate([e0 + eeta, e0 - eeta, h + eK - eS, eS, h - eK + eS, -eS,
                                  eeta + eK, e0 + h, eS - eK, h + eS - eK]),
             np.concatenate([eK, -eK, e0, eK, e0, -eK, *-jac_b])).reshape(10, rows.size, n)
-        lhs3, r1, r2 = np.fft.ifft([_slot_table(ctx, h, 0) * tables[0] * tables[1],
+        lhs3, r1, r2 = np.fft.ifft([_slot_tables(ctx, [h], [0])[0] * tables[0] * tables[1],
                                     tables[2] * tables[3], tables[4] * tables[5]], axis=-1)
         j = np.where(jac_b % 2, 1.0, -1.0) * tables[6:, :, 0]
         sq_ts = ts[ts != 0]

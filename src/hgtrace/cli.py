@@ -50,8 +50,15 @@ _TERMS = "\0terms\0"
 _TERMS_JSON = json.dumps(_TERMS)
 
 
+def _emit(text: str):
+    """Write JSON or CSV text to stdout. It holds no ANSI escape (json writes
+    ESC as \\u001b), so click's strip pass, a regex over the whole text
+    whenever stdout is not a terminal, is skipped."""
+    click.echo(text, color=True)
+
+
 def _emit_json(payload: dict):
-    click.echo(_json_text(payload))
+    _emit(_json_text(payload))
 
 
 def _json_text(payload) -> str:
@@ -80,8 +87,9 @@ def _terms_text(rep: TraceReport, nl: str) -> str:
     newline and the indent of the line that opens the list.
 
     The generic rows are one join of (lambda, value) pairs, each distinct
-    value formatted once; the few cusp and elliptic rows are their scalars
-    through json.dumps.
+    value formatted once; the few cusp and elliptic rows are written directly,
+    since their lambda and kind need no JSON escape and their value is an int
+    or None.
     """
     item, field = nl + "  ", nl + "    "
     rows = []
@@ -91,8 +99,8 @@ def _terms_text(rep: TraceReport, nl: str) -> str:
         pairs = zip(map(str, rep.generic_lams.tolist()),
                     map(value_strs.__getitem__, rep.generic_index.tolist()))
         rows.append(open_ + (close + "," + item + open_).join(map(mid.join, pairs)) + close)
-    rows += ("[" + field + ("," + field).join(map(json.dumps, (str(lam), kind, value)))
-             + item + "]" for lam, kind, value in rep.special_terms)
+    rows += (f'[{field}"{lam}",{field}"{kind}",{field}{"null" if value is None else value}'
+             f'{item}]' for lam, kind, value in rep.special_terms)
     return "[" + item + ("," + item).join(rows) + nl + "]" if rows else "[]"
 
 
@@ -216,7 +224,7 @@ def trace(group, weight, prime, prime_range, fmt):
             w.writerow([r.signature, r.p, r.weight, r.generic_sum, r.cusp_sum,
                         r.elliptic_sum, r.total, r.partial, r.oracle, r.residual,
                         ";".join(r.flags)])
-        click.echo(out.getvalue().rstrip("\n"))
+        _emit(out.getvalue().rstrip("\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +371,7 @@ def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
     for kwargs, cc in rows:
         w.writerow([family, json.dumps(kwargs, sort_keys=True), prime, cc.q,
                     cc.n_points, cc.trace, ";".join(cc.flags)])
-    click.echo(out.getvalue().rstrip("\n"))
+    _emit(out.getvalue().rstrip("\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +530,7 @@ def analytic():
     for row in _analytic_rows():
         w.writerow(row)
         ok = ok and row[-1]
-    click.echo(out.getvalue().rstrip("\n"))
+    _emit(out.getvalue().rstrip("\n"))
     sys.exit(0 if ok else 1)
 
 
@@ -550,7 +558,7 @@ def fixture_validate(path):
 @main.command()
 def table():
     """The five triangle-group rows with data and lambda charts."""
-    click.echo(table_json())
+    _emit(table_json())
 
 
 @main.group()

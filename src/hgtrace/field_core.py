@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -116,21 +116,35 @@ class PrimeFieldCtx:
 
 
 def _dlog_table(p: int, g: int) -> np.ndarray:
-    """Discrete logs base g: dlog[g^k mod p] = k, dlog[0] = -1."""
+    """Discrete logs base g: dlog[g^k mod p] = k, dlog[0] = -1.
+
+    The powers g^k, k = i*m + j with m = ceil(sqrt(p - 1)), are one outer
+    product mod p of the m baby steps g^j and the giant steps (g^m)^i, each
+    list a short Python walk; the table is one scatter of k at g^k. A g that
+    is not a primitive root leaves some entries at -1.
+    """
+    n = p - 1
+    m = isqrt(n - 1) + 1
+    baby = [1] * m
+    for j in range(1, m):
+        baby[j] = baby[j - 1] * g % p
+    step = baby[-1] * g % p
+    giant = [1] * -(-n // m)
+    for i in range(1, len(giant)):
+        giant[i] = giant[i - 1] * step % p
+    powers = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
     dlog = np.full(p, -1, dtype=np.int64)
-    x = 1
-    for k in range(p - 1):
-        dlog[x] = k
-        x = x * g % p
+    dlog[powers.ravel()[:n] % p] = np.arange(n)
     return dlog
 
 
 def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
     """Construct a PrimeFieldCtx with verified primitive root and dlog table.
 
-    The dlog table is O(p) and a datum's character sums over it are
-    O(p log p); p is capped at DEFAULT_P_BOUND because snapping is checked,
-    with a measured headroom, only up to that size. An explicit generator, for
+    The dlog table is O(p) numpy work after O(sqrt p) Python steps
+    (_dlog_table), and a datum's character sums over it are O(p log p); p is
+    capped at DEFAULT_P_BOUND because snapping is checked, with a measured
+    headroom, only up to that size. An explicit generator, for
     generator-independence tests, must itself be a primitive root.
     """
     if not is_prime(p):
@@ -160,17 +174,24 @@ class ByteBoundedLRU:
         self.tables = OrderedDict()
         self.nbytes = 0
 
-    def get(self, key, build, max_bytes: int):
+    def lookup(self, key):
+        """The value under key, refreshed as most recent, or None."""
         out = self.tables.get(key)
         if out is not None:
             self.tables.move_to_end(key)
-            return out
-        out = build()
-        self.tables[key] = out
-        self.nbytes += out.nbytes
+        return out
+
+    def put(self, key, value, max_bytes: int):
+        """Insert value as most recent, then evict while over max_bytes."""
+        self.tables[key] = value
+        self.nbytes += value.nbytes
         while self.nbytes > max_bytes:
             self.nbytes -= self.tables.popitem(last=False)[1].nbytes
-        return out
+        return value
+
+    def get(self, key, build, max_bytes: int):
+        out = self.lookup(key)
+        return out if out is not None else self.put(key, build(), max_bytes)
 
 
 # Shared contexts take 33 bytes a point (3.3 MB at the p cap); least recently
@@ -225,21 +246,6 @@ class MultCharacter:
         if not self.is_square():
             raise FieldError("character is not a square in the character group")
         return MultCharacter(self.ctx, self.e // 2)
-
-
-def power_residue_char(ctx: PrimeFieldCtx, a: Fraction | int) -> MultCharacter:
-    """The character iota(a) attached to a rational a with denominator M | p-1.
-
-    iota(a) has exponent a*(p-1); its value at the chosen generator is
-    exp(2*pi*i*a), so iota(1/2) is the quadratic character and integers map to
-    the trivial character.
-    """
-    a = Fraction(a)
-    M = a.denominator
-    if (ctx.p - 1) % M:
-        raise CongruenceError(f"denominator {M} of {a} does not divide p-1 = {ctx.p - 1}")
-    e = a.numerator * ((ctx.p - 1) // M)
-    return MultCharacter(ctx, e)
 
 
 @dataclass(frozen=True)

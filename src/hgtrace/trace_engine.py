@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -27,14 +27,29 @@ from .modform_oracle import level1_hecke_trace, load_fixture_by_label
 # F_m polynomials
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymPolyFm:
     """F_m(S, T) with exact integer coefficients: coeffs[(i, j)] * S^i * T^j."""
 
     coeffs: MappingProxyType
 
     def evaluate(self, S: int, T: int) -> int:
-        return sum(c * S ** i * T ** j for (i, j), c in self.coeffs.items())
+        """Horner's rule in S over the coefficients of S^i at T (_s_coefficients)."""
+        out = 0
+        for c in _s_coefficients(self, T):
+            out = out * S + c
+        return out
+
+
+@lru_cache(maxsize=1)
+def _s_coefficients(fm: SymPolyFm, T: int) -> tuple[int, ...]:
+    """The coefficients of F_m(S, T) as a polynomial in S, leading first, at one
+    T; a report reads them at T = p for each of its values, so only the most
+    recent (F_m, T) is kept."""
+    out = [0] * (1 + max(i for i, _ in fm.coeffs))
+    for (i, j), c in fm.coeffs.items():
+        out[-1 - i] += c * T ** j
+    return tuple(out)
 
 
 @cache

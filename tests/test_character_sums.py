@@ -7,14 +7,14 @@ import pytest
 from hgtrace import character_sums
 from hgtrace.character_sums import (AlgebraicValue, CalibrationError, SnapError,
                                     _al_square_mask, _bracket_table, _jacobi_dlog_pairs,
-                                    _slot_table, al_square_decompose,
+                                    _slot_tables, al_square_decompose,
                                     calibrate_hp_weight, calibration_primes,
                                     clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     np_sum, snap_tolerance)
-from hgtrace.field_core import (CongruenceError, build_ctx, cached_ctx, is_prime,
-                               nth_primitive_root)
+from hgtrace.field_core import (ByteBoundedLRU, CongruenceError, build_ctx, cached_ctx,
+                               is_prime, nth_primitive_root)
 from hgtrace.hgm_data import HGDatum, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
 
@@ -124,11 +124,11 @@ def test_slot_table_equals_direct_brackets():
         for a, b, row in zip(ea.tolist(), eb.tolist(), _bracket_table(ctx, ea, eb)):
             np.testing.assert_allclose(row, _direct_slot(ctx, a, b), rtol=0, atol=1e-9,
                                        err_msg=f"{ctx.p} {ctx.g} {a} {b}")
-            assert np.array_equal(row, _slot_table(ctx, a, b)), (ctx.p, ctx.g, a, b)
+            assert np.array_equal(row, _slot_tables(ctx, [a], [b])[0]), (ctx.p, ctx.g, a, b)
     for row, ctx in _admissible_rows():
-        for ea, eb in zip(*datum_char_exponents(row.hd, ctx)):
-            np.testing.assert_allclose(_slot_table(ctx, ea, eb),
-                                       _direct_slot(ctx, ea, eb), rtol=0, atol=1e-9,
+        a_exps, b_exps = datum_char_exponents(row.hd, ctx)
+        for ea, eb, slot in zip(a_exps, b_exps, _slot_tables(ctx, a_exps, b_exps)):
+            np.testing.assert_allclose(slot, _direct_slot(ctx, ea, eb), rtol=0, atol=1e-9,
                                        err_msg=f"{row.name} {ctx.p} {ea} {eb}")
 
 
@@ -152,19 +152,70 @@ def test_sweep_equals_literal_period_sum():
 
 
 def test_slot_cache_is_bounded_by_bytes(monkeypatch):
+    """The slot cache holds at most SLOT_CACHE_MAX_BYTES and counts its bytes
+    exactly, also when one batch fill alone is larger than the bound: the fill
+    still returns every table, and the cache keeps the last ones it built."""
     ctx = cached_ctx(61)
     limit = 10 * 60 * 16  # ten tables of 60 complex entries
     monkeypatch.setattr(character_sums, "SLOT_CACHE_MAX_BYTES", limit)
     cache = character_sums._SLOT_CACHE
-    keep = _slot_table(ctx, 1, 2)
+    keep = _slot_tables(ctx, [1], [2])[0]
     for ea in range(30):
-        _slot_table(ctx, 1, 2)  # a hit refreshes the table's recency
-        _slot_table(ctx, ea, 5)
+        _slot_tables(ctx, [1], [2])  # a hit refreshes the table's recency
+        _slot_tables(ctx, [ea], [5])
         assert cache.nbytes <= limit
         assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
     assert len(cache.tables) == 10
-    assert _slot_table(ctx, 1, 2) is keep
+    assert _slot_tables(ctx, [1], [2])[0] is keep
     assert (61, ctx.g, 0, 5) not in cache.tables
+
+    monkeypatch.setattr(character_sums, "_SLOT_CACHE", ByteBoundedLRU())
+    cache = character_sums._SLOT_CACHE
+    limit = 2 * 60 * 16  # two tables: less than the batch of five below
+    monkeypatch.setattr(character_sums, "SLOT_CACHE_MAX_BYTES", limit)
+    ea = [7, 8, 9, 10, 11]
+    tables = _slot_tables(ctx, ea, [3] * 5)
+    for a, table in zip(ea, tables):
+        assert np.array_equal(table, _bracket_table(ctx, [a], [3])[0]), a
+    assert cache.nbytes <= limit
+    assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
+    assert list(cache.tables) == [(61, ctx.g, 10, 3), (61, ctx.g, 11, 3)]
+    assert all(t.base is None and not t.flags.writeable for t in cache.tables.values())
+
+
+def test_batched_slot_fill_matches_one_row_tables(monkeypatch):
+    """One fill builds every distinct missing slot of a list in a single
+    _bracket_table call, reads the cached ones from the cache, and returns
+    rows bit-identical to one-row _bracket_table calls: here (2,oo,oo), whose
+    datum lists (1/2; 1) three times, then a list mixing that cached slot with
+    missing ones and a repeated missing one."""
+    monkeypatch.setattr(character_sums, "_SLOT_CACHE", ByteBoundedLRU())
+    calls = []
+
+    def counting(ctx, e_a, e_b):
+        calls.append(len(e_a))
+        return _bracket_table(ctx, e_a, e_b)
+
+    monkeypatch.setattr(character_sums, "_bracket_table", counting)
+    for p in (13, 61, 1009):
+        ctx = cached_ctx(p)
+        n, h = ctx.n, ctx.n // 2
+        calls.clear()
+        a_exps, b_exps = datum_char_exponents(row_by_signature((2, "oo", "oo")).hd, ctx)
+        assert (a_exps, b_exps) == ([h] * 3, [0] * 3)
+        first = _slot_tables(ctx, a_exps, b_exps)
+        assert calls == [1] and first[0] is first[1] is first[2]
+        assert np.array_equal(first[0], _bracket_table(ctx, [h], [0])[0])
+        calls.clear()
+        a_exps, b_exps = [h, 1, n - 1, 1, h, 5 + n], [0, 2, 0, 2, 0, 3]
+        mixed = _slot_tables(ctx, a_exps, b_exps)
+        assert calls == [3]  # the distinct missing slots (1, 2), (n - 1, 0), (5, 3)
+        assert mixed[0] is first[0] and mixed[1] is mixed[3]
+        for ea, eb, table in zip(a_exps, b_exps, mixed):
+            assert np.array_equal(table, _bracket_table(ctx, [ea], [eb])[0]), (p, ea, eb)
+        calls.clear()
+        assert all(x is y for x, y in zip(_slot_tables(ctx, a_exps, b_exps), mixed))
+        assert calls == []
 
 
 def test_np_sum_delta_branch(ctx13):
@@ -245,13 +296,20 @@ def test_hp_delta_branch(ctx13):
 
 def test_al_square_mask_matches_decompose():
     """The array test agrees with al_square_decompose on every a around the
-    Weil box, for each divisor pattern of the table."""
+    Weil box, for each divisor pattern of the table, and at the edges
+    s = -1, 0, 4p and 4p + 1 at p = 99961."""
     for p in (13, 37, 1009):
         a = np.arange(-p - 50, 3 * p + 50, dtype=np.int64)
         for divisors in ((1,), (1, 2), (1, 3), (1, 2, 3, 6)):
             mask = _al_square_mask(a + p, p, divisors)
             want = [al_square_decompose(int(x), p, divisors) is not None for x in a]
             assert mask.tolist() == want, (p, divisors)
+    p = 99961
+    s = np.array([-1, 0, 4 * p, 4 * p + 1], dtype=np.int64)
+    for divisors in ((1,), (1, 2), (1, 3), (1, 2, 3, 6)):
+        want = [al_square_decompose(int(x) - p, p, divisors) is not None for x in s]
+        assert want == [False, True, False, False]
+        assert _al_square_mask(s, p, divisors).tolist() == want, divisors
 
 
 def test_hp_sweep_square_property_row2oo(ctx13):

@@ -393,6 +393,19 @@ def test_genus2_sweeps_at_397_match_recorded_digest(runner, command, exit_code, 
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
+@pytest.mark.slow
+def test_trace_at_99961_matches_recorded_digest(runner):
+    """The (2,4,6) weight-8 report at p = 99961, past every benchmark digest
+    (p <= 10093): the dlog table, the square test of the local traces and the
+    report writer all run at full size here. Recorded before the dlog table
+    went to baby and giant steps."""
+    res = runner.invoke(main, "trace --group 2,4,6 --weight 8 --prime 99961".split())
+    assert res.exit_code == 0, res.output
+    assert len(res.stdout_bytes) == 8758540
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == \
+        "dccdd88a1aac5319de81d32bd56eb7b1fa56ec6b40bb1f59af825b6d49942073"
+
+
 def _readme_commands():
     """The hgtrace lines of README's "Command line" block, comments dropped."""
     text = (REPO_ROOT / "README.md").read_text()

@@ -4,10 +4,34 @@ from fractions import Fraction
 from math import gcd
 
 from hgtrace import field_core
-from hgtrace.field_core import (CongruenceError, FieldError, build_ctx,
-                                build_quad_ext, cached_ctx, is_prime,
-                                nth_primitive_root,
-                                power_residue_char, tonelli_sqrt)
+from hgtrace.character_sums import datum_char_exponents
+from hgtrace.field_core import (CongruenceError, FieldError, MultCharacter, _dlog_table,
+                                build_ctx, build_quad_ext, cached_ctx, is_prime,
+                                nth_primitive_root, tonelli_sqrt)
+from hgtrace.hgm_data import level, triangle_table
+
+
+def power_residue_char(ctx, a):
+    """The character iota(a) attached to a rational a with denominator M | p-1:
+    exponent a*(p-1), so its value at the chosen generator is exp(2*pi*i*a),
+    iota(1/2) is the quadratic character and integers map to the trivial
+    character. The reference for character_sums.datum_char_exponents."""
+    a = Fraction(a)
+    M = a.denominator
+    if (ctx.p - 1) % M:
+        raise CongruenceError(f"denominator {M} of {a} does not divide p-1 = {ctx.p - 1}")
+    return MultCharacter(ctx, a.numerator * ((ctx.p - 1) // M))
+
+
+def dlog_by_walk(p, g):
+    """Discrete logs base g by walking x = g^k one step at a time: the scalar
+    reference for _dlog_table."""
+    dlog = [-1] * p
+    x = 1
+    for k in range(p - 1):
+        dlog[x] = k
+        x = x * g % p
+    return dlog
 
 
 def test_build_ctx_p7(ctx7):
@@ -86,6 +110,36 @@ def test_power_residue_order6(ctx13):
 def test_power_residue_congruence_error(ctx7):
     with pytest.raises(CongruenceError):
         power_residue_char(ctx7, Fraction(1, 5))
+
+
+def test_datum_char_exponents_match_power_residue_chars():
+    """datum_char_exponents, in integers, gives the exponents of iota(a) and
+    iota(b) for every row at every admissible prime p <= 200."""
+    checked = 0
+    for p in filter(is_prime, range(7, 201)):
+        ctx = cached_ctx(p)
+        for row in triangle_table():
+            if (p - 1) % level(row.hd):
+                with pytest.raises(CongruenceError):
+                    datum_char_exponents(row.hd, ctx)
+                continue
+            want = ([power_residue_char(ctx, a).e for a in row.hd.alpha],
+                    [power_residue_char(ctx, b).e for b in row.hd.beta])
+            assert datum_char_exponents(row.hd, ctx) == want, (row.name, p)
+            checked += 1
+    assert checked > 100
+
+
+def test_dlog_table_matches_the_power_walk():
+    """The baby-step/giant-step table equals the one-step walk for the least
+    and the second-least primitive root at every prime p < 2000, and at 10009
+    and 99961."""
+    for p in [*filter(is_prime, range(3, 2000)), 10009, 99961]:
+        for index in (0, 1):
+            if p == 3 and index == 1:  # 2 is the only primitive root mod 3
+                continue
+            g = nth_primitive_root(p, index)
+            assert _dlog_table(p, g).tolist() == dlog_by_walk(p, g), (p, g)
 
 
 def test_legendre_symbol_examples(ctx7):
