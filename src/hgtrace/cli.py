@@ -33,11 +33,9 @@ from .analytic_hgm import clausen_complex_check, euler_period_check, ode_residua
 from .character_sums import (AlgebraicValue, CalibrationError, SnapError,
                              calibrate_hp_weight, calibration_primes,
                              clausen_sweep, datum_table, hp_sum, snap_tolerance)
-from .curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse, JacobiQuartic,
-                        Legendre, PicardSub, UniversalJ, baba_granath_curve,
-                        baba_granath_qm_sweep, count_genus2_fp2, count_points,
-                        count_via_characters, legendre_trace_sweep)
-from .field_core import DEFAULT_P_BOUND, FieldError, cached_ctx, is_prime
+from .curve_lab import (baba_granath_curve, baba_granath_qm_sweep, count_genus2_fp2,
+                        count_points, count_via_characters, legendre_trace_sweep)
+from .field_core import DEFAULT_P_BOUND, FieldError, build_ctx, is_prime
 from .hgm_data import OO, HGDatum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, load_fixture
 from .trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, TraceReport, a_gamma_sweep,
@@ -143,9 +141,9 @@ def _parse_primes(prime, prime_range, runs):
 
 
 def _field_ctx(p: int):
-    """cached_ctx(p), with a bad prime reported as a usage error."""
+    """build_ctx(p), with a bad prime reported as a usage error."""
     try:
-        return cached_ctx(p)
+        return build_ctx(p)
     except FieldError as exc:
         raise click.UsageError(str(exc))
 
@@ -195,6 +193,9 @@ def trace(group, weight, prime, prime_range, fmt):
         return p > 5 and (p - 1) % M == 0
 
     primes = _parse_primes(prime, prime_range, runs)
+    if prime is not None and not runs(prime):
+        raise click.UsageError(f"p = {prime} is outside the {row.name} row's class: "
+                               f"needs p > 5 with p = 1 mod {M}")
     if weight % 2 or weight < 4:
         raise click.UsageError("--weight must be even and >= 4")
     k = weight - 2
@@ -245,7 +246,7 @@ def sum_np(alpha, beta, prime, lam):
     """The period sum of the datum at lambda."""
     try:
         hd = HGDatum(_parse_fraction_list(alpha), _parse_fraction_list(beta))
-        ctx = cached_ctx(prime)
+        ctx = build_ctx(prime)
         table = datum_table(hd, ctx)
     except (ValueError, FieldError) as exc:
         raise click.UsageError(str(exc))
@@ -282,18 +283,18 @@ def sum_hp(group, prime, t):
 # count
 
 
-# Each family's curve spec and the options it reads besides --prime and --fp2
-# (count_points takes or refuses F_{p^2} per family). An option read here is
-# required unless it has a default (--branch).
+# The options each family of curve_lab.FAMILIES reads besides --prime and
+# --fp2 (count_points takes or refuses F_{p^2} per family). An option read here
+# is required unless it has a default (--branch).
 _FAMILIES = {
-    "legendre": (Legendre, ("lam",)),
-    "universal-j": (UniversalJ, ("j",)),
-    "jacobi-quartic": (JacobiQuartic, ("sigma",)),
-    "hesse": (Hesse, ("mu",)),
-    "genlegendre": (GenLegendre, ("n_", "exps", "lam")),
-    "picard": (PicardSub, ("lam",)),
-    "baba-granath": (BabaGranath, ("j", "branch")),
-    "conic": (ConicX6, ()),
+    "legendre": ("lam",),
+    "universal-j": ("j",),
+    "jacobi-quartic": ("sigma",),
+    "hesse": ("mu",),
+    "genlegendre": ("n_", "exps", "lam"),
+    "picard": ("lam",),
+    "baba-granath": ("j", "branch"),
+    "conic": (),
 }
 
 
@@ -324,7 +325,7 @@ def _lambda_selection(text: str, p: int) -> list[int]:
 @click.pass_context
 def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
     """Brute-force point counts; CSV: family, params, p, q, n_points, trace, flags."""
-    cls, read = _FAMILIES[family]
+    read = _FAMILIES[family]
     _reject_unread(click_ctx, {"prime", "fp2", *read}, f"count {family}")
     opts = {param.name: param.opts[0] for param in click_ctx.command.params}
     missing = [opts[name] for name in read if click_ctx.params[name] is None]
@@ -350,19 +351,17 @@ def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
             base[name] = click_ctx.params[name]
     rows = []
     try:
-        fieldctx = ctx
-        if fp2:
-            fieldctx = ctx.ext
+        fieldctx = ctx.ext if fp2 else ctx
         for lv in lam_values:
             kwargs = dict(base)
             if lv is not None:
                 kwargs["lam"] = lv
-            cc = count_points(cls(**kwargs), fieldctx)
+            cc = count_points(family, fieldctx, **kwargs)
             rows.append((kwargs, cc))
     except FieldError as exc:
         # p <= 5 for a family that needs p > 5, or --fp2 with no F_{p^2} counter
         raise click.UsageError(str(exc))
-    except (TypeError, SnapError) as exc:
+    except SnapError as exc:
         click.echo(f"computation failure: {exc}", err=True)
         sys.exit(1)
     out = io.StringIO()
@@ -428,7 +427,7 @@ def _run_suite(name, prime, max_prime, seed):
         primes = [prime] if prime else [11, 13]
         bad = total = 0
         for p in primes:
-            for _pair, (ts, _lhs, _rhs, passed) in clausen_sweep(cached_ctx(p)):
+            for _pair, (ts, _lhs, _rhs, passed) in clausen_sweep(build_ctx(p)):
                 total += ts.size
                 bad += ts.size - int(passed.sum())
         return bad == 0, f"{total} admissible checks, {bad} failures over {primes}"
@@ -447,7 +446,7 @@ def _run_suite(name, prime, max_prime, seed):
             for p in [q for q in range(7, max_prime + 1) if is_prime(q) and (q - 1) % M == 0]:
                 pairs += 1
                 try:  # the sweep checks a + p = d*t^2 <= 4p on every value
-                    values += len(a_gamma_sweep(row, cached_ctx(p))[0])
+                    values += len(a_gamma_sweep(row, build_ctx(p))[0])
                 except SnapError as exc:
                     bad.append((row.name, p, str(exc)))
         return not bad, (f"{values} values over {pairs} (row, p) pairs, {len(bad)} violations"
@@ -458,9 +457,9 @@ def _run_suite(name, prime, max_prime, seed):
     if name == "genlegendre":
         primes = [prime] if prime else [7, 13, 19]
         for p in primes:
-            ctx = cached_ctx(p)
+            ctx = build_ctx(p)
             for lam in range(2, p):
-                direct = count_points(GenLegendre(6, 4, 3, 1, lam), ctx)
+                direct = count_points("genlegendre", ctx, N=6, a=4, b=3, c=1, lam=lam)
                 chars, _sums, _new = count_via_characters(ctx, 6, 4, 3, 1, lam)
                 if direct.n_points != chars.n_points:
                     return False, f"count mismatch p={p} lam={lam}"
@@ -469,7 +468,7 @@ def _run_suite(name, prime, max_prime, seed):
         primes = [prime] if prime else [29]
         found = 0
         for p in primes:
-            ctx = cached_ctx(p)
+            ctx = build_ctx(p)
             try:
                 scans = baba_granath_qm_sweep(ctx, range(1, p))
             except FieldError as exc:  # the genus-2 model needs p > 5
@@ -491,7 +490,7 @@ def _legendre_failure(primes) -> str | None:
     does, or None if it holds at each."""
     row = row_by_signature((2, OO, OO))
     for p in primes:
-        ctx = cached_ctx(p)
+        ctx = build_ctx(p)
         try:  # a SnapError is a guard of legendre_trace_sweep or of the a_Gamma snap
             bad = legendre_relation(ctx, a_gamma_sweep(row, ctx), legendre_trace_sweep(ctx))
         except SnapError as exc:

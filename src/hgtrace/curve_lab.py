@@ -53,55 +53,6 @@ class CurveCount:
 
 
 # ---------------------------------------------------------------------------
-# Curve specs
-
-
-@dataclass(frozen=True)
-class Legendre:
-    lam: int
-
-
-@dataclass(frozen=True)
-class UniversalJ:
-    j: int
-
-
-@dataclass(frozen=True)
-class JacobiQuartic:
-    sigma: int
-
-
-@dataclass(frozen=True)
-class Hesse:
-    mu: int
-
-
-@dataclass(frozen=True)
-class GenLegendre:
-    N: int
-    a: int
-    b: int
-    c: int
-    lam: int
-
-
-@dataclass(frozen=True)
-class PicardSub:
-    lam: int
-
-
-@dataclass(frozen=True)
-class BabaGranath:
-    j: int
-    branch: int = 1  # sign of the square root s
-
-
-@dataclass(frozen=True)
-class ConicX6:
-    pass
-
-
-# ---------------------------------------------------------------------------
 # y^2 = f(x) and y^N = prod (x - r)^m, each counted by one vectorized sum
 
 
@@ -518,6 +469,30 @@ def count_genus2_fp2(ctx: PrimeFieldCtx, sextics) -> list[int]:
                          [[c[1] for c in f] for f in sextics])
 
 
+def count_baba_granath(ctx: PrimeFieldCtx, j: int, branch: int = 1) -> CurveCount:
+    """The Baba-Granath sextic at j over F_p; trace is the half-trace t, or
+    None when p + 1 - #C(F_p) is odd. A sextic with coefficients outside F_p
+    is not counted here (count_baba_granath_fp2 counts it)."""
+    coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
+    if coeffs is None:
+        return CurveCount(ctx.p, 0, None, good=False, flags=flags)
+    if field_tag != "F_p":
+        return CurveCount(ctx.p, 0, None, good=False,
+                          flags=flags + ("no F_p model; count over F_p2",))
+    n1, = count_genus2_fp(ctx, [coeffs])
+    tr = ctx.p + 1 - n1
+    return CurveCount(ctx.p, n1, tr // 2 if tr % 2 == 0 else None, flags=flags)
+
+
+def count_baba_granath_fp2(ext: QuadExtCtx, j: int, branch: int = 1) -> CurveCount:
+    """The Baba-Granath sextic at j over F_{p^2}, with no trace."""
+    coeffs, _tag, flags = baba_granath_curve(ext.base, j, branch)
+    if coeffs is None:
+        return CurveCount(ext.q, 0, None, good=False, flags=flags)
+    n2, = count_genus2_fp2(ext.base, [coeffs])
+    return CurveCount(ext.q, n2, None, flags=flags)
+
+
 @dataclass(frozen=True)
 class QMResult:
     t: int | None
@@ -601,45 +576,29 @@ def igusa_clebsch_identity(j: Fraction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Family table
 
 
-def count_points(spec, fieldctx) -> CurveCount:
-    """Dispatch a CurveSpec to its counter (PrimeFieldCtx or QuadExtCtx)."""
-    if isinstance(fieldctx, QuadExtCtx):
-        if isinstance(spec, Legendre):
-            return count_legendre_fp2(fieldctx, spec.lam)
-        if isinstance(spec, BabaGranath):
-            ctx = fieldctx.base
-            coeffs, _tag, flags = baba_granath_curve(ctx, spec.j, spec.branch)
-            if coeffs is None:
-                return CurveCount(fieldctx.q, 0, None, good=False, flags=flags)
-            n2, = count_genus2_fp2(ctx, [coeffs])
-            return CurveCount(fieldctx.q, n2, None, flags=flags)
-        raise FieldError(f"no F_p2 counter for {spec!r}")
-    ctx: PrimeFieldCtx = fieldctx
-    if isinstance(spec, Legendre):
-        return count_legendre(ctx, spec.lam)
-    if isinstance(spec, UniversalJ):
-        return count_universal_j(ctx, spec.j)
-    if isinstance(spec, JacobiQuartic):
-        return count_jacobi_quartic(ctx, spec.sigma)
-    if isinstance(spec, Hesse):
-        return count_hesse(ctx, spec.mu)
-    if isinstance(spec, GenLegendre):
-        return count_gen_legendre(ctx, spec.N, spec.a, spec.b, spec.c, spec.lam)
-    if isinstance(spec, PicardSub):
-        return count_picard_sub(ctx, spec.lam)
-    if isinstance(spec, BabaGranath):
-        coeffs, field_tag, flags = baba_granath_curve(ctx, spec.j, spec.branch)
-        if coeffs is None:
-            return CurveCount(ctx.p, 0, None, good=False, flags=flags)
-        if field_tag != "F_p":
-            return CurveCount(ctx.p, 0, None, good=False,
-                              flags=flags + ("no F_p model; count over F_p2",))
-        n1, = count_genus2_fp(ctx, [coeffs])
-        tr = ctx.p + 1 - n1
-        return CurveCount(ctx.p, n1, tr // 2 if tr % 2 == 0 else None, flags=flags)
-    if isinstance(spec, ConicX6):
-        return CurveCount(ctx.p, conic_points(ctx), None)
-    raise TypeError(f"unknown curve spec {spec!r}")
+# Each family's counter over F_p and over F_{p^2} (None: no F_{p^2} counter).
+# A counter takes the field context and then the family's parameters by name.
+FAMILIES = {
+    "legendre": (count_legendre, count_legendre_fp2),
+    "universal-j": (count_universal_j, None),
+    "jacobi-quartic": (count_jacobi_quartic, None),
+    "hesse": (count_hesse, None),
+    "genlegendre": (count_gen_legendre, None),
+    "picard": (count_picard_sub, None),
+    "baba-granath": (count_baba_granath, count_baba_granath_fp2),
+    "conic": (lambda ctx: CurveCount(ctx.p, conic_points(ctx)), None),
+}
+
+
+def count_points(family: str, fieldctx, **params) -> CurveCount:
+    """The member of family with these parameters, counted over F_p for a
+    PrimeFieldCtx and over F_{p^2} for a QuadExtCtx."""
+    fp, fp2 = FAMILIES[family]
+    if not isinstance(fieldctx, QuadExtCtx):
+        return fp(fieldctx, **params)
+    if fp2 is None:
+        raise FieldError(f"{family} has no F_p2 counter")
+    return fp2(fieldctx, **params)

@@ -84,11 +84,6 @@ class PrimeFieldCtx:
         """Order of the multiplicative group."""
         return self.p - 1
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the per-prime tables (33 a point)."""
-        return self.dlog.nbytes + self.zeta.nbytes + self.antilog.nbytes + self.chi.nbytes
-
     @cached_property
     def ext(self) -> "QuadExtCtx":
         """F_{p^2}, built on first use (build_quad_ext)."""
@@ -167,8 +162,8 @@ def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
 
 
 class ByteBoundedLRU:
-    """Least-recently-used cache of values with an nbytes attribute (arrays,
-    contexts), kept within a byte bound given on each insertion."""
+    """Least-recently-used cache of arrays, kept within a byte bound given on
+    each insertion."""
 
     def __init__(self):
         self.tables = OrderedDict()
@@ -189,21 +184,10 @@ class ByteBoundedLRU:
             self.nbytes -= self.tables.popitem(last=False)[1].nbytes
         return value
 
-    def get(self, key, build, max_bytes: int):
-        out = self.lookup(key)
-        return out if out is not None else self.put(key, build(), max_bytes)
 
-
-# Shared contexts take 33 bytes a point (3.3 MB at the p cap); least recently
-# used ones are evicted while their bytes exceed this bound.
-CTX_CACHE_MAX_BYTES = 64 * 2 ** 20
-
-_CTX_CACHE = ByteBoundedLRU()
-
-
-def cached_ctx(p: int) -> PrimeFieldCtx:
-    """Shared default context for p (least primitive root)."""
-    return _CTX_CACHE.get(p, lambda: build_ctx(p), CTX_CACHE_MAX_BYTES)
+# build_ctx under the name code outside the package imports. Contexts are not
+# cached: a build costs little next to the sums a command runs on it.
+cached_ctx = build_ctx
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ import pytest
 
 from hgtrace.character_sums import (al_square_decompose, clausen_sweep, datum_table,
                                     elliptic_square_value, hp_sum)
-from hgtrace.curve_lab import (GenLegendre, Legendre, baba_granath_curve,
-                               baba_granath_qm_sweep, count_points,
+from hgtrace.curve_lab import (baba_granath_curve, baba_granath_qm_sweep, count_points,
                                count_via_characters, legendre_trace_sweep)
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
@@ -158,7 +157,7 @@ def test_criterion_07_gen_legendre_counts():
     for p in (7, 13, 19, 31, 37):
         ctx = cached_ctx(p)
         for lam in range(2, p):
-            direct = count_points(GenLegendre(6, 4, 3, 1, lam), ctx)
+            direct = count_points("genlegendre", ctx, N=6, a=4, b=3, c=1, lam=lam)
             viachars, _sums, _new = count_via_characters(ctx, 6, 4, 3, 1, lam)
             if direct.n_points != viachars.n_points:
                 bad.append((p, lam))
@@ -265,7 +264,7 @@ def test_criterion_10_determinism():
                       if _literal_a_gamma(row, lam, ctx, table) != a]
         traces = legendre_trace_sweep(ctx)
         leg_bad += [(p, lam) for lam in range(2, p)
-                    if not int(traces[lam]) == count_points(Legendre(lam), ctx).trace
+                    if not int(traces[lam]) == count_points("legendre", ctx, lam=lam).trace
                     == _literal_legendre_trace(p, lam)]
     ok = roots_ok and not a_bad and not special_bad and not leg_bad
     _line(10, "determinism: 3 primitive roots; sweeps == literal definitions, "

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hgtrace import cli
+from hgtrace import cli, curve_lab
 from hgtrace.character_sums import SnapError, clausen_sweep, snap_tolerance
 from hgtrace.cli import _json_text, main
 from hgtrace.field_core import cached_ctx
@@ -96,11 +97,14 @@ def test_trace_deterministic_config_echo(runner):
     ["sum", "hp", "--group", "2,4,6", "--prime", "7", "--t", "5"],
     ["verify", "qm", "--prime", "5"],
     ["count", "baba-granath", "--prime", "5", "--j", "1"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime", "7"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime", "2"],
 ], ids=["trace-composite", "trace-composite-inadmissible", "trace-over-cap",
         "verify-composite", "verify-over-cap", "bg-lambda-composite",
         "bg-lambda-over-cap", "count-composite", "count-over-cap",
         "sum-hp-composite", "sum-hp-over-cap", "verify-genlegendre-not-1-mod-6",
-        "sum-hp-not-1-mod-level", "verify-qm-p5", "count-baba-granath-p5"])
+        "sum-hp-not-1-mod-level", "verify-qm-p5", "count-baba-granath-p5",
+        "trace-not-1-mod-level", "trace-p2"])
 def test_bad_prime_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -181,7 +185,7 @@ def test_bad_option_is_usage_error(runner, args):
 def test_p_cap_is_checked_before_any_prime_runs(runner, monkeypatch, args):
     def no_work(p):
         raise AssertionError(f"context built for p = {p}")
-    monkeypatch.setattr(cli, "cached_ctx", no_work)
+    monkeypatch.setattr(cli, "build_ctx", no_work)
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "exceeds the configured bound 100000" in res.output
@@ -276,6 +280,86 @@ def test_count_conic(runner):
     res = runner.invoke(main, ["count", "conic", "--prime", "13"])
     assert res.exit_code == 0
     assert ",14," in res.output.splitlines()[1] + ","
+
+
+@pytest.mark.parametrize("family, options", [
+    ("genlegendre", "--n 6 --exps 4,3,1 --lambda 3"),
+    ("hesse", "--mu 2"),
+])
+def test_count_fp2_error_names_the_family(runner, family, options):
+    res = runner.invoke(main, ["count", family, "--prime", "13", "--fp2", *options.split()])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.output.strip().splitlines()[-1] == f"Error: {family} has no F_p2 counter"
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("count legendre --prime 101 --lambda all",
+     "8c2e96f00ac0634c030e823ed962dd283e7226cf4d1474e3725a8c0c7dd2ea96"),
+    ("count legendre --prime 101 --lambda all --fp2",
+     "4eb6d2e3ffa9e1ab4cd894bab385365c989b55ed758db7f47256c46fd8a0a5c5"),
+    ("count universal-j --prime 101 --j 5",
+     "12824ed704700bb537c1dd420781f92703636b6dc7e2c10c38e850f263c183b2"),
+    ("count universal-j --prime 101 --j 0",
+     "c7f7c94a84150ff36e7754278221239379d3d71dc787c2935ba2fa330b0c24ca"),
+    ("count jacobi-quartic --prime 101 --sigma 3",
+     "5dfc04cffdbf3786e03821e226cb6e0a1341bcf253c4f4c7cfef5eeb32c0792b"),
+    ("count jacobi-quartic --prime 101 --sigma 1",
+     "b969cdd0dd42ca33724e90467d4c304cc182beef69faea07bb15d89db93e7f9a"),
+    ("count hesse --prime 101 --mu 2",
+     "fcb9e855a35a35842beed75cb1fb66e8404a00e633fd4787464a3c614f4495ef"),
+    ("count hesse --prime 3 --mu 2",
+     "d42f939d80f4a5fe08b9fef8a66787518cbf7b19c2d033c856c1190320eb2f03"),
+    ("count genlegendre --prime 103 --n 6 --exps 4,3,1 --lambda all",
+     "adc8107d815b25782b284937fa4fa50f5e706b41665db2a94c35b08d44f1b01a"),
+    ("count picard --prime 103 --lambda all",
+     "ebf114a1ed44b19b72be7561c3f0a74712a89dc7c7e35b08124029729f4900db"),
+    ("count baba-granath --prime 101 --j 1",
+     "cbf157e5efd3738aa4fcdf453bd4acade17f602a00544444e8bb14091b5c3bf2"),
+    ("count baba-granath --prime 101 --j 1 --branch -1",
+     "ebcd60996111028b34058dea733b20a9b3a27ccd73e48107d7b360a19b16d4c6"),
+    ("count baba-granath --prime 101 --j 1 --fp2",
+     "d2c87f6d3122471a0306adfd9272d7226736961f29eeca92754316e1d0db90f8"),
+    ("count baba-granath --prime 101 --j 1 --branch -1 --fp2",
+     "689bf88fdbb5f08685e82c133146ab656965e41c6bffd6a22dd0bf91eb532d02"),
+    ("count baba-granath --prime 101 --j 2",
+     "caac13ad7329c5bed833cb785ca1893c38476913918738cf23318efe5d441d20"),
+    ("count baba-granath --prime 101 --j 2 --fp2",
+     "93506b2ddd380ec1e12385c06eba407e2182c6a9ab184b902a74b5520d51767c"),
+    ("count baba-granath --prime 101 --j 0",
+     "169ef77009a269165de16d5759753273e50e404b3baf7e9314b82b80806561c9"),
+    ("count baba-granath --prime 101 --j 0 --fp2",
+     "a08bdee7a7487bd9f0045f23d6122e1e99357418f0e79e61006cefdd0fdc5549"),
+    ("count conic --prime 101",
+     "6a670f86db0ee56ed01c7e0d26d21bbbcb38d75e078f76b66d7dc73ca979c95c"),
+])
+def test_count_stdout_matches_recorded_digest(runner, command, digest):
+    """Every family's CSV, over F_p2 where it has a counter, on both branches
+    and at degenerate parameters; recorded when each family was a spec class
+    dispatched by isinstance."""
+    res = runner.invoke(main, command.split())
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+def test_count_families_match_the_counters(runner):
+    """cli._FAMILIES and curve_lab.FAMILIES name the same families, and each
+    counter takes exactly the keywords that count builds for it (the params
+    column): every option the family reads, given."""
+    assert set(cli._FAMILIES) == set(curve_lab.FAMILIES)
+    given = {"lam": "2", "j": "2", "sigma": "2", "mu": "2", "n_": "6", "exps": "4,3,1",
+             "branch": "-1"}
+    opts = {param.name: param.opts[0] for param in cli.count.params}
+    for family, read in cli._FAMILIES.items():
+        args = [arg for name in read for arg in (opts[name], given[name])]
+        for fp2, counter in zip(("", "--fp2"), curve_lab.FAMILIES[family]):
+            if counter is None:
+                continue
+            res = runner.invoke(main, ["count", family, "--prime", "13", *args, *fp2.split()])
+            assert res.exit_code == 0, res.output
+            row = next(csv.reader(res.stdout.splitlines()[1:]))
+            params = list(inspect.signature(counter).parameters)[1:]
+            assert sorted(json.loads(row[1])) == sorted(params), (family, fp2)
 
 
 def test_fixture_validate_ok(runner):

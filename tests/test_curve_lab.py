@@ -7,9 +7,7 @@ import pytest
 
 from hgtrace import curve_lab
 from hgtrace.character_sums import SnapError
-from hgtrace.curve_lab import (BabaGranath, ConicX6, GenLegendre, Hesse,
-                               JacobiQuartic, Legendre, PicardSub, UniversalJ,
-                               baba_granath_curve, baba_granath_qm_sweep,
+from hgtrace.curve_lab import (baba_granath_curve, baba_granath_qm_sweep,
                                conic_points, count_genus2_fp, count_genus2_fp2,
                                count_gen_legendre, count_hesse, count_legendre,
                                count_universal_j,
@@ -45,7 +43,7 @@ def literal_legendre_trace(p, lam):
 
 
 def test_legendre_sweep_matches_single():
-    """The correlation sweep and count_points(Legendre) against the literal sum,
+    """The correlation sweep and count_points("legendre") against the literal sum,
     every lambda at every prime 3 <= p <= 101 (bad reduction at 0 and 1)."""
     for p in [q for q in range(3, 102) if is_prime(q)]:
         ctx = cached_ctx(p)
@@ -54,7 +52,7 @@ def test_legendre_sweep_matches_single():
         for lam in range(p):
             a = literal_legendre_trace(p, lam)
             assert int(traces[lam]) == a, (p, lam)
-            cc = count_points(Legendre(lam), ctx)
+            cc = count_points("legendre", ctx, lam=lam)
             if lam in (0, 1):
                 assert not cc.good and cc.trace is None
             else:
@@ -72,7 +70,7 @@ def test_legendre_sweep_guards_raise(skewed_legendre_correlation):
     with pytest.raises(SnapError, match=match):
         legendre_trace_sweep(ctx)
     with pytest.raises(SnapError):
-        count_points(Legendre(3), ctx)
+        count_points("legendre", ctx, lam=3)
 
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -90,7 +88,7 @@ def test_legendre_fp2_matches_frobenius(block, monkeypatch):
         traces = legendre_trace_sweep(ctx)
         for lam in range(2, p):
             a = int(traces[lam])
-            cc = count_points(Legendre(lam), ext)
+            cc = count_points("legendre", ext, lam=lam)
             assert cc.q == p * p
             assert cc.n_points == p * p + 1 - (a * a - 2 * p), (p, lam)
 
@@ -104,7 +102,7 @@ def test_legendre_fp2_matches_frobenius_past_the_literal_primes():
         traces = legendre_trace_sweep(ctx)
         for lam in (2, 3, p // 2, p - 1):
             a = int(traces[lam])
-            assert count_points(Legendre(lam), ext).n_points == p * p + 1 - (a * a - 2 * p)
+            assert count_points("legendre", ext, lam=lam).n_points == p * p + 1 - (a * a - 2 * p)
 
 
 def test_count_y2_fp2_refuses_rows_past_float64_exactness(monkeypatch):
@@ -196,7 +194,7 @@ def test_picard_literal_count():
     for p in SMALL_PRIMES:
         ctx = cached_ctx(p)
         for lam in range(2, p):
-            cc = count_points(PicardSub(lam), ctx)
+            cc = count_points("picard", ctx, lam=lam)
             if not cc.good:
                 continue
             mu = 1 - lam
@@ -248,9 +246,9 @@ def test_universal_j(ctx13):
     for j in range(1, 13):
         if j in (0, 1728 % 13):
             continue
-        cc = count_points(UniversalJ(j), ctx13)
+        cc = count_points("universal-j", ctx13, j=j)
         assert cc.good and cc.trace * cc.trace <= 4 * 13
-    assert not count_points(UniversalJ(1728 % 13), ctx13).good
+    assert not count_points("universal-j", ctx13, j=1728 % 13).good
 
 
 def test_jacobi_quartic_examples(ctx13):
@@ -307,7 +305,7 @@ def test_hesse_characteristic_three_is_singular():
 
 def test_gen_legendre_two_routes(ctx13):
     for lam in range(2, 13):
-        direct = count_points(GenLegendre(6, 4, 3, 1, lam), ctx13)
+        direct = count_points("genlegendre", ctx13, N=6, a=4, b=3, c=1, lam=lam)
         viachars, sums, new = count_via_characters(ctx13, 6, 4, 3, 1, lam)
         assert direct.good
         assert direct.n_points == viachars.n_points
@@ -316,14 +314,14 @@ def test_gen_legendre_two_routes(ctx13):
 
 
 def test_gen_legendre_degenerate_N1(ctx13):
-    cc = count_points(GenLegendre(1, 4, 3, 1, 5), ctx13)
+    cc = count_points("genlegendre", ctx13, N=1, a=4, b=3, c=1, lam=5)
     assert cc.n_points == 13 + 1  # the x-line with infinity
 
 
 def test_gen_legendre_second_family(ctx13):
     # a different admissible (N, a, b, c): both routes still agree
     for lam in range(2, 13):
-        direct = count_points(GenLegendre(3, 2, 1, 1, lam), ctx13)
+        direct = count_points("genlegendre", ctx13, N=3, a=2, b=1, c=1, lam=lam)
         viachars, _s, _n = count_via_characters(ctx13, 3, 2, 1, 1, lam)
         assert direct.n_points == viachars.n_points
 
@@ -349,7 +347,7 @@ def test_new_part_weil(ctx13):
 
 
 def test_picard_full_count(ctx13):
-    cc = count_points(PicardSub(3), ctx13)
+    cc = count_points("picard", ctx13, lam=3)
     assert cc.good and "exploratory" in cc.flags[0]
     # genus 3 Weil bound
     assert abs(cc.trace) <= 6 * math.sqrt(13) + 1e-9
@@ -517,9 +515,12 @@ def test_frobenius_quartic_weil(ctx13):
 
 
 def test_count_points_dispatch(ctx13):
-    assert count_points(ConicX6(), ctx13).n_points == 14
-    assert count_points(Legendre(2), ctx13).good
-    assert count_points(Hesse(2), ctx13).good
-    assert count_points(JacobiQuartic(2), ctx13).good
-    bg = count_points(BabaGranath(2), ctx13)
+    assert count_points("conic", ctx13).n_points == 14
+    assert count_points("legendre", ctx13, lam=2).good
+    assert count_points("hesse", ctx13, mu=2).good
+    assert count_points("jacobi-quartic", ctx13, sigma=2).good
+    bg = count_points("baba-granath", ctx13, j=2)
     assert bg.q == 13
+    assert count_points("baba-granath", ctx13.ext, j=2).q == 169
+    with pytest.raises(FieldError, match="^hesse has no F_p2 counter$"):
+        count_points("hesse", ctx13.ext, mu=2)

@@ -3,7 +3,6 @@ import pytest
 from fractions import Fraction
 from math import gcd
 
-from hgtrace import field_core
 from hgtrace.character_sums import datum_char_exponents
 from hgtrace.field_core import (CongruenceError, FieldError, MultCharacter, _dlog_table,
                                 build_ctx, build_quad_ext, cached_ctx, is_prime,
@@ -58,23 +57,6 @@ def test_build_ctx_rejects_oversize():
 def test_build_ctx_rejects_even():
     with pytest.raises(FieldError):
         build_ctx(2)
-
-
-def test_cached_ctx_is_shared_and_bounded_by_bytes(monkeypatch):
-    cache = field_core.ByteBoundedLRU()
-    monkeypatch.setattr(field_core, "_CTX_CACHE", cache)
-    assert cached_ctx(101) is cached_ctx(101)
-    assert cached_ctx(101).nbytes == 101 * 8 + 100 * 16 + 100 * 8 + 101 * 1
-    limit = 3 * cached_ctx(101).nbytes  # fewer than three contexts near p = 100
-    monkeypatch.setattr(field_core, "CTX_CACHE_MAX_BYTES", limit)
-    keep = cached_ctx(101)
-    for p in (103, 107, 109, 113, 127):
-        cached_ctx(101)  # a hit refreshes the context's recency
-        cached_ctx(p)
-        assert cache.nbytes <= limit
-        assert cache.nbytes == sum(c.nbytes for c in cache.tables.values())
-    assert list(cache.tables) == [101, 127]  # 113 went first, as least recent
-    assert cached_ctx(101) is keep
 
 
 def test_dlog_bijection(ctx13):
