@@ -9,11 +9,11 @@ datum's period sums over all lambda each cost O(p^2); both are discrete
 Fourier transforms over the character group Z/(p-1) instead. The brackets are
 one inverse DFT of a histogram over t, and the period sums at every nonzero
 lambda are one inverse DFT of the datum's slot product. A datum costs
-O(p log p), after which each lambda is a gather. A datum's slot tables come
-from a cache under a byte bound, and its missing ones are filled in one batch:
-one bracket-table call over its distinct missing slots. The finite-field
-Clausen check is read the same way: for each eta, the square pairs (eta, K)
-are one batch of tables and a gather over t.
+O(p log p), after which each lambda is a gather. A datum's slot tables are
+one bracket-table call over its slots, built when the datum's table is and
+dropped with it; a repeated slot is a repeated row. The finite-field Clausen
+check is read the same way: for each eta, the square pairs (eta, K) are one
+batch of tables and a gather over t.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from math import isqrt
 
 import numpy as np
 
-from .field_core import (ByteBoundedLRU, CongruenceError, FieldError,
-                         MultCharacter, PrimeFieldCtx, build_ctx, is_prime)
+from .field_core import (CongruenceError, FieldError, MultCharacter, PrimeFieldCtx,
+                         build_ctx, is_prime)
 from .hgm_data import HGDatum, is_defined_over_Q, level
 
 
@@ -101,31 +101,6 @@ def _bracket_table(ctx: PrimeFieldCtx, e_a, e_b) -> np.ndarray:
     return out
 
 
-# The slot-table cache holds length-(p-1) complex arrays (16 bytes a point) and
-# evicts least recently used tables while their bytes exceed this bound.
-SLOT_CACHE_MAX_BYTES = 256 * 2 ** 20
-
-# slot tables keyed by (p, g, ea, eb)
-_SLOT_CACHE = ByteBoundedLRU()
-
-
-def _slot_tables(ctx: PrimeFieldCtx, a_exps, b_exps) -> list[np.ndarray]:
-    """bracket(A*chi_e, B*chi_e) over all e, for each slot (a-exp, b-exp) of the
-    lists. Cached slots are read from the cache; the distinct missing ones are
-    one _bracket_table call, each row stored as its own array."""
-    n = ctx.n
-    keys = [(ctx.p, ctx.g, ea % n, eb % n) for ea, eb in zip(a_exps, b_exps)]
-    tables = {key: _SLOT_CACHE.lookup(key) for key in keys}
-    missing = [key for key, table in tables.items() if table is None]
-    if missing:
-        rows = _bracket_table(ctx, [key[2] for key in missing], [key[3] for key in missing])
-        for key, row in zip(missing, rows):
-            row = row.copy()
-            row.setflags(write=False)
-            tables[key] = _SLOT_CACHE.put(key, row, SLOT_CACHE_MAX_BYTES)
-    return [tables[key] for key in keys]
-
-
 class BracketTable:
     """Per-datum product of slot tables and the period sum at every nonzero
     lambda, read off one inverse DFT of that product at dlog lambda.
@@ -143,7 +118,7 @@ class BracketTable:
         self.a_exps = [e % ctx.n for e in a_exps]
         self.b_exps = [e % ctx.n for e in b_exps]
         n = ctx.n
-        slots = _slot_tables(ctx, self.a_exps, self.b_exps)
+        slots = _bracket_table(ctx, self.a_exps, self.b_exps)
         # prefactor prod_{i>=2}(-A_iB_i(-1)); chi(-1) is the exponent parity
         pref = 1
         for ea, eb in zip(self.a_exps[1:], self.b_exps[1:]):
@@ -336,18 +311,20 @@ def calibrate_hp_weight(hd: HGDatum) -> tuple[int, int]:
     it at every sample prime on the "cusp_row" chart (all beta integral) or the
     "row_246" chart (the compact row's datum). A plain perfect-square criterion
     would reject the correct normalization at the Atkin-Lehner twisted points,
-    so the d | 6 decomposition is the calibration invariant.
+    so the d | 6 decomposition is the calibration invariant. Each sample
+    prime's datum table is built once and read by all six candidates.
     Raises CalibrationError if no pair or several pairs survive.
     """
     primes = calibration_primes(hd)
     a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
+    ctxs = [build_ctx(p) for p in primes]
+    tables = [datum_table(hd, ctx) for ctx in ctxs]
 
     def normalizes(sign, w):
         try:
-            for p in primes:
-                ctx = build_ctx(p)
-                local_traces(a_rule, ctx, datum_table(hd, ctx), np.arange(p), hd.n, sign, w)
-        except (CongruenceError, SnapError):
+            for ctx, table in zip(ctxs, tables):
+                local_traces(a_rule, ctx, table, np.arange(ctx.p), hd.n, sign, w)
+        except SnapError:
             return False
         return True
 
@@ -405,7 +382,8 @@ def _clausen_columns(ctx: PrimeFieldCtx, eeta: int, eKs, ts):
     passed is |lhs - rhs| < snap_tolerance(p, 3) * p.
 
     The square pairs are one batch. One _bracket_table call gives their slot
-    rows and, as the e = 0 entries of rows (A, Bbar), the Jacobi sums
+    rows, with the 3P2's first slot (phi, 1) as one more row, and, as the e = 0
+    entries of rows (A, Bbar), the Jacobi sums
     J(A, B) = -B(-1) * bracket(A, Bbar). Each period sum is its slot product
     under one row-wise inverse DFT, read at dlog t (dlog 1 = 0). The prefactors
     drop out, since eta*K is a square: the 3P2's is 1 and the 2P1 share theirs.
@@ -421,13 +399,15 @@ def _clausen_columns(ctx: PrimeFieldCtx, eeta: int, eKs, ts):
         eK = eKs[rows]
         eS, e0 = (eeta + eK) % n // 2, np.zeros_like(eK)
         # slot rows (A, B) of the 3P2 and the two 2P1, then the rows (A, Bbar) of
-        # J(etaK, etabarK), J(phi, Kbar), J(S Kbar, phi Sbar) and J(phi S Kbar, Sbar)
+        # J(etaK, etabarK), J(phi, Kbar), J(S Kbar, phi Sbar) and J(phi S Kbar, Sbar),
+        # then the one (phi, 1) row that every pair's 3P2 shares
         jac_b = np.array([eK - eeta, -eK, h - eS, -eS])
         tables = _bracket_table(
             ctx, np.concatenate([e0 + eeta, e0 - eeta, h + eK - eS, eS, h - eK + eS, -eS,
-                                 eeta + eK, e0 + h, eS - eK, h + eS - eK]),
-            np.concatenate([eK, -eK, e0, eK, e0, -eK, *-jac_b])).reshape(10, rows.size, n)
-        lhs3, r1, r2 = np.fft.ifft([_slot_tables(ctx, [h], [0])[0] * tables[0] * tables[1],
+                                 eeta + eK, e0 + h, eS - eK, h + eS - eK, [h]]),
+            np.concatenate([eK, -eK, e0, eK, e0, -eK, *-jac_b, [0]]))
+        phi_slot, tables = tables[-1], tables[:-1].reshape(10, rows.size, n)
+        lhs3, r1, r2 = np.fft.ifft([phi_slot * tables[0] * tables[1],
                                     tables[2] * tables[3], tables[4] * tables[5]], axis=-1)
         j = np.where(jac_b % 2, 1.0, -1.0) * tables[6:, :, 0]
         sq_ts = ts[ts != 0]

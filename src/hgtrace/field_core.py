@@ -9,7 +9,6 @@ quantities back to exact integers.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
@@ -159,30 +158,6 @@ def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
     chi = (1 - 2 * (dlog & 1)).astype(np.int8)  # dlog(x) parity; dlog[0] = -1
     chi[0] = 0
     return PrimeFieldCtx(p=p, g=g, dlog=dlog, zeta=zeta, antilog=antilog, chi=chi)
-
-
-class ByteBoundedLRU:
-    """Least-recently-used cache of arrays, kept within a byte bound given on
-    each insertion."""
-
-    def __init__(self):
-        self.tables = OrderedDict()
-        self.nbytes = 0
-
-    def lookup(self, key):
-        """The value under key, refreshed as most recent, or None."""
-        out = self.tables.get(key)
-        if out is not None:
-            self.tables.move_to_end(key)
-        return out
-
-    def put(self, key, value, max_bytes: int):
-        """Insert value as most recent, then evict while over max_bytes."""
-        self.tables[key] = value
-        self.nbytes += value.nbytes
-        while self.nbytes > max_bytes:
-            self.nbytes -= self.tables.popitem(last=False)[1].nbytes
-        return value
 
 
 # build_ctx under the name code outside the package imports. Contexts are not

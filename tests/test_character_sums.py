@@ -1,20 +1,21 @@
+import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hgtrace import character_sums
 from hgtrace.character_sums import (AlgebraicValue, CalibrationError, SnapError,
                                     _al_square_mask, _bracket_table, _jacobi_dlog_pairs,
-                                    _slot_tables, al_square_decompose,
+                                    al_square_decompose,
                                     calibrate_hp_weight, calibration_primes,
                                     clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     np_sum, snap_tolerance)
-from hgtrace.field_core import (ByteBoundedLRU, CongruenceError, build_ctx, cached_ctx,
-                               is_prime, nth_primitive_root)
+from hgtrace.field_core import (CongruenceError, build_ctx, cached_ctx, is_prime,
+                               nth_primitive_root)
 from hgtrace.hgm_data import HGDatum, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
 
@@ -116,20 +117,30 @@ def test_slot_table_equals_direct_brackets():
     """The DFT slot table is bracket(A chi^e, B chi^e) at every e: for every
     slot at p = 7, 11, 13 and at p = 13 with a non-least generator, as the n^2
     rows of one batched _bracket_table call, each row bit-identical to the
-    cached one-row slot table; and for every datum slot of every row up to
-    p = 61."""
+    slot's one-row table; and for every datum slot of every row up to p = 61.
+    A slot listed three times, as the (2,oo,oo) datum lists (1/2; 1), is three
+    rows bit-identical to each other and to the slot's one-row table."""
     for ctx in (cached_ctx(7), cached_ctx(11), cached_ctx(13),
                 build_ctx(13, generator=nth_primitive_root(13, 1))):
         ea, eb = np.divmod(np.arange(ctx.n ** 2), ctx.n)
         for a, b, row in zip(ea.tolist(), eb.tolist(), _bracket_table(ctx, ea, eb)):
             np.testing.assert_allclose(row, _direct_slot(ctx, a, b), rtol=0, atol=1e-9,
                                        err_msg=f"{ctx.p} {ctx.g} {a} {b}")
-            assert np.array_equal(row, _slot_tables(ctx, [a], [b])[0]), (ctx.p, ctx.g, a, b)
+            assert np.array_equal(row, _bracket_table(ctx, [a], [b])[0]), (ctx.p, ctx.g, a, b)
     for row, ctx in _admissible_rows():
         a_exps, b_exps = datum_char_exponents(row.hd, ctx)
-        for ea, eb, slot in zip(a_exps, b_exps, _slot_tables(ctx, a_exps, b_exps)):
+        for ea, eb, slot in zip(a_exps, b_exps, _bracket_table(ctx, a_exps, b_exps)):
             np.testing.assert_allclose(slot, _direct_slot(ctx, ea, eb), rtol=0, atol=1e-9,
                                        err_msg=f"{row.name} {ctx.p} {ea} {eb}")
+    for p in (7, 13, 61, 1009):
+        ctx = cached_ctx(p)
+        h = ctx.n // 2
+        a_exps, b_exps = datum_char_exponents(row_by_signature((2, "oo", "oo")).hd, ctx)
+        assert (a_exps, b_exps) == ([h] * 3, [0] * 3)
+        one_row = _bracket_table(ctx, [h], [0])[0]
+        repeated = _bracket_table(ctx, a_exps, b_exps)
+        assert repeated.shape == (3, ctx.n)
+        assert all(np.array_equal(slot, one_row) for slot in repeated), p
 
 
 def test_sweep_equals_literal_period_sum():
@@ -151,71 +162,24 @@ def test_sweep_equals_literal_period_sum():
                                    rtol=0, atol=1e-8, err_msg=f"{row.name} {p}")
 
 
-def test_slot_cache_is_bounded_by_bytes(monkeypatch):
-    """The slot cache holds at most SLOT_CACHE_MAX_BYTES and counts its bytes
-    exactly, also when one batch fill alone is larger than the bound: the fill
-    still returns every table, and the cache keeps the last ones it built."""
-    ctx = cached_ctx(61)
-    limit = 10 * 60 * 16  # ten tables of 60 complex entries
-    monkeypatch.setattr(character_sums, "SLOT_CACHE_MAX_BYTES", limit)
-    cache = character_sums._SLOT_CACHE
-    keep = _slot_tables(ctx, [1], [2])[0]
-    for ea in range(30):
-        _slot_tables(ctx, [1], [2])  # a hit refreshes the table's recency
-        _slot_tables(ctx, [ea], [5])
-        assert cache.nbytes <= limit
-        assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
-    assert len(cache.tables) == 10
-    assert _slot_tables(ctx, [1], [2])[0] is keep
-    assert (61, ctx.g, 0, 5) not in cache.tables
-
-    monkeypatch.setattr(character_sums, "_SLOT_CACHE", ByteBoundedLRU())
-    cache = character_sums._SLOT_CACHE
-    limit = 2 * 60 * 16  # two tables: less than the batch of five below
-    monkeypatch.setattr(character_sums, "SLOT_CACHE_MAX_BYTES", limit)
-    ea = [7, 8, 9, 10, 11]
-    tables = _slot_tables(ctx, ea, [3] * 5)
-    for a, table in zip(ea, tables):
-        assert np.array_equal(table, _bracket_table(ctx, [a], [3])[0]), a
-    assert cache.nbytes <= limit
-    assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
-    assert list(cache.tables) == [(61, ctx.g, 10, 3), (61, ctx.g, 11, 3)]
-    assert all(t.base is None and not t.flags.writeable for t in cache.tables.values())
-
-
-def test_batched_slot_fill_matches_one_row_tables(monkeypatch):
-    """One fill builds every distinct missing slot of a list in a single
-    _bracket_table call, reads the cached ones from the cache, and returns
-    rows bit-identical to one-row _bracket_table calls: here (2,oo,oo), whose
-    datum lists (1/2; 1) three times, then a list mixing that cached slot with
-    missing ones and a repeated missing one."""
-    monkeypatch.setattr(character_sums, "_SLOT_CACHE", ByteBoundedLRU())
-    calls = []
-
-    def counting(ctx, e_a, e_b):
-        calls.append(len(e_a))
-        return _bracket_table(ctx, e_a, e_b)
-
-    monkeypatch.setattr(character_sums, "_bracket_table", counting)
-    for p in (13, 61, 1009):
-        ctx = cached_ctx(p)
-        n, h = ctx.n, ctx.n // 2
-        calls.clear()
-        a_exps, b_exps = datum_char_exponents(row_by_signature((2, "oo", "oo")).hd, ctx)
-        assert (a_exps, b_exps) == ([h] * 3, [0] * 3)
-        first = _slot_tables(ctx, a_exps, b_exps)
-        assert calls == [1] and first[0] is first[1] is first[2]
-        assert np.array_equal(first[0], _bracket_table(ctx, [h], [0])[0])
-        calls.clear()
-        a_exps, b_exps = [h, 1, n - 1, 1, h, 5 + n], [0, 2, 0, 2, 0, 3]
-        mixed = _slot_tables(ctx, a_exps, b_exps)
-        assert calls == [3]  # the distinct missing slots (1, 2), (n - 1, 0), (5, 3)
-        assert mixed[0] is first[0] and mixed[1] is mixed[3]
-        for ea, eb, table in zip(a_exps, b_exps, mixed):
-            assert np.array_equal(table, _bracket_table(ctx, [ea], [eb])[0]), (p, ea, eb)
-        calls.clear()
-        assert all(x is y for x, y in zip(_slot_tables(ctx, a_exps, b_exps), mixed))
-        assert calls == []
+def test_datum_table_leaves_no_memory_behind():
+    """A datum table's slot tables live only as long as the call that builds
+    them: once every row's table at p = 10009 has been built, building and
+    dropping each again on a context with another generator leaves less than
+    one slot table (n complex entries) of traced memory behind."""
+    p = 10009  # 1 mod 12: every row admits it
+    for row in triangle_table():
+        datum_table(row.hd, cached_ctx(p))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for row in triangle_table():
+            datum_table(row.hd, build_ctx(p, generator=nth_primitive_root(p, 1)))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < (p - 1) * 16, grown
 
 
 def test_np_sum_delta_branch(ctx13):
