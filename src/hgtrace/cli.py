@@ -112,13 +112,16 @@ def _parse_group(text: str):
         raise click.UsageError(str(exc))
 
 
-def _parse_primes(prime, prime_range, runs):
-    """The primes of --prime or of --prime-range, ascending. A prime of the
-    range above the p cap that the command runs (runs(p)) is a usage error,
-    raised before the rest of the range is listed."""
+def _parse_primes(prime, prime_range):
+    """The primes of --prime or of --prime-range, ascending. A --prime above
+    the p cap, or a range that reaches above it, is a usage error raised before
+    any number is tested for primality: trial division of a number far above
+    the cap would not finish."""
     if prime is not None and prime_range:
         raise click.UsageError("give either --prime or --prime-range")
     if prime is not None:
+        if prime > DEFAULT_P_BOUND:
+            raise _over_p_cap(prime)
         if not is_prime(prime):
             raise click.UsageError(f"{prime} is not prime")
         return [prime]
@@ -129,11 +132,10 @@ def _parse_primes(prime, prime_range, runs):
             raise click.UsageError("--prime-range expects LO:HI")
         if lo > hi:
             raise click.UsageError(f"--prime-range {prime_range} is empty: LO > HI")
-        primes = []
-        for p in filter(is_prime, range(lo, hi + 1)):
-            if p > DEFAULT_P_BOUND and runs(p):
-                raise _over_p_cap(p)
-            primes.append(p)
+        if hi > DEFAULT_P_BOUND:
+            raise click.UsageError(f"--prime-range {prime_range} exceeds the configured "
+                                   f"bound {DEFAULT_P_BOUND}")
+        primes = list(filter(is_prime, range(lo, hi + 1)))
         if not primes:
             raise click.UsageError(f"--prime-range {prime_range} holds no prime")
         return primes
@@ -192,7 +194,7 @@ def trace(group, weight, prime, prime_range, fmt):
     def runs(p):
         return p > 5 and (p - 1) % M == 0
 
-    primes = _parse_primes(prime, prime_range, runs)
+    primes = _parse_primes(prime, prime_range)
     if prime is not None and not runs(prime):
         raise click.UsageError(f"p = {prime} is outside the {row.name} row's class: "
                                f"needs p > 5 with p = 1 mod {M}")
@@ -289,12 +291,8 @@ def sum_hp(group, prime, t):
 _FAMILIES = {
     "legendre": ("lam",),
     "universal-j": ("j",),
-    "jacobi-quartic": ("sigma",),
-    "hesse": ("mu",),
     "genlegendre": ("n_", "exps", "lam"),
-    "picard": ("lam",),
     "baba-granath": ("j", "branch"),
-    "conic": (),
 }
 
 
@@ -314,8 +312,6 @@ def _lambda_selection(text: str, p: int) -> list[int]:
 @click.option("--lambda", "lam", default=None,
               help="'all', a value, or a comma list")
 @click.option("--j", type=int, default=None)
-@click.option("--sigma", type=int, default=None)
-@click.option("--mu", type=int, default=None)
 @click.option("--n", "n_", type=int, default=None, help="superelliptic exponent N")
 @click.option("--exps", default=None, help="a,b,c for genlegendre")
 @click.option("--branch", type=click.Choice(["1", "-1"]), default="1",
@@ -323,7 +319,7 @@ def _lambda_selection(text: str, p: int) -> list[int]:
               help="sign of s = sqrt(-6j) for baba-granath")
 @click.option("--fp2", is_flag=True, help="count over F_{p^2} instead")
 @click.pass_context
-def count(click_ctx, family, prime, lam, j, sigma, mu, n_, exps, branch, fp2):
+def count(click_ctx, family, prime, lam, j, n_, exps, branch, fp2):
     """Brute-force point counts; CSV: family, params, p, q, n_points, trace, flags."""
     read = _FAMILIES[family]
     _reject_unread(click_ctx, {"prime", "fp2", *read}, f"count {family}")

@@ -1,4 +1,7 @@
-"""Brute-force point-counting oracles for every curve family in play.
+"""Brute-force point-counting oracles for the four curve families that check
+the triangle-group rows: the Legendre curves, the universal-j family, the
+superelliptic models y^N = x^a (x-1)^b (x-lam)^c and the Baba-Granath
+genus-2 QM curves.
 
 All counts are of smooth projective models. For superelliptic models
 y^N = f(x) the completion convention is explicit: above a point where the
@@ -26,7 +29,6 @@ returns as degenerate, so no sextic is tested for squarefreeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -290,51 +292,6 @@ def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
     return CurveCount(p, cnt, p + 1 - cnt)
 
 
-def count_hesse(ctx: PrimeFieldCtx, mu: int) -> CurveCount:
-    """Projective cubic x^3 + y^3 + z^3 - 3 mu xyz = 0 (smooth iff p != 3 and mu^3 != 1)."""
-    p = ctx.p
-    mu %= p
-    if p == 3:  # the cubic is the triple line (x + y + z)^3
-        return CurveCount(p, 0, None, good=False, flags=("singular: p = 3",))
-    if pow(mu, 3, p) == 1:
-        return CurveCount(p, 0, None, good=False, flags=("singular: mu^3 = 1",))
-    # (1 : -1 : 0) is a rational point, so the cubic is isomorphic over F_p
-    # (p > 3) to its Weierstrass model Y^2 = X^3 - 27 mu (mu^3 + 8) X
-    # + 54 (mu^6 - 20 mu^3 - 8).
-    m3 = pow(mu, 3, p)
-    cnt, = _count_y2(ctx, [(1, 0, -27 * mu * (m3 + 8) % p, 54 * (m3 * m3 - 20 * m3 - 8) % p)])
-    return CurveCount(p, cnt, p + 1 - cnt)
-
-
-def count_jacobi_quartic(ctx: PrimeFieldCtx, sigma: int) -> CurveCount:
-    """y^2 = (1 - sigma^2 x^2)(1 - x^2/sigma^2), quartic genus-1 model.
-
-    f = x^4 - (sigma^2 + sigma^-2) x^2 + 1 is monic: two places at infinity.
-    """
-    p = ctx.p
-    sigma %= p
-    if sigma == 0 or pow(sigma, 4, p) == 1:
-        return CurveCount(p, 0, None, good=False,
-                          flags=("degenerate: sigma(sigma^4-1) = 0",))
-    s2 = sigma * sigma % p
-    cnt, = _count_y2(ctx, [(1, 0, -(s2 + ctx.inv(s2)), 0, 1)])
-    return CurveCount(p, cnt, p + 1 - cnt)
-
-
-def jacobi_quartic_isomorphism_check(ctx: PrimeFieldCtx, sigma: int) -> bool:
-    """Counts of E_lam (lam = (sigma + 1/sigma)^2/4) and the quartic agree."""
-    p = ctx.p
-    sigma %= p
-    if sigma == 0 or pow(sigma, 4, p) == 1:
-        raise FieldError("sigma(sigma^4 - 1) = 0 is degenerate")
-    lam = pow(sigma + ctx.inv(sigma), 2, p) * ctx.inv(4) % p
-    e = count_legendre(ctx, lam)
-    c = count_jacobi_quartic(ctx, sigma)
-    if not (e.good and c.good):
-        raise FieldError("unexpected bad reduction in the isomorphism check")
-    return e.n_points == c.n_points
-
-
 # ---------------------------------------------------------------------------
 # Superelliptic y^N = x^a (x-1)^b (x-lam)^c
 
@@ -392,27 +349,6 @@ def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
     new_part = sum(sums[k] for k in range(1, N) if gcd(k, N) == 1)
     return (CurveCount(p, n_points, p + 1 - n_points),
             sums, new_part)
-
-
-# ---------------------------------------------------------------------------
-# Picard subfamily (genus 3), exploratory per the open splitting question
-
-
-def count_picard_sub(ctx: PrimeFieldCtx, lam: int) -> CurveCount:
-    """y^3 = x(x-1)(x-lam)(x-mu) with mu = 1 - lam; full count only.
-
-    The Jacobian splitting into a CM elliptic factor and an abelian surface is
-    not verified here; the count and trace are reported as-is, flagged
-    exploratory.
-    """
-    p = ctx.p
-    lam %= p
-    mu = (1 - lam) % p
-    if lam in (0, 1) or mu in (0, 1) or lam == mu:
-        return CurveCount(p, 0, None, good=False, flags=("degenerate parameter",))
-    cnt = _superelliptic_count(ctx, 3, ((0, 1), (1, 1), (lam, 1), (mu, 1)))
-    return CurveCount(p, cnt, p + 1 - cnt,
-                      flags=("exploratory: Jacobian splitting not asserted",))
 
 
 # ---------------------------------------------------------------------------
@@ -548,34 +484,6 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Conic and Igusa-Clebsch
-
-
-def conic_points(ctx: PrimeFieldCtx) -> int:
-    """Exact projective count of x^2 + 3y^2 + z^2 = 0 (p > 3)."""
-    if ctx.p <= 3:
-        raise FieldError("need p > 3")
-    # the chart x = 1 is z^2 = -3y^2 - 1; its places at infinity are the
-    # points (0 : 1 : z) with z^2 = -3 (x = y = 0 is impossible)
-    return _count_y2(ctx, [(-3, 0, -1)])[0]
-
-
-def igusa_clebsch_identity(j: Fraction) -> bool:
-    """Exact-rational check of the invariant quadruple identities at j.
-
-    [A, B, C, D] = [j+1, j, j(1-j), j^3]; verifies (AB-C)/(AB+C) = j and
-    D^2/B^5 = j. Excluded: j = 0 (both denominators degenerate).
-    """
-    j = Fraction(j)
-    if j == 0:
-        raise ZeroDivisionError("j = 0 is excluded (AB + C = 0 and B = 0)")
-    A, B, C, D = j + 1, j, j * (1 - j), j ** 3
-    if A * B + C == 0:
-        raise ZeroDivisionError("AB + C = 0")
-    return (A * B - C) / (A * B + C) == j and D ** 2 / B ** 5 == j
-
-
-# ---------------------------------------------------------------------------
 # Family table
 
 
@@ -584,12 +492,8 @@ def igusa_clebsch_identity(j: Fraction) -> bool:
 FAMILIES = {
     "legendre": (count_legendre, count_legendre_fp2),
     "universal-j": (count_universal_j, None),
-    "jacobi-quartic": (count_jacobi_quartic, None),
-    "hesse": (count_hesse, None),
     "genlegendre": (count_gen_legendre, None),
-    "picard": (count_picard_sub, None),
     "baba-granath": (count_baba_granath, count_baba_granath_fp2),
-    "conic": (lambda ctx: CurveCount(ctx.p, conic_points(ctx)), None),
 }
 
 

@@ -141,12 +141,12 @@ def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
     headroom, only up to that size. An explicit generator, for
     generator-independence tests, must itself be a primitive root.
     """
+    if p > DEFAULT_P_BOUND:  # before is_prime, whose trial division is O(sqrt p)
+        raise FieldError(f"p = {p} exceeds the configured bound {DEFAULT_P_BOUND}")
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
     if p == 2:
         raise FieldError("p must be an odd prime")
-    if p > DEFAULT_P_BOUND:
-        raise FieldError(f"p = {p} exceeds the configured bound {DEFAULT_P_BOUND}")
     g = nth_primitive_root(p, 0) if generator is None else generator
     dlog = _dlog_table(p, g)
     if generator is not None and np.count_nonzero(dlog >= 0) != p - 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from pathlib import Path
 
-from .field_core import is_prime
+from .field_core import DEFAULT_P_BOUND, is_prime
 
 FIXTURE_ENV = "HGTRACE_FIXTURE_DIR"
 _BUILTIN_FIXTURES = Path(__file__).parent / "fixtures"
@@ -232,6 +232,8 @@ def _validate_fixture_dict(data) -> NewformFixture:
     ap = {}
     for k, v in data["ap"].items():
         pk = int(k) if k.isdecimal() else 0
+        if pk > DEFAULT_P_BOUND:  # no report reads it, and is_prime would not finish
+            raise FixtureError(f"ap key {k!r} exceeds the configured bound {DEFAULT_P_BOUND}")
         if str(pk) != k or not is_prime(pk):  # "05" would overwrite "5"
             raise FixtureError(f"ap key {k!r} is not prime")
         if not _is_int(v):

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from hgtrace import cli, curve_lab
+from hgtrace import cli, curve_lab, field_core, modform_oracle
 from hgtrace.character_sums import SnapError, clausen_sweep, snap_tolerance
 from hgtrace.cli import _json_text, main
-from hgtrace.field_core import cached_ctx
+from hgtrace.field_core import DEFAULT_P_BOUND, cached_ctx, is_prime
 from hgtrace.hgm_data import OO, row_by_signature
-from hgtrace.modform_oracle import fixture_path, load_fixture_by_label
+from hgtrace.modform_oracle import (FixtureError, fixture_path, load_fixture,
+                                    load_fixture_by_label)
 from hgtrace.trace_engine import TraceReport, hecke_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -122,7 +123,7 @@ def test_bad_prime_is_usage_error(runner, args):
      "--lambda", "2"],
     ["sum", "np", "--alpha", "1/0,1/2", "--beta", "1,1", "--prime", "13",
      "--lambda", "3"],
-    ["count", "hesse", "--prime", "7", "--mu", "2", "--fp2"],
+    ["count", "universal-j", "--prime", "7", "--j", "2", "--fp2"],
     ["verify", "weil", "--max-prime", "5"],
     ["verify", "legendre", "--max-prime", "3"],
     ["verify", "all", "--max-prime", "6"],
@@ -141,8 +142,8 @@ def test_bad_prime_is_usage_error(runner, args):
     ["verify", "qm", "--max-prime", "61"],
     ["verify", "fm", "--prime", "13"],
     ["verify", "analytic", "--seed", "0"],
-    ["count", "hesse", "--prime", "7", "--mu", "2", "--j", "5"],
-    ["count", "conic", "--prime", "7", "--lambda", "3"],
+    ["count", "universal-j", "--prime", "7", "--j", "2", "--lambda", "5"],
+    ["count", "baba-granath", "--prime", "7", "--j", "2", "--lambda", "3"],
     ["count", "legendre", "--prime", "7", "--lambda", "2", "--branch", "1"],
     ["count", "legendre", "--prime", "7"],
     ["count", "genlegendre", "--prime", "13", "--n", "6", "--lambda", "2"],
@@ -164,7 +165,7 @@ def test_bad_prime_is_usage_error(runner, args):
         "verify-clausen-unread-max-prime", "verify-weil-unread-prime",
         "verify-legendre-unread-seed", "verify-qm-unread-max-prime",
         "verify-fm-unread-prime", "verify-analytic-unread-default-seed",
-        "count-hesse-unread-j", "count-conic-unread-lambda",
+        "count-universal-j-unread-lambda", "count-baba-granath-unread-lambda",
         "count-legendre-unread-default-branch", "count-legendre-missing-lambda",
         "count-genlegendre-missing-exps", "table-no-format-option",
         "count-baba-granath-branch-0", "count-baba-granath-branch-2",
@@ -189,6 +190,48 @@ def test_p_cap_is_checked_before_any_prime_runs(runner, monkeypatch, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "exceeds the configured bound 100000" in res.output
+
+
+@pytest.fixture()
+def no_primality_above_the_cap(monkeypatch):
+    """is_prime, wherever the package calls it, raises above the p cap."""
+    def guarded(n):
+        if n > DEFAULT_P_BOUND:
+            raise AssertionError(f"is_prime({n}) called above the p cap")
+        return is_prime(n)
+    for module in (field_core, cli, modform_oracle):
+        monkeypatch.setattr(module, "is_prime", guarded)
+
+
+BIG = "1000000000000000009"  # prime, 1 mod 12, far above the p cap
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "legendre", "--prime", "1000000000000000003", "--lambda", "2"],
+    ["trace", "--group", "2,4,6", "--weight", "8", "--prime", BIG],
+    ["trace", "--group", "2,4,6", "--weight", "8",
+     "--prime-range", "100000000000000000:100000000000000100"],
+    ["sum", "np", "--alpha", "1/2,1/2", "--beta", "1,1", "--prime", BIG, "--lambda", "3"],
+    ["sum", "hp", "--group", "2,4,6", "--prime", BIG, "--t", "5"],
+    ["verify", "clausen", "--prime", BIG],
+    ["calibrate", "bg-lambda", "--prime", BIG],
+], ids=["count", "trace-prime", "trace-range", "sum-np", "sum-hp", "verify", "calibrate"])
+@pytest.mark.usefixtures("no_primality_above_the_cap")
+def test_p_cap_is_checked_before_primality(runner, args):
+    """Trial division of a number far above the p cap would not finish, so the
+    cap is checked first and is_prime never sees such a number."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "exceeds the configured bound 100000" in res.output
+
+
+@pytest.mark.usefixtures("no_primality_above_the_cap")
+def test_fixture_key_above_the_p_cap_is_invalid(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"label": "big", "level": 6, "weight": 8,
+                                "ap": {"5": 0, "1000000000000000003": 0}}))
+    with pytest.raises(FixtureError, match="'1000000000000000003' exceeds the configured bound"):
+        load_fixture(path)
 
 
 def test_trace_range_of_skipped_primes_is_not_an_error(runner):
@@ -276,15 +319,9 @@ def test_analytic_command(runner):
     assert all(line.rsplit(",", 1)[1] == "True" for line in lines[1:])
 
 
-def test_count_conic(runner):
-    res = runner.invoke(main, ["count", "conic", "--prime", "13"])
-    assert res.exit_code == 0
-    assert ",14," in res.output.splitlines()[1] + ","
-
-
 @pytest.mark.parametrize("family, options", [
     ("genlegendre", "--n 6 --exps 4,3,1 --lambda 3"),
-    ("hesse", "--mu 2"),
+    ("universal-j", "--j 2"),
 ])
 def test_count_fp2_error_names_the_family(runner, family, options):
     res = runner.invoke(main, ["count", family, "--prime", "13", "--fp2", *options.split()])
@@ -302,18 +339,8 @@ def test_count_fp2_error_names_the_family(runner, family, options):
      "12824ed704700bb537c1dd420781f92703636b6dc7e2c10c38e850f263c183b2"),
     ("count universal-j --prime 101 --j 0",
      "c7f7c94a84150ff36e7754278221239379d3d71dc787c2935ba2fa330b0c24ca"),
-    ("count jacobi-quartic --prime 101 --sigma 3",
-     "5dfc04cffdbf3786e03821e226cb6e0a1341bcf253c4f4c7cfef5eeb32c0792b"),
-    ("count jacobi-quartic --prime 101 --sigma 1",
-     "b969cdd0dd42ca33724e90467d4c304cc182beef69faea07bb15d89db93e7f9a"),
-    ("count hesse --prime 101 --mu 2",
-     "fcb9e855a35a35842beed75cb1fb66e8404a00e633fd4787464a3c614f4495ef"),
-    ("count hesse --prime 3 --mu 2",
-     "d42f939d80f4a5fe08b9fef8a66787518cbf7b19c2d033c856c1190320eb2f03"),
     ("count genlegendre --prime 103 --n 6 --exps 4,3,1 --lambda all",
      "adc8107d815b25782b284937fa4fa50f5e706b41665db2a94c35b08d44f1b01a"),
-    ("count picard --prime 103 --lambda all",
-     "ebf114a1ed44b19b72be7561c3f0a74712a89dc7c7e35b08124029729f4900db"),
     ("count baba-granath --prime 101 --j 1",
      "cbf157e5efd3738aa4fcdf453bd4acade17f602a00544444e8bb14091b5c3bf2"),
     ("count baba-granath --prime 101 --j 1 --branch -1",
@@ -330,8 +357,6 @@ def test_count_fp2_error_names_the_family(runner, family, options):
      "169ef77009a269165de16d5759753273e50e404b3baf7e9314b82b80806561c9"),
     ("count baba-granath --prime 101 --j 0 --fp2",
      "a08bdee7a7487bd9f0045f23d6122e1e99357418f0e79e61006cefdd0fdc5549"),
-    ("count conic --prime 101",
-     "6a670f86db0ee56ed01c7e0d26d21bbbcb38d75e078f76b66d7dc73ca979c95c"),
 ])
 def test_count_stdout_matches_recorded_digest(runner, command, digest):
     """Every family's CSV, over F_p2 where it has a counter, on both branches
@@ -342,13 +367,24 @@ def test_count_stdout_matches_recorded_digest(runner, command, digest):
     assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
+def test_count_has_only_the_row_families(runner):
+    """count knows legendre, universal-j, genlegendre and baba-granath; the
+    families and options that checked no row are usage errors."""
+    for args in ("hesse", "jacobi-quartic", "picard", "conic",
+                 "legendre --lambda 2 --sigma 3", "legendre --lambda 2 --mu 2"):
+        res = runner.invoke(main, ["count", "--prime", "13", *args.split()])
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stdout == "", args
+        assert re.search(r"is not one of 'baba-granath', 'genlegendre', 'legendre', "
+                         r"'universal-j'\.$|No such option '--(sigma|mu)'\.$", res.output.strip()), args
+
+
 def test_count_families_match_the_counters(runner):
     """cli._FAMILIES and curve_lab.FAMILIES name the same families, and each
     counter takes exactly the keywords that count builds for it (the params
     column): every option the family reads, given."""
     assert set(cli._FAMILIES) == set(curve_lab.FAMILIES)
-    given = {"lam": "2", "j": "2", "sigma": "2", "mu": "2", "n_": "6", "exps": "4,3,1",
-             "branch": "-1"}
+    given = {"lam": "2", "j": "2", "n_": "6", "exps": "4,3,1", "branch": "-1"}
     opts = {param.name: param.opts[0] for param in cli.count.params}
     for family, read in cli._FAMILIES.items():
         args = [arg for name in read for arg in (opts[name], given[name])]

@@ -8,12 +8,10 @@ import pytest
 from hgtrace import curve_lab
 from hgtrace.character_sums import SnapError
 from hgtrace.curve_lab import (baba_granath_curve, baba_granath_qm_sweep,
-                               conic_points, count_genus2_fp, count_genus2_fp2,
-                               count_gen_legendre, count_hesse, count_legendre,
+                               count_genus2_fp, count_genus2_fp2,
+                               count_gen_legendre, count_legendre,
                                count_universal_j,
                                count_points, count_via_characters,
-                               igusa_clebsch_identity,
-                               jacobi_quartic_isomorphism_check,
                                legendre_trace_sweep, qm_consistency)
 from hgtrace.field_core import FieldError, build_quad_ext, cached_ctx, is_prime
 
@@ -189,18 +187,19 @@ def test_universal_j_literal_count():
             assert count_universal_j(ctx, j).n_points == affine + 1, (p, j)
 
 
-def test_picard_literal_count():
-    """Against (x, y) enumeration of y^3 = f(x); one place at infinity."""
-    for p in SMALL_PRIMES:
-        ctx = cached_ctx(p)
-        for lam in range(2, p):
-            cc = count_points("picard", ctx, lam=lam)
-            if not cc.good:
-                continue
-            mu = 1 - lam
-            affine = sum(1 for x in range(p) for y in range(p)
-                         if (y ** 3 - x * (x - 1) * (x - lam) * (x - mu)) % p == 0)
-            assert cc.n_points == affine + 1, (p, lam)
+def test_gen_legendre_literal_count():
+    """Against (x, y) enumeration of y^N = x^a (x-1)^b (x-lam)^c, on models
+    with gcd(N, p - 1) > 1 at some p: N is prime to a, b, c and a + b + c, so
+    each root and infinity has one place and n_points = #affine + 1."""
+    for N, a, b, c in ((3, 1, 1, 2), (4, 1, 1, 1), (6, 1, 1, 5)):
+        for p in SMALL_PRIMES:
+            ctx = cached_ctx(p)
+            y_powers = [pow(y, N, p) for y in range(p)]
+            for lam in range(2, p):
+                affine = sum(y_powers.count(x ** a * (x - 1) ** b * (x - lam) ** c % p)
+                             for x in range(p))
+                cc = count_gen_legendre(ctx, N, a, b, c, lam)
+                assert cc.n_points == affine + 1, (N, a, b, c, p, lam)
 
 
 def test_genus2_fp_literal_count(monkeypatch):
@@ -251,58 +250,6 @@ def test_universal_j(ctx13):
     assert not count_points("universal-j", ctx13, j=1728 % 13).good
 
 
-def test_jacobi_quartic_examples(ctx13):
-    assert jacobi_quartic_isomorphism_check(ctx13, 2)
-    with pytest.raises(Exception):
-        jacobi_quartic_isomorphism_check(ctx13, 5)  # 5^4 = 1 mod 13
-    for s in range(2, 13):
-        if s != 0 and pow(s, 4, 13) != 1:
-            assert jacobi_quartic_isomorphism_check(ctx13, s)
-
-
-def test_hesse_smoothness_and_twist_invariance():
-    ctx = cached_ctx(13)
-    zeta3 = pow(ctx.g, (13 - 1) // 3, 13)
-    for mu in range(13):
-        if pow(mu, 3, 13) == 1:
-            assert not count_hesse(ctx, mu).good
-            continue
-        c1 = count_hesse(ctx, mu)
-        c2 = count_hesse(ctx, zeta3 * mu % 13)
-        assert c1.good and c1.n_points == c2.n_points
-        assert c1.trace * c1.trace <= 4 * 13
-
-
-def _hesse_points(p, mu):
-    """x^3 + y^3 + z^3 = 3 mu xyz over P^2(F_p), point by point: every
-    (x : y : 1) of the p x p grid in one array, then (x : 1 : 0); (1 : 0 : 0) is
-    never on the curve."""
-    x = np.arange(p, dtype=np.int64)
-    cubes = x ** 3 % p
-    grid = (cubes[:, None] + cubes[None, :] + 1 - 3 * mu * np.outer(x, x)) % p
-    return int(np.count_nonzero(grid == 0)) + int(np.count_nonzero((cubes + 1) % p == 0))
-
-
-def test_hesse_weierstrass_count_matches_projective_loop():
-    for p in range(5, 140):
-        if is_prime(p):
-            ctx = cached_ctx(p)
-            for mu in range(p):
-                c = count_hesse(ctx, mu)
-                assert c.good == (pow(mu, 3, p) != 1), (p, mu)
-                if c.good:
-                    assert c.n_points == _hesse_points(p, mu), (p, mu)
-
-
-def test_hesse_characteristic_three_is_singular():
-    # x^3 + y^3 + z^3 - 3 mu xyz = (x + y + z)^3 in characteristic 3
-    ctx = cached_ctx(3)
-    for mu in range(3):
-        c = count_hesse(ctx, mu)
-        assert not c.good and c.trace is None
-        assert any(f.startswith("singular") for f in c.flags)
-
-
 def test_gen_legendre_two_routes(ctx13):
     for lam in range(2, 13):
         direct = count_points("genlegendre", ctx13, N=6, a=4, b=3, c=1, lam=lam)
@@ -344,31 +291,6 @@ def test_new_part_weil(ctx13):
                  for d in (2, 3, 6)}
         assert t == trace[6] - trace[3] - trace[2], lam
         assert abs(t) <= 4 * math.sqrt(p) + 1e-9
-
-
-def test_picard_full_count(ctx13):
-    cc = count_points("picard", ctx13, lam=3)
-    assert cc.good and "exploratory" in cc.flags[0]
-    # genus 3 Weil bound
-    assert abs(cc.trace) <= 6 * math.sqrt(13) + 1e-9
-
-
-def test_conic_counts():
-    for p in (5, 7, 13, 17):
-        assert conic_points(cached_ctx(p)) == p + 1
-
-
-def test_igusa_clebsch():
-    assert igusa_clebsch_identity(Fraction(2))
-    assert igusa_clebsch_identity(Fraction(1, 4))
-    assert igusa_clebsch_identity(Fraction(-1))
-    with pytest.raises(ZeroDivisionError):
-        igusa_clebsch_identity(Fraction(0))
-    rng = random.Random(0)
-    for _ in range(25):
-        j = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-        if j != 0:
-            assert igusa_clebsch_identity(j)
 
 
 def test_qm_consistency_t0_case():
@@ -515,12 +437,9 @@ def test_frobenius_quartic_weil(ctx13):
 
 
 def test_count_points_dispatch(ctx13):
-    assert count_points("conic", ctx13).n_points == 14
     assert count_points("legendre", ctx13, lam=2).good
-    assert count_points("hesse", ctx13, mu=2).good
-    assert count_points("jacobi-quartic", ctx13, sigma=2).good
     bg = count_points("baba-granath", ctx13, j=2)
     assert bg.q == 13
     assert count_points("baba-granath", ctx13.ext, j=2).q == 169
-    with pytest.raises(FieldError, match="^hesse has no F_p2 counter$"):
-        count_points("hesse", ctx13.ext, mu=2)
+    with pytest.raises(FieldError, match="^universal-j has no F_p2 counter$"):
+        count_points("universal-j", ctx13.ext, j=2)
