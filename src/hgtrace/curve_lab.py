@@ -19,7 +19,11 @@ under two exact guards, and a single Legendre count reads its trace from that
 sweep. Over F_{p^2} a batch of curves is at most two passes over the points,
 each curve a row of float64 matmuls that are exact below 2^53: one pass for
 the curves with coefficients in F_p, which covers half of F_{p^2} since x and
-its conjugate give conjugate values of f, and one for the rest.
+its conjugate give conjugate values of f, and one for the rest. The two
+s-branches of a Baba-Granath sextic at j are isomorphic over F_{p^2} under
+x -> t/x, so baba_granath_qm_sweep counts one of them there and the other
+reads that count, once its coefficients are checked to be exactly the
+transform (any sextic that fails the check is counted itself).
 
 The Baba-Granath genus-2 sextics are written down in closed form. Their
 discriminant vanishes for p > 5 only at the two j that baba_granath_curve
@@ -454,16 +458,33 @@ def qm_consistency(n1: int, n2: int, p: int) -> QMResult:
     return QMResult(t, True, "ok")
 
 
+def _inverted_sextic(p: int, j: int, f) -> tuple:
+    """t^-3 x^6 f(t/x) with t = -2(27j + 16), for a sextic f given as F_p2
+    pairs from degree 6 down to 0: coefficient i is t^(i - 3) f[6 - i], taken
+    on both parts of each pair. On the Baba-Granath sextic at j it maps the
+    branch s onto the branch -s (baba_granath_qm_sweep)."""
+    t = -2 * (27 * j + 16) % p
+    return tuple((re * w % p, im * w % p)
+                 for (re, im), w in zip(reversed(f), (pow(t, i - 3, p) for i in range(7))))
+
+
 def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
     """qm_consistency on both s-branches at every j in js; one list of
     (branch, QMResult) per j, aligned with js.
 
-    The F_p and F_{p^2} counts of all the curves defined over F_p are one
-    count_genus2_fp and one count_genus2_fp2 call.
+    The F_p counts of all the curves defined over F_p are one count_genus2_fp
+    call, and their F_{p^2} counts one count_genus2_fp2 call. Over F_{p^2}
+    the two branches at j are one curve: with t = -2(27j + 16), the rows u
+    and v of baba_granath_curve give x^6 f_+(t/x) = t^3 f_-(x), and t is a
+    square in F_{p^2}, so (x, y) -> (t/x, y t^(3/2) / x^3) is an isomorphism
+    that swaps x = 0 with the places at infinity. The -1 branch reads the +1
+    branch's F_{p^2} count when its coefficients equal _inverted_sextic of the
+    +1 sextic exactly; any other sextic is counted in the same call.
     """
-    scans, pending = [], []
+    p = ctx.p
+    scans, pending, fp2_rows = [], [], []
     for j in js:
-        scan = []
+        scan, plus = [], None
         for branch in (1, -1):
             coeffs, field_tag, flags = baba_granath_curve(ctx, j, branch)
             if coeffs is None:
@@ -472,14 +493,17 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
                 res = QMResult(None, False, "curve only defined over F_p2")
             else:
                 res = None
-                pending.append((scan, len(scan), coeffs))
+                if plus is None or coeffs != _inverted_sextic(p, j, plus):
+                    fp2_rows.append(coeffs)
+                plus = coeffs
+                pending.append((scan, len(scan), coeffs, len(fp2_rows) - 1))
             scan.append((branch, res))
         scans.append(scan)
     if pending:
-        sextics = [coeffs for _scan, _i, coeffs in pending]
-        n1s, n2s = count_genus2_fp(ctx, sextics), count_genus2_fp2(ctx, sextics)
-        for (scan, i, _coeffs), n1, n2 in zip(pending, n1s, n2s):
-            scan[i] = (scan[i][0], qm_consistency(n1, n2, ctx.p))
+        n1s = count_genus2_fp(ctx, [coeffs for _scan, _i, coeffs, _row in pending])
+        n2s = count_genus2_fp2(ctx, fp2_rows)
+        for (scan, i, _coeffs, row), n1 in zip(pending, n1s):
+            scan[i] = (scan[i][0], qm_consistency(n1, n2s[row], p))
     return scans
 
 

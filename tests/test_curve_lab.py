@@ -12,7 +12,7 @@ from hgtrace.curve_lab import (baba_granath_curve, baba_granath_qm_sweep,
                                count_gen_legendre, count_legendre,
                                count_universal_j,
                                count_points, count_via_characters,
-                               legendre_trace_sweep, qm_consistency)
+                               legendre_trace_sweep, QMResult, qm_consistency)
 from hgtrace.field_core import FieldError, build_quad_ext, cached_ctx, is_prime
 
 
@@ -396,14 +396,143 @@ def test_baba_granath_curve_is_the_rows():
                 assert list(coeffs) == want
 
 
-def test_baba_granath_branches_consistent(ctx13):
-    """Both s-branches give the same F_p2 count (they are conjugate twists)."""
-    for j in range(1, 13):
-        if (27 * j + 16) % 13 == 0:
-            continue
-        n2_plus, n2_minus = count_genus2_fp2(
-            ctx13, [baba_granath_curve(ctx13, j, branch)[0] for branch in (1, -1)])
-        assert n2_plus == n2_minus
+BG_PRIMES = [p for p in range(7, 110) if is_prime(p)]
+
+
+def test_baba_granath_branches_are_inverted_sextics():
+    """x^6 f_+(t/x) = t^3 f_-(x) with t = -2(27j + 16). Over Z[t] the row u is
+    palindromic and v anti-palindromic under x -> t/x: both sides have degree
+    <= 9 in t, so 10 values of t prove it. Mod p, the -1 sextic is exactly
+    _inverted_sextic of the +1 sextic at every non-degenerate j, over F_p and
+    over F_p2."""
+    for t in range(1, 11):
+        u, v = _bg_rows(t)
+        for i in range(7):
+            assert t ** i * u[6 - i] == t ** 3 * u[i], (t, i)
+            assert t ** i * v[6 - i] == -t ** 3 * v[i], (t, i)
+    for p in BG_PRIMES:
+        ctx = cached_ctx(p)
+        tags = set()
+        for j in range(1, p):
+            plus, tag, _flags = baba_granath_curve(ctx, j, 1)
+            minus, _tag, _flags = baba_granath_curve(ctx, j, -1)
+            if plus is None:
+                assert minus is None
+                continue
+            tags.add(tag)
+            assert minus == curve_lab._inverted_sextic(p, j, plus), (p, j)
+            assert plus == curve_lab._inverted_sextic(p, j, minus), (p, j)
+        assert tags == {"F_p", "F_p2"}, p
+
+
+def test_baba_granath_branches_consistent():
+    """Both s-branches give the same F_p2 count at every non-degenerate j and
+    every prime 7 <= p < 110, over F_p and over F_p2 (x -> t/x maps one curve
+    onto the other); each branch is counted in its own count_genus2_fp2 call."""
+    for p in BG_PRIMES:
+        ctx = cached_ctx(p)
+        js = [j for j in range(1, p) if baba_granath_curve(ctx, j)[0] is not None]
+        plus, minus = (count_genus2_fp2(ctx, [baba_granath_curve(ctx, j, branch)[0]
+                                              for j in js])
+                       for branch in (1, -1))
+        assert plus == minus, p
+
+
+def direct_qm_scans(ctx, js, one_call_per_sextic=True):
+    """baba_granath_qm_sweep's scans, each sextic over F_p counted on its own
+    (or each branch's sextics in one call) and no count shared between
+    branches."""
+    scans, pending = [], {1: [], -1: []}
+    for j in js:
+        scan = []
+        for branch in (1, -1):
+            coeffs, tag, flags = baba_granath_curve(ctx, j, branch)
+            if coeffs is None:
+                res = QMResult(None, False, "; ".join(flags))
+            elif tag != "F_p":
+                res = QMResult(None, False, "curve only defined over F_p2")
+            else:
+                res = None
+                pending[branch].append((scan, len(scan), coeffs))
+            scan.append((branch, res))
+        scans.append(scan)
+    for rows in pending.values():
+        sextics = [coeffs for _scan, _i, coeffs in rows]
+        if one_call_per_sextic:
+            n1s = [count_genus2_fp(ctx, [f])[0] for f in sextics]
+            n2s = [count_genus2_fp2(ctx, [f])[0] for f in sextics]
+        else:
+            n1s, n2s = count_genus2_fp(ctx, sextics), count_genus2_fp2(ctx, sextics)
+        for (scan, i, _coeffs), n1, n2 in zip(rows, n1s, n2s):
+            scan[i] = (scan[i][0], qm_consistency(n1, n2, ctx.p))
+    return scans
+
+
+@pytest.mark.parametrize("p", [29, 37, 41, 53, 61])
+def test_qm_sweep_matches_direct_counts(p):
+    """The sweep, which reads the -1 branch's F_p2 count off the +1 branch,
+    gives the QMResult of per-sextic direct counts at every (j, branch)."""
+    ctx = cached_ctx(p)
+    js = range(1, p)
+    want = direct_qm_scans(ctx, js)
+    assert baba_granath_qm_sweep(ctx, js) == want
+    results = [res for scan in want for _branch, res in scan]
+    assert any(res.t is not None for res in results), p
+
+
+@pytest.mark.slow
+def test_qm_sweep_matches_direct_counts_at_397():
+    """The same at p = 397 over all 396 sextics defined over F_p, each branch
+    counted in its own calls; verify qm's digest at 397 pins only "0
+    passing", and QMResult.detail names every n2 that fails."""
+    ctx = cached_ctx(397)
+    js = range(1, 397)
+    want = direct_qm_scans(ctx, js, one_call_per_sextic=False)
+    assert sum(res.t is not None for scan in want for _branch, res in scan) == 396
+    assert baba_granath_qm_sweep(ctx, js) == want
+
+
+def test_qm_sweep_counts_an_off_family_branch_itself(monkeypatch):
+    """Count reuse is gated by the exact identity: with the -1 sextic at one j
+    moved off the family (constant coefficient + 1), the sweep sends it to
+    count_genus2_fp2 as one more row, and its QMResult is that of its own
+    direct counts."""
+    p = 29
+    ctx = cached_ctx(p)
+    js = list(range(1, p))
+    real_curve, real_fp2 = curve_lab.baba_granath_curve, curve_lab.count_genus2_fp2
+
+    def moved(j):
+        coeffs = real_curve(ctx, j, -1)[0]
+        return coeffs[:-1] + (((coeffs[-1][0] + 1) % p, coeffs[-1][1]),)
+
+    # a j at which the moved sextic's F_p2 count differs from the family's,
+    # so a reused count would give a different QMResult
+    j0 = next(j for j in js if baba_granath_curve(ctx, j)[1] == "F_p"
+              and real_fp2(ctx, [moved(j)]) != real_fp2(ctx, [real_curve(ctx, j)[0]]))
+
+    def off_family(ctx, j, branch=1):
+        coeffs, tag, flags = real_curve(ctx, j, branch)
+        return (moved(j) if (j, branch) == (j0, -1) else coeffs), tag, flags
+
+    rows = []
+
+    def spy(ctx, sextics):
+        rows.append(list(sextics))
+        return real_fp2(ctx, sextics)
+
+    monkeypatch.setattr(curve_lab, "count_genus2_fp2", spy)
+    base = baba_granath_qm_sweep(ctx, js)
+    monkeypatch.setattr(curve_lab, "baba_granath_curve", off_family)
+    skewed = baba_granath_qm_sweep(ctx, js)
+    assert len(rows) == 2 and len(rows[1]) == len(rows[0]) + 1
+    assert moved(j0) in rows[1] and moved(j0) not in rows[0]
+    n1, = count_genus2_fp(ctx, [moved(j0)])
+    n2, = real_fp2(ctx, [moved(j0)])
+    i0 = js.index(j0)
+    assert skewed[i0] == [base[i0][0], (-1, qm_consistency(n1, n2, p))]
+    assert skewed[i0] != base[i0]
+    assert skewed[:i0] + skewed[i0 + 1:] == base[:i0] + base[i0 + 1:]
 
 
 def test_baba_granath_fp_trace_zero(ctx13):
