@@ -12,18 +12,17 @@ Specialized to hyperelliptic sextics this is the familiar rule "2 points at
 infinity iff the leading coefficient is a square" (1 for a quintic), and a
 simple zero of f always contributes exactly one place.
 
-The counts over F_p are direct sums, O(p) per curve and a batch of curves
-one Horner pass, except the Legendre family: its traces for every lambda at
-once are one cyclic correlation mod p, O(p log p) by real FFTs and rounded
-under two exact guards, and a single Legendre count reads its trace from that
-sweep. Over F_{p^2} a batch of curves is at most two passes over the points,
-each curve a row of float64 matmuls that are exact below 2^53: one pass for
-the curves with coefficients in F_p, which covers half of F_{p^2} since x and
-its conjugate give conjugate values of f, and one for the rest. The two
+The counts over F_p are direct sums, O(p) per curve: a batch of y^2 curves
+is one Horner pass, and a superelliptic model at every lambda of a prime one
+blocked (lambda, x) grid, counted by dlog sums and again by characters. The
+Legendre traces for every lambda are one cyclic correlation mod p instead,
+O(p log p) by real FFTs under two exact guards. Over F_{p^2} a batch of
+curves is at most two passes over the points, each curve a row of float64
+matmuls exact below 2^53: the curves with coefficients in F_p need only half
+of F_{p^2}, since x and its conjugate give conjugate values of f. The two
 s-branches of a Baba-Granath sextic at j are isomorphic over F_{p^2} under
 x -> t/x, so baba_granath_qm_sweep counts one of them there and the other
-reads that count, once its coefficients are checked to be exactly the
-transform (any sextic that fails the check is counted itself).
+reads that count once its coefficients are checked to be the transform.
 
 The Baba-Granath genus-2 sextics are written down in closed form. Their
 discriminant vanishes for p > 5 only at the two j that baba_granath_curve
@@ -59,12 +58,12 @@ class CurveCount:
 
 
 # ---------------------------------------------------------------------------
-# y^2 = f(x) and y^N = prod (x - r)^m, each counted by one vectorized sum
+# y^2 = f(x), each counted by one vectorized sum
 
 
-# The counters evaluate a block of (row, point) pairs at a time, about this
-# many, so a block adds a few MB to the process at any p. Over F_{p^2} the
-# power basis's rows count with the coefficient rows.
+# The counters evaluate a block of (row, point) or (lam, x) pairs at a time,
+# about this many, so a block adds a few MB to the process at any p. Over
+# F_{p^2} the power basis's rows count with the coefficient rows.
 _BLOCK = 2 ** 16
 
 
@@ -169,49 +168,6 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     return (p * p + chi_sum + at_inf).tolist()
 
 
-def places_at_branch(ctx: PrimeFieldCtx, u0: int, m: int, N: int) -> int:
-    """Rational places above a point with local model y^N = u0 * s^m.
-
-    They are the w in F_p with w^e = u0, where e = gcd(N, m): gcd(e, p - 1)
-    of them when u0 is an e-th power, and none otherwise.
-    """
-    d = gcd(N, m, ctx.p - 1)
-    return d if int(ctx.dlog[u0 % ctx.p]) % d == 0 else 0
-
-
-def _boundary_places(ctx: PrimeFieldCtx, N: int, roots) -> int:
-    """Places of the smooth model of y^N = prod (x - r)^m above its roots and
-    infinity; roots lists distinct (r, m) pairs with r in [0, p)."""
-    p = ctx.p
-    cnt = 0
-    for x0, m in roots:
-        u0 = 1
-        for x1, m1 in roots:
-            if x1 != x0:
-                u0 = u0 * pow(x0 - x1, m1, p) % p
-        cnt += places_at_branch(ctx, u0, m, N)
-    return cnt + places_at_branch(ctx, 1, sum(m for _r, m in roots), N)  # monic at infinity
-
-
-def _superelliptic_count(ctx: PrimeFieldCtx, N: int, roots) -> int:
-    """Places of the smooth model of y^N = prod (x - r)^m over F_p.
-
-    Off the roots, the fiber over x has e = gcd(N, p - 1) points when
-    sum m * dlog(x - r) is 0 mod e and none otherwise; that sum is one vector
-    over all x. Above the roots and infinity, _boundary_places.
-    """
-    p = ctx.p
-    e = gcd(N, p - 1)
-    x = np.arange(p, dtype=np.int64)
-    off_roots = np.ones(p, dtype=bool)
-    d = np.zeros(p, dtype=np.int64)
-    for r, m in roots:
-        off_roots[r] = False
-        d += (m % e) * ctx.dlog[(x - r) % p]
-    return (e * int(np.count_nonzero(d[off_roots] % e == 0))
-            + _boundary_places(ctx, N, roots))
-
-
 # ---------------------------------------------------------------------------
 # Family counters over F_p
 
@@ -300,59 +256,103 @@ def count_universal_j(ctx: PrimeFieldCtx, j: int) -> CurveCount:
 # Superelliptic y^N = x^a (x-1)^b (x-lam)^c
 
 
+def _lam_grids(table, lams):
+    """Blocks of about _BLOCK entries of the (lam, x) grid table[(x - lam) % p],
+    each lam's row copied from a window (only read) over table written twice."""
+    p, twice = len(table), np.concatenate([table, table])
+    window = np.lib.stride_tricks.as_strided(twice, (p + 1, p), twice.strides * 2)
+    step = max(1, _BLOCK // p)
+    for i in range(0, max(len(lams), 1), step):
+        yield window[p - lams[i:i + step]]
+
+
+def _superelliptic_args(p, exps, lams):
+    """Exponents mod p - 1 (each factor counted is a unit), lams as int64 mod p."""
+    lams = np.asarray(lams, dtype=np.int64) % p
+    if (lams < 2).any():
+        raise FieldError("lambda in {0, 1} is a bad-reduction fiber")
+    return [m % (p - 1) for m in exps], lams
+
+
+def _boundary_places(ctx, N, a, b, c, lams):
+    """Places above 0, 1, lam and infinity per lam: d = gcd(N, m, p - 1) above a
+    root of multiplicity m when d divides dlog of its unit u0, else none. A
+    negative index i reads dlog[i + p]."""
+    p, dlog = ctx.p, ctx.dlog
+    cnt = gcd(N, a + b + c, p - 1)  # infinity, where the model is monic
+    for m, log_u0 in ((a, b * dlog[-1] + c * dlog[-lams]),  # u0 = (-1)^b (-lam)^c
+                      (b, c * dlog[1 - lams]),
+                      (c, a * dlog[lams] + b * dlog[lams - 1])):
+        d = gcd(N, m, p - 1)
+        cnt += d * (log_u0 % d == 0)
+    return cnt
+
+
+def gen_legendre_counts(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
+                        lams) -> np.ndarray:
+    """Smooth-model counts of y^N = x^a (x-1)^b (x-lam)^c over F_p, one per lam.
+
+    Off the roots the fiber over x has e = gcd(N, p - 1) points when
+    a dlog x + b dlog(x - 1) + c dlog(x - lam) is 0 mod e, else none: one
+    vector over x against a (lam, x) grid (_lam_grids), so each lam is O(p)
+    and every lam of a prime one pass. Above the roots, _boundary_places.
+    """
+    p = ctx.p
+    (a, b, c), lams = _superelliptic_args(p, (a, b, c), lams)
+    e = gcd(N, p - 1)
+    dl = ctx.dlog % e
+    # dl[x - 1] is dlog(x - 1), index -1 wrapping to p - 1; the value e matches
+    # nothing: it marks x = 0, 1 on one side and x = lam on the other
+    want, have = -(a * dl + b * dl[np.arange(-1, p - 1)]) % e, c * dl % e
+    want[:2] = have[0] = e
+    fibers = [np.count_nonzero(grid == want, axis=1) for grid in _lam_grids(have, lams)]
+    return e * np.concatenate(fibers) + _boundary_places(ctx, N, a, b, c, lams)
+
+
 def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
                        lam: int) -> CurveCount:
-    """Smooth-model count of y^N = x^a (x-1)^b (x-lam)^c over F_p."""
+    """The one-lam row of gen_legendre_counts, as a CurveCount."""
     p = ctx.p
     lam %= p
-    if lam in (0, 1):
-        return CurveCount(p, 0, None, good=False,
-                          flags=("bad reduction: lambda in {0, 1}",))
-    if N % p == 0:
-        return CurveCount(p, 0, None, good=False, flags=("p divides N",))
-    cnt = _superelliptic_count(ctx, N, ((0, a), (1, b), (lam, c)))
+    if lam in (0, 1) or N % p == 0:
+        flag = "bad reduction: lambda in {0, 1}" if lam in (0, 1) else "p divides N"
+        return CurveCount(p, 0, None, good=False, flags=(flag,))
+    cnt = int(gen_legendre_counts(ctx, N, a, b, c, [lam])[0])
     return CurveCount(p, cnt, p + 1 - cnt)
 
 
-def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
-                         lam: int):
-    """Character-decomposed count of the same smooth model.
+def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int, lams):
+    """The counts of gen_legendre_counts by characters, for p = 1 mod N: off the
+    roots the fiber count is sum_k chi^k(f(x)) over the chi^k with chi^N = 1.
 
-    The off-zero fiber count is rewritten as the sum over the N characters chi
-    with chi^N trivial of S_k = sum_x chi^k(f(x)); the boundary places are the
-    same normalization constants as count_gen_legendre. Returns the CurveCount
-    plus the per-character sums and the primitive ("new") part.
+    f(x) is a product mod p: x^a (x-1)^b once, (x - lam)^c a (lam, x) grid
+    of the table of k^c. chi^k(f) reads dlog f mod N, so one bincount per
+    block of row * (N + 1) + class gives every lam's histogram, and
+    S_k = sum_r hist[r] zeta^(k eN r) is one matmul. Returns per-lam arrays:
+    n_points, the sums S (len(lams) x N) and the "new" parts, the sums of S_k
+    over k prime to N.
     """
     p = ctx.p
-    lam %= p
     if (p - 1) % N:
         raise FieldError(f"p = {p} is not 1 mod N = {N}")
-    if lam in (0, 1):
-        raise FieldError("lambda in {0, 1} is a bad-reduction fiber")
-    for m in (a, b, c, a + b + c):
-        if m % N == 0:
-            raise FieldError("datum violates N not dividing a, b, c, a+b+c")
-    # f(x) by int64 products mod p over x not in {0, 1, lam}, where every
-    # factor is a unit (so exponents reduce mod p - 1); chi^k(f(x)) reads
-    # dlog f(x) only mod N, so S_k = sum_r hist[r] zeta^(k eN r)
-    x = np.arange(2, p, dtype=np.int64)
-    x = x[x != lam]
-    f = np.ones_like(x)
-    for base, e in ((x, a), (x - 1, b), ((x - lam) % p, c)):
-        e %= p - 1
-        while e:
-            if e & 1:
-                f = f * base % p
-            base = base * base % p
-            e >>= 1
-    hist = np.bincount(ctx.dlog[f] % N, minlength=N)
-    eN, r = (p - 1) // N, np.arange(N)
-    sums = {k: complex(hist @ ctx.zeta[k * eN * r % (p - 1)]) for k in range(N)}
-    total = sum(sums.values())
-    n_points = round(total.real) + _boundary_places(ctx, N, ((0, a), (1, b), (lam, c)))
-    new_part = sum(sums[k] for k in range(1, N) if gcd(k, N) == 1)
-    return (CurveCount(p, n_points, p + 1 - n_points),
-            sums, new_part)
+    if any(m % N == 0 for m in (a, b, c, a + b + c)):
+        raise FieldError("datum violates N not dividing a, b, c, a+b+c")
+    (a, b, c), lams = _superelliptic_args(p, (a, b, c), lams)
+    f_ab = np.array([pow(x, a, p) * pow(x - 1, b, p) % p for x in range(p)])
+    g_c = np.array([pow(x, c, p) for x in range(p)])
+    f_ab[:2] = g_c[0] = 0  # f = 0 just at x = 0, 1, lam: class N, a dropped bin
+    class_N = ctx.dlog % N
+    class_N[0] = N
+    hist = []
+    for grid in _lam_grids(g_c, lams):
+        n = len(grid)
+        code = class_N[_reduce(grid * f_ab, p)] + (N + 1) * np.arange(n)[:, None]
+        hist.append(np.bincount(code.ravel(), minlength=n * (N + 1)).reshape(n, N + 1)[:, :N])
+    r = np.arange(N)
+    sums = np.concatenate(hist) @ ctx.zeta[np.outer(r, r) * ((p - 1) // N) % (p - 1)]
+    n_points = np.rint(sums.sum(axis=1).real).astype(np.int64)
+    return (n_points + _boundary_places(ctx, N, a, b, c, lams), sums,
+            sums[:, [k for k in range(1, N) if gcd(k, N) == 1]].sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

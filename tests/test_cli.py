@@ -274,6 +274,24 @@ def test_count_genlegendre_places_at_branch(runner):
     assert (row[4], row[5]) == ("12", "0")
 
 
+@pytest.mark.parametrize("route", ["gen_legendre_counts", "count_via_characters"])
+def test_verify_genlegendre_names_the_first_mismatch(runner, monkeypatch, route):
+    """With one route's count off by 1 at lam = 5 and lam = 9, verify
+    genlegendre --prime 13 exits 1 and names lam = 5."""
+    real = getattr(cli, route)
+
+    def skewed(ctx, N, a, b, c, lams):
+        out = real(ctx, N, a, b, c, lams)
+        (out[0] if isinstance(out, tuple) else out)[np.isin(lams, (5, 9))] += 1
+        return out
+
+    monkeypatch.setattr(cli, route, skewed)
+    res = runner.invoke(main, ["verify", "genlegendre", "--prime", "13"])
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["results"] == [
+        {"suite": "genlegendre", "passed": False, "detail": "count mismatch p=13 lam=5"}]
+
+
 def test_count_legendre_fp2_flags_singular_fibers(runner):
     res = runner.invoke(main, ["count", "legendre", "--prime", "13",
                                "--lambda", "0,1,2", "--fp2"])

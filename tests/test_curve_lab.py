@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,8 @@ from hgtrace.curve_lab import (baba_granath_curve, baba_granath_qm_sweep,
                                count_gen_legendre, count_legendre,
                                count_universal_j,
                                count_points, count_via_characters,
-                               legendre_trace_sweep, QMResult, qm_consistency)
+                               gen_legendre_counts, legendre_trace_sweep,
+                               QMResult, qm_consistency)
 from hgtrace.field_core import FieldError, build_quad_ext, cached_ctx, is_prime
 
 
@@ -187,19 +190,61 @@ def test_universal_j_literal_count():
             assert count_universal_j(ctx, j).n_points == affine + 1, (p, j)
 
 
-def test_gen_legendre_literal_count():
-    """Against (x, y) enumeration of y^N = x^a (x-1)^b (x-lam)^c, on models
-    with gcd(N, p - 1) > 1 at some p: N is prime to a, b, c and a + b + c, so
-    each root and infinity has one place and n_points = #affine + 1."""
-    for N, a, b, c in ((3, 1, 1, 2), (4, 1, 1, 1), (6, 1, 1, 5)):
-        for p in SMALL_PRIMES:
-            ctx = cached_ctx(p)
-            y_powers = [pow(y, N, p) for y in range(p)]
-            for lam in range(2, p):
-                affine = sum(y_powers.count(x ** a * (x - 1) ** b * (x - lam) ** c % p)
-                             for x in range(p))
-                cc = count_gen_legendre(ctx, N, a, b, c, lam)
-                assert cc.n_points == affine + 1, (N, a, b, c, p, lam)
+def _literal_places(p, N, a, b, c, lam):
+    """Places of the smooth model of y^N = x^a (x-1)^b (x-lam)^c, enumerated:
+    the (x, y) off the roots, and above each root of multiplicity m with unit
+    u0 (and above infinity, m = a + b + c and u0 = 1) the w with
+    w^gcd(N, m) = u0."""
+    nth = Counter(pow(y, N, p) for y in range(p))
+    roots = ((0, a), (1, b), (lam, c))
+    n = sum(nth[x ** a * (x - 1) ** b * (x - lam) ** c % p]
+            for x in range(p) if x not in (0, 1, lam))
+    for r, m in roots + ((None, a + b + c),):
+        u0 = 1 if r is None else math.prod((r - r1) ** m1 for r1, m1 in roots if r1 != r) % p
+        n += sum(1 for w in range(1, p) if pow(w, math.gcd(N, m), p) == u0)
+    return n
+
+
+def test_gen_legendre_literal_count(monkeypatch):
+    """Both routes at every lam against _literal_places, at every small p (the
+    character route where p = 1 mod N), and each count_gen_legendre is its
+    lam's row of the sweep; again with blocks of 64 (lam, x) entries, which
+    split the lams of a p, the last block partial. The last three models have
+    gcd(N, m, p - 1) = 2 at one root, whose places (two or none) turn on
+    whether its unit u0 is a square, so a sign slip in u0 shows."""
+    for block in (curve_lab._BLOCK, 64):
+        monkeypatch.setattr(curve_lab, "_BLOCK", block)
+        for N, a, b, c in ((6, 4, 3, 1), (3, 1, 1, 2), (4, 1, 1, 1), (6, 1, 1, 5),
+                           (4, 2, 1, 3), (4, 1, 2, 3), (4, 3, 1, 2)):
+            for p in SMALL_PRIMES:
+                ctx, lams = cached_ctx(p), range(2, p)
+                want = [_literal_places(p, N, a, b, c, lam) for lam in lams]
+                assert gen_legendre_counts(ctx, N, a, b, c, lams).tolist() == want, (N, p)
+                assert [count_gen_legendre(ctx, N, a, b, c, lam).n_points
+                        for lam in lams] == want, (N, p)
+                if (p - 1) % N == 0:
+                    n_points, sums, new = count_via_characters(ctx, N, a, b, c, lams)
+                    assert n_points.tolist() == want, (N, p, block)
+                    assert sums.shape == (p - 2, N) and new.shape == (p - 2,)
+
+
+def test_gen_legendre_routes_peak_memory_is_a_few_blocks():
+    """verify genlegendre's two calls at p = 1009 build their (lam, x) grid a
+    block of about _BLOCK entries at a time: each call peaks under six int64
+    arrays of _BLOCK entries (3.1 MB), where one int64 array of the whole
+    1007 x 1009 grid is 8.1 MB."""
+    p = 1009
+    ctx, lams = cached_ctx(p), np.arange(2, p)
+    for route in (gen_legendre_counts, count_via_characters):
+        route(ctx, 6, 4, 3, 1, lams)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            route(ctx, 6, 4, 3, 1, lams)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * curve_lab._BLOCK, (route.__name__, peak)
 
 
 def test_genus2_fp_literal_count(monkeypatch):
@@ -251,13 +296,13 @@ def test_universal_j(ctx13):
 
 
 def test_gen_legendre_two_routes(ctx13):
-    for lam in range(2, 13):
+    viachars, sums, _new = count_via_characters(ctx13, 6, 4, 3, 1, range(2, 13))
+    for i, lam in enumerate(range(2, 13)):
         direct = count_points("genlegendre", ctx13, N=6, a=4, b=3, c=1, lam=lam)
-        viachars, sums, new = count_via_characters(ctx13, 6, 4, 3, 1, lam)
         assert direct.good
-        assert direct.n_points == viachars.n_points
+        assert direct.n_points == viachars[i]
         # the trivial-character sum is the affine line minus excluded fibers
-        assert round(sums[0].real) == 13 - 3
+        assert round(sums[i, 0].real) == 13 - 3
 
 
 def test_gen_legendre_degenerate_N1(ctx13):
@@ -267,15 +312,15 @@ def test_gen_legendre_degenerate_N1(ctx13):
 
 def test_gen_legendre_second_family(ctx13):
     # a different admissible (N, a, b, c): both routes still agree
-    for lam in range(2, 13):
+    viachars, _s, _n = count_via_characters(ctx13, 3, 2, 1, 1, range(2, 13))
+    for i, lam in enumerate(range(2, 13)):
         direct = count_points("genlegendre", ctx13, N=3, a=2, b=1, c=1, lam=lam)
-        viachars, _s, _n = count_via_characters(ctx13, 3, 2, 1, 1, lam)
-        assert direct.n_points == viachars.n_points
+        assert direct.n_points == viachars[i]
 
 
 def test_gen_legendre_congruence_guard(ctx11):
     with pytest.raises(Exception):
-        count_via_characters(ctx11, 6, 4, 3, 1, 3)  # 11 != 1 mod 6
+        count_via_characters(ctx11, 6, 4, 3, 1, [3])  # 11 != 1 mod 6
 
 
 def test_new_part_weil(ctx13):
@@ -283,8 +328,8 @@ def test_new_part_weil(ctx13):
     -new_part: the Mobius combination of the subcover traces over d | 6, and
     within the Weil bound of its two dimensions."""
     p = 13
-    for lam in range(2, p):
-        _cc, _sums, new = count_via_characters(ctx13, 6, 4, 3, 1, lam)
+    _n, _sums, new_parts = count_via_characters(ctx13, 6, 4, 3, 1, range(2, p))
+    for lam, new in zip(range(2, p), new_parts):
         t = -round(new.real)
         assert abs(new + t) < 1e-9
         trace = {d: p + 1 - count_gen_legendre(ctx13, d, 4, 3, 1, lam).n_points
