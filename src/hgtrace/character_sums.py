@@ -1,5 +1,9 @@
-"""The bracket symbol, the nP(n-1) period sum, the calibrated finite-field
+"""The bracket symbol, the nP(n-1) period sum, the finite-field
 hypergeometric function H_p, and the finite-field Clausen check.
+
+H_p is the period sum times a sign and a power of p. Each triangle-group row
+persists that normalization, and trace_engine reads the row's local traces
+off the normalized period sums.
 
 Values are carried as double-precision complex numbers and snapped to exact
 integers (or rationals with a p-power denominator) when a quantity is known to
@@ -25,8 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-from .field_core import (CongruenceError, FieldError, MultCharacter, PrimeFieldCtx,
-                         build_ctx, is_prime)
+from .field_core import CongruenceError, FieldError, MultCharacter, PrimeFieldCtx, is_prime
 from .hgm_data import HGDatum, is_defined_over_Q, level
 
 
@@ -165,11 +168,7 @@ def np_sum(A: list[MultCharacter], B: list[MultCharacter], lam: int) -> Algebrai
 
 
 # ---------------------------------------------------------------------------
-# Calibrated H_p
-
-
-class CalibrationError(ArithmeticError):
-    """No unique (sign, weight) satisfies the integrality invariants."""
+# H_p
 
 
 def datum_char_exponents(hd: HGDatum, ctx: PrimeFieldCtx):
@@ -193,8 +192,8 @@ def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int, sign: int, weight: int,
            table: BracketTable | None = None) -> AlgebraicValue:
     """H_p(hd; t) = sign * p^(-weight) * (period sum at t), for p = 1 mod level.
 
-    The (sign, weight) normalization is fixed per datum by calibrate_hp_weight and
-    persisted on the triangle-group table rows. Only data defined over Q are
+    The (sign, weight) normalization of a table row's datum is persisted on
+    the row, and `hgtrace calibrate hp` checks it. Only data defined over Q are
     accepted (otherwise the value is not rational). The t = 1 value is the
     plain period sum at the degenerate fiber; the elliptic-point bookkeeping in
     trace_engine uses elliptic_square_value for that point instead.
@@ -232,108 +231,11 @@ def al_square_decompose(value: int, p: int, divisors=(1, 2, 3, 6)):
     return None
 
 
-def _al_square_mask(s: np.ndarray, p: int, divisors=(1, 2, 3, 6)) -> np.ndarray:
-    """Where an int64 array s = a + p has s = d*t^2 with d in divisors and
-    0 <= s <= 4p: al_square_decompose over an array. One boolean table marks
-    every d*t^2 <= 4p at index d*t^2 + 1, with indices 0 and 4p + 2 unmarked,
-    and s is one gather at s + 1 clipped to that range."""
-    table = np.zeros(4 * p + 3, dtype=bool)
-    for d in divisors:
-        table[d * np.arange(isqrt(4 * p // d) + 1) ** 2 + 1] = True
-    return table[np.clip(s + 1, 0, 4 * p + 2)]
-
-
-def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx, lams: np.ndarray):
-    """A row's lambda chart over an int64 array of lambdas in [0, p):
-    (args, chis, p_factor), read by local_traces.
-
-    The local trace at lam is chi * p_factor * (period sum at arg), scaled by
-    the row's (sign, w). The "cusp_row" chart reads arg = 1/lam with
-    chi = phi(1 - arg) and p_factor = 1; the "row_246" chart reads arg = -3/lam
-    with chi = phi(-3(1 + 3/lam)) and p_factor = p. chi is 0 exactly at the
-    special lambdas, where no trace is defined: lam = 0 and the zero of chi.
-    Inverses and Legendre symbols are gathers from the context's tables.
-    """
-    p, n = ctx.p, ctx.n
-    inv = ctx.antilog[-ctx.dlog[lams] % n]  # meaningless at lam = 0, masked below
-    if a_rule == "cusp_row":
-        args, chi_args, p_factor = inv, (1 - inv) % p, 1
-    elif a_rule == "row_246":
-        args, chi_args, p_factor = -3 * inv % p, -3 * (1 + 3 * inv) % p, p
-    else:
-        raise ValueError(f"unknown a_rule {a_rule!r}")
-    chis = np.where(lams == 0, 0, ctx.chi[chi_args])
-    return args, chis, p_factor
-
-
-def local_traces(a_rule: str, ctx: PrimeFieldCtx, table, lams: np.ndarray, n: int,
-                 sign: int, weight: int, divisors=(1, 2, 3, 6)):
-    """(generic lams, local traces) for an int64 array of lambdas in [0, p): the
-    one route from a period sum to an exact local trace. The a_rule chart reads
-    each lambda off table.sweep, scaled by sign * p_factor / p^weight; each value
-    must snap within snap_tolerance(p, n) to an integer a with a + p = d*t^2 <= 4p
-    for a d in divisors, or SnapError names the first lambda that fails.
-    """
-    p = ctx.p
-    args, chis, p_factor = _lambda_chart(a_rule, ctx, lams)
-    generic = chis != 0
-    vals = table.sweep(args[generic]) * chis[generic] * (sign * p_factor / p ** weight)
-    tol = snap_tolerance(p, n)
-    snapped = np.round(vals.real)
-    ok = (np.abs(vals.imag) < tol) & (np.abs(vals.real - snapped) < tol)
-    lams = lams[generic]
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise SnapError(f"a_Gamma({lams[i]}, {p}) did not snap to an integer: "
-                        f"{complex(vals[i])!r}")
-    a = snapped.astype(np.int64)
-    ok = _al_square_mask(a + p, p, divisors)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise SnapError(f"a_Gamma({lams[i]}, {p}) snapped to {a[i]}, but a + p is not "
-                        f"d*t^2 <= 4p with d in {divisors}")
-    return lams, a
-
-
 def calibration_primes(hd: HGDatum) -> tuple[int, ...]:
-    """The sample primes of calibrate_hp_weight: the first three primes p > 5
-    with p = 1 mod the datum's level."""
+    """The sample primes of `hgtrace calibrate hp`: the first three primes
+    p > 5 with p = 1 mod the datum's level."""
     M = level(hd)
     return tuple(islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3))
-
-
-def calibrate_hp_weight(hd: HGDatum) -> tuple[int, int]:
-    """Find the unique (sign, w) making the local traces exact integers in the
-    Weil box [-p, 3p] with a + p = d*t^2 for some d | 6, at the
-    calibration_primes.
-
-    A candidate survives when local_traces, the routine behind a_Gamma, takes
-    it at every sample prime on the "cusp_row" chart (all beta integral) or the
-    "row_246" chart (the compact row's datum). A plain perfect-square criterion
-    would reject the correct normalization at the Atkin-Lehner twisted points,
-    so the d | 6 decomposition is the calibration invariant. Each sample
-    prime's datum table is built once and read by all six candidates.
-    Raises CalibrationError if no pair or several pairs survive.
-    """
-    primes = calibration_primes(hd)
-    a_rule = "row_246" if any(b != 1 for b in hd.beta) else "cusp_row"
-    ctxs = [build_ctx(p) for p in primes]
-    tables = [datum_table(hd, ctx) for ctx in ctxs]
-
-    def normalizes(sign, w):
-        try:
-            for ctx, table in zip(ctxs, tables):
-                local_traces(a_rule, ctx, table, np.arange(ctx.p), hd.n, sign, w)
-        except SnapError:
-            return False
-        return True
-
-    survivors = [(sign, w) for sign in (1, -1) for w in (0, 1, 2) if normalizes(sign, w)]
-    if not survivors:
-        raise CalibrationError(f"no (sign, weight) normalizes {hd} over primes {primes}")
-    if len(survivors) > 1:
-        raise CalibrationError(f"ambiguous normalization for {hd}: {survivors}")
-    return survivors[0]
 
 
 def elliptic_square_value(table: BracketTable, sign: int, weight: int) -> int:

@@ -130,14 +130,15 @@ class TriangleGroupRow:
 
     lambda_special maps each special lambda value (as printed; OO for the point
     at infinity) to the order of the corresponding elliptic point, or OO for a
-    cusp. hp_sign/hp_weight are the calibrated normalization of the finite-field
-    hypergeometric sum for this datum, and al_divisors lists the d for which
+    cusp. hp_sign/hp_weight are the normalization H_p = hp_sign * p^(-hp_weight)
+    * (period sum) of the finite-field hypergeometric function for this datum
+    (`hgtrace calibrate hp` checks it), and al_divisors lists the d for which
     a + p = d*t^2 can occur (the Atkin-Lehner divisor pattern of the group).
 
     a_rule selects the lambda chart that reads the local trace off H_p:
     "cusp_row" gives a(lam) = phi(1 - 1/lam) * H_p(1/lam), and "row_246" gives
     a(lam) = phi(-3(1 + 3/lam)) * p * H_p(-3/lam). Both charts live in
-    character_sums._lambda_chart, behind character_sums.local_traces.
+    trace_engine._lambda_chart, behind trace_engine.a_gamma_sweep.
     """
 
     signature: tuple

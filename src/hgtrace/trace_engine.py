@@ -1,9 +1,11 @@
 """The symmetric-power trace polynomials F_m, the local traces a_Gamma, and the
 assembled Hecke-operator trace formula over the triangle-group table.
 
-Local traces are exact integers obtained by snapping the calibrated character
-sums; any snap failure aborts the report rather than propagating noise. The
-only elliptic-point contributions implemented are those of the compact
+a_gamma_sweep is the one route from a period sum to a local trace: it reads
+each lambda through the row's chart, scales by the row's persisted H_p
+normalization, and snaps to an exact integer with a + p = d*t^2 for a d of the
+row's divisors; any failure aborts the report rather than propagating noise.
+The only elliptic-point contributions implemented are those of the compact
 (2,4,6) row at k = 6, exactly in the displayed shape; every other (row, k)
 yields a flagged partial report with an optional oracle residual.
 """
@@ -12,12 +14,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from types import MappingProxyType
+from math import isqrt
 
 import numpy as np
 
-from .character_sums import datum_table, elliptic_square_value, local_traces
+from .character_sums import SnapError, datum_table, elliptic_square_value, snap_tolerance
 from .field_core import CongruenceError, PrimeFieldCtx
 from .hgm_data import OO, TriangleGroupRow
 from .modform_oracle import level1_hecke_trace, load_fixture_by_label
@@ -27,52 +28,45 @@ from .modform_oracle import level1_hecke_trace, load_fixture_by_label
 # F_m polynomials
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SymPolyFm:
-    """F_m(S, T) with exact integer coefficients: coeffs[(i, j)] * S^i * T^j."""
-
-    coeffs: MappingProxyType
-
-    def evaluate(self, S: int, T: int) -> int:
-        """Horner's rule in S over the coefficients of S^i at T (_s_coefficients)."""
-        out = 0
-        for c in _s_coefficients(self, T):
-            out = out * S + c
-        return out
-
-
-@lru_cache(maxsize=1)
-def _s_coefficients(fm: SymPolyFm, T: int) -> tuple[int, ...]:
-    """The coefficients of F_m(S, T) as a polynomial in S, leading first, at one
-    T; a report reads them at T = p for each of its values, so only the most
-    recent (F_m, T) is kept."""
-    out = [0] * (1 + max(i for i, _ in fm.coeffs))
-    for (i, j), c in fm.coeffs.items():
-        out[-1 - i] += c * T ** j
-    return tuple(out)
-
-
-@cache
-def build_Fm(m: int) -> SymPolyFm:
     """The degree-m polynomial with F_m(u^2+uv+v^2, uv) = sum_{i<=2m} u^i v^(2m-i).
 
     That sum is (u (u^2)^m - v (v^2)^m) / (u - v), a combination of the m-th
     powers of u^2 and v^2, whose sum is S - T and whose product is T^2. So
-    F_0 = 1, F_1 = S and F_k = (S - T) F_(k-1) - T^2 F_(k-2). The result is
-    cached and shared, so its coefficients are read-only.
+    F_0 = 1, F_1 = S and F_k = (S - T) F_(k-1) - T^2 F_(k-2).
     """
+
+    m: int
+
+    def evaluate(self, S: int, T: int) -> int:
+        """F_m(S, T), by the recurrence on the integers."""
+        F_prev, F = 1, S
+        for _ in range(self.m - 1):
+            F_prev, F = F, (S - T) * F - T * T * F_prev
+        return F
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], int]:
+        """{(i, j): c} with F_m = sum of c * S^i * T^j, by the recurrence on
+        coefficient dicts."""
+        F_prev, F = {(0, 0): 1}, {(1, 0): 1}
+        for _ in range(self.m - 1):
+            nxt = defaultdict(int)
+            for (i, j), c in F.items():  # (S - T) F_(k-1)
+                nxt[i + 1, j] += c
+                nxt[i, j + 1] -= c
+            for (i, j), c in F_prev.items():  # - T^2 F_(k-2)
+                nxt[i, j + 2] -= c
+            F_prev, F = F, {key: c for key, c in nxt.items() if c}
+        return F
+
+
+def build_Fm(m: int) -> SymPolyFm:
+    """F_m, for m >= 1."""
     if m < 1:
         raise ValueError("m >= 1")
-    F_prev, F = {(0, 0): 1}, {(1, 0): 1}
-    for _ in range(m - 1):
-        nxt = defaultdict(int)
-        for (i, j), c in F.items():  # (S - T) F_(k-1)
-            nxt[i + 1, j] += c
-            nxt[i, j + 1] -= c
-        for (i, j), c in F_prev.items():  # - T^2 F_(k-2)
-            nxt[i, j + 2] -= c
-        F_prev, F = F, {key: c for key, c in nxt.items() if c}
-    return SymPolyFm(coeffs=MappingProxyType(F))
+    return SymPolyFm(m)
 
 
 def fm_identity_holds(m: int, u: int, v: int) -> bool:
@@ -86,18 +80,72 @@ def fm_identity_holds(m: int, u: int, v: int) -> bool:
 # Local traces
 
 
-def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx, lams: np.ndarray | None = None,
+def _lambda_chart(a_rule: str, ctx: PrimeFieldCtx):
+    """A row's lambda chart over every lambda in [0, p), ascending:
+    (args, chis, p_factor), read by a_gamma_sweep.
+
+    The local trace at lam is chi * p_factor * (period sum at arg), scaled by
+    the row's (sign, w). The "cusp_row" chart reads arg = 1/lam with
+    chi = phi(1 - arg) and p_factor = 1; the "row_246" chart reads arg = -3/lam
+    with chi = phi(-3(1 + 3/lam)) and p_factor = p. chi is 0 exactly at the
+    special lambdas, where no trace is defined: lam = 0 and the zero of chi.
+    Inverses and Legendre symbols are gathers from the context's tables.
+    """
+    p = ctx.p
+    inv = ctx.antilog[-ctx.dlog % ctx.n]  # meaningless at lam = 0, masked below
+    if a_rule == "cusp_row":
+        args, chi_args, p_factor = inv, (1 - inv) % p, 1
+    elif a_rule == "row_246":
+        args, chi_args, p_factor = -3 * inv % p, -3 * (1 + 3 * inv) % p, p
+    else:
+        raise ValueError(f"unknown a_rule {a_rule!r}")
+    chis = ctx.chi[chi_args]
+    chis[0] = 0
+    return args, chis, p_factor
+
+
+def _al_square_mask(s: np.ndarray, p: int, divisors) -> np.ndarray:
+    """Where an int64 array s = a + p has s = d*t^2 with d in divisors and
+    0 <= s <= 4p: character_sums.al_square_decompose over an array. One
+    boolean table marks every d*t^2 <= 4p at index d*t^2 + 1, with indices 0
+    and 4p + 2 unmarked, and s is one gather at s + 1 clipped to that range."""
+    table = np.zeros(4 * p + 3, dtype=bool)
+    for d in divisors:
+        table[d * np.arange(isqrt(4 * p // d) + 1) ** 2 + 1] = True
+    return table[np.clip(s + 1, 0, 4 * p + 2)]
+
+
+def a_gamma_sweep(row: TriangleGroupRow, ctx: PrimeFieldCtx,
                   table=None) -> tuple[np.ndarray, np.ndarray]:
-    """(generic lams, a_Gamma) as int64 arrays: the row's local_traces over an
-    int64 array of lambdas in [0, p), all of F_p ascending by default. A special
-    lambda is absent from the returned lams. Building the table raises
-    CongruenceError unless p = 1 mod level."""
-    if lams is None:
-        lams = np.arange(ctx.p, dtype=np.int64)
+    """(generic lams, a_Gamma) as int64 arrays over every lambda in [0, p),
+    ascending; a special lambda is absent from the returned lams.
+
+    The row's chart reads each lambda off table.sweep (the datum's table by
+    default), scaled by hp_sign * p_factor / p^hp_weight. Each value must snap
+    within snap_tolerance(p, n) to an integer a with a + p = d*t^2 <= 4p for a
+    d in the row's al_divisors, or SnapError names the first lambda that
+    fails. Building the table raises CongruenceError unless p = 1 mod level.
+    """
+    p = ctx.p
     if table is None:
         table = datum_table(row.hd, ctx)
-    return local_traces(row.a_rule, ctx, table, lams, row.hd.n, row.hp_sign,
-                        row.hp_weight, row.al_divisors)
+    args, chis, p_factor = _lambda_chart(row.a_rule, ctx)
+    lams = np.flatnonzero(chis)
+    vals = table.sweep(args[lams]) * chis[lams] * (row.hp_sign * p_factor / p ** row.hp_weight)
+    tol = snap_tolerance(p, row.hd.n)
+    snapped = np.round(vals.real)
+    ok = (np.abs(vals.imag) < tol) & (np.abs(vals.real - snapped) < tol)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SnapError(f"a_Gamma({lams[i]}, {p}) did not snap to an integer: "
+                        f"{complex(vals[i])!r}")
+    a = snapped.astype(np.int64)
+    ok = _al_square_mask(a + p, p, row.al_divisors)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SnapError(f"a_Gamma({lams[i]}, {p}) snapped to {a[i]}, but a + p is not "
+                        f"d*t^2 <= 4p with d in {row.al_divisors}")
+    return lams, a
 
 
 # ---------------------------------------------------------------------------

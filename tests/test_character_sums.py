@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -6,10 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hgtrace.character_sums import (AlgebraicValue, CalibrationError, SnapError,
-                                    _al_square_mask, _bracket_table, _jacobi_dlog_pairs,
-                                    al_square_decompose,
-                                    calibrate_hp_weight, calibration_primes,
+from hgtrace.character_sums import (AlgebraicValue, SnapError,
+                                    _bracket_table, _jacobi_dlog_pairs,
+                                    al_square_decompose, calibration_primes,
                                     clausen_reports, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
@@ -18,6 +18,7 @@ from hgtrace.field_core import (CongruenceError, build_ctx, cached_ctx, is_prime
                                nth_primitive_root)
 from hgtrace.hgm_data import HGDatum, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
+from hgtrace.trace_engine import _al_square_mask, a_gamma_sweep
 
 
 def jacobi_sum(A, B):
@@ -288,29 +289,47 @@ def test_hp_sweep_square_property_row2oo(ctx13):
         assert d == 1 and t * t <= 4 * p
 
 
+def _normalizations(row):
+    """The (sign, weight) in (+-1) x (0, 1, 2) at which a_gamma_sweep of row,
+    with its own chart and al_divisors, snaps at every calibration prime."""
+    ctxs = [cached_ctx(p) for p in calibration_primes(row.hd)]
+    out = []
+    for sign in (1, -1):
+        for weight in (0, 1, 2):
+            candidate = dataclasses.replace(row, hp_sign=sign, hp_weight=weight)
+            try:
+                for ctx in ctxs:
+                    a_gamma_sweep(candidate, ctx)
+            except SnapError:
+                continue
+            out.append((sign, weight))
+    return out
+
+
 def test_calibrations_match_table_rows():
-    # calibration primes: the first three p > 5 with p = 1 mod the row's level
+    """Each row's persisted normalization is the only one of the six
+    candidates that snaps; calibration primes are the first three p > 5 with
+    p = 1 mod the row's level."""
     for sig, primes in (((2, "oo", "oo"), (7, 11, 13)), ((2, 3, "oo"), (7, 13, 19)),
                         ((2, 4, "oo"), (13, 17, 29)), ((2, 6, "oo"), (7, 13, 19)),
                         ((2, 4, 6), (13, 37, 61))):
         row = row_by_signature(sig)
-        assert calibrate_hp_weight(row.hd) == (row.hp_sign, row.hp_weight), row.name
         assert calibration_primes(row.hd) == primes, row.name
+        assert _normalizations(row) == [(row.hp_sign, row.hp_weight)], row.name
 
 
 def test_calibration_primes_start_at_level_plus_one():
     # level 10: 11 = M + 1 is the first prime = 1 mod 10
     hd = HGDatum(("1/10", "3/10", "7/10", "9/10"), (1, 1, 1, 1))
-    with pytest.raises(CalibrationError, match=r"\(11, 31, 41\)"):
-        calibrate_hp_weight(hd)
+    assert calibration_primes(hd) == (11, 31, 41)
 
 
 def test_calibration_negative_control():
     # wrong character assignment: a non-Galois-stable datum has irrational
     # sums, so no (sign, w) can make the traces integers
     hd = HGDatum(("1/2", "1/3", "1/3"), (1, 1, 1))
-    with pytest.raises(CalibrationError, match=r"\(7, 13, 19\)"):
-        calibrate_hp_weight(hd)
+    assert calibration_primes(hd) == (7, 13, 19)
+    assert _normalizations(dataclasses.replace(row_by_signature((2, 6, "oo")), hd=hd)) == []
 
 
 def test_elliptic_square_vs_cm_fixture():

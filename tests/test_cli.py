@@ -644,6 +644,39 @@ def test_calibrate_hp(runner):
     assert out["sign"] == -1 and out["weight"] == 0 and out["matches_table"]
 
 
+# sha256 of the stdout of `calibrate hp --group G`, as the six-candidate
+# (sign, weight) search printed it before the check of each row's persisted
+# normalization replaced it
+_CALIBRATE_HP_SHA256 = {
+    "2,oo,oo": "07b410076916c32051bbc45cfd19a52280658caf3f82518653991ee078a90a23",
+    "2,3,oo": "8c7862c5af6d2ab709600b4ef01959eed3c9aa39bae7b2fa6c677c2d50bf5dce",
+    "2,4,oo": "b1222f984d836f8964a84e8bab40881f48f1affd3b2ab84be109c39d59cadcc3",
+    "2,6,oo": "810658f32fc152878e2f9047dd2ccf8fc646300f6dcb3dad85a2c99777055f22",
+    "2,4,6": "d9848c9f4354e8e2acd4a1171f72ec2787ef50b2a62ae301986713299208c6c5",
+}
+
+
+@pytest.mark.parametrize("group", list(_CALIBRATE_HP_SHA256))
+def test_calibrate_hp_stdout_digest(runner, group):
+    res = runner.invoke(main, ["calibrate", "hp", "--group", group])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _CALIBRATE_HP_SHA256[group]
+
+
+def test_trace_oracle_guard_failure_is_a_computation_failure(runner, monkeypatch):
+    """A level-one trace-formula sum that is not divisible by 24 fails the
+    (2,3,oo) report at p = 13 (exit 1) with a one-line message, no traceback
+    and nothing on stdout."""
+    monkeypatch.setattr(modform_oracle, "_traces_24",
+                        lambda k, n, N: {L: 1 for L in (1, 2, 3, 6) if N % L == 0})
+    res = runner.invoke(main, ["trace", "--group", "2,3,oo", "--weight", "12",
+                               "--prime", "13"])
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("computation failure at p = 13: trace-formula sum 1 "), \
+        res.stderr
+
+
 @pytest.mark.parametrize("p", [13, 37])
 def test_calibrate_bg_lambda_fixed_map(runner, p):
     res = runner.invoke(main, ["calibrate", "bg-lambda", "--prime", str(p)])

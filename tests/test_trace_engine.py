@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from hgtrace import character_sums
-from hgtrace.character_sums import (CalibrationError, SnapError, _lambda_chart,
-                                    calibrate_hp_weight, datum_table, snap_tolerance)
+from hgtrace import trace_engine
+from hgtrace.character_sums import SnapError, datum_table, hp_sum, snap_tolerance
+from hgtrace.cli import main
 from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
 from hgtrace.hgm_data import OO, HGDatum, row_by_signature, triangle_table
 from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
-from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, a_gamma_sweep,
-                                  build_Fm, fm_identity_holds, hecke_trace, legendre_relation)
+from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, _lambda_chart,
+                                  a_gamma_sweep, build_Fm, fm_identity_holds, hecke_trace,
+                                  legendre_relation)
 
 
 def test_build_F1_is_S():
@@ -89,9 +91,12 @@ def test_fm_against_interpolation_oracle(m):
     assert _fm_by_interpolation(m) == build_Fm(m).coeffs
 
 
-def _one_lambda(row, lam, ctx, table=None):
-    """a_gamma_sweep at the single lambda lam mod p, as int64 arrays."""
-    return a_gamma_sweep(row, ctx, np.array([lam % ctx.p]), table)
+def _one_lambda(row, lam, ctx):
+    """The entries of a_gamma_sweep at lambda = lam mod p, as int64 arrays:
+    empty at a special lambda."""
+    lams, a = a_gamma_sweep(row, ctx)
+    at = lams == lam % ctx.p
+    return lams[at], a[at]
 
 
 def _sweep_dict(sweep):
@@ -117,27 +122,40 @@ def test_a_gamma_congruence(ctx7):
 
 def test_a_gamma_matches_sweep(ctx13):
     """The sweep over F_p returns int64 arrays, and each of its entries is the
-    sweep at that lambda alone."""
+    row's chart read through hp_sum at that lambda alone: phi(1 - 1/lam) *
+    H_p(1/lam) on a cusp row, phi(-3(1 + 3/lam)) * p * H_p(-3/lam) on (2,4,6)."""
+    p = 13
     for sig in ((2, OO, OO), (2, 4, 6)):
         row = row_by_signature(sig)
         lams, a = a_gamma_sweep(row, ctx13)
         assert lams.dtype == a.dtype == np.int64
         assert (np.diff(lams) > 0).all()
-        for lam, want in zip(lams.tolist()[:5], a.tolist()):
-            assert _one_lambda(row, lam, ctx13)[1].tolist() == [want]
+        for lam, got in zip(lams.tolist(), a.tolist()):
+            inv = ctx13.inv(lam)
+            if row.a_rule == "cusp_row":
+                t, chi, p_factor = inv, ctx13.legendre(1 - inv), 1
+            else:
+                t, chi, p_factor = -3 * inv % p, ctx13.legendre(-3 * (1 + 3 * inv)), p
+            h = hp_sum(row.hd, ctx13, t, row.hp_sign, row.hp_weight)
+            assert got == chi * p_factor * h.snapped, (row.name, lam)
 
 
 def test_sweep_snap_error_names_first_bad_lambda(ctx13):
-    """A sweep that does not snap raises at its first bad lambda."""
+    """A sweep that does not snap raises at its first bad lambda: the first
+    generic lambda whose chart value is a snap tolerance or more from an
+    integer."""
     row = row_by_signature((2, OO, OO))
     irrational = datum_table(HGDatum(("1/2", "1/3", "1/3"), (1, 1, 1)), ctx13)
     with pytest.raises(SnapError, match=r"a_Gamma\(\d+, 13\) did not snap") as exc:
         a_gamma_sweep(row, ctx13, table=irrational)
     bad = int(re.search(r"a_Gamma\((\d+),", str(exc.value)).group(1))
-    for lam in range(bad):
-        _one_lambda(row, lam, ctx13, irrational)
-    with pytest.raises(SnapError):
-        _one_lambda(row, bad, ctx13, irrational)
+    args, chis, p_factor = _lambda_chart(row.a_rule, ctx13)
+    generic = np.flatnonzero(chis)
+    vals = irrational.sweep(args[generic]) * chis[generic] \
+        * (row.hp_sign * p_factor / 13 ** row.hp_weight)
+    off = np.maximum(np.abs(vals.imag), np.abs(vals.real - np.round(vals.real)))
+    far = off >= snap_tolerance(13, row.hd.n)
+    assert far.any() and generic[np.argmax(far)] == bad
 
 
 class _ShiftedTable:
@@ -178,24 +196,23 @@ class _ImaginaryOffsetTable:
 
 @pytest.mark.parametrize("fraction", [0.5, 1.0])
 def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fraction):
-    """A value exactly snap_tolerance away from an integer fails a_Gamma and the
-    H_p calibration alike; one half as far passes both. The (2,oo,oo) row scales
+    """A value exactly snap_tolerance away from an integer fails a_Gamma and
+    `calibrate hp` alike; one half as far passes both. The (2,oo,oo) row scales
     the period sum by exactly -1, so the offset reaches the check unrounded."""
     row = row_by_signature((2, OO, OO))
-    real = character_sums.datum_table
-    monkeypatch.setattr(character_sums, "datum_table", lambda hd, ctx: _ImaginaryOffsetTable(
-        real(hd, ctx), fraction * snap_tolerance(ctx.p, hd.n)))
     ctx = cached_ctx(13)
-    table = character_sums.datum_table(row.hd, ctx)
+    want = a_gamma_sweep(row, ctx)[1].tolist()
+    monkeypatch.setattr(trace_engine, "datum_table", lambda hd, ctx: _ImaginaryOffsetTable(
+        datum_table(hd, ctx), fraction * snap_tolerance(ctx.p, hd.n)))
+    res = CliRunner().invoke(main, ["calibrate", "hp", "--group", "2,oo,oo"])
     if fraction < 1:
-        assert a_gamma_sweep(row, ctx, table=table)[1].tolist() == \
-            a_gamma_sweep(row, ctx)[1].tolist()
-        assert calibrate_hp_weight(row.hd) == (row.hp_sign, row.hp_weight)
+        assert a_gamma_sweep(row, ctx)[1].tolist() == want
+        assert res.exit_code == 0, res.output
     else:
         with pytest.raises(SnapError, match="did not snap"):
-            a_gamma_sweep(row, ctx, table=table)
-        with pytest.raises(CalibrationError, match=r"no \(sign, weight\)"):
-            calibrate_hp_weight(row.hd)
+            a_gamma_sweep(row, ctx)
+        assert res.exit_code == 1, res.output
+        assert res.stdout == "" and "calibration failure: a_Gamma(" in res.stderr
 
 
 def test_snap_headroom_at_the_p_cap():
@@ -207,7 +224,7 @@ def test_snap_headroom_at_the_p_cap():
     ctx = cached_ctx(p)
     for row in triangle_table():
         _lams, a = a_gamma_sweep(row, ctx)
-        args, chis, p_factor = _lambda_chart(row.a_rule, ctx, np.arange(p))
+        args, chis, p_factor = _lambda_chart(row.a_rule, ctx)
         generic = chis != 0
         vals = datum_table(row.hd, ctx).sweep(args[generic]) * chis[generic] \
             * (row.hp_sign * p_factor / p ** row.hp_weight)
