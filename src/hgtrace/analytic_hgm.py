@@ -92,18 +92,13 @@ def ode_residual(hd: HGDatum, t: complex, K: int = DEFAULT_TRUNCATION) -> float:
 # Euler integral / period identity
 
 
-def _gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 def _period_integral(lam: float, n: int) -> float:
     """(1/pi) * integral over [1, inf) of dx / sqrt(x(x-1)(x-lam)).
 
     Split at x = 2 with x = 1 + v^2 on [1, 2] and x = 1/u^2 on [2, inf); both
     integrands below are smooth on their intervals.
     """
-    x, w = _gauss_nodes(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     # piece 1: v in [0, 1], integrand 2 / sqrt((1+v^2) v^2 ... ) reduced:
     # dx/sqrt(x(x-1)(x-lam)) = 2 dv / sqrt((1+v^2)(1+v^2-lam))
     v = 0.5 * (x + 1.0)

@@ -332,16 +332,12 @@ def _clausen_columns(ctx: PrimeFieldCtx, eeta: int, eKs, ts):
     return columns
 
 
-def clausen_reports(ctx: PrimeFieldCtx, eta: MultCharacter, K: MultCharacter, ts):
-    """_clausen_columns at the one pair (eta, K). numpy's inverse DFT and bincount
-    work row by row, so these are bit-identical to the pair's columns in clausen_sweep."""
-    return _clausen_columns(ctx, eta.e, [K.e], ts)[0]
-
-
 def clausen_sweep(ctx: PrimeFieldCtx):
     """Every admissible Clausen check over F_p: for each pair (eta, K), yields
-    ((eta exponent, K exponent), clausen_reports columns over t = 1 .. p - 1);
-    an inadmissible pair's columns are empty. The sweep is n = p - 1 numpy
+    ((eta exponent, K exponent), _clausen_columns over t = 1 .. p - 1); an
+    inadmissible pair's columns are empty. numpy's inverse DFT and bincount
+    work row by row, so a pair's columns are bit-identical to those of a
+    _clausen_columns call at that pair alone. The sweep is n = p - 1 numpy
     passes, one _clausen_columns call over every K for each eta, O(p^3 log p)
     in all; the one np_sum of each non-square pair is most of what remains."""
     ts, eKs = np.arange(1, ctx.p), np.arange(ctx.n)

@@ -109,13 +109,14 @@ class PrimeFieldCtx:
         return pow(x, self.p - 2, self.p)
 
 
-def _dlog_table(p: int, g: int) -> np.ndarray:
-    """Discrete logs base g: dlog[g^k mod p] = k, dlog[0] = -1.
+def _dlog_table(p: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """(antilog, dlog) base g: antilog[k] = g^k mod p for k < p - 1, and
+    dlog[g^k mod p] = k, dlog[0] = -1.
 
     The powers g^k, k = i*m + j with m = ceil(sqrt(p - 1)), are one outer
     product mod p of the m baby steps g^j and the giant steps (g^m)^i, each
-    list a short Python walk; the table is one scatter of k at g^k. A g that
-    is not a primitive root leaves some entries at -1.
+    list a short Python walk; that product is antilog, and dlog is one scatter
+    of k at g^k. A g that is not a primitive root leaves some dlog entries at -1.
     """
     n = p - 1
     m = isqrt(n - 1) + 1
@@ -127,9 +128,10 @@ def _dlog_table(p: int, g: int) -> np.ndarray:
     for i in range(1, len(giant)):
         giant[i] = giant[i - 1] * step % p
     powers = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
+    antilog = powers.ravel()[:n] % p
     dlog = np.full(p, -1, dtype=np.int64)
-    dlog[powers.ravel()[:n] % p] = np.arange(n)
-    return dlog
+    dlog[antilog] = np.arange(n)
+    return antilog, dlog
 
 
 def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
@@ -148,13 +150,11 @@ def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
     if p == 2:
         raise FieldError("p must be an odd prime")
     g = nth_primitive_root(p, 0) if generator is None else generator
-    dlog = _dlog_table(p, g)
+    antilog, dlog = _dlog_table(p, g)
     if generator is not None and np.count_nonzero(dlog >= 0) != p - 1:
         raise FieldError(f"{generator} is not a primitive root mod {p}")
     n = p - 1
     zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    antilog = np.empty(n, dtype=np.int64)
-    antilog[dlog[1:]] = np.arange(1, p, dtype=np.int64)
     chi = (1 - 2 * (dlog & 1)).astype(np.int8)  # dlog(x) parity; dlog[0] = -1
     chi[0] = 0
     return PrimeFieldCtx(p=p, g=g, dlog=dlog, zeta=zeta, antilog=antilog, chi=chi)

@@ -1,7 +1,9 @@
-"""Hypergeometric data, their invariants, and the arithmetic triangle-group table.
+"""Hypergeometric data, their level and Galois stability, and the arithmetic
+triangle-group table.
 
 Everything in this module is exact rational arithmetic; no floats. "oo" is the
-distinguished infinite entry in triangle signatures, with 1/oo = 0.
+infinite entry of a triangle signature (a cusp) and the point at infinity among
+special lambdas.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-OO = "oo"  # infinite vertex order in signatures; 1/OO is treated as 0
-
-
-def _recip(e) -> Fraction:
-    return Fraction(0) if e == OO else Fraction(1, e)
+OO = "oo"  # infinite vertex order (a cusp), or the lambda at infinity
 
 
 @dataclass(frozen=True)
@@ -73,55 +71,6 @@ def is_defined_over_Q(hd: HGDatum) -> bool:
         if sorted((r * b) % 1 for b in hd.beta) != bmod:
             return False
     return True
-
-
-def is_primitive(hd: HGDatum) -> bool:
-    """No alpha entry differs from a beta entry by an integer."""
-    return all((a - b).denominator != 1 for a in hd.alpha for b in hd.beta)
-
-
-@dataclass(frozen=True)
-class LocalExponents:
-    at_zero: tuple[Fraction, ...]
-    at_one: tuple[Fraction, ...]
-    at_infinity: tuple[Fraction, ...]
-    gamma: Fraction
-
-
-def local_exponents(hd: HGDatum) -> LocalExponents:
-    """Indicial exponents of the hypergeometric ODE at 0, 1, infinity."""
-    n = hd.n
-    gamma = -1 + sum(hd.beta) - sum(hd.alpha)
-    return LocalExponents(
-        at_zero=(Fraction(0),) + tuple(1 - b for b in hd.beta[1:]),
-        at_one=tuple(Fraction(i) for i in range(n - 1)) + (gamma,),
-        at_infinity=hd.alpha,
-        gamma=gamma,
-    )
-
-
-def schwarz_angles(a, b, c) -> tuple[Fraction, Fraction, Fraction]:
-    """Angle fractions (p, q, r) of the Schwarz triangle of 2F1(a, b; c)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return (abs(1 - c), abs(c - a - b), abs(a - b))
-
-
-def yang_parameters(e0, e1, einf):
-    """The two hypergeometric parameter triples attached to a triangle group.
-
-    Input entries are integers >= 2 or OO. Returns ((a, b, c), (a~, b~, c~)).
-    Convention: the triple (e0, e1, einf) is read as the vertex orders over the
-    points where the formulas below place them; the assignment of vertices to
-    punctures is taken as printed and not permuted.
-    """
-    r0, r1, rinf = _recip(e0), _recip(e1), _recip(einf)
-    a = Fraction(1, 2) * (1 - r1 - r0 - rinf)
-    b = Fraction(1, 2) * (1 - r1 - r0 + rinf)
-    c = 1 - r0
-    at = a + r0
-    bt = b + r0
-    ct = 1 + r0
-    return (a, b, c), (at, bt, ct)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,15 @@ class SymPolyFm:
 
     That sum is (u (u^2)^m - v (v^2)^m) / (u - v), a combination of the m-th
     powers of u^2 and v^2, whose sum is S - T and whose product is T^2. So
-    F_0 = 1, F_1 = S and F_k = (S - T) F_(k-1) - T^2 F_(k-2).
+    F_0 = 1, F_1 = S and F_k = (S - T) F_(k-1) - T^2 F_(k-2). The recurrences
+    below start at F_1, so m >= 1.
     """
 
     m: int
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("m >= 1")
 
     def evaluate(self, S: int, T: int) -> int:
         """F_m(S, T), by the recurrence on the integers."""
@@ -62,16 +67,9 @@ class SymPolyFm:
         return F
 
 
-def build_Fm(m: int) -> SymPolyFm:
-    """F_m, for m >= 1."""
-    if m < 1:
-        raise ValueError("m >= 1")
-    return SymPolyFm(m)
-
-
 def fm_identity_holds(m: int, u: int, v: int) -> bool:
     """F_m(u^2+uv+v^2, uv) == sum_{i=0}^{2m} u^i v^(2m-i), exactly."""
-    lhs = build_Fm(m).evaluate(u * u + u * v + v * v, u * v)
+    lhs = SymPolyFm(m).evaluate(u * u + u * v + v * v, u * v)
     rhs = sum(u ** i * v ** (2 * m - i) for i in range(2 * m + 1))
     return lhs == rhs
 
@@ -262,7 +260,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
         raise ValueError("k must be even and >= 2")
     if p <= 5:
         raise CongruenceError("good reduction requires p > 5")
-    fm = build_Fm(k // 2)
+    fm = SymPolyFm(k // 2)
     table = datum_table(row.hd, ctx)
     lams, a = a_gamma_sweep(row, ctx, table=table)
     # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur
@@ -280,7 +278,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     flags = []
     elliptic_sum = total = dim_hint = None
     partial = True
-    if row.a_rule == "row_246" and k == 6:
+    if row.signature == (2, 4, 6) and k == 6:
         esq = elliptic_square_value(table, row.hp_sign, row.hp_weight)
         e2 = p * (esq - p * p)
         special.append((-3, "elliptic(2)", e2))
@@ -314,7 +312,7 @@ def _oracle_total(row: TriangleGroupRow, p: int, k: int) -> int | None:
     """Independent -Tr(T_p | S_(k+2)) where one is available."""
     if row.signature == (2, 3, OO) and k + 2 >= 12:
         return -level1_hecke_trace(k + 2, p)
-    if row.a_rule == "row_246" and k == 6:
+    if row.signature == (2, 4, 6) and k == 6:
         fx = load_fixture_by_label("6.8.a.a")  # a malformed fixture raises FixtureError
         try:
             return -fx.coefficient(p)

@@ -23,7 +23,7 @@ from hgtrace.curve_lab import (baba_granath_curve, baba_granath_qm_sweep, count_
 from hgtrace.field_core import build_ctx, cached_ctx, is_prime, nth_primitive_root
 from hgtrace.hgm_data import OO, level, row_by_signature, triangle_table
 from hgtrace.modform_oracle import load_fixture_by_label
-from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, a_gamma_sweep, build_Fm,
+from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SymPolyFm, a_gamma_sweep,
                                   fm_identity_holds, hecke_trace)
 from hgtrace.analytic_hgm import (clausen_complex_check, euler_period_check,
                                   ode_residual)
@@ -142,7 +142,7 @@ def test_criterion_05_legendre_oracle_equivalence():
 
 
 def test_criterion_06_fm_correctness():
-    f3 = build_Fm(3).coeffs
+    f3 = SymPolyFm(3).coeffs
     pattern_ok = f3 == {(3, 0): 1, (2, 1): -2, (1, 2): -1, (0, 3): 1}
     rng = random.Random(123)
     ident_ok = all(

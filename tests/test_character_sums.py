@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from hgtrace.character_sums import (AlgebraicValue, SnapError,
-                                    _bracket_table, _jacobi_dlog_pairs,
-                                    al_square_decompose, calibration_primes,
-                                    clausen_reports, clausen_sweep,
+                                    _bracket_table, _clausen_columns, _jacobi_dlog_pairs,
+                                    al_square_decompose, calibration_primes, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     np_sum, snap_tolerance)
@@ -357,14 +356,14 @@ def test_degenerate_fiber_trace_off_an_integer_fails_to_snap(offset):
 
 def test_clausen_inadmissible_reported(ctx13):
     """An inadmissible pair (eta trivial) is no check at any t, not an error."""
-    columns = clausen_reports(ctx13, ctx13.trivial_char, ctx13.char(5), range(13))
+    columns = _clausen_columns(ctx13, 0, [5], range(13))[0]
     assert [c.size for c in columns] == [0, 0, 0, 0]
 
 
 def test_clausen_t1_nonsquare_zero(ctx13):
     # eta*K of odd exponent: lhs must vanish, and only t = 1 applies
     eta, K = ctx13.char(1), ctx13.char(4)
-    ts, lhs, rhs, passed = clausen_reports(ctx13, eta, K, range(13))
+    ts, lhs, rhs, passed = _clausen_columns(ctx13, eta.e, [K.e], range(13))[0]
     assert ts.tolist() == [1] and passed.tolist() == [True]
     assert abs(lhs[0]) < 1e-6 and rhs[0] == 0
 
@@ -415,13 +414,14 @@ def literal_clausen(ctx, eta, K, t):
 def test_clausen_reports_match_literal_np_sums(p):
     """Every (eta, K, t): the per-pair columns hold exactly the applicable t,
     each equal to three np_sum calls at t and to the columns of a call at
-    that t alone, and the sweep yields the pair's columns over t = 1 .. p - 1."""
+    that t alone, and the sweep yields, bit for bit, the pair's columns over
+    t = 1 .. p - 1."""
     ctx = cached_ctx(p)
     swept = dict(clausen_sweep(ctx))
     assert sorted(swept) == [(a, b) for a in range(ctx.n) for b in range(ctx.n)]
     for (eeta, eK), sweep_columns in swept.items():
         eta, K = ctx.char(eeta), ctx.char(eK)
-        ts, lhs, rhs, passed = clausen_reports(ctx, eta, K, range(p))
+        ts, lhs, rhs, passed = _clausen_columns(ctx, eeta, [eK], range(p))[0]
         assert passed.dtype == bool
         literal = [literal_clausen(ctx, eta, K, t) for t in range(p)]
         assert ts.tolist() == [t for t in range(p) if literal[t][0]]
@@ -429,7 +429,7 @@ def test_clausen_reports_match_literal_np_sums(p):
             _ok, want_lhs, want_rhs, want_passed = literal[t]
             assert passed[i] == want_passed
             assert abs(lhs[i] - want_lhs) < 1e-9 and abs(rhs[i] - want_rhs) < 1e-9
-            alone = clausen_reports(ctx, eta, K, [t])
+            alone = _clausen_columns(ctx, eeta, [eK], [t])[0]
             assert [c.tolist() for c in alone] == [[t], [lhs[i]], [rhs[i]], [passed[i]]]
         assert [c.tolist() for c in sweep_columns] == [c[ts > 0].tolist()
                                                        for c in (ts, lhs, rhs, passed)]
@@ -470,10 +470,10 @@ def test_clausen_margin_below_tolerance(p):
 
 def test_clausen_both_sqrt_choices(ctx13):
     # the identity cannot depend on which square root S of eta*K is used;
-    # clausen_reports picks one, so check the other, S*phi, by direct evaluation
+    # _clausen_columns picks one, so check the other, S*phi, by direct evaluation
     p, phi, t = 13, ctx13.quadratic_char, 5
     eta, K = ctx13.char(2), ctx13.char(4)
-    ts, lhs, rhs, passed = clausen_reports(ctx13, eta, K, [t])
+    ts, lhs, rhs, passed = _clausen_columns(ctx13, eta.e, [K.e], [t])[0]
     assert ts.tolist() == [t] and passed.all()
     S = (eta * K).sqrt() * phi
     assert (S * S).e == (eta * K).e and S.e != (eta * K).sqrt().e

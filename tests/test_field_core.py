@@ -22,15 +22,16 @@ def power_residue_char(ctx, a):
     return MultCharacter(ctx, a.numerator * ((ctx.p - 1) // M))
 
 
-def dlog_by_walk(p, g):
-    """Discrete logs base g by walking x = g^k one step at a time: the scalar
+def tables_by_walk(p, g):
+    """(antilog, dlog) base g by walking x = g^k one step at a time: the scalar
     reference for _dlog_table."""
-    dlog = [-1] * p
+    antilog, dlog = [], [-1] * p
     x = 1
     for k in range(p - 1):
+        antilog.append(x)
         dlog[x] = k
         x = x * g % p
-    return dlog
+    return antilog, dlog
 
 
 def test_build_ctx_p7(ctx7):
@@ -113,15 +114,16 @@ def test_datum_char_exponents_match_power_residue_chars():
 
 
 def test_dlog_table_matches_the_power_walk():
-    """The baby-step/giant-step table equals the one-step walk for the least
-    and the second-least primitive root at every prime p < 2000, and at 10009
-    and 99961."""
+    """The baby-step/giant-step antilog and dlog tables equal the one-step walk
+    for the least and the second-least primitive root at every prime p < 2000,
+    and at 10009 and 99961."""
     for p in [*filter(is_prime, range(3, 2000)), 10009, 99961]:
         for index in (0, 1):
             if p == 3 and index == 1:  # 2 is the only primitive root mod 3
                 continue
             g = nth_primitive_root(p, index)
-            assert _dlog_table(p, g).tolist() == dlog_by_walk(p, g), (p, g)
+            antilog, dlog = _dlog_table(p, g)
+            assert (antilog.tolist(), dlog.tolist()) == tables_by_walk(p, g), (p, g)
 
 
 def test_legendre_symbol_examples(ctx7):

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hgtrace.hgm_data import (OO, HGDatum, is_defined_over_Q,
-                              is_primitive, level, local_exponents,
-                              row_by_signature, schwarz_angles, table_json,
-                              triangle_table, yang_parameters)
+from hgtrace.hgm_data import (OO, HGDatum, is_defined_over_Q, level,
+                              row_by_signature, table_json, triangle_table)
 
 F = Fraction
 
@@ -34,49 +32,6 @@ def test_defined_over_Q():
     assert not is_defined_over_Q(HGDatum(("1/5", "1/2"), (1, 1)))
 
 
-def test_primitivity():
-    assert is_primitive(HD_246)
-    assert is_primitive(HD_2OO)
-    assert not is_primitive(HGDatum(("1/2", 1), (1, 1)))
-
-
-def test_local_exponents_gamma():
-    assert local_exponents(HD_23O).gamma == F(1, 2)
-    assert local_exponents(HD_2OO).gamma == F(1, 2)
-    ex = local_exponents(HD_246)
-    assert sorted(ex.at_zero) == sorted((F(0), F(1, 6), F(-1, 6)))
-    assert ex.at_infinity == HD_246.alpha
-
-
-def test_local_exponents_at_one_prefix():
-    for hd in (HD_246, HD_2OO, HD_23O):
-        ex = local_exponents(hd)
-        assert ex.at_one[:hd.n - 1] == tuple(F(i) for i in range(hd.n - 1))
-
-
-def test_schwarz_angles_examples():
-    assert schwarz_angles(F(1, 2), F(1, 2), 1) == (0, 0, 0)
-    assert sorted(schwarz_angles(F(1, 12), F(1, 3), F(2, 3))) == sorted(
-        (F(1, 3), F(1, 4), F(1, 4)))
-    assert sorted(schwarz_angles(F(1, 24), F(7, 24), F(5, 6))) == sorted(
-        (F(1, 6), F(1, 2), F(1, 4)))
-    # third quotient row: (2,6,6)
-    assert sorted(schwarz_angles(F(1, 12), F(1, 4), F(5, 6))) == sorted(
-        (F(1, 6), F(1, 2), F(1, 6)))
-
-
-def test_yang_parameters():
-    (a, b, c), _ = yang_parameters(OO, OO, 2)
-    assert (a, b, c) == (F(1, 4), F(3, 4), 1)
-    (a, b, c), _ = yang_parameters(6, 2, 4)
-    assert a == F(1, 24) and c == F(5, 6)
-    # tilde-a = a + 1/e0 always
-    for sig in ((6, 2, 4), (2, 4, 6), (OO, OO, 2), (3, 3, 5)):
-        (a, _, _), (at, _, _) = yang_parameters(*sig)
-        r0 = 0 if sig[0] == OO else F(1, sig[0])
-        assert at - a == r0
-
-
 def test_table_rows():
     rows = triangle_table()
     assert len(rows) == 5
@@ -92,12 +47,16 @@ def test_table_rows():
 
 
 def test_table_row_invariants():
+    """Each row's datum has level dividing 12, is defined over Q and is
+    primitive (no alpha = beta mod 1); on a row with a cusp, the exponent
+    gamma = -1 + sum(beta) - sum(alpha) of the ODE at lambda = 1 is 1/2."""
     for row in triangle_table():
-        assert 12 % level(row.hd) == 0
-        assert is_primitive(row.hd)
-        assert is_defined_over_Q(row.hd)
+        hd = row.hd
+        assert 12 % level(hd) == 0
+        assert is_defined_over_Q(hd)
+        assert all((a - b) % 1 for a in hd.alpha for b in hd.beta), row.name
         if OO in row.signature:
-            assert local_exponents(row.hd).gamma == F(1, 2)
+            assert -1 + sum(hd.beta) - sum(hd.alpha) == F(1, 2), row.name
 
 
 def test_cusp_bookkeeping():

@@ -14,22 +14,25 @@ from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primi
 from hgtrace.hgm_data import OO, HGDatum, row_by_signature, triangle_table
 from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
-from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, _lambda_chart,
-                                  a_gamma_sweep, build_Fm, fm_identity_holds, hecke_trace,
-                                  legendre_relation)
+from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, SymPolyFm,
+                                  _lambda_chart, a_gamma_sweep, fm_identity_holds,
+                                  hecke_trace, legendre_relation)
 
 
 def test_build_F1_is_S():
-    assert build_Fm(1).coeffs == {(1, 0): 1}
+    assert SymPolyFm(1).coeffs == {(1, 0): 1}
+    for m in (0, -1):  # F_0 = 1 is not S, and the recurrences start at F_1
+        with pytest.raises(ValueError, match="m >= 1"):
+            SymPolyFm(m)
 
 
 def test_build_F2():
-    assert build_Fm(2).coeffs == {(2, 0): 1, (1, 1): -1, (0, 2): -1}
+    assert SymPolyFm(2).coeffs == {(2, 0): 1, (1, 1): -1, (0, 2): -1}
 
 
 def test_build_F3_matches_worked_cubic():
     # a^3 - 2 p a^2 - p^2 a + p^3 pattern
-    assert build_Fm(3).coeffs == {(3, 0): 1, (2, 1): -2, (1, 2): -1, (0, 3): 1}
+    assert SymPolyFm(3).coeffs == {(3, 0): 1, (2, 1): -2, (1, 2): -1, (0, 3): 1}
 
 
 def test_fm_identity_random():
@@ -88,7 +91,7 @@ def _exact_solve(A, b, ncols):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_fm_against_interpolation_oracle(m):
-    assert _fm_by_interpolation(m) == build_Fm(m).coeffs
+    assert _fm_by_interpolation(m) == SymPolyFm(m).coeffs
 
 
 def _one_lambda(row, lam, ctx):
@@ -254,14 +257,14 @@ def test_a_gamma_generator_independent():
 def test_frobenius_trace_Vk(ctx13):
     row = row_by_signature((2, OO, OO))
     a, = _one_lambda(row, 2, ctx13)[1].tolist()
-    assert build_Fm(1).evaluate(a, 13) == a
+    assert SymPolyFm(1).evaluate(a, 13) == a
     p = 13
-    assert build_Fm(3).evaluate(a, p) == a ** 3 - 2 * p * a * a - p * p * a + p ** 3
+    assert SymPolyFm(3).evaluate(a, p) == a ** 3 - 2 * p * a * a - p * p * a + p ** 3
 
 
 def test_f1_supersingular_substitution():
     # t = 0 point: a = -p, k = 2 gives -p
-    assert build_Fm(1).evaluate(-13, 13) == -13
+    assert SymPolyFm(1).evaluate(-13, 13) == -13
 
 
 def _cover(ctx, lamp: int) -> int:
@@ -399,7 +402,7 @@ def test_report_terms_follow_the_sweep(ctx37, sig, special):
     row, p = row_by_signature(sig), 37
     rep = hecke_trace(row, ctx37, 6)
     lams, a = a_gamma_sweep(row, ctx37)
-    generic = [[str(lam), "generic", build_Fm(3).evaluate(x, p)]
+    generic = [[str(lam), "generic", SymPolyFm(3).evaluate(x, p)]
                for lam, x in zip(lams.tolist(), a.tolist())]
     terms = rep.to_json()["terms"]
     assert terms[:len(lams)] == generic
