@@ -69,7 +69,8 @@ def nth_primitive_root(p: int, index: int) -> int:
 class PrimeFieldCtx:
     """Immutable context for F_p: generator, and the per-prime tables: dlog
     (dlog[0] = -1), its inverse antilog[k] = g^k, the roots of unity zeta^k,
-    and the quadratic character chi (int8, chi[0] = 0)."""
+    and the quadratic character chi (int8, chi[0] = 0). The Gauss sums `gauss`
+    and F_{p^2} as `ext` are built on first use and live with the context."""
 
     p: int
     g: int
@@ -82,6 +83,14 @@ class PrimeFieldCtx:
     def n(self) -> int:
         """Order of the multiplicative group."""
         return self.p - 1
+
+    @cached_property
+    def gauss(self) -> np.ndarray:
+        """The Gauss sums g[m] = sum over x != 0 of chi^m(x) * zeta_p^x with
+        chi(g^k) = zeta^k (so g[0] = -1): one inverse DFT of zeta_p^antilog."""
+        g = self.n * np.fft.ifft(np.exp(2j * np.pi * self.antilog / self.p))
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def ext(self) -> "QuadExtCtx":

@@ -220,7 +220,7 @@ def test_criterion_09_analytic_suite():
     assert ok
 
 
-def _literal_a_gamma(row, lam, ctx, table):
+def _literal_a_gamma(row, lam, ctx):
     """The row's lambda chart written out with hp_sum and scalar field ops:
     phi(1 - 1/lam) * H_p(1/lam) on the cusp rows and
     phi(-3(1 + 3/lam)) * p * H_p(-3/lam) on (2,4,6)."""
@@ -229,7 +229,7 @@ def _literal_a_gamma(row, lam, ctx, table):
         arg, chi, factor = -3 * inv % ctx.p, ctx.legendre(-3 * (1 + 3 * inv)), ctx.p
     else:
         arg, chi, factor = inv, ctx.legendre(1 - inv), 1
-    h = hp_sum(row.hd, ctx, arg, row.hp_sign, row.hp_weight, table=table).snapped
+    h = hp_sum(row.hd, ctx, arg, row.hp_sign, row.hp_weight).snapped
     return None if h is None else chi * factor * h
 
 
@@ -256,12 +256,11 @@ def test_criterion_10_determinism():
         for row in triangle_table():
             if (p - 1) % level(row.hd):
                 continue
-            table = datum_table(row.hd, ctx)
             lams, a_row = (x.tolist() for x in a_gamma_sweep(row, ctx))
             if set(range(p)) - set(lams) != row.finite_specials_mod_p(p):
                 special_bad.append((row.name, p))
             a_bad += [(row.name, p, lam) for lam, a in zip(lams, a_row)
-                      if _literal_a_gamma(row, lam, ctx, table) != a]
+                      if _literal_a_gamma(row, lam, ctx) != a]
         traces = legendre_trace_sweep(ctx)
         leg_bad += [(p, lam) for lam in range(2, p)
                     if not int(traces[lam]) == count_points("legendre", ctx, lam=lam).trace

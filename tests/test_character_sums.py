@@ -3,12 +3,13 @@ import gc
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hgtrace.character_sums import (AlgebraicValue, SnapError,
-                                    _bracket_table, _clausen_columns, _jacobi_dlog_pairs,
+                                    _bracket_table, _clausen_columns,
                                     al_square_decompose, calibration_primes, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
@@ -26,7 +27,9 @@ def jacobi_sum(A, B):
     ctx = A.ctx
     if A.is_trivial and B.is_trivial:
         return AlgebraicValue(complex(ctx.p - 2), ctx.p - 2)
-    d1, d2 = _jacobi_dlog_pairs(ctx)
+    # dlog t and dlog(1 - t) over t = 2 .. p-1: 1 - t runs over p-1 .. 2
+    d1 = ctx.dlog[2:]
+    d2 = d1[::-1]
     val = complex(np.sum(ctx.zeta[(A.e * d1 + B.e * d2) % ctx.n]))
     return AlgebraicValue.from_complex(val, snap_tolerance(ctx.p, 1))
 
@@ -114,7 +117,7 @@ def _direct_slot(ctx, ea, eb):
 
 
 def test_slot_table_equals_direct_brackets():
-    """The DFT slot table is bracket(A chi^e, B chi^e) at every e: for every
+    """The slot table is bracket(A chi^e, B chi^e) at every e: for every
     slot at p = 7, 11, 13 and at p = 13 with a non-least generator, as the n^2
     rows of one batched _bracket_table call, each row bit-identical to the
     slot's one-row table; and for every datum slot of every row up to p = 61.
@@ -160,6 +163,49 @@ def test_sweep_equals_literal_period_sum():
                    for lam in range(1, p)]
         np.testing.assert_allclose(datum_table(row.hd, ctx).sweep(range(1, p)), literal,
                                    rtol=0, atol=1e-8, err_msg=f"{row.name} {p}")
+
+
+# Beukers-Cohen-Mellit data of each row (Pure Appl. Math. Q. 11 (2015),
+# Thm 1.3): prod_j (x - e(alpha_j)) / prod_j (x - e(beta_j)) =
+# prod_i (x^p_i - 1) / prod_j (x^q_j - 1), with eps = (-1)^(sum q_j),
+# M = prod p_i^p_i / prod q_j^q_j, and delta the p-power that relates the
+# period sum to the BCM function.
+BCM_DATA = {  # signature: (p_i, q_j, eps, M, delta)
+    (2, "oo", "oo"): ((2, 2, 2), (1,) * 6, 1, Fraction(64), 0),
+    (2, 3, "oo"): ((6,), (1, 1, 1, 3), 1, Fraction(1728), 0),
+    (2, 4, "oo"): ((4,), (1, 1, 1, 1), 1, Fraction(256), 0),
+    (2, 6, "oo"): ((2, 3), (1,) * 5, -1, Fraction(108), 0),
+    (2, 4, 6): ((2, 3, 4), (1, 1, 1, 6), -1, Fraction(16, 27), 1),
+}
+
+
+def bcm_values(row, ctx):
+    """The BCM function B(u) at every u != 0, indexed by dlog u:
+    B(u) = (-1)^(#p + #q)/(1 - p) * sum_m p^(s(m) - s(0)) * prod_i g[p_i m]
+    * prod_j g[-q_j m] * omega(u)^m, with s(m) = #{i : n | p_i m}
+    - #{j : alpha_j n = m mod n}; the sum over m is one inverse DFT."""
+    ps, qs = BCM_DATA[row.signature][:2]
+    p, n, g = ctx.p, ctx.n, ctx.gauss
+    m = np.arange(n)
+    a_exps = datum_char_exponents(row.hd, ctx)[0]
+    s = sum(pi * m % n == 0 for pi in ps) - sum(m == e for e in a_exps)
+    terms = (float(p) ** (s - s[0]) * np.prod([g[pi * m % n] for pi in ps], axis=0)
+             * np.prod([g[-qj * m % n] for qj in qs], axis=0))
+    return (-1) ** (len(ps) + len(qs)) / (1 - p) * n * np.fft.ifft(terms)
+
+
+def test_persisted_normalization_is_the_bcm_one():
+    """Each row's persisted H_p normalization (sign, weight) is (-1, delta),
+    derived from BCM: the period sum at t is -p^delta * B(eps * M^-1 * t) at
+    every t != 0, for every row and every admissible p < 400."""
+    for row, ctx in _admissible_rows(400):
+        _ps, _qs, eps, M, delta = BCM_DATA[row.signature]
+        assert (row.hp_sign, row.hp_weight) == (-1, delta), row.name
+        p, t = ctx.p, np.arange(1, ctx.p)
+        u = eps * M.denominator * pow(M.numerator, -1, p) * t % p
+        np.testing.assert_allclose(datum_table(row.hd, ctx).sweep(t),
+                                   -p ** delta * bcm_values(row, ctx)[ctx.dlog[u]],
+                                   rtol=0, atol=1e-9 * p ** 0.5, err_msg=f"{row.name} {p}")
 
 
 def test_datum_table_leaves_no_memory_behind():
@@ -252,9 +298,8 @@ def test_hp_requires_rationality(ctx13):
 
 def test_hp_delta_branch(ctx13):
     row = row_by_signature((2, 4, 6))
-    table = datum_table(row.hd, ctx13)
-    v = hp_sum(row.hd, ctx13, 0, row.hp_sign, row.hp_weight, table=table)
-    expect = row.hp_sign * table.raw_value(0) / 13 ** row.hp_weight
+    v = hp_sum(row.hd, ctx13, 0, row.hp_sign, row.hp_weight)
+    expect = row.hp_sign * datum_table(row.hd, ctx13).raw_value(0) / 13 ** row.hp_weight
     assert v.z == pytest.approx(expect, abs=1e-9)
 
 
@@ -279,10 +324,9 @@ def test_al_square_mask_matches_decompose():
 def test_hp_sweep_square_property_row2oo(ctx13):
     """All generic lambda of the (2,oo,oo) row give a + p a perfect square <= 4p."""
     row = row_by_signature((2, "oo", "oo"))
-    table = datum_table(row.hd, ctx13)
     p = 13
     for lam in range(2, p):
-        h = hp_sum(row.hd, ctx13, ctx13.inv(lam), row.hp_sign, row.hp_weight, table=table)
+        h = hp_sum(row.hd, ctx13, ctx13.inv(lam), row.hp_sign, row.hp_weight)
         a = int(ctx13.legendre(1 - ctx13.inv(lam)) * h.snapped)
         d, t = al_square_decompose(a, p)
         assert d == 1 and t * t <= 4 * p

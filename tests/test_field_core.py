@@ -150,6 +150,27 @@ def test_quadratic_extension_is_cached_on_the_context(ctx13):
     assert ctx13.ext == build_quad_ext(ctx13)
 
 
+@pytest.mark.parametrize("p, index", [(7, 0), (13, 0), (13, 1), (1009, 0), (10009, 0)])
+def test_gauss_sums_exact_identities(p, index):
+    """ctx.gauss meets the exact identities of Gauss sums: g[0] = -1,
+    g[m] * g[n - m] = chi^m(-1) * p = (-1)^m * p for m != 0, and the quadratic
+    Gauss sum g[n/2] is sqrt(p) for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4;
+    at p <= 13 each g[m] is also the defining sum over x."""
+    ctx = build_ctx(p, generator=nth_primitive_root(p, index))
+    g, n = ctx.gauss, ctx.n
+    tol = 1e-9 * p
+    assert g.shape == (n,) and not g.flags.writeable and ctx.gauss is g
+    assert abs(g[0] + 1) < tol
+    m = np.arange(1, n)
+    np.testing.assert_allclose(g[m] * g[n - m], np.where(m % 2, -p, p), rtol=0, atol=tol)
+    assert abs(g[n // 2] - (1 if p % 4 == 1 else 1j) * p ** 0.5) < tol
+    if p <= 13:
+        zeta_p = np.exp(2j * np.pi * np.arange(p) / p)
+        direct = [sum(MultCharacter(ctx, e)(x) * zeta_p[x] for x in range(1, p))
+                  for e in range(n)]
+        np.testing.assert_allclose(g, direct, rtol=0, atol=1e-12)
+
+
 def test_legendre_multiplicative(ctx13):
     for x in range(1, 13):
         for y in range(1, 13):
