@@ -8,16 +8,18 @@ off the normalized period sums.
 Values are carried as double-precision complex numbers and snapped to exact
 integers (or rationals with a p-power denominator) when a quantity is known to
 be rational; the snap tolerance scales with the Weil magnitude of the
-intermediates. Every Jacobi sum is g[x] g[y] / g[x + y] over the context's
-Gauss sums ctx.gauss, one inverse DFT over the character group Z/(p-1) per
-context. Summed directly, a slot's brackets over all twists and a datum's
-period sums over all lambda each cost O(p^2); instead the brackets are
-gathers, and the period sums at every nonzero lambda are one inverse DFT of
+intermediates. Every character sum is read off the context's Gauss sums
+ctx.gauss, one inverse DFT over the character group Z/(p-1) per context.
+Summed directly, a slot's brackets over all twists and a datum's period sums
+over all lambda each cost O(p^2); instead a slot row is two windows of one
+Gauss vector times one scalar, -g[a + e] * conj g[b + e] / g[a - b] over the
+twists e, and the period sums at every nonzero lambda are one inverse DFT of
 the datum's slot product. A datum costs O(p log p), after which each lambda
 is a gather. A datum's slot tables are one bracket-table call over its slots,
 built when the datum's table is and dropped with it; a repeated slot is a
 repeated row. The finite-field Clausen check is read the same way: for each
-eta, the square pairs (eta, K) are one batch of tables and a gather over t.
+eta, the square pairs (eta, K) are one batch of tables and a gather over t,
+and its four t = 1 Jacobi sums are g[x] g[y] / g[x + y].
 """
 
 from __future__ import annotations
@@ -87,21 +89,37 @@ def _jacobi(ctx: PrimeFieldCtx, x, y) -> np.ndarray:
 
 def _bracket_table(ctx: PrimeFieldCtx, e_a, e_b) -> np.ndarray:
     """bracket(A*chi^e, B*chi^e) for e = 0..n-1, one row for each pair of
-    exponents (e_a[i], e_b[i]) of the int arrays e_a, e_b: shape (m, n).
+    exponents (a, b) = (e_a[i], e_b[i]) of the int arrays e_a, e_b: shape (m, n).
 
-    bracket(X, Y) = -Y(-1) * J(X, Ybar), so a row is the sign (-1)^(e_b+e+1)
-    times the Jacobi sums J(chi^(e_a+e), chi^(-e_b-e)), gathers over ctx.gauss.
+    bracket(X, Y) = -Y(-1) * J(X, Ybar) and J(chi^x, chi^y) = g[x] g[y] / g[x + y];
+    at the twist e, x = a + e and y = -b - e, so x + y = a - b for every e.
+    Since g[-m] = (-1)^m * conj g[m], the signs cancel and the row is
+    -g[a + e] * conj g[b + e] / g[a - b]: windows at a and b of ctx.gauss
+    written twice, and one scalar per row. Where a = b the row is 1, and
+    2 - p at e = -a.
     """
-    e = np.arange(ctx.n)
-    e_b = np.reshape(e_b, (-1, 1)) + e
-    out = np.where(e_b % 2, 1.0, -1.0) * _jacobi(ctx, np.reshape(e_a, (-1, 1)) + e, -e_b)
+    n, g = ctx.n, ctx.gauss
+    e_a, e_b = np.ravel(e_a) % n, np.ravel(e_b) % n
+    twice = np.concatenate([g, g])
+    # window[k] = twice[k:k + n], a view as in curve_lab._lam_grids; the
+    # ndarray constructor costs a fraction of as_strided on tiny tables
+    window = np.ndarray((n, n), twice.dtype, twice, 0, twice.strides * 2)
+    out = window[e_a]
+    np.conj(twice, out=twice)  # the windows now read conj g
+    out *= window[e_b]
+    out *= (-1 / g[(e_a - e_b) % n])[:, None]
+    same = np.flatnonzero(e_a == e_b)
+    out[same] = 1
+    out[same, -e_a[same] % n] = 2 - ctx.p
     out.setflags(write=False)
     return out
 
 
 class BracketTable:
     """Per-datum product of slot tables and the period sum at every nonzero
-    lambda, read off one inverse DFT of that product at dlog lambda.
+    lambda, read off one inverse DFT of that product at dlog lambda. The slot
+    tables are one _bracket_table call: each row two windows of ctx.gauss and
+    one scalar.
 
     Slots beyond the first must list the trivial character in the b position of
     slot one (the period-sum convention B_1 = trivial).

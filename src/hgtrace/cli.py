@@ -359,7 +359,8 @@ def count(click_ctx, family, prime, lam, j, n_, exps, branch, fp2):
             cc = count_points(family, fieldctx, **kwargs)
             rows.append((kwargs, cc))
     except FieldError as exc:
-        # p <= 5 for a family that needs p > 5, or --fp2 with no F_{p^2} counter
+        # p <= 5 for a family that needs p > 5, --fp2 with no F_{p^2} counter,
+        # or an F_{p^2} count past its exactness bounds
         raise click.UsageError(str(exc))
     except SnapError as exc:
         click.echo(f"computation failure: {exc}", err=True)
@@ -471,7 +472,7 @@ def _run_suite(name, prime, max_prime, seed):
             ctx = build_ctx(p)
             try:
                 scans = baba_granath_qm_sweep(ctx, range(1, p))
-            except FieldError as exc:  # the genus-2 model needs p > 5
+            except FieldError as exc:  # p <= 5, or F_{p^2} counts past their bounds
                 raise click.UsageError(str(exc))
             for scan in scans:
                 for branch, res in scan:

@@ -19,7 +19,8 @@ Legendre traces for every lambda are one cyclic correlation mod p instead,
 O(p log p) by real FFTs under two exact guards. Over F_{p^2} a batch of
 curves is at most two passes over the points, each curve a row of float64
 matmuls exact below 2^53: the curves with coefficients in F_p need only half
-of F_{p^2}, since x and its conjugate give conjugate values of f. The two
+of F_{p^2}, since x and its conjugate give conjugate values of f, and their
+norms are reduced once per point, exact in int64 below 2^63. The two
 s-branches of a Baba-Granath sextic at j are isomorphic over F_{p^2} under
 x -> t/x, so baba_granath_qm_sweep counts one of them there and the other
 reads that count once its coefficients are checked to be the transform.
@@ -111,10 +112,12 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     norm vanishes only at 0. A block of points x = u + w*sqrt(nu) is the power
     basis x^k = X_k + Y_k sqrt(nu), and every row is read off it by float64
     matmuls, which are exact while a row's sums n_coef * (p - 1)^2 stay below
-    2^53; past that FieldError is raised before any point is evaluated. When
-    every coefficient of a row lies in F_p, f(x) and f(xbar) are conjugate and
-    have the same norm, so only w in [0, (p - 1)/2] is evaluated and each
-    w > 0 counts twice. Those rows are one pass and the others a second.
+    2^53. When every coefficient of a row lies in F_p, f(x) and f(xbar) are
+    conjugate and have the same norm, so only w in [0, (p - 1)/2] is evaluated
+    and each w > 0 counts twice; the norm is taken of the unreduced sums and
+    reduced once, exact in int64 while nu * (n_coef * (p - 1)^2)^2 < 2^63.
+    Past either bound FieldError is raised before any point is evaluated. The
+    rows in F_p are one pass and the others a second.
     """
     p, nu = ext.base.p, ext.nu
     a_re = np.asarray(rows_re, dtype=np.int64) % p
@@ -123,6 +126,9 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     if n_coef * (p - 1) ** 2 >= 2 ** 53:
         raise FieldError(f"{n_coef} coefficients at p = {p}: the F_p2 count's float64 "
                          "sums would pass 2^53 and stop being exact")
+    if nu * (n_coef * (p - 1) ** 2) ** 2 >= 2 ** 63:
+        raise FieldError(f"{n_coef} coefficients at p = {p}: the F_p2 count's int64 "
+                         "norms would pass 2^63 and overflow")
     in_fp = ~a_im.any(axis=1)
     if in_fp.any() and not in_fp.all():
         counts = np.empty(n_rows, dtype=np.int64)
@@ -150,10 +156,11 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
         if not real:
             vr += nu * _reduce((f_im @ Y).astype(np.int64), p)
             vi += (f_im @ X).astype(np.int64)
-        # the norm vr^2 - nu*vi^2, in place (|norm| < p^3 fits int64): these
-        # (row, point) arrays are the block's memory
-        _reduce(vr, p)
-        _reduce(vi, p)
+            _reduce(vr, p)
+            _reduce(vi, p)
+        # the norm vr^2 - nu*vi^2, in place: these (row, point) arrays are the
+        # block's memory. Unreduced (rows in F_p) it lies within the 2^63 guard;
+        # reduced, |norm| < p^3
         vr *= vr
         vi *= vi
         vi *= nu

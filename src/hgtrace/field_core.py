@@ -68,14 +68,13 @@ def nth_primitive_root(p: int, index: int) -> int:
 @dataclass(frozen=True)
 class PrimeFieldCtx:
     """Immutable context for F_p: generator, and the per-prime tables: dlog
-    (dlog[0] = -1), its inverse antilog[k] = g^k, the roots of unity zeta^k,
-    and the quadratic character chi (int8, chi[0] = 0). The Gauss sums `gauss`
+    (dlog[0] = -1), its inverse antilog[k] = g^k, and the quadratic character
+    chi (int8, chi[0] = 0). The roots of unity `zeta`, the Gauss sums `gauss`
     and F_{p^2} as `ext` are built on first use and live with the context."""
 
     p: int
     g: int
     dlog: np.ndarray = field(repr=False, compare=False)
-    zeta: np.ndarray = field(repr=False, compare=False)
     antilog: np.ndarray = field(repr=False, compare=False)
     chi: np.ndarray = field(repr=False, compare=False)
 
@@ -83,6 +82,11 @@ class PrimeFieldCtx:
     def n(self) -> int:
         """Order of the multiplicative group."""
         return self.p - 1
+
+    @cached_property
+    def zeta(self) -> np.ndarray:
+        """The roots of unity zeta^k = exp(2*pi*i*k/n), k = 0..n-1."""
+        return np.exp(2j * np.pi * np.arange(self.n) / self.n)
 
     @cached_property
     def gauss(self) -> np.ndarray:
@@ -162,11 +166,9 @@ def build_ctx(p: int, generator: int | None = None) -> PrimeFieldCtx:
     antilog, dlog = _dlog_table(p, g)
     if generator is not None and np.count_nonzero(dlog >= 0) != p - 1:
         raise FieldError(f"{generator} is not a primitive root mod {p}")
-    n = p - 1
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
     chi = (1 - 2 * (dlog & 1)).astype(np.int8)  # dlog(x) parity; dlog[0] = -1
     chi[0] = 0
-    return PrimeFieldCtx(p=p, g=g, dlog=dlog, zeta=zeta, antilog=antilog, chi=chi)
+    return PrimeFieldCtx(p=p, g=g, dlog=dlog, antilog=antilog, chi=chi)
 
 
 # build_ctx under the name code outside the package imports. Contexts are not

@@ -116,6 +116,20 @@ def _direct_slot(ctx, ea, eb):
                      for e in range(ctx.n)])
 
 
+def test_gauss_vector_symmetry_behind_slot_windows():
+    """What a slot row's windows rely on, for every m at p = 7, 11, 13 and at
+    p = 13 with a non-least generator: g[-m] = (-1)^m * conj g[m], so the row's
+    signs cancel, and |g[m]|^2 = p for m != 0, so the row's scalar 1/g[a - b]
+    is never a division by a small number."""
+    for ctx in (cached_ctx(7), cached_ctx(11), cached_ctx(13),
+                build_ctx(13, generator=nth_primitive_root(13, 1))):
+        g, m = ctx.gauss, np.arange(ctx.n)
+        np.testing.assert_allclose(g[-m % ctx.n], np.where(m % 2, -1, 1) * np.conj(g),
+                                   rtol=0, atol=1e-12, err_msg=f"{ctx.p} {ctx.g}")
+        np.testing.assert_allclose(np.abs(g[1:]) ** 2, ctx.p, rtol=0, atol=1e-12,
+                                   err_msg=f"{ctx.p} {ctx.g}")
+
+
 def test_slot_table_equals_direct_brackets():
     """The slot table is bracket(A chi^e, B chi^e) at every e: for every
     slot at p = 7, 11, 13 and at p = 13 with a non-least generator, as the n^2

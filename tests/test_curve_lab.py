@@ -118,6 +118,18 @@ def test_count_y2_fp2_refuses_rows_past_float64_exactness(monkeypatch):
         curve_lab._count_y2_fp2(ext, row, row)
 
 
+def test_count_y2_fp2_refuses_rows_past_int64_norms(monkeypatch):
+    """Rows in F_p take the norm of their unreduced sums, up to
+    nu * (n_coef * (p - 1)^2)^2: sextics at p = 99991 pass the 2^53 bound but
+    not 2^63, and raise before any point is evaluated."""
+    ext = build_quad_ext(cached_ctx(99991))
+    monkeypatch.setattr(curve_lab, "_reduce", lambda v, p: pytest.fail("points evaluated"))
+    assert 7 * 99990 ** 2 < 2 ** 53 and ext.nu * (7 * 99990 ** 2) ** 2 >= 2 ** 63
+    sextic = np.ones((2, 7), dtype=np.int64)
+    with pytest.raises(FieldError, match="2\\^63"):
+        curve_lab._count_y2_fp2(ext, sextic, np.zeros_like(sextic))
+
+
 def literal_count_y2_fp2(ext, co_re, co_im):
     """Points of y^2 = f(x) over F_p2 by enumerating y for every x, plus the
     places at infinity: 1 for odd degree or a vanishing sextic lead, else the
