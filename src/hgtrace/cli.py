@@ -7,12 +7,15 @@ config and seed produce byte-identical output; JSON is emitted with sorted keys
 and CSV rows in ascending parameter order.
 
 JSON output is one json.dumps(payload, indent=2, sort_keys=True, default=...)
-call in _json_text, whose default writes a TraceReport as its to_json() and any
-other object json cannot write as its str(). The hand-written part starts at
-the rows of a report's "terms" (_terms_text): json writes a placeholder string
-there, and the rows replace it at its indent. The recorded output digests of
-the benchmark depend on these bytes; the tests compare _json_text with
-json.dumps over to_json() on every emitted payload.
+call in _json_chunks, whose default writes a TraceReport as its to_json() and
+any other object json cannot write as its str(). The hand-written part starts
+at the rows of a report's "terms" (_terms_chunks): json writes a placeholder
+string there, and the rows replace it at its indent. The writer yields the
+text in chunks, a report's generic rows _ROWS_PER_CHUNK to a chunk, and
+_emit_json writes each as it comes, so no whole report is held as one string.
+The recorded output digests of the benchmark depend on these bytes; the tests
+compare the joined chunks with json.dumps over to_json() on every emitted
+payload.
 """
 
 from __future__ import annotations
@@ -48,20 +51,35 @@ _TERMS = "\0terms\0"
 _TERMS_JSON = json.dumps(_TERMS)
 
 
-def _emit(text: str):
-    """Write JSON or CSV text to stdout. It holds no ANSI escape (json writes
-    ESC as \\u001b), so click's strip pass, a regex over the whole text
-    whenever stdout is not a terminal, is skipped."""
-    click.echo(text, color=True)
+# The generic rows of a report go out this many to a chunk, each chunk one
+# %-format: large enough that a chunk's fixed cost (a format string, a write)
+# is spread over many rows, small enough that a chunk stays a few tens of KB
+# whatever the size of the report.
+_ROWS_PER_CHUNK = 512
+
+
+def _emit(text: str, nl: bool = True):
+    """Write CSV text, or a chunk of JSON from _emit_json, to stdout: JSON
+    goes out chunk by chunk as the writer yields it, so no whole report is held
+    as one string. It holds no ANSI escape (json writes ESC as \\u001b), so
+    click's strip pass, a regex over the whole text whenever stdout is not a
+    terminal, is skipped."""
+    click.echo(text, nl=nl, color=True)
 
 
 def _emit_json(payload: dict):
-    _emit(_json_text(payload))
+    """Write payload as JSON to stdout, one chunk of _json_chunks at a time,
+    then a newline. A payload that cannot be written writes nothing."""
+    for chunk in _json_chunks(payload):
+        _emit(chunk, nl=False)
+    _emit("")
 
 
-def _json_text(payload) -> str:
+def _json_chunks(payload):
     """json.dumps(payload, indent=2, sort_keys=True), with a TraceReport written
-    as its to_json() and any other object json cannot write as its str()."""
+    as its to_json() and any other object json cannot write as its str(), as
+    a sequence of chunks. Everything that can fail (json.dumps and the
+    placeholder count) runs before the first chunk is yielded."""
     reports = []
 
     def default(obj):
@@ -73,33 +91,44 @@ def _json_text(payload) -> str:
     chunks = json.dumps(payload, indent=2, sort_keys=True, default=default).split(_TERMS_JSON)
     if len(chunks) != len(reports) + 1:
         raise ValueError(f"{len(chunks) - 1} terms placeholders for {len(reports)} reports")
-    out = [chunks[0]]
+    yield chunks[0]
     for rep, before, after in zip(reports, chunks, chunks[1:]):
         line = before[before.rindex("\n"):]  # '\n<indent>"terms": '
-        out += (_terms_text(rep, line[:len(line) - len(line.lstrip("\n "))]), after)
-    return "".join(out)
+        yield from _terms_chunks(rep, line[:len(line) - len(line.lstrip("\n "))])
+        yield after
 
 
-def _terms_text(rep: TraceReport, nl: str) -> str:
-    """The "terms" list of rep.to_json(), written at the indent of nl: a
-    newline and the indent of the line that opens the list.
+def _terms_chunks(rep: TraceReport, nl: str):
+    """The "terms" list of rep.to_json(), written at the indent of nl (a
+    newline and the indent of the line that opens the list), in chunks.
 
-    The generic rows are one join of (lambda, value) pairs, each distinct
-    value formatted once; the few cusp and elliptic rows are written directly,
-    since their lambda and kind need no JSON escape and their value is an int
-    or None.
+    The generic rows go out _ROWS_PER_CHUNK to a chunk, each chunk one
+    %-format of the rows' lambdas alternating with their tails: the text from
+    after a lambda to the next lambda, one string per distinct value. The last
+    tail closes its row without opening the next. The few cusp and elliptic
+    rows follow in one chunk, written directly, since their lambda and kind
+    need no JSON escape and their value is an int or None.
     """
     item, field = nl + "  ", nl + "    "
-    rows = []
-    if len(rep.generic_lams):
-        open_, mid, close = f'[{field}"', f'",{field}"generic",{field}', item + "]"
-        value_strs = list(map(str, rep.generic_values))
-        pairs = zip(map(str, rep.generic_lams.tolist()),
-                    map(value_strs.__getitem__, rep.generic_index.tolist()))
-        rows.append(open_ + (close + "," + item + open_).join(map(mid.join, pairs)) + close)
-    rows += (f'[{field}"{lam}",{field}"{kind}",{field}{"null" if value is None else value}'
-             f'{item}]' for lam, kind, value in rep.special_terms)
-    return "[" + item + ("," + item).join(rows) + nl + "]" if rows else "[]"
+    special = [f'[{field}"{lam}",{field}"{kind}",{field}{"null" if value is None else value}'
+               f'{item}]' for lam, kind, value in rep.special_terms]
+    n = len(rep.generic_lams)
+    if not n:
+        yield "[" + item + ("," + item).join(special) + nl + "]" if special else "[]"
+        return
+    opener = f",{item}[{field}\""  # from the end of one row to the next lambda
+    tails = [f'",{field}"generic",{field}{value}{item}]{opener}' for value in rep.generic_values]
+    index = rep.generic_index.tolist()
+    for i in range(0, n, _ROWS_PER_CHUNK):
+        j = min(i + _ROWS_PER_CHUNK, n)
+        block = [None] * (2 * (j - i))
+        block[::2] = rep.generic_lams[i:j].tolist()
+        block[1::2] = map(tails.__getitem__, index[i:j])
+        if j == n:
+            block[-1] = block[-1][:-len(opener)]
+        fmt = "%d%s" * (j - i)  # neither item nor field holds a %
+        yield (fmt if i else "[" + opener[1:] + fmt) % tuple(block)
+    yield "".join("," + item + row for row in special) + nl + "]"
 
 
 def _parse_group(text: str):

@@ -111,24 +111,22 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     z != 0 is a square iff its norm re^2 - nu*im^2 is a square in F_p, and the
     norm vanishes only at 0. A block of points x = u + w*sqrt(nu) is the power
     basis x^k = X_k + Y_k sqrt(nu), and every row is read off it by float64
-    matmuls, which are exact while a row's sums n_coef * (p - 1)^2 stay below
-    2^53. When every coefficient of a row lies in F_p, f(x) and f(xbar) are
-    conjugate and have the same norm, so only w in [0, (p - 1)/2] is evaluated
-    and each w > 0 counts twice; the norm is taken of the unreduced sums and
-    reduced once, exact in int64 while nu * (n_coef * (p - 1)^2)^2 < 2^63.
-    Past either bound FieldError is raised before any point is evaluated. The
-    rows in F_p are one pass and the others a second.
+    matmuls, which are exact while a row's sums M = n_coef * (p - 1)^2 stay
+    below 2^53. When every coefficient of a row lies in F_p, f(x) and f(xbar)
+    are conjugate and have the same norm, so only w in [0, (p - 1)/2] is
+    evaluated and each w > 0 counts twice; the norm is taken of the unreduced
+    sums and reduced once, exact in int64 while nu * M^2 < 2^63. As nu >= 2,
+    that bound gives M < 2^31, so it implies the first and is the one checked:
+    past it FieldError is raised before any point is evaluated. The rows in
+    F_p are one pass and the others a second.
     """
     p, nu = ext.base.p, ext.nu
     a_re = np.asarray(rows_re, dtype=np.int64) % p
     a_im = np.asarray(rows_im, dtype=np.int64) % p
     n_rows, n_coef = a_re.shape
-    if n_coef * (p - 1) ** 2 >= 2 ** 53:
-        raise FieldError(f"{n_coef} coefficients at p = {p}: the F_p2 count's float64 "
-                         "sums would pass 2^53 and stop being exact")
     if nu * (n_coef * (p - 1) ** 2) ** 2 >= 2 ** 63:
-        raise FieldError(f"{n_coef} coefficients at p = {p}: the F_p2 count's int64 "
-                         "norms would pass 2^63 and overflow")
+        raise FieldError(f"{n_coef} coefficients at p = {p}: the F_p2 count needs float64 "
+                         "sums below 2^53 and int64 norms below 2^63")
     in_fp = ~a_im.any(axis=1)
     if in_fp.any() and not in_fp.all():
         counts = np.empty(n_rows, dtype=np.int64)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 
 from hgtrace import cli, curve_lab, field_core, modform_oracle
 from hgtrace.character_sums import SnapError, clausen_sweep, snap_tolerance
-from hgtrace.cli import _json_text, main
+from hgtrace.cli import _json_chunks, main
 from hgtrace.field_core import DEFAULT_P_BOUND, cached_ctx, is_prime
 from hgtrace.hgm_data import OO, row_by_signature
 from hgtrace.modform_oracle import (FixtureError, fixture_path, load_fixture,
@@ -22,6 +23,10 @@ from hgtrace.modform_oracle import (FixtureError, fixture_path, load_fixture,
 from hgtrace.trace_engine import TraceReport, hecke_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _json_text(obj):
+    return "".join(_json_chunks(obj))
 
 
 def _dumps(obj):
@@ -781,6 +786,53 @@ def test_json_writer_on_trace_reports(sig, p, k):
     assert rep.generic_sum == sum(value for _lam, kind, value in terms if kind == "generic")
     elliptic = [value for _lam, kind, value in terms if kind.startswith("elliptic")]
     assert elliptic and (rep.partial == all(v is None for v in elliptic))
+
+
+@pytest.fixture(scope="module")
+def report_10009():
+    return hecke_trace(row_by_signature((2, 4, 6)), cached_ctx(10009), 6)
+
+
+@pytest.mark.parametrize("special", [True, False], ids=["special", "no-special"])
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1024, None],
+                         ids=lambda n: "all" if n is None else str(n))
+def test_json_writer_chunk_boundaries(report_10009, n, special):
+    """The (2,4,6) report at p = 10009 cut to n generic rows, on each side of
+    a chunk boundary, with and without its cusp and elliptic rows: the chunks
+    join to json.dumps over to_json(), and none is longer than 64 KiB."""
+    rep = dataclasses.replace(report_10009, generic_lams=report_10009.generic_lams[:n],
+                              generic_index=report_10009.generic_index[:n],
+                              special_terms=report_10009.special_terms if special else ())
+    assert len(rep.generic_lams) == (len(report_10009.generic_lams) if n is None else n)
+    chunks = list(_json_chunks({"reports": [rep]}))
+    assert "".join(chunks) == json.dumps({"reports": [rep.to_json()]}, indent=2, sort_keys=True)
+    assert max(map(len, chunks)) <= 64 * 1024
+
+
+def test_json_writer_failure_writes_nothing(capsys):
+    with pytest.raises(ValueError):
+        cli._emit_json({"terms": "\0terms\0"})
+    assert capsys.readouterr().out == ""
+
+
+def test_trace_failure_at_a_later_prime_writes_nothing(runner, monkeypatch):
+    """Every report is computed before any is written: a failure at the second
+    prime of a range leaves stdout empty, although the first report was made."""
+    real, primes = cli.hecke_trace, []
+
+    def hecke_trace_failing_second(row, ctx, k):
+        primes.append(ctx.p)
+        if len(primes) == 2:
+            raise SnapError("no snap")
+        return real(row, ctx, k)
+
+    monkeypatch.setattr(cli, "hecke_trace", hecke_trace_failing_second)
+    res = runner.invoke(main, ["trace", "--group", "2,oo,oo", "--weight", "8",
+                               "--prime-range", "7:20"])
+    assert res.exit_code == 1, res.output
+    assert primes == [7, 11]
+    assert res.stdout == ""
+    assert res.stderr == "computation failure at p = 11: no snap\n"
 
 
 def test_json_writer_at_the_reference_prime(runner, monkeypatch):
