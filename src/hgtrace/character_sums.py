@@ -141,7 +141,7 @@ class BracketTable:
             pref *= -(1 if ((ea + eb) * (n // 2)) % n == 0 else -1)
         self.prefactor = pref
         # the lambda = 0 branch: prod_{i>=2} bracket(A_i, B_i), each slot at e = 0
-        self.delta_product = complex(np.prod([slot[0] for slot in slots[1:]]))
+        self.delta_product = complex(np.prod(slots[1:, 0]))
         # values[d] = prefactor/n * sum_e (slot product)[e] * zeta^(e d), the
         # period sum at the lambda with dlog d
         self.values = pref * np.fft.ifft(np.prod(slots, axis=0))

@@ -7,12 +7,13 @@ config and seed produce byte-identical output; JSON is emitted with sorted keys
 and CSV rows in ascending parameter order.
 
 JSON output is one json.dumps(payload, indent=2, sort_keys=True, default=...)
-call in _json_chunks, whose default writes a TraceReport as its to_json() and
-any other object json cannot write as its str(). The hand-written part starts
-at the rows of a report's "terms" (_terms_chunks): json writes a placeholder
-string there, and the rows replace it at its indent. The writer yields the
-text in chunks, a report's generic rows _ROWS_PER_CHUNK to a chunk, and
-_emit_json writes each as it comes, so no whole report is held as one string.
+call in _json_chunks, whose default writes any object json cannot write as its
+str(), except a TraceReport: json writes a placeholder string for the whole
+report, and the report is written by hand in its place, at its indent
+(_report_chunks: the summary fields, then the "terms" rows of _terms_chunks).
+The writer yields the text in chunks, a report's generic rows _ROWS_PER_CHUNK
+to a chunk, and _emit_json writes each as it comes, so no whole report is held
+as one string.
 The recorded output digests of the benchmark depend on these bytes; the tests
 compare the joined chunks with json.dumps over to_json() on every emitted
 payload.
@@ -37,7 +38,7 @@ from .character_sums import (AlgebraicValue, SnapError, calibration_primes, clau
                              datum_table, hp_sum, snap_tolerance)
 from .curve_lab import (baba_granath_curve, baba_granath_qm_sweep, count_genus2_fp2,
                         count_points, count_via_characters, gen_legendre_counts,
-                        legendre_trace_sweep)
+                        gen_legendre_rows, legendre_trace_sweep)
 from .field_core import DEFAULT_P_BOUND, FieldError, build_ctx, is_prime
 from .hgm_data import OO, HGDatum, level, row_by_signature, table_json, triangle_table
 from .modform_oracle import FixtureError, QExpansionError, load_fixture
@@ -45,10 +46,14 @@ from .trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, TraceReport, a_ga
                            fm_identity_holds, hecke_trace, legendre_relation)
 
 
-# A report's "terms" stand in json's output as this string until its rows are
-# written; the NUL byte cannot arrive through argv.
-_TERMS = "\0terms\0"
-_TERMS_JSON = json.dumps(_TERMS)
+# A TraceReport stands in json's output as this string until the report is
+# written in its place; the NUL byte cannot arrive through argv.
+_REPORT = "\0terms\0"
+_REPORT_JSON = json.dumps(_REPORT)
+
+# What json.dumps runs on a str: the quoted string with every non-ASCII or
+# control character escaped.
+_str_json = json.encoder.encode_basestring_ascii
 
 
 # The generic rows of a report go out this many to a chunk, each chunk one
@@ -78,24 +83,72 @@ def _emit_json(payload: dict):
 def _json_chunks(payload):
     """json.dumps(payload, indent=2, sort_keys=True), with a TraceReport written
     as its to_json() and any other object json cannot write as its str(), as
-    a sequence of chunks. Everything that can fail (json.dumps and the
-    placeholder count) runs before the first chunk is yielded."""
+    a sequence of chunks. json writes each report as a placeholder string, and
+    _report_chunks writes the whole report in its place, at its indent.
+    Everything that can fail (json.dumps, the placeholder count and every
+    report's summary fields) runs before the first chunk is yielded."""
     reports = []
 
     def default(obj):
         if isinstance(obj, TraceReport):
             reports.append(obj)
-            return {**obj.summary_json(), "terms": _TERMS}
+            return _REPORT
         return str(obj)
 
-    chunks = json.dumps(payload, indent=2, sort_keys=True, default=default).split(_TERMS_JSON)
+    chunks = json.dumps(payload, indent=2, sort_keys=True, default=default).split(_REPORT_JSON)
     if len(chunks) != len(reports) + 1:
-        raise ValueError(f"{len(chunks) - 1} terms placeholders for {len(reports)} reports")
-    yield chunks[0]
-    for rep, before, after in zip(reports, chunks, chunks[1:]):
-        line = before[before.rindex("\n"):]  # '\n<indent>"terms": '
-        yield from _terms_chunks(rep, line[:len(line) - len(line.lstrip("\n "))])
-        yield after
+        raise ValueError(f"{len(chunks) - 1} report placeholders for {len(reports)} reports")
+    written = []
+    for rep, before in zip(reports, chunks):
+        line = before[before.rfind("\n") + 1:]  # '<indent>' or '<indent>"key": '; '' at top level
+        written.append(_report_chunks(rep, "\n" + " " * (len(line) - len(line.lstrip(" ")))))
+    # the text between two reports goes out in one chunk with the end of the
+    # first and the start of the second
+    text = chunks[0]
+    for (head, terms, tail), after in zip(written, chunks[1:]):
+        yield text + head
+        yield from terms
+        text = tail + after
+    yield text
+
+
+def _report_chunks(rep: TraceReport, nl: str):
+    """rep.to_json() written at the indent of nl (a newline and the indent of
+    the line where the report opens) as (head, terms, tail): the text from "{"
+    to the "terms" key, the chunks of the terms list (_terms_chunks), and the
+    text from after the list to "}". The keys are summary_json()'s and
+    "terms", sorted.
+
+    head and tail are built by this call, each field as json.dumps(...,
+    indent=2) writes it: None, a bool, an int, or a list of str one item to a
+    line, every str through json's own str encoder. A field of any other type
+    raises TypeError here, before a chunk is taken.
+    """
+    field = nl + "  "
+    item = field + "  "
+    summary = rep.summary_json()
+    keys = sorted([*summary, "terms"])
+    lines = []
+    for key in keys:
+        if key == "terms":
+            continue
+        value = summary[key]
+        if value is None:
+            text = "null"
+        elif type(value) is bool:
+            text = "true" if value else "false"
+        elif type(value) is int:
+            text = str(value)
+        elif type(value) is list and all(type(s) is str for s in value):
+            text = ("[" + item + ("," + item).join(map(_str_json, value)) + field + "]"
+                    if value else "[]")
+        else:
+            raise TypeError(f"report field {key!r} cannot hold {value!r}")
+        lines.append(f"{field}{_str_json(key)}: {text}")
+    i = keys.index("terms")
+    head = "{" + "".join(line + "," for line in lines[:i]) + field + '"terms": '
+    tail = "".join("," + line for line in lines[i:]) + nl + "}"
+    return head, _terms_chunks(rep, field), tail
 
 
 def _terms_chunks(rep: TraceReport, nl: str):
@@ -378,15 +431,13 @@ def count(click_ctx, family, prime, lam, j, n_, exps, branch, fp2):
             base.update(a=a, b=b, c=c)
         else:
             base[name] = click_ctx.params[name]
-    rows = []
+    params = [base if lv is None else {**base, "lam": lv} for lv in lam_values]
     try:
-        fieldctx = ctx.ext if fp2 else ctx
-        for lv in lam_values:
-            kwargs = dict(base)
-            if lv is not None:
-                kwargs["lam"] = lv
-            cc = count_points(family, fieldctx, **kwargs)
-            rows.append((kwargs, cc))
+        if family == "genlegendre" and not fp2:  # every lambda in one blocked grid
+            counts = gen_legendre_rows(ctx, lams=lam_values, **base)
+        else:
+            fieldctx = ctx.ext if fp2 else ctx
+            counts = [count_points(family, fieldctx, **kwargs) for kwargs in params]
     except FieldError as exc:
         # p <= 5 for a family that needs p > 5, --fp2 with no F_{p^2} counter,
         # or an F_{p^2} count past its exactness bounds
@@ -397,7 +448,7 @@ def count(click_ctx, family, prime, lam, j, n_, exps, branch, fp2):
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(["family", "params", "p", "q", "n_points", "trace", "flags"])
-    for kwargs, cc in rows:
+    for kwargs, cc in zip(params, counts):
         w.writerow([family, _params_json(kwargs), prime, cc.q,
                     cc.n_points, cc.trace, ";".join(cc.flags)])
     _emit(out.getvalue().rstrip("\n"))

@@ -316,14 +316,24 @@ def gen_legendre_counts(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
 
 def count_gen_legendre(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
                        lam: int) -> CurveCount:
-    """The one-lam row of gen_legendre_counts, as a CurveCount."""
+    """The one-lam case of gen_legendre_rows."""
+    return gen_legendre_rows(ctx, N, a, b, c, [lam])[0]
+
+
+def gen_legendre_rows(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int,
+                      lams) -> list[CurveCount]:
+    """The rows of gen_legendre_counts as CurveCounts, one per lam of lams in
+    the order given: one gen_legendre_counts call over the lams outside
+    {0, 1}. A lam in {0, 1}, or any lam when p divides N, is a flagged
+    bad-reduction row with no count."""
     p = ctx.p
-    lam %= p
-    if lam in (0, 1) or N % p == 0:
-        flag = "bad reduction: lambda in {0, 1}" if lam in (0, 1) else "p divides N"
-        return CurveCount(p, 0, None, good=False, flags=(flag,))
-    cnt = int(gen_legendre_counts(ctx, N, a, b, c, [lam])[0])
-    return CurveCount(p, cnt, p + 1 - cnt)
+    lams = [lam % p for lam in lams]
+    good = [lam for lam in lams if lam > 1] if N % p else []
+    counts = dict(zip(good, gen_legendre_counts(ctx, N, a, b, c, good).tolist()))
+    return [CurveCount(p, counts[lam], p + 1 - counts[lam]) if lam in counts else
+            CurveCount(p, 0, None, good=False,
+                       flags=("bad reduction: lambda in {0, 1}" if lam < 2 else "p divides N",))
+            for lam in lams]
 
 
 def count_via_characters(ctx: PrimeFieldCtx, N: int, a: int, b: int, c: int, lams):

@@ -263,9 +263,16 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     fm = SymPolyFm(k // 2)
     table = datum_table(row.hd, ctx)
     lams, a = a_gamma_sweep(row, ctx, table=table)
-    # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur
-    distinct, index, counts = np.unique(a, return_inverse=True, return_counts=True)
-    values = tuple(fm.evaluate(x, p) for x in distinct.tolist())
+    # a + p = d*t^2 with d | 6, so only O(sqrt p) distinct a occur. a_gamma_sweep
+    # has checked 0 <= a + p <= 4p, so they are the nonzero bins of one bincount
+    # over a + p, ascending with no sort; the bins then hold each value's index.
+    s = a + p
+    bins = np.bincount(s, minlength=4 * p + 1)
+    present = np.flatnonzero(bins)
+    counts = bins[present]
+    bins[present] = np.arange(len(present))
+    index = bins[s]
+    values = tuple(fm.evaluate(x, p) for x in (present - p).tolist())
     generic_sum = sum(v * c for v, c in zip(values, counts.tolist()))
 
     special = []

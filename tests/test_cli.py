@@ -279,6 +279,36 @@ def test_count_genlegendre_places_at_branch(runner):
     assert (row[4], row[5]) == ("12", "0")
 
 
+@pytest.mark.parametrize("options", [
+    "--prime 13 --n 6 --exps 4,3,1 --lambda all",
+    "--prime 13 --n 6 --exps 4,3,1 --lambda 0,1,5,5,3",
+    "--prime 13 --n 13 --exps 4,3,1 --lambda 0,1,5,5,3",
+], ids=["all", "list-with-duplicates", "N-equals-p"])
+def test_count_genlegendre_list_matches_the_rows_one_lambda_at_a_time(runner, options):
+    """A --lambda list counts every lambda outside {0, 1} in one call; its CSV
+    is the header and the rows of one command per lambda, in the order given,
+    duplicates and bad-reduction rows included. A lambda in {0, 1} is flagged
+    before p | N, and every other row holds its single-lambda count."""
+    argv = ["count", "genlegendre", *options.split()]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    header, *rows = res.stdout.splitlines()
+    lams = cli._lambda_selection(argv[-1], 13)
+    assert len(rows) == len(lams)
+    N = int(argv[argv.index("--n") + 1])
+    for lam, row in zip(lams, rows):
+        one = runner.invoke(main, [*argv[:-1], str(lam)])
+        assert one.exit_code == 0, one.output
+        assert one.stdout.splitlines() == [header, row]
+        _family, _params, _p, _q, n_points, trace, flags = next(csv.reader([row]))
+        if lam < 2 or N % 13 == 0:
+            assert (n_points, trace) == ("0", "")
+            assert flags == ("bad reduction: lambda in {0, 1}" if lam < 2 else "p divides N")
+        else:
+            cnt = int(curve_lab.gen_legendre_counts(cached_ctx(13), N, 4, 3, 1, [lam])[0])
+            assert (n_points, trace, flags) == (str(cnt), str(14 - cnt), "")
+
+
 @pytest.mark.parametrize("route", ["gen_legendre_counts", "count_via_characters"])
 def test_verify_genlegendre_names_the_first_mismatch(runner, monkeypatch, route):
     """With one route's count off by 1 at lam = 5 and lam = 9, verify
@@ -739,6 +769,46 @@ def test_json_writer_places_reports_at_any_depth():
         assert _json_text(obj) == _dumps(obj)
     with pytest.raises(ValueError):  # the placeholder itself cannot be written
         _json_text({"terms": "\0terms\0"})
+
+
+@pytest.fixture(scope="module")
+def reports_13():
+    """The complete (2,4,6) and the partial (2,3,oo) weight-8 reports at p = 13."""
+    return [hecke_trace(row_by_signature(sig), cached_ctx(13), 6)
+            for sig in ((2, 4, 6), (2, 3, OO))]
+
+
+@pytest.mark.parametrize("fields", [
+    {"flags": ('a "quoted" flag',)}, {"flags": ("back\\slash", "tab\there")},
+    {"flags": ("\u03bb-flag \U0001d11e",)}, {"flags": ()},
+    {"oracle": 0, "residual": -7}, {"partial": False, "total": None},
+    {"elliptic_sum": None, "dim_cusp_forms": None, "oracle": None, "residual": 0},
+], ids=["quote", "backslash-and-tab", "non-ascii", "no-flags", "oracle-0-negative-residual",
+        "not-partial-no-total", "nulls"])
+def test_json_writer_writes_report_fields_like_json_dumps(reports_13, fields):
+    """The hand-written summary fields of a report equal json.dumps over
+    to_json() at the top level, inside a list and inside a nested dict."""
+    for base in reports_13:
+        rep = dataclasses.replace(base, **fields)
+        for wrap in (lambda r: r, lambda r: [r], lambda r: {"a": {"b": r}, "z": [1]}):
+            assert _json_text(wrap(rep)) == json.dumps(wrap(rep.to_json()), indent=2,
+                                                       sort_keys=True)
+
+
+@pytest.mark.parametrize("fields", [
+    {"oracle": np.int64(-3)}, {"residual": 0.5}, {"flags": ("ok", None)},
+    {"total": Fraction(1, 2)},
+], ids=["numpy-int", "float", "non-str-flag", "fraction"])
+def test_json_writer_bad_report_field_writes_nothing(reports_13, capsys, fields):
+    """A summary field of a type the report writer does not write raises
+    TypeError before any chunk is yielded, even after a good report."""
+    rep = dataclasses.replace(reports_13[1], **fields)
+    chunks = _json_chunks({"reports": [reports_13[0], rep]})
+    with pytest.raises(TypeError):
+        next(chunks)
+    with pytest.raises(TypeError):
+        cli._emit_json({"reports": [reports_13[0], rep]})
+    assert capsys.readouterr().out == ""
 
 
 def test_json_writer_mixed_keys_fail_like_json_dumps():

@@ -10,8 +10,9 @@ from click.testing import CliRunner
 from hgtrace import trace_engine
 from hgtrace.character_sums import SnapError, datum_table, hp_sum, snap_tolerance
 from hgtrace.cli import main
-from hgtrace.field_core import CongruenceError, build_ctx, cached_ctx, nth_primitive_root
-from hgtrace.hgm_data import OO, HGDatum, row_by_signature, triangle_table
+from hgtrace.field_core import (CongruenceError, build_ctx, cached_ctx, is_prime,
+                                nth_primitive_root)
+from hgtrace.hgm_data import OO, HGDatum, level, row_by_signature, triangle_table
 from hgtrace.curve_lab import legendre_trace_sweep
 from hgtrace.modform_oracle import level1_hecke_trace, load_fixture_by_label
 from hgtrace.trace_engine import (LEGENDRE_COVER_MAP, SCHEMA_VERSION, SymPolyFm,
@@ -407,3 +408,25 @@ def test_report_terms_follow_the_sweep(ctx37, sig, special):
     terms = rep.to_json()["terms"]
     assert terms[:len(lams)] == generic
     assert [kind for _lam, kind, _value in terms[len(lams):]] == special
+
+
+def _admissible_pairs(primes):
+    return [(row, p) for row in triangle_table() for p in primes
+            if p > 5 and (p - 1) % level(row.hd) == 0]
+
+
+@pytest.mark.parametrize("row, p", _admissible_pairs(
+    [q for q in range(7, 700) if is_prime(q)] + [10009]), ids=lambda v: getattr(v, "name", v))
+def test_report_distinct_values_match_np_unique(row, p):
+    """hecke_trace's distinct-value table (generic_values, generic_index and
+    generic_sum) equals one built by np.unique over a_gamma_sweep."""
+    ctx = cached_ctx(p)
+    rep = hecke_trace(row, ctx, 6)
+    lams, a = a_gamma_sweep(row, ctx)
+    distinct, index, counts = np.unique(a, return_inverse=True, return_counts=True)
+    values = tuple(SymPolyFm(3).evaluate(x, p) for x in distinct.tolist())
+    assert np.array_equal(rep.generic_lams, lams)
+    assert rep.generic_values == values
+    assert rep.generic_index.dtype == index.dtype
+    assert np.array_equal(rep.generic_index, index)
+    assert rep.generic_sum == sum(v * c for v, c in zip(values, counts.tolist()))
