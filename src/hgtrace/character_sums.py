@@ -11,15 +11,16 @@ be rational; the snap tolerance scales with the Weil magnitude of the
 intermediates. Every character sum is read off the context's Gauss sums
 ctx.gauss, one inverse DFT over the character group Z/(p-1) per context.
 Summed directly, a slot's brackets over all twists and a datum's period sums
-over all lambda each cost O(p^2); instead a slot row is two windows of one
-Gauss vector times one scalar, -g[a + e] * conj g[b + e] / g[a - b] over the
-twists e, and the period sums at every nonzero lambda are one inverse DFT of
-the datum's slot product. A datum costs O(p log p), after which each lambda
-is a gather. A datum's slot tables are one bracket-table call over its slots,
-built when the datum's table is and dropped with it; a repeated slot is a
-repeated row. The finite-field Clausen check is read the same way: for each
-eta, the square pairs (eta, K) are one batch of tables and a gather over t,
-and its four t = 1 Jacobi sums are g[x] g[y] / g[x + y].
+over all lambda each cost O(p^2); instead a slot's row of brackets is two
+windows of one Gauss vector times one scalar, -g[a + e] * conj g[b + e] /
+g[a - b] over the twists e (_slot_formula), and the period sums at every
+nonzero lambda are one inverse DFT of the product of the datum's slots. That
+product is multiplied window by window into one length-n vector, in place,
+with no slot row built; a repeated slot multiplies in again. A datum costs
+O(p log p), after which each lambda is a gather. The finite-field Clausen
+check reads slot rows instead: for each eta, the square pairs (eta, K) are
+one batch of _bracket_table rows and a gather over t, and its four t = 1
+Jacobi sums are g[x] g[y] / g[x + y].
 """
 
 from __future__ import annotations
@@ -87,19 +88,31 @@ def _jacobi(ctx: PrimeFieldCtx, x, y) -> np.ndarray:
     return out
 
 
-def _bracket_table(ctx: PrimeFieldCtx, e_a, e_b) -> np.ndarray:
-    """bracket(A*chi^e, B*chi^e) for e = 0..n-1, one row for each pair of
-    exponents (a, b) = (e_a[i], e_b[i]) of the int arrays e_a, e_b: shape (m, n).
+def _slot_formula(ctx: PrimeFieldCtx, a, b):
+    """The bracket row formula behind _bracket_table and BracketTable:
+    bracket(chi^(a + e), chi^(b + e)) over the twists e = 0..n-1, for exponents
+    a, b in [0, n), ints or int arrays alike.
 
     bracket(X, Y) = -Y(-1) * J(X, Ybar) and J(chi^x, chi^y) = g[x] g[y] / g[x + y];
     at the twist e, x = a + e and y = -b - e, so x + y = a - b for every e.
     Since g[-m] = (-1)^m * conj g[m], the signs cancel and the row is
-    -g[a + e] * conj g[b + e] / g[a - b]: windows at a and b of ctx.gauss
-    written twice, and one scalar per row. Where a = b the row is 1, and
-    2 - p at e = -a.
+    scale * twice[a + e] * conj twice[b + e] with twice = concatenate([g, g]):
+    windows at a of twice and at b of its conjugate, and the scalar
+    scale = -1 / g[a - b]. Where a = b the row is instead 1, and 2 - p at
+    e = diag = -a. Returns (scale, diag); the caller builds twice and
+    conjugates it in place between its a and b windows.
+    """
+    return -1 / ctx.gauss[(a - b) % ctx.n], -a % ctx.n
+
+
+def _bracket_table(ctx: PrimeFieldCtx, e_a, e_b) -> np.ndarray:
+    """bracket(A*chi^e, B*chi^e) for e = 0..n-1, one _slot_formula row for
+    each pair of exponents (a, b) = (e_a[i], e_b[i]) of the int arrays e_a,
+    e_b: shape (m, n).
     """
     n, g = ctx.n, ctx.gauss
     e_a, e_b = np.ravel(e_a) % n, np.ravel(e_b) % n
+    scale, diag = _slot_formula(ctx, e_a, e_b)
     twice = np.concatenate([g, g])
     # window[k] = twice[k:k + n], a view as in curve_lab._lam_grids; the
     # ndarray constructor costs a fraction of as_strided on tiny tables
@@ -107,19 +120,26 @@ def _bracket_table(ctx: PrimeFieldCtx, e_a, e_b) -> np.ndarray:
     out = window[e_a]
     np.conj(twice, out=twice)  # the windows now read conj g
     out *= window[e_b]
-    out *= (-1 / g[(e_a - e_b) % n])[:, None]
+    out *= scale[:, None]
     same = np.flatnonzero(e_a == e_b)
     out[same] = 1
-    out[same, -e_a[same] % n] = 2 - ctx.p
+    out[same, diag[same]] = 2 - ctx.p
     out.setflags(write=False)
     return out
 
 
 class BracketTable:
-    """Per-datum product of slot tables and the period sum at every nonzero
-    lambda, read off one inverse DFT of that product at dlog lambda. The slot
-    tables are one _bracket_table call: each row two windows of ctx.gauss and
-    one scalar.
+    """Per-datum product of the slots' bracket rows and the period sum at
+    every nonzero lambda, read off one inverse DFT of that product at dlog
+    lambda.
+
+    The product of the slots' _slot_formula rows is built in place in one
+    length-n vector, and no slot row is built: the windows at every a multiply
+    in, twice is conjugated in place, then the windows at every b; an a = b
+    slot multiplies its one 2 - p entry and takes no window. The scalars fold
+    into one complex number, applied after the transform. Slots 2..m go first,
+    so their partial product at e = 0 times their scalars is the lambda = 0
+    branch prod_{i>=2} bracket(A_i, B_i); slot 1 comes last.
 
     Slots beyond the first must list the trivial character in the b position of
     slot one (the period-sum convention B_1 = trivial).
@@ -133,18 +153,44 @@ class BracketTable:
         self.ctx = ctx
         self.a_exps = [e % ctx.n for e in a_exps]
         self.b_exps = [e % ctx.n for e in b_exps]
-        n = ctx.n
-        slots = _bracket_table(ctx, self.a_exps, self.b_exps)
+        n, p, g = ctx.n, ctx.p, ctx.gauss
         # prefactor prod_{i>=2}(-A_iB_i(-1)); chi(-1) is the exponent parity
         pref = 1
         for ea, eb in zip(self.a_exps[1:], self.b_exps[1:]):
             pref *= -(1 if ((ea + eb) * (n // 2)) % n == 0 else -1)
         self.prefactor = pref
+        rest = list(zip(self.a_exps[1:], self.b_exps[1:]))
+        twice = np.concatenate([g, g])
+        prod = np.ones(n, dtype=complex)
+        for a, b in rest:
+            if a != b:
+                prod *= twice[a:a + n]
+        np.conj(twice, out=twice)  # the windows now read conj g
+        scalar = 1
+        for a, b in rest:
+            scale, diag = _slot_formula(ctx, a, b)
+            if a != b:
+                prod *= twice[b:b + n]
+                scalar *= scale
+            else:
+                prod[diag] *= 2 - p
         # the lambda = 0 branch: prod_{i>=2} bracket(A_i, B_i), each slot at e = 0
-        self.delta_product = complex(np.prod(slots[1:, 0]))
+        self.delta_product = complex(prod[0] * scalar)
+        # slot 1 is (a, 0): its b window is conj g itself, and its a window
+        # g[a + e] is read from g in two slices, since twice now holds conj g
+        a = self.a_exps[0]
+        scale, diag = _slot_formula(ctx, a, 0)
+        if a:
+            prod *= twice[:n]
+            prod[:n - a] *= g[a:]
+            prod[n - a:] *= g[:a]
+            scalar *= scale
+        else:
+            prod[diag] *= 2 - p
         # values[d] = prefactor/n * sum_e (slot product)[e] * zeta^(e d), the
-        # period sum at the lambda with dlog d
-        self.values = pref * np.fft.ifft(np.prod(slots, axis=0))
+        # period sum at the lambda with dlog d; the transform is unscaled
+        self.values = np.fft.ifft(prod, norm="forward", out=prod)
+        self.values *= pref * scalar / n
 
     def raw_value(self, lam: int) -> complex:
         """The period sum at lam (delta branch included at lam = 0)."""

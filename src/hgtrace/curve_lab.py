@@ -92,13 +92,16 @@ def _count_y2(ctx: PrimeFieldCtx, rows) -> list[int]:
     return (p + np.array(chi_sum, dtype=np.int64) + at_inf).tolist()
 
 
-def _reduce(v: np.ndarray, p: int) -> np.ndarray:
-    """v mod p in place, for an int64 array v of either sign.
+def _reduce(v: np.ndarray, p: int, tmp: np.ndarray | None = None) -> np.ndarray:
+    """v mod p in place, for an int64 array v of either sign; tmp, an int64
+    array of v's shape, holds the quotient if given.
 
     numpy's floor_divide by a scalar is several times faster than its
     remainder, and v - (v // p) * p is exact for negative v too.
     """
-    v -= v // p * p
+    q = np.floor_divide(v, p, out=tmp)
+    q *= p
+    v -= q
     return v
 
 
@@ -139,31 +142,58 @@ def _count_y2_fp2(ext: QuadExtCtx, rows_re, rows_im) -> list[int]:
     f_re, f_im = a_re.astype(np.float64), a_im.astype(np.float64)
     chi = ext.base.chi
     chi_sum = np.zeros(n_rows, dtype=np.int64)
+    # One set of block buffers per call, and every block step writes into them
+    # with out=: fresh (row, point) arrays in each block would be given back
+    # to the OS and faulted in again on the next. A short last block reads
+    # their first m columns.
+    offsets = np.arange(step, dtype=np.int64)
+    u, w, t, q = np.empty((4, step), dtype=np.int64)
+    X, Y = np.empty((2, n_coef, step), dtype=np.int64)
+    Xf, Yf = np.empty((2, n_coef, step))
+    mat = np.empty((n_rows, step))
+    vr, vi, vq = np.empty((3, n_rows, step), dtype=np.int64)
+    c = np.empty((n_rows, step), dtype=chi.dtype)
+    # row k holds x^(n_coef - 1 - k), matching the coefficient order
+    X[-1], Y[-1] = 1, 0
     for i0 in range(0, n_points, step):
-        idx = np.arange(i0, min(i0 + step, n_points), dtype=np.int64)
-        u, w = idx % p, idx // p
-        # row k holds x^(n_coef - 1 - k), matching the coefficient order
-        X = np.empty((n_coef, len(idx)), dtype=np.int64)
-        Y = np.empty_like(X)
-        X[-1], Y[-1] = 1, 0
+        m = min(step, n_points - i0)
+        if m < step:
+            offsets, u, w, t, q, X, Y, Xf, Yf, mat, vr, vi, vq, c = (
+                b[..., :m] for b in (offsets, u, w, t, q, X, Y, Xf, Yf, mat, vr, vi, vq, c))
+        np.add(offsets, i0, out=t)
+        np.divmod(t, p, out=(w, u))
         for k in range(n_coef - 2, -1, -1):
-            X[k] = _reduce(X[k + 1] * u + _reduce(nu * Y[k + 1], p) * w, p)
-            Y[k] = _reduce(X[k + 1] * w + Y[k + 1] * u, p)
-        X, Y = X.astype(np.float64), Y.astype(np.float64)
-        vr, vi = (f_re @ X).astype(np.int64), (f_re @ Y).astype(np.int64)
+            # X_k = X_(k+1) u + (nu Y_(k+1) mod p) w and Y_k = X_(k+1) w + Y_(k+1) u, mod p
+            np.multiply(Y[k + 1], nu, out=t)
+            _reduce(t, p, q)
+            t *= w
+            np.multiply(X[k + 1], u, out=X[k])
+            X[k] += t
+            _reduce(X[k], p, q)
+            np.multiply(X[k + 1], w, out=Y[k])
+            np.multiply(Y[k + 1], u, out=t)
+            Y[k] += t
+            _reduce(Y[k], p, q)
+        np.copyto(Xf, X)
+        np.copyto(Yf, Y)
+        np.copyto(vr, np.matmul(f_re, Xf, out=mat), casting="unsafe")
+        np.copyto(vi, np.matmul(f_re, Yf, out=mat), casting="unsafe")
         if not real:
-            vr += nu * _reduce((f_im @ Y).astype(np.int64), p)
-            vi += (f_im @ X).astype(np.int64)
-            _reduce(vr, p)
-            _reduce(vi, p)
-        # the norm vr^2 - nu*vi^2, in place: these (row, point) arrays are the
-        # block's memory. Unreduced (rows in F_p) it lies within the 2^63 guard;
-        # reduced, |norm| < p^3
+            # vr += nu * im Y and vi += im X, exact in int64 as M < 2^31, then mod p
+            np.copyto(vq, np.matmul(f_im, Yf, out=mat), casting="unsafe")
+            vq *= nu
+            vr += vq
+            np.copyto(vq, np.matmul(f_im, Xf, out=mat), casting="unsafe")
+            vi += vq
+            _reduce(vr, p, vq)
+            _reduce(vi, p, vq)
+        # the norm vr^2 - nu*vi^2. Unreduced (rows in F_p) it lies within the
+        # 2^63 guard; reduced, |norm| < p^3
         vr *= vr
         vi *= vi
         vi *= nu
         vr -= vi
-        c = chi[_reduce(vr, p)]
+        np.take(chi, _reduce(vr, p, vq), out=c)
         block_sum = c.sum(axis=1, dtype=np.int64)
         if real:  # the points with w = 0 are the first p and count once
             block_sum = 2 * block_sum - c[:, :max(0, p - i0)].sum(axis=1, dtype=np.int64)

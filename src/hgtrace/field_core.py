@@ -91,8 +91,17 @@ class PrimeFieldCtx:
     @cached_property
     def gauss(self) -> np.ndarray:
         """The Gauss sums g[m] = sum over x != 0 of chi^m(x) * zeta_p^x with
-        chi(g^k) = zeta^k (so g[0] = -1): one inverse DFT of zeta_p^antilog."""
-        g = self.n * np.fft.ifft(np.exp(2j * np.pi * self.antilog / self.p))
+        chi(g^k) = zeta^k (so g[0] = -1): one inverse DFT of zeta_p^antilog.
+        As g^(k + n/2) = -g^k, the second half of zeta_p^antilog is the
+        conjugate of the first, so only n/2 of them are computed, as cos and
+        sin of angles reduced to (-pi, pi), where they are most accurate."""
+        h, p, x = self.n // 2, self.p, self.antilog[:self.n // 2]
+        z = np.empty(self.n, dtype=complex)
+        theta = np.where(2 * x < p, x, x - p) * (2 * np.pi / p)
+        np.cos(theta, out=z.real[:h])
+        np.sin(theta, out=z.imag[:h])
+        np.conj(z[:h], out=z[h:])
+        g = np.fft.ifft(z, norm="forward", out=z)  # unscaled: n * ifft(z)
         g.setflags(write=False)
         return g
 

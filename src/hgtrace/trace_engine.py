@@ -44,8 +44,9 @@ class SymPolyFm:
         if self.m < 1:
             raise ValueError("m >= 1")
 
-    def evaluate(self, S: int, T: int) -> int:
-        """F_m(S, T), by the recurrence on the integers."""
+    def evaluate(self, S, T: int):
+        """F_m(S, T), by the recurrence on the integers; S may be an object
+        array of Python ints, evaluated elementwise."""
         F_prev, F = 1, S
         for _ in range(self.m - 1):
             F_prev, F = F, (S - T) * F - T * T * F_prev
@@ -108,8 +109,9 @@ def _al_square_mask(s: np.ndarray, p: int, divisors) -> np.ndarray:
     boolean table marks every d*t^2 <= 4p at index d*t^2 + 1, with indices 0
     and 4p + 2 unmarked, and s is one gather at s + 1 clipped to that range."""
     table = np.zeros(4 * p + 3, dtype=bool)
+    squares = np.arange(isqrt(4 * p) + 1) ** 2
     for d in divisors:
-        table[d * np.arange(isqrt(4 * p // d) + 1) ** 2 + 1] = True
+        table[d * squares[:isqrt(4 * p // d) + 1] + 1] = True
     return table[np.clip(s + 1, 0, 4 * p + 2)]
 
 
@@ -272,8 +274,9 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
     counts = bins[present]
     bins[present] = np.arange(len(present))
     index = bins[s]
-    values = tuple(fm.evaluate(x, p) for x in (present - p).tolist())
-    generic_sum = sum(v * c for v, c in zip(values, counts.tolist()))
+    # one F_(k/2) call over the distinct values as Python ints, exact past 2^63
+    values = fm.evaluate(np.array((present - p).tolist(), dtype=object), p)
+    generic_sum = int(values.dot(counts.astype(object)))
 
     special = []
     cusp_sum = 0
@@ -308,7 +311,7 @@ def hecke_trace(row: TriangleGroupRow, ctx: PrimeFieldCtx, k: int) -> TraceRepor
 
     return TraceReport(
         signature=row.signature, p=p, k=k, weight=k + 2,
-        generic_lams=lams, generic_index=index, generic_values=values,
+        generic_lams=lams, generic_index=index, generic_values=tuple(values.tolist()),
         special_terms=tuple(special), generic_sum=generic_sum, cusp_sum=cusp_sum,
         elliptic_sum=elliptic_sum, total=total, partial=partial,
         flags=tuple(flags), oracle=oracle, residual=residual,

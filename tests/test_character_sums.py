@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hgtrace.character_sums import (AlgebraicValue, SnapError,
+from hgtrace.character_sums import (AlgebraicValue, BracketTable, SnapError,
                                     _bracket_table, _clausen_columns,
                                     al_square_decompose, calibration_primes, clausen_sweep,
                                     datum_char_exponents,
@@ -117,16 +117,17 @@ def _direct_slot(ctx, ea, eb):
 
 
 def test_gauss_vector_symmetry_behind_slot_windows():
-    """What a slot row's windows rely on, for every m at p = 7, 11, 13 and at
-    p = 13 with a non-least generator: g[-m] = (-1)^m * conj g[m], so the row's
-    signs cancel, and |g[m]|^2 = p for m != 0, so the row's scalar 1/g[a - b]
-    is never a division by a small number."""
+    """What a slot row's windows rely on, for every m at p = 7, 11, 13, 10069
+    and 99961 and at p = 13 with a non-least generator: g[-m] = (-1)^m *
+    conj g[m], so the row's signs cancel, and |g[m]|^2 = p for m != 0, so the
+    row's scalar 1/g[a - b] is never a division by a small number."""
     for ctx in (cached_ctx(7), cached_ctx(11), cached_ctx(13),
-                build_ctx(13, generator=nth_primitive_root(13, 1))):
+                build_ctx(13, generator=nth_primitive_root(13, 1)),
+                cached_ctx(10069), cached_ctx(99961)):
         g, m = ctx.gauss, np.arange(ctx.n)
         np.testing.assert_allclose(g[-m % ctx.n], np.where(m % 2, -1, 1) * np.conj(g),
                                    rtol=0, atol=1e-12, err_msg=f"{ctx.p} {ctx.g}")
-        np.testing.assert_allclose(np.abs(g[1:]) ** 2, ctx.p, rtol=0, atol=1e-12,
+        np.testing.assert_allclose(np.abs(g[1:]) ** 2, ctx.p, rtol=5e-14, atol=0,
                                    err_msg=f"{ctx.p} {ctx.g}")
 
 
@@ -158,6 +159,36 @@ def test_slot_table_equals_direct_brackets():
         repeated = _bracket_table(ctx, a_exps, b_exps)
         assert repeated.shape == (3, ctx.n)
         assert all(np.array_equal(slot, one_row) for slot in repeated), p
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_bracket_table_product_equals_literal_sum(p):
+    """For every slot list of length 2 and 3 with b_1 = 0 at p = 7 and 11,
+    among them a = b slots and repeated slots: BracketTable's values at every
+    dlog d are prefactor/n * sum_e prod_i bracket(A_i chi^e, B_i chi^e) *
+    zeta^(e d), and its delta_product is prod_{i>=2} bracket(A_i, B_i), with
+    every bracket from the direct Jacobi sum."""
+    ctx = cached_ctx(p)
+    n = ctx.n
+    direct = np.array([[_direct_slot(ctx, a, b) for b in range(n)] for a in range(n)])
+    zeta_ed = ctx.zeta[np.multiply.outer(np.arange(n), np.arange(n)) % n]
+    for m in (2, 3):
+        grid = np.indices((n,) * (2 * m - 1)).reshape(2 * m - 1, -1)
+        a_exps = grid[:m].T
+        b_exps = np.column_stack([np.zeros(grid.shape[1], dtype=int), grid[m:].T])
+        rest = direct[a_exps[:, 1:], b_exps[:, 1:]]
+        prefactor = np.prod(-(-1.0) ** (a_exps[:, 1:] + b_exps[:, 1:]), axis=1)
+        want_values = (prefactor[:, None] / n
+                       * (direct[a_exps[:, 0], 0] * np.prod(rest, axis=1)) @ zeta_ed)
+        want_delta = np.prod(rest[:, :, 0], axis=1)
+        got_values = np.empty_like(want_values)
+        got_delta = np.empty_like(want_delta)
+        for i, (a, b) in enumerate(zip(a_exps.tolist(), b_exps.tolist())):
+            table = BracketTable(ctx, a, b)
+            assert table.prefactor == prefactor[i]
+            got_values[i], got_delta[i] = table.values, table.delta_product
+        for got, want in ((got_values, want_values), (got_delta, want_delta)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=f"{p} {m}")
 
 
 def test_sweep_equals_literal_period_sum():
@@ -223,10 +254,10 @@ def test_persisted_normalization_is_the_bcm_one():
 
 
 def test_datum_table_leaves_no_memory_behind():
-    """A datum table's slot tables live only as long as the call that builds
-    them: once every row's table at p = 10009 has been built, building and
-    dropping each again on a context with another generator leaves less than
-    one slot table (n complex entries) of traced memory behind."""
+    """A datum table's working arrays live only as long as the call that
+    builds them: once every row's table at p = 10009 has been built, building
+    and dropping each again on a context with another generator leaves less
+    than one length-n complex vector of traced memory behind."""
     p = 10009  # 1 mod 12: every row admits it
     for row in triangle_table():
         datum_table(row.hd, cached_ctx(p))

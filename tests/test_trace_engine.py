@@ -410,6 +410,29 @@ def test_report_terms_follow_the_sweep(ctx37, sig, special):
     assert [kind for _lam, kind, _value in terms[len(lams):]] == special
 
 
+def test_fm_over_the_distinct_value_vector_matches_per_value_ints():
+    """SymPolyFm.evaluate on an object array of the distinct a_Gamma values,
+    as hecke_trace calls it, equals the per-value Python-int call at every
+    weight 4..30 for every admissible (row, p) below 200, and at p = 99961
+    with weight 30, where the values pass 2^63; hecke_trace's generic sum
+    there is the per-value sum."""
+    for row, p in _admissible_pairs([q for q in range(7, 200) if is_prime(q)]):
+        distinct = np.unique(a_gamma_sweep(row, cached_ctx(p))[1]).tolist()
+        for m in range(1, 15):
+            got = SymPolyFm(m).evaluate(np.array(distinct, dtype=object), p)
+            want = [SymPolyFm(m).evaluate(x, p) for x in distinct]
+            assert got.tolist() == want, (row.name, p, m)
+    p, ctx, fm = 99961, cached_ctx(99961), SymPolyFm(14)
+    row = row_by_signature((2, 4, 6))
+    distinct, counts = np.unique(a_gamma_sweep(row, ctx)[1], return_counts=True)
+    want = [fm.evaluate(x, p) for x in distinct.tolist()]
+    assert max(abs(v) for v in want) > 2 ** 63
+    assert fm.evaluate(np.array(distinct.tolist(), dtype=object), p).tolist() == want
+    rep = hecke_trace(row, ctx, 28)
+    assert rep.generic_values == tuple(want)
+    assert rep.generic_sum == sum(v * c for v, c in zip(want, counts.tolist()))
+
+
 def _admissible_pairs(primes):
     return [(row, p) for row in triangle_table() for p in primes
             if p > 5 and (p - 1) % level(row.hd) == 0]
