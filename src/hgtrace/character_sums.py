@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
 from math import isqrt
 
 import numpy as np
 
-from .field_core import CongruenceError, FieldError, MultCharacter, PrimeFieldCtx, is_prime
+from .field_core import CongruenceError, FieldError, MultCharacter, PrimeFieldCtx
 from .hgm_data import HGDatum, is_defined_over_Q, level
 
 
@@ -251,10 +250,11 @@ def hp_sum(hd: HGDatum, ctx: PrimeFieldCtx, t: int, sign: int, weight: int) -> A
     """H_p(hd; t) = sign * p^(-weight) * (period sum at t), for p = 1 mod level.
 
     The (sign, weight) normalization of a table row's datum is persisted on
-    the row, and `hgtrace calibrate hp` checks it. Only data defined over Q are
-    accepted (otherwise the value is not rational). The t = 1 value is the
-    plain period sum at the degenerate fiber; the elliptic-point bookkeeping in
-    trace_engine uses elliptic_square_value for that point instead.
+    the row, and `hgtrace verify weil` checks it at every admissible prime up
+    to --max-prime. Only data defined over Q are accepted (otherwise the value
+    is not rational). The t = 1 value is the plain period sum at the degenerate
+    fiber; the elliptic-point bookkeeping in trace_engine uses
+    elliptic_square_value for that point instead.
     """
     if not is_defined_over_Q(hd):
         raise ValueError(f"datum {hd} is not defined over Q; H_p is not rational")
@@ -285,13 +285,6 @@ def al_square_decompose(value: int, p: int, divisors=(1, 2, 3, 6)):
             if d * t * t == s:
                 return d, t
     return None
-
-
-def calibration_primes(hd: HGDatum) -> tuple[int, ...]:
-    """The sample primes of `hgtrace calibrate hp`: the first three primes
-    p > 5 with p = 1 mod the datum's level."""
-    M = level(hd)
-    return tuple(islice((q for q in count(7) if (q - 1) % M == 0 and is_prime(q)), 3))
 
 
 def elliptic_square_value(table: BracketTable, sign: int, weight: int) -> int:

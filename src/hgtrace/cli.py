@@ -1,10 +1,11 @@
 """Command-line surface: reproducible, machine-readable batch commands.
 
-Exit codes: 0 ok, 1 computation failure (snap/calibration/verification), 2
-usage error, including a prime that is composite, above the p cap, or one the
-command cannot take (p <= 5, or outside the row's congruence class). Identical
-config and seed produce byte-identical output; JSON is emitted with sorted keys
-and CSV rows in ascending parameter order.
+Exit codes: 0 ok, 1 computation failure (a snap, a map check or a verify
+suite), 2 usage error, including a prime that is composite, above the p cap, or
+one the command cannot take (p <= 5, or outside the row's congruence class), and
+an F_{p^2} count past its exactness bound. Identical config and seed produce
+byte-identical output; JSON is emitted with sorted keys and CSV rows in
+ascending parameter order.
 
 JSON output is one json.dumps(payload, indent=2, sort_keys=True, default=...)
 call in _json_chunks, whose default writes any object json cannot write as its
@@ -34,8 +35,8 @@ from click.core import ParameterSource
 
 from . import __version__
 from .analytic_hgm import clausen_complex_check, euler_period_check, ode_residual
-from .character_sums import (AlgebraicValue, SnapError, calibration_primes, clausen_sweep,
-                             datum_table, hp_sum, snap_tolerance)
+from .character_sums import (AlgebraicValue, SnapError, clausen_sweep, datum_table, hp_sum,
+                             snap_tolerance)
 from .curve_lab import (baba_granath_curve, baba_granath_qm_sweep, count_genus2_fp2,
                         count_points, count_via_characters, gen_legendre_counts,
                         gen_legendre_rows, legendre_trace_sweep)
@@ -533,8 +534,16 @@ def _run_suite(name, prime, max_prime, seed):
         return not bad, (f"{values} values over {pairs} (row, p) pairs, {len(bad)} violations"
                          + (f", first {bad[:3]}" if bad else ""))
     if name == "legendre":
-        failure = _legendre_failure([q for q in range(7, max_prime + 1) if is_prime(q)])
-        return failure is None, failure or f"map {LEGENDRE_COVER_MAP}, all odd p <= {max_prime}"
+        row = row_by_signature((2, OO, OO))
+        for p in [q for q in range(7, max_prime + 1) if is_prime(q)]:
+            ctx = build_ctx(p)
+            try:  # a SnapError is a guard of legendre_trace_sweep or of the a_Gamma snap
+                bad = legendre_relation(ctx, a_gamma_sweep(row, ctx), legendre_trace_sweep(ctx))
+            except SnapError as exc:
+                return False, str(exc)
+            if bad is not None:
+                return False, f"mismatch p={p} lam'={bad}"
+        return True, f"map {LEGENDRE_COVER_MAP}, all odd p <= {max_prime}"
     if name == "genlegendre":
         primes = [prime] if prime else [7, 13, 19]
         for p in primes:
@@ -564,21 +573,6 @@ def _run_suite(name, prime, max_prime, seed):
         bad = [r for r in rows if not r[-1]]
         return not bad, f"{len(rows)} checks, {len(bad)} failures"
     raise click.UsageError(f"unknown suite {name}")
-
-
-def _legendre_failure(primes) -> str | None:
-    """Why the Legendre cover relation fails at the first of primes where it
-    does, or None if it holds at each."""
-    row = row_by_signature((2, OO, OO))
-    for p in primes:
-        ctx = build_ctx(p)
-        try:  # a SnapError is a guard of legendre_trace_sweep or of the a_Gamma snap
-            bad = legendre_relation(ctx, a_gamma_sweep(row, ctx), legendre_trace_sweep(ctx))
-        except SnapError as exc:
-            return str(exc)
-        if bad is not None:
-            return f"mismatch p={p} lam'={bad}"
-    return None
 
 
 def _analytic_rows():
@@ -643,41 +637,11 @@ def table():
 
 @main.group()
 def calibrate():
-    """Checks of the fixed H_p normalization and of the two fixed curve maps."""
+    """Check of the fixed Baba-Granath map lam = 81 j / 16.
 
-
-@calibrate.command("hp")
-@click.option("--group", required=True)
-def calibrate_hp(group):
-    """Check the row's H_p normalization (hp_sign, hp_weight): a_gamma_sweep,
-    the route `trace` runs, snaps every lambda to an a with a + p = d*t^2 for a
-    d of the row's al_divisors at each calibration prime. Exits 1 if one fails.
-    """
-    row = _parse_group(group)
-    primes = calibration_primes(row.hd)
-    for p in primes:
-        try:
-            a_gamma_sweep(row, build_ctx(p))
-        except SnapError as exc:
-            click.echo(f"calibration failure: {exc}", err=True)
-            sys.exit(1)
-    _emit_json({"config": {"command": "calibrate hp", "group": row.name,
-                           "schema_version": SCHEMA_VERSION},
-                "sign": row.hp_sign, "weight": row.hp_weight,
-                "primes": list(primes), "matches_table": True})
-
-
-@calibrate.command("legendre")
-def calibrate_legendre():
-    """Check the Legendre cover map of the (2,oo,oo) row at p = 7, 11, 13."""
-    primes = [7, 11, 13]
-    failure = _legendre_failure(primes)
-    if failure is not None:
-        click.echo(f"calibration failure: {failure}", err=True)
-        sys.exit(1)
-    _emit_json({"config": {"command": "calibrate legendre",
-                           "schema_version": SCHEMA_VERSION},
-                "map": LEGENDRE_COVER_MAP, "primes": primes})
+    The check moves into verify qm once that suite's recorded stdout may
+    change. verify weil checks the H_p normalization, and verify legendre the
+    Legendre cover map."""
 
 
 @calibrate.command("bg-lambda")
@@ -703,7 +667,10 @@ def calibrate_bg_lambda(prime):
         if coeffs is not None:
             js.append(j)
             sextics.append(coeffs)
-    n2s = count_genus2_fp2(ctx, sextics)
+    try:
+        n2s = count_genus2_fp2(ctx, sextics)
+    except FieldError as exc:  # F_{p^2} counts past their exactness bound
+        raise click.UsageError(str(exc))
     absT = [abs((p * p + 1 - n2) // 2) for n2 in n2s]  # u^2 + ubar^2 up to sign
     js, absT = np.array(js, dtype=np.int64), np.array(absT, dtype=np.int64)
     c = 81 * pow(16, -1, p) % p

@@ -518,7 +518,9 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
     (branch, QMResult) per j, aligned with js.
 
     The F_p counts of all the curves defined over F_p are one count_genus2_fp
-    call, and their F_{p^2} counts one count_genus2_fp2 call. Over F_{p^2}
+    call, and their F_{p^2} counts one count_genus2_fp2 call, made first: it
+    raises FieldError past its exactness bound before any point is counted,
+    and the O(p^2) F_p count would otherwise run before it. Over F_{p^2}
     the two branches at j are one curve: with t = -2(27j + 16), the rows u
     and v of baba_granath_curve give x^6 f_+(t/x) = t^3 f_-(x), and t is a
     square in F_{p^2}, so (x, y) -> (t/x, y t^(3/2) / x^3) is an isomorphism
@@ -545,8 +547,8 @@ def baba_granath_qm_sweep(ctx: PrimeFieldCtx, js) -> list:
             scan.append((branch, res))
         scans.append(scan)
     if pending:
-        n1s = count_genus2_fp(ctx, [coeffs for _scan, _i, coeffs, _row in pending])
         n2s = count_genus2_fp2(ctx, fp2_rows)
+        n1s = count_genus2_fp(ctx, [coeffs for _scan, _i, coeffs, _row in pending])
         for (scan, i, _coeffs, row), n1 in zip(pending, n1s):
             scan[i] = (scan[i][0], qm_consistency(n1, n2s[row], p))
     return scans

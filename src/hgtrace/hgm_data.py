@@ -81,7 +81,7 @@ class TriangleGroupRow:
     at infinity) to the order of the corresponding elliptic point, or OO for a
     cusp. hp_sign/hp_weight are the normalization H_p = hp_sign * p^(-hp_weight)
     * (period sum) of the finite-field hypergeometric function for this datum
-    (`hgtrace calibrate hp` checks it), and al_divisors lists the d for which
+    (`hgtrace verify weil` checks it), and al_divisors lists the d for which
     a + p = d*t^2 can occur (the Atkin-Lehner divisor pattern of the group).
 
     a_rule selects the lambda chart that reads the local trace off H_p:

@@ -10,7 +10,7 @@ import pytest
 
 from hgtrace.character_sums import (AlgebraicValue, BracketTable, SnapError,
                                     _bracket_table, _clausen_columns,
-                                    al_square_decompose, calibration_primes, clausen_sweep,
+                                    al_square_decompose, clausen_sweep,
                                     datum_char_exponents,
                                     datum_table, elliptic_square_value, hp_sum,
                                     np_sum, snap_tolerance)
@@ -377,10 +377,10 @@ def test_hp_sweep_square_property_row2oo(ctx13):
         assert d == 1 and t * t <= 4 * p
 
 
-def _normalizations(row):
+def _normalizations(row, primes):
     """The (sign, weight) in (+-1) x (0, 1, 2) at which a_gamma_sweep of row,
-    with its own chart and al_divisors, snaps at every calibration prime."""
-    ctxs = [cached_ctx(p) for p in calibration_primes(row.hd)]
+    with its own chart and al_divisors, snaps at every one of primes."""
+    ctxs = [cached_ctx(p) for p in primes]
     out = []
     for sign in (1, -1):
         for weight in (0, 1, 2):
@@ -396,28 +396,21 @@ def _normalizations(row):
 
 def test_calibrations_match_table_rows():
     """Each row's persisted normalization is the only one of the six
-    candidates that snaps; calibration primes are the first three p > 5 with
-    p = 1 mod the row's level."""
+    candidates that snaps at the first three p > 5 with p = 1 mod the row's
+    level, the primes verify weil reaches first."""
     for sig, primes in (((2, "oo", "oo"), (7, 11, 13)), ((2, 3, "oo"), (7, 13, 19)),
                         ((2, 4, "oo"), (13, 17, 29)), ((2, 6, "oo"), (7, 13, 19)),
                         ((2, 4, 6), (13, 37, 61))):
         row = row_by_signature(sig)
-        assert calibration_primes(row.hd) == primes, row.name
-        assert _normalizations(row) == [(row.hp_sign, row.hp_weight)], row.name
-
-
-def test_calibration_primes_start_at_level_plus_one():
-    # level 10: 11 = M + 1 is the first prime = 1 mod 10
-    hd = HGDatum(("1/10", "3/10", "7/10", "9/10"), (1, 1, 1, 1))
-    assert calibration_primes(hd) == (11, 31, 41)
+        assert _normalizations(row, primes) == [(row.hp_sign, row.hp_weight)], row.name
 
 
 def test_calibration_negative_control():
     # wrong character assignment: a non-Galois-stable datum has irrational
     # sums, so no (sign, w) can make the traces integers
     hd = HGDatum(("1/2", "1/3", "1/3"), (1, 1, 1))
-    assert calibration_primes(hd) == (7, 13, 19)
-    assert _normalizations(dataclasses.replace(row_by_signature((2, 6, "oo")), hd=hd)) == []
+    assert _normalizations(dataclasses.replace(row_by_signature((2, 6, "oo")), hd=hd),
+                           (7, 13, 19)) == []
 
 
 def test_elliptic_square_vs_cm_fixture():

@@ -9,6 +9,7 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -105,12 +106,13 @@ def test_trace_deterministic_config_echo(runner):
     ["count", "baba-granath", "--prime", "5", "--j", "1"],
     ["trace", "--group", "2,4,6", "--weight", "8", "--prime", "7"],
     ["trace", "--group", "2,4,6", "--weight", "8", "--prime", "2"],
+    ["calibrate", "bg-lambda", "--prime", "17713"],
 ], ids=["trace-composite", "trace-composite-inadmissible", "trace-over-cap",
         "verify-composite", "verify-over-cap", "bg-lambda-composite",
         "bg-lambda-over-cap", "count-composite", "count-over-cap",
         "sum-hp-composite", "sum-hp-over-cap", "verify-genlegendre-not-1-mod-6",
         "sum-hp-not-1-mod-level", "verify-qm-p5", "count-baba-granath-p5",
-        "trace-not-1-mod-level", "trace-p2"])
+        "trace-not-1-mod-level", "trace-p2", "bg-lambda-past-fp2-bound"])
 def test_bad_prime_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -161,6 +163,8 @@ def test_bad_prime_is_usage_error(runner, args):
     ["trace", "--group", "2,4,6", "--weight", "7", "--prime", "13"],
     ["count", "legendre", "--prime", "13", "--lambda", "x"],
     ["calibrate", "bg-lambda", "--prime", "7"],
+    ["calibrate", "hp", "--group", "2,4,6"],
+    ["calibrate", "legendre"],
 ], ids=["exps-two-entries", "exps-not-integer", "n-zero", "n-one",
         "alpha-zero-denominator", "fp2-without-counter", "verify-weil-vacuous",
         "verify-legendre-vacuous", "verify-all-vacuous", "verify-weil-skips-246",
@@ -175,7 +179,8 @@ def test_bad_prime_is_usage_error(runner, args):
         "count-genlegendre-missing-exps", "table-no-format-option",
         "count-baba-granath-branch-0", "count-baba-granath-branch-2",
         "trace-prime-and-range", "trace-range-not-lo-hi", "trace-no-prime",
-        "trace-odd-weight", "count-lambda-not-integer", "calibrate-bg-lambda-not-1-mod-12"])
+        "trace-odd-weight", "count-lambda-not-integer", "calibrate-bg-lambda-not-1-mod-12",
+        "calibrate-hp-no-such-command", "calibrate-legendre-no-such-command"])
 def test_bad_option_is_usage_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
@@ -195,6 +200,17 @@ def test_p_cap_is_checked_before_any_prime_runs(runner, monkeypatch, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert "exceeds the configured bound 100000" in res.output
+
+
+def test_fp2_bound_is_checked_before_the_fp_counts(runner, monkeypatch):
+    """At p = 17713 the genus-2 F_p2 counts of verify qm are past their
+    exactness bound: a usage error before the O(p^2) F_p counts run."""
+    def no_work(ctx, sextics):
+        raise AssertionError(f"F_p counts run at p = {ctx.p}")
+    monkeypatch.setattr(curve_lab, "count_genus2_fp", no_work)
+    res = runner.invoke(main, ["verify", "qm", "--prime", "17713"])
+    assert res.exit_code == 2, res.output
+    assert "at p = 17713: the F_p2 count needs" in res.output
 
 
 @pytest.fixture()
@@ -596,12 +612,30 @@ def test_readme_command_line_runs(runner, monkeypatch, args):
     assert res.exit_code == 0, res.output
 
 
+def _leaf_commands(command, path=()):
+    """The path of every command under a click command, e.g. ("sum", "np")."""
+    if isinstance(command, click.Group):
+        for name, sub in command.commands.items():
+            yield from _leaf_commands(sub, path + (name,))
+    else:
+        yield path
+
+
+def test_readme_command_line_names_every_command():
+    listed = _readme_commands()
+    missing = [" ".join(path) for path in _leaf_commands(main)
+               if not any(tuple(args[:len(path)]) == path for args in listed)]
+    assert not missing, f"README's Command line block has no line for {missing}"
+
+
 def test_verify_weil_states_what_it_checked(runner):
-    # 13 is the first prime at which all five rows, (2,4,6) included, are checked
-    res = runner.invoke(main, ["verify", "weil", "--max-prime", "13"])
-    assert res.exit_code == 0, res.output
-    detail = json.loads(res.output)["results"][0]["detail"]
-    assert detail == "79 values over 9 (row, p) pairs, 0 violations"
+    # 13 is the first prime at which all five rows, (2,4,6) included, are
+    # checked; 61, the default, reaches the third admissible prime of each row
+    for max_prime, want in (("13", "79 values over 9 (row, p) pairs, 0 violations"),
+                            ("61", "1197 values over 39 (row, p) pairs, 0 violations")):
+        res = runner.invoke(main, ["verify", "weil", "--max-prime", max_prime])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["results"][0]["detail"] == want
 
 
 def test_verify_weil_reports_a_failed_sweep(runner, monkeypatch):
@@ -633,8 +667,7 @@ def test_verify_legendre_reaches_the_thousands(runner):
     ["count", "legendre", "--prime", "13", "--lambda", "all"],
     ["count", "legendre", "--prime", "13", "--lambda", "2"],
     ["verify", "legendre", "--max-prime", "13"],
-    ["calibrate", "legendre"],
-], ids=["count-all", "count-one", "verify", "calibrate"])
+], ids=["count-all", "count-one", "verify"])
 def test_legendre_guard_failure_prints_no_count(runner, args):
     """A correlation value off by 1 or by 0.4 at lambda = 5 fails the command
     (exit 1); it never prints a count, a map or a passed check."""
@@ -661,41 +694,12 @@ def test_legendre_cover_mismatch_fails_the_command(runner, monkeypatch):
     [result] = json.loads(res.stdout)["results"]
     assert result["passed"] is False
     assert re.fullmatch(r"mismatch p=11 lam'=\d+", result["detail"]), result["detail"]
-    res = runner.invoke(main, ["calibrate", "legendre"])
-    assert res.exit_code == 1, res.output
-    assert res.stdout == "" and "failure: mismatch p=11" in res.stderr
 
 
 def test_verify_seed_determinism(runner):
     a = runner.invoke(main, ["verify", "fm", "--seed", "5"]).output
     b = runner.invoke(main, ["verify", "fm", "--seed", "5"]).output
     assert a == b
-
-
-def test_calibrate_hp(runner):
-    res = runner.invoke(main, ["calibrate", "hp", "--group", "2,oo,oo"])
-    assert res.exit_code == 0, res.output
-    out = json.loads(res.output)
-    assert out["sign"] == -1 and out["weight"] == 0 and out["matches_table"]
-
-
-# sha256 of the stdout of `calibrate hp --group G`, as the six-candidate
-# (sign, weight) search printed it before the check of each row's persisted
-# normalization replaced it
-_CALIBRATE_HP_SHA256 = {
-    "2,oo,oo": "07b410076916c32051bbc45cfd19a52280658caf3f82518653991ee078a90a23",
-    "2,3,oo": "8c7862c5af6d2ab709600b4ef01959eed3c9aa39bae7b2fa6c677c2d50bf5dce",
-    "2,4,oo": "b1222f984d836f8964a84e8bab40881f48f1affd3b2ab84be109c39d59cadcc3",
-    "2,6,oo": "810658f32fc152878e2f9047dd2ccf8fc646300f6dcb3dad85a2c99777055f22",
-    "2,4,6": "d9848c9f4354e8e2acd4a1171f72ec2787ef50b2a62ae301986713299208c6c5",
-}
-
-
-@pytest.mark.parametrize("group", list(_CALIBRATE_HP_SHA256))
-def test_calibrate_hp_stdout_digest(runner, group):
-    res = runner.invoke(main, ["calibrate", "hp", "--group", group])
-    assert res.exit_code == 0, res.output
-    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _CALIBRATE_HP_SHA256[group]
 
 
 def test_trace_oracle_guard_failure_is_a_computation_failure(runner, monkeypatch):
@@ -828,8 +832,6 @@ def test_json_writer_mixed_keys_fail_like_json_dumps():
      "--lambda", "3"],
     ["sum", "hp", "--group", "2,4,6", "--prime", "13", "--t", "5"],
     ["verify", "weil", "--max-prime", "13"],
-    ["calibrate", "hp", "--group", "2,4,6"],
-    ["calibrate", "legendre"],
     ["calibrate", "bg-lambda", "--prime", "13"],
 ], ids=lambda args: " ".join(args[:2]))
 def test_json_writer_on_every_emitted_payload(runner, monkeypatch, args):

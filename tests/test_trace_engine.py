@@ -201,14 +201,15 @@ class _ImaginaryOffsetTable:
 @pytest.mark.parametrize("fraction", [0.5, 1.0])
 def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fraction):
     """A value exactly snap_tolerance away from an integer fails a_Gamma and
-    `calibrate hp` alike; one half as far passes both. The (2,oo,oo) row scales
+    `verify weil` alike; one half as far passes both. The (2,oo,oo) row scales
     the period sum by exactly -1, so the offset reaches the check unrounded."""
     row = row_by_signature((2, OO, OO))
     ctx = cached_ctx(13)
     want = a_gamma_sweep(row, ctx)[1].tolist()
     monkeypatch.setattr(trace_engine, "datum_table", lambda hd, ctx: _ImaginaryOffsetTable(
         datum_table(hd, ctx), fraction * snap_tolerance(ctx.p, hd.n)))
-    res = CliRunner().invoke(main, ["calibrate", "hp", "--group", "2,oo,oo"])
+    res = CliRunner().invoke(main, ["verify", "weil", "--max-prime", "13"])
+    [result] = json.loads(res.stdout)["results"]
     if fraction < 1:
         assert a_gamma_sweep(row, ctx)[1].tolist() == want
         assert res.exit_code == 0, res.output
@@ -216,7 +217,7 @@ def test_snap_boundary_is_shared_by_a_gamma_and_calibration(monkeypatch, fractio
         with pytest.raises(SnapError, match="did not snap"):
             a_gamma_sweep(row, ctx)
         assert res.exit_code == 1, res.output
-        assert res.stdout == "" and "calibration failure: a_Gamma(" in res.stderr
+        assert "('(2,oo,oo)', 7, 'a_Gamma(" in result["detail"], result["detail"]
 
 
 def test_snap_headroom_at_the_p_cap():
@@ -272,15 +273,6 @@ def _cover(ctx, lamp: int) -> int:
     """R(lam') = -4 lam' / (lam' - 1)^2 at one lam' != 1, by modular inverse."""
     p = ctx.p
     return -4 * lamp * ctx.inv((lamp - 1) ** 2 % p) % p
-
-
-def test_legendre_calibration():
-    """The fixed cover map holds at the primes `calibrate legendre` reports."""
-    assert LEGENDRE_COVER_MAP == "-4*lam/(lam-1)^2"
-    row = row_by_signature((2, OO, OO))
-    for p in (7, 11, 13):
-        ctx = cached_ctx(p)
-        assert legendre_relation(ctx, a_gamma_sweep(row, ctx), legendre_trace_sweep(ctx)) is None
 
 
 def test_legendre_relation_all_primes_to_61():
